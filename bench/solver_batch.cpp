@@ -11,22 +11,33 @@
 //     predict_latency_batch over a dense generation-rate grid, for every
 //     SourceThrottling method, with warm starts on (the default).
 //
-// Both comparisons run the same trajectories on the same inputs in the
-// same process, cold each time; speedups are wall-clock ratios of the
-// two implementations, nothing else.
+//  3. Mixed chunk: the first 256 points of a cartesian technology x
+//     rate x clusters x message size x architecture sweep, in its
+//     expansion order (architecture innermost, so no two neighbouring
+//     points share a topology), through exact MVA: predict_latency
+//     cell-by-cell vs predict_latency_batch with warm starts off. Every
+//     field of every cell must match bit for bit; the program exits 1
+//     when one does not.
+//
+// All three comparisons run the same trajectories on the same inputs in
+// the same process, cold each time; speedups are wall-clock ratios of
+// the two implementations, nothing else.
 
+#include <bit>
 #include <chrono>
 #include <cmath>
 #include <cstdint>
 #include <cstdio>
 #include <fstream>
 #include <string>
+#include <thread>
 #include <vector>
 
 #include "hmcs/analytic/batch_solver.hpp"
 #include "hmcs/analytic/latency_model.hpp"
 #include "hmcs/analytic/mva.hpp"
 #include "hmcs/analytic/network_tech.hpp"
+#include "hmcs/analytic/scenario.hpp"
 #include "hmcs/util/cli.hpp"
 #include "hmcs/util/error.hpp"
 #include "hmcs/util/json.hpp"
@@ -167,6 +178,138 @@ GridRun run_grid(const std::vector<analytic::SystemConfig>& configs,
   return run;
 }
 
+/// Part 3: the first `cells` points of a cartesian sweep over
+/// technology x rate x clusters x message size x architecture, nested
+/// in that order (architecture innermost) at population `total_nodes`.
+std::vector<analytic::SystemConfig> mixed_chunk_configs(
+    std::uint64_t total_nodes, std::size_t cells) {
+  const std::uint32_t clusters[] = {1, 2, 4, 8, 16, 32, 64, 128, 256};
+  const double message_bytes[] = {256.0, 512.0, 1024.0, 2048.0, 4096.0};
+  require(total_nodes % 256 == 0 && total_nodes <= UINT32_MAX,
+          "solver_batch: --nodes must be a multiple of 256 for the mixed "
+          "chunk");
+  std::vector<analytic::SystemConfig> configs;
+  for (const analytic::HeterogeneityCase hetero :
+       {analytic::HeterogeneityCase::kCase1,
+        analytic::HeterogeneityCase::kCase2}) {
+    for (int k = 0; k < 16; ++k) {
+      const double rate_per_us = 25e-6 * std::pow(1.25, k);
+      for (const std::uint32_t c : clusters) {
+        for (const double bytes : message_bytes) {
+          for (const analytic::NetworkArchitecture architecture :
+               {analytic::NetworkArchitecture::kNonBlocking,
+                analytic::NetworkArchitecture::kBlocking}) {
+            if (configs.size() == cells) return configs;
+            configs.push_back(analytic::paper_scenario(
+                hetero, c, architecture, bytes,
+                static_cast<std::uint32_t>(total_nodes), rate_per_us));
+          }
+        }
+      }
+    }
+  }
+  return configs;
+}
+
+struct MixedChunkRun {
+  std::size_t cells = 0;
+  double scalar_seconds = 0.0;
+  double batch_seconds = 0.0;
+  /// Names of the LatencyPrediction fields that differ in some cell.
+  std::vector<std::string> mismatched_fields;
+};
+
+void compare_field(MixedChunkRun& run, const char* name, double a, double b) {
+  if (std::bit_cast<std::uint64_t>(a) == std::bit_cast<std::uint64_t>(b)) {
+    return;
+  }
+  for (const std::string& seen : run.mismatched_fields) {
+    if (seen == name) return;
+  }
+  run.mismatched_fields.emplace_back(name);
+}
+
+void compare_center(MixedChunkRun& run, const std::string& role,
+                    const analytic::CenterPrediction& a,
+                    const analytic::CenterPrediction& b) {
+  compare_field(run, (role + ".arrival_rate").c_str(), a.arrival_rate,
+                b.arrival_rate);
+  compare_field(run, (role + ".service_rate").c_str(), a.service_rate,
+                b.service_rate);
+  compare_field(run, (role + ".utilization").c_str(), a.utilization,
+                b.utilization);
+  compare_field(run, (role + ".response_time_us").c_str(),
+                a.response_time_us, b.response_time_us);
+  compare_field(run, (role + ".queue_length").c_str(), a.queue_length,
+                b.queue_length);
+}
+
+void compare_service(MixedChunkRun& run, const std::string& role,
+                     const analytic::ServiceTimeBreakdown& a,
+                     const analytic::ServiceTimeBreakdown& b) {
+  compare_field(run, (role + ".link_latency_us").c_str(), a.link_latency_us,
+                b.link_latency_us);
+  compare_field(run, (role + ".switch_latency_us").c_str(),
+                a.switch_latency_us, b.switch_latency_us);
+  compare_field(run, (role + ".transmission_us").c_str(), a.transmission_us,
+                b.transmission_us);
+  compare_field(run, (role + ".blocking_us").c_str(), a.blocking_us,
+                b.blocking_us);
+}
+
+MixedChunkRun run_mixed_chunk(std::uint64_t total_nodes) {
+  const std::vector<analytic::SystemConfig> configs =
+      mixed_chunk_configs(total_nodes, 256);
+  analytic::ModelOptions options;
+  options.fixed_point.method = SourceThrottling::kExactMva;
+
+  MixedChunkRun run;
+  run.cells = configs.size();
+  std::vector<analytic::LatencyPrediction> scalar;
+  scalar.reserve(configs.size());
+  auto start = std::chrono::steady_clock::now();
+  for (const analytic::SystemConfig& config : configs) {
+    scalar.push_back(analytic::predict_latency(config, options));
+  }
+  run.scalar_seconds = seconds_since(start);
+
+  start = std::chrono::steady_clock::now();
+  const std::vector<analytic::LatencyPrediction> batch =
+      analytic::predict_latency_batch(configs, options,
+                                      analytic::BatchOptions{false});
+  run.batch_seconds = seconds_since(start);
+
+  for (std::size_t i = 0; i < configs.size(); ++i) {
+    const analytic::LatencyPrediction& a = scalar[i];
+    const analytic::LatencyPrediction& b = batch[i];
+    compare_field(run, "mean_latency_us", a.mean_latency_us,
+                  b.mean_latency_us);
+    compare_field(run, "inter_cluster_probability",
+                  a.inter_cluster_probability, b.inter_cluster_probability);
+    compare_field(run, "lambda_offered", a.lambda_offered, b.lambda_offered);
+    compare_field(run, "lambda_effective", a.lambda_effective,
+                  b.lambda_effective);
+    compare_field(run, "total_queue_length", a.total_queue_length,
+                  b.total_queue_length);
+    compare_field(run, "fixed_point_converged",
+                  a.fixed_point_converged ? 1.0 : 0.0,
+                  b.fixed_point_converged ? 1.0 : 0.0);
+    compare_field(run, "fixed_point_iterations",
+                  static_cast<double>(a.fixed_point_iterations),
+                  static_cast<double>(b.fixed_point_iterations));
+    compare_center(run, "icn1", a.icn1, b.icn1);
+    compare_center(run, "ecn1", a.ecn1, b.ecn1);
+    compare_center(run, "icn2", a.icn2, b.icn2);
+    compare_service(run, "service_times.icn1", a.service_times.icn1,
+                    b.service_times.icn1);
+    compare_service(run, "service_times.ecn1", a.service_times.ecn1,
+                    b.service_times.ecn1);
+    compare_service(run, "service_times.icn2", a.service_times.icn2,
+                    b.service_times.icn2);
+  }
+  return run;
+}
+
 double speedup(double slow_seconds, double fast_seconds) {
   return fast_seconds > 0.0 ? slow_seconds / fast_seconds : 0.0;
 }
@@ -238,6 +381,18 @@ int main(int argc, char** argv) try {
                     run.converged_flag_mismatches));
   }
 
+  // Part 3: a chunk whose neighbouring cells never share a topology.
+  const MixedChunkRun mixed = run_mixed_chunk(nodes);
+  const bool bit_identical = mixed.mismatched_fields.empty();
+  std::printf("mixed chunk mva %zu cells: %8.4f s -> %8.4f s (%.1fx), "
+              "bit-identical: %s\n",
+              mixed.cells, mixed.scalar_seconds, mixed.batch_seconds,
+              speedup(mixed.scalar_seconds, mixed.batch_seconds),
+              bit_identical ? "yes" : "NO");
+  for (const std::string& field : mixed.mismatched_fields) {
+    std::printf("  field differs: %s\n", field.c_str());
+  }
+
   JsonWriter json;
   json.begin_object();
   json.key("benchmark").value("solver_batch");
@@ -276,12 +431,33 @@ int main(int argc, char** argv) try {
   }
   json.end_array();
   json.end_object();
+  json.key("mixed_chunk").begin_object();
+  json.key("cells").value(static_cast<std::uint64_t>(mixed.cells));
+  json.key("method").value("mva");
+  json.key("warm_start").value(false);
+  json.key("scalar_seconds").value(mixed.scalar_seconds);
+  json.key("batch_seconds").value(mixed.batch_seconds);
+  json.key("speedup")
+      .value(speedup(mixed.scalar_seconds, mixed.batch_seconds));
+  json.key("hardware_concurrency")
+      .value(static_cast<std::uint64_t>(std::thread::hardware_concurrency()));
+  json.key("bit_identical").value(bit_identical);
+  json.key("mismatched_fields").begin_array();
+  for (const std::string& field : mixed.mismatched_fields) {
+    json.value(field);
+  }
+  json.end_array();
+  json.end_object();
   json.end_object();
 
   std::ofstream out(out_path);
   require(out.good(), "solver_batch: cannot write '" + out_path + "'");
   out << json.str() << "\n";
   std::printf("record written to %s\n", out_path.c_str());
+  if (!bit_identical) {
+    std::fprintf(stderr, "error: mixed chunk batch differs from scalar\n");
+    return 1;
+  }
   return 0;
 } catch (const std::exception& error) {
   std::fprintf(stderr, "error: %s\n", error.what());

@@ -11,9 +11,13 @@
 /// The batch solvers hoist that shared precomputation out of the
 /// per-cell loop and advance *all* active cells one solver iteration per
 /// sweep over flat arrays (vectorisable; cells retire as they converge).
-/// Cells are grouped into contiguous runs sharing a topology (equal in
-/// everything but the generation rate); a group of one costs a scalar
-/// solve, so heterogeneous grids are never penalised.
+/// For the fixed-point methods, cells are grouped into contiguous runs
+/// sharing a topology (equal in everything but the generation rate); a
+/// group of one costs a scalar solve, so heterogeneous grids are never
+/// penalised. Exact-MVA cells are not limited to such runs: the
+/// positive-rate cells of the whole list, of any topology, are bucketed
+/// by population and solved kMvaLanes at a time by the lane-parallel
+/// station-class recursion (mva.hpp).
 ///
 /// Numerical contract (docs/PERFORMANCE.md):
 ///  - warm_start = false: the per-cell iterate sequence is arithmetic-
@@ -70,11 +74,13 @@ std::vector<FixedPointResult> solve_effective_rate_batch(
     const BatchOptions& batch = {});
 
 /// Batch predict_latency over an arbitrary config list: contiguous runs
-/// of configs sharing a topology are solved through the SoA core (with
-/// the kExactMva path evaluating the station-class MVA recursion for
-/// all cells of a run in lockstep); per-cell post-processing goes
-/// through the same epilogue as the scalar predict_latency. Output
-/// order matches input order.
+/// of configs sharing a topology are validated together and, for the
+/// fixed-point methods, solved through the SoA core. Under kExactMva the
+/// positive-rate cells of the whole list are gathered, bucketed by
+/// population (total nodes) and solved together by
+/// solve_closed_mva_classes_batch, whatever their topology. Per-cell
+/// post-processing goes through the same epilogues as the scalar
+/// predict_latency. Output order matches input order.
 std::vector<LatencyPrediction> predict_latency_batch(
     const SystemConfig* const* configs, std::size_t count,
     const ModelOptions& options = {}, const BatchOptions& batch = {});

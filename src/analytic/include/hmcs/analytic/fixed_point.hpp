@@ -124,6 +124,21 @@ FixedPointResult solve_effective_rate(const SystemConfig& config,
                                       const CenterServiceTimes& service,
                                       const FixedPointOptions& options = {});
 
+struct HmcsMvaClassLayout;  // mva.hpp
+struct MvaClassResult;      // mva.hpp
+
+namespace detail {
+
+/// The kExactMva fixed point of a solved station-class recursion over
+/// `layout`: lambda_eff = X/N, total queue sum_k m_k L_k, and one
+/// iteration per customer. The one epilogue of the scalar solver, the
+/// batch solver and the kExactMva latency prediction.
+FixedPointResult mva_fixed_point(const HmcsMvaClassLayout& layout,
+                                 const MvaClassResult& mva,
+                                 std::uint64_t total_nodes);
+
+}  // namespace detail
+
 /// A centre's effective completion-time distribution once breakdowns
 /// are folded in (workload.hpp FailureRepair, preemptive resume):
 /// completion rate mu*A (A = mtbf/(mtbf+mttr)) and inflated cs^2. The

@@ -14,6 +14,7 @@
 /// near saturation, e.g. the C=2 point of Figure 4).
 
 #include <cstdint>
+#include <span>
 #include <vector>
 
 namespace hmcs::util {
@@ -44,7 +45,8 @@ struct MvaResult {
 /// Runs the exact MVA recursion for `population` customers over the
 /// given stations plus one delay (think) stage of `think_time_us`.
 /// Requires population >= 1, think_time_us >= 0, every service_rate > 0,
-/// every visit_ratio >= 0. The recursion is O(population * stations);
+/// every visit_ratio >= 0, and a cycle that takes time: think_time_us > 0
+/// or some visit_ratio > 0. The recursion is O(population * stations);
 /// `cancel` (when non-null) is polled every 4096 population steps so
 /// per-cell deadlines bound even huge populations (docs/ROBUSTNESS.md).
 MvaResult solve_closed_mva(const std::vector<MvaStation>& stations,
@@ -83,11 +85,40 @@ struct MvaClassResult {
 /// solve_closed_mva, but costs O(population * classes). Floating-point
 /// results agree with the expanded recursion to <= 1e-12 relative error
 /// (the class path sums a class's cycle contribution as m*v*W where the
-/// scalar path adds v*W m times). Same preconditions as
-/// solve_closed_mva, plus multiplicity >= 1.
+/// scalar path adds v*W m times, and multiplies by a hoisted 1/mu where
+/// the scalar path divides by mu). Same preconditions as
+/// solve_closed_mva, plus multiplicity >= 1. A one-network call of
+/// solve_closed_mva_classes_batch: one lane of the same recursion.
 MvaClassResult solve_closed_mva_classes(
     const std::vector<MvaStationClass>& classes, double think_time_us,
     std::uint64_t population, const util::CancelToken* cancel = nullptr);
+
+/// One closed network of a lane-parallel solve: its station classes and
+/// its think time.
+struct MvaClassNetwork {
+  std::span<const MvaStationClass> classes;
+  double think_time_us = 0.0;
+};
+
+/// Lanes the station-class recursion advances per population step when
+/// it solves two or more networks together. A group of one network (a
+/// lone network, or one left after full groups) runs a single lane; the
+/// width is chosen from the network count only.
+inline constexpr std::size_t kMvaLanes = 16;
+
+/// Solves independent station-class networks that share one population
+/// and one class count, kMvaLanes at a time: every population step
+/// advances all lanes of a group (state stored class-major x lane, so
+/// the per-step loops vectorise), and each lane performs exactly the
+/// operations of solve_closed_mva_classes on its network alone, in the
+/// same order — every result is bit-identical to that one-network call.
+/// Each network is validated like solve_closed_mva_classes. `cancel` is
+/// polled every 4096 population steps; an overflow to a non-finite
+/// recursion state (which persists once reached) is checked at the same
+/// polls and at the end. Output order matches `networks`.
+std::vector<MvaClassResult> solve_closed_mva_classes_batch(
+    std::span<const MvaClassNetwork> networks, std::uint64_t population,
+    const util::CancelToken* cancel = nullptr);
 
 // --- Multi-class approximate MVA --------------------------------------------
 

@@ -337,102 +337,6 @@ void solve_bisection_batch(const GroupConstants& g,
   bisection_lockstep(g, options, std::move(followers), out);
 }
 
-// --- Exact MVA --------------------------------------------------------------
-
-constexpr std::uint64_t kMvaCancelPollMask = 4095;
-
-/// Station-class MVA recursion over all cells of a group in lockstep:
-/// outer loop over the population, inner loop over cells (contiguous
-/// per-cell state, vectorisable). Per cell this performs exactly the
-/// arithmetic of solve_closed_mva_classes, so results are bit-identical
-/// to per-cell scalar solves.
-std::vector<MvaClassResult> mva_batch(
-    const std::vector<MvaStationClass>& classes,
-    const std::vector<double>& think_times, std::uint64_t population,
-    const util::CancelToken* cancel) {
-  const std::size_t k = classes.size();
-  const std::size_t m = think_times.size();
-  std::vector<double> class_visits(k);
-  for (std::size_t i = 0; i < k; ++i) {
-    class_visits[i] =
-        static_cast<double>(classes[i].multiplicity) * classes[i].visit_ratio;
-  }
-  // Hoisted reciprocals, exactly as in solve_closed_mva_classes — the
-  // scalar and lockstep recursions must stay bit-identical.
-  std::vector<double> inv_rate(k);
-  for (std::size_t i = 0; i < k; ++i) {
-    inv_rate[i] = 1.0 / classes[i].service_rate;
-  }
-
-  // Cell-major state: w/l for cell j occupy [j*k, (j+1)*k).
-  std::vector<double> w(m * k, 0.0);
-  std::vector<double> l(m * k, 0.0);
-  std::vector<double> x(m, 0.0);
-
-  for (std::uint64_t n = 1; n <= population; ++n) {
-    if (cancel != nullptr && (n & kMvaCancelPollMask) == 1) {
-      cancel->check("mva");
-    }
-    const double customers = static_cast<double>(n);
-    for (std::size_t j = 0; j < m; ++j) {
-      double* wj = w.data() + j * k;
-      double* lj = l.data() + j * k;
-      double cycle = think_times[j];
-      for (std::size_t i = 0; i < k; ++i) {
-        wj[i] = (1.0 + lj[i]) * inv_rate[i];
-        cycle += class_visits[i] * wj[i];
-      }
-      ensure(cycle > 0.0, "mva: degenerate zero cycle time");
-      x[j] = customers / cycle;
-      for (std::size_t i = 0; i < k; ++i) {
-        lj[i] = x[j] * classes[i].visit_ratio * wj[i];
-      }
-    }
-  }
-
-  std::vector<MvaClassResult> results(m);
-  for (std::size_t j = 0; j < m; ++j) {
-    MvaClassResult& result = results[j];
-    result.throughput = x[j];
-    result.response_time_us.assign(w.begin() + static_cast<std::ptrdiff_t>(j * k),
-                                   w.begin() + static_cast<std::ptrdiff_t>((j + 1) * k));
-    result.queue_length.assign(l.begin() + static_cast<std::ptrdiff_t>(j * k),
-                               l.begin() + static_cast<std::ptrdiff_t>((j + 1) * k));
-    result.total_residence_us = 0.0;
-    for (std::size_t i = 0; i < k; ++i) {
-      result.total_residence_us +=
-          class_visits[i] * result.response_time_us[i];
-    }
-  }
-  return results;
-}
-
-/// The kExactMva cells of a group, solved in lockstep. Zero-rate cells
-/// are handled by the caller. Returns results only for `cells`.
-std::vector<MvaClassResult> solve_mva_cells(
-    const SystemConfig& base, const CenterServiceTimes& service,
-    const std::vector<double>& rates, const std::vector<std::size_t>& cells,
-    const util::CancelToken* cancel, HmcsMvaClassLayout& layout_out) {
-  layout_out = build_hmcs_mva_class_layout(base, service);
-  std::vector<double> thinks;
-  thinks.reserve(cells.size());
-  for (const std::size_t cell : cells) thinks.push_back(1.0 / rates[cell]);
-  return mva_batch(layout_out.classes, thinks, base.total_nodes(), cancel);
-}
-
-FixedPointResult mva_fixed_point(const HmcsMvaClassLayout& layout,
-                                 const MvaClassResult& mva,
-                                 std::uint64_t total_nodes) {
-  double total_queue = 0.0;
-  for (std::size_t i = 0; i < layout.classes.size(); ++i) {
-    total_queue += static_cast<double>(layout.classes[i].multiplicity) *
-                   mva.queue_length[i];
-  }
-  return FixedPointResult{
-      mva.throughput / static_cast<double>(total_nodes), total_queue,
-      total_nodes, true};
-}
-
 /// Same option validation as solve_effective_rate, hoisted per group.
 void validate_options(const FixedPointOptions& options) {
   require(options.tolerance > 0.0, "fixed_point: tolerance must be > 0");
@@ -488,6 +392,21 @@ bool same_topology(const SystemConfig& a, const SystemConfig& b) {
          a.message_bytes == b.message_bytes && a.scenario == b.scenario;
 }
 
+/// A topology group of predict_latency_batch with kExactMva cells: the
+/// class layout and the epilogue inputs its cells share.
+struct MvaGroup {
+  HmcsMvaClassLayout layout;
+  double p = 0.0;
+  CenterServiceTimes service{};
+};
+
+/// A positive-rate kExactMva cell of the chunk awaiting its solve.
+struct MvaCell {
+  std::size_t index = 0;  ///< position in the chunk
+  std::size_t group = 0;  ///< into the chunk's MvaGroup list
+  std::uint64_t population = 0;
+};
+
 }  // namespace
 
 std::vector<FixedPointResult> solve_effective_rate_batch(
@@ -535,22 +454,27 @@ std::vector<FixedPointResult> solve_effective_rate_batch(
                             results.data());
       break;
     case SourceThrottling::kExactMva: {
+      // The positive-rate cells, solved together by the lane-parallel
+      // station-class recursion (mva.hpp).
+      const HmcsMvaClassLayout layout =
+          build_hmcs_mva_class_layout(base, service);
       std::vector<std::size_t> cells;
+      std::vector<MvaClassNetwork> networks;
       for (std::size_t i = 0; i < grid.rates_per_us.size(); ++i) {
         if (grid.rates_per_us[i] == 0.0) {
           results[i] = zero_rate_result();
         } else {
           cells.push_back(i);
+          networks.push_back(
+              MvaClassNetwork{layout.classes, 1.0 / grid.rates_per_us[i]});
         }
       }
-      if (!cells.empty()) {
-        HmcsMvaClassLayout layout;
-        const std::vector<MvaClassResult> solved = solve_mva_cells(
-            base, service, grid.rates_per_us, cells, fp.cancel, layout);
-        for (std::size_t k = 0; k < cells.size(); ++k) {
-          results[cells[k]] =
-              mva_fixed_point(layout, solved[k], base.total_nodes());
-        }
+      const std::vector<MvaClassResult> solved =
+          solve_closed_mva_classes_batch(networks, base.total_nodes(),
+                                         fp.cancel);
+      for (std::size_t k = 0; k < cells.size(); ++k) {
+        results[cells[k]] =
+            detail::mva_fixed_point(layout, solved[k], base.total_nodes());
       }
       break;
     }
@@ -562,8 +486,11 @@ std::vector<FixedPointResult> solve_effective_rate_batch(
 std::vector<LatencyPrediction> predict_latency_batch(
     const SystemConfig* const* configs, std::size_t count,
     const ModelOptions& options, const BatchOptions& batch) {
-  std::vector<LatencyPrediction> out;
-  out.reserve(count);
+  std::vector<LatencyPrediction> out(count);
+  // Positive-rate kExactMva cells are gathered over the whole chunk, of
+  // any topology, and solved together once every group is validated.
+  std::vector<MvaGroup> mva_groups;
+  std::vector<MvaCell> mva_cells;
   for (std::size_t i = 0; i < count; /* advanced below */) {
     require(configs[i] != nullptr, "predict_latency_batch: null config");
     std::size_t end = i + 1;
@@ -602,39 +529,58 @@ std::vector<LatencyPrediction> predict_latency_batch(
               "fixed_point: exact MVA requires Poisson arrivals and no "
               "failure/repair (product form)");
       for (const double rate : grid.rates_per_us) require_cell_rate(rate);
-      std::vector<std::size_t> cells;
+      mva_groups.push_back(
+          MvaGroup{build_hmcs_mva_class_layout(base, service), p, service});
       for (std::size_t k = 0; k < grid.rates_per_us.size(); ++k) {
-        if (grid.rates_per_us[k] > 0.0) cells.push_back(k);
-      }
-      std::vector<LatencyPrediction> group(grid.rates_per_us.size());
-      if (!cells.empty()) {
-        HmcsMvaClassLayout layout;
-        const std::vector<MvaClassResult> solved =
-            solve_mva_cells(base, service, grid.rates_per_us, cells,
-                            options.fixed_point.cancel, layout);
-        for (std::size_t k = 0; k < cells.size(); ++k) {
-          group[cells[k]] = detail::finish_mva_prediction(
-              *configs[i + cells[k]], p, service, layout, solved[k]);
-        }
-      }
-      for (std::size_t k = 0; k < group.size(); ++k) {
         if (grid.rates_per_us[k] == 0.0) {
-          group[k] = detail::finish_open_prediction(
-              *configs[i + k], p, service, zero_rate_result(),
-              cell_fp(0.0));
+          out[i + k] = detail::finish_open_prediction(
+              *configs[i + k], p, service, zero_rate_result(), cell_fp(0.0));
+        } else {
+          mva_cells.push_back(MvaCell{i + k, mva_groups.size() - 1,
+                                      base.total_nodes()});
         }
-        out.push_back(std::move(group[k]));
       }
     } else {
       const std::vector<FixedPointResult> solved =
           solve_effective_rate_batch(grid, options.fixed_point, batch);
       for (std::size_t k = 0; k < solved.size(); ++k) {
-        out.push_back(detail::finish_open_prediction(
+        out[i + k] = detail::finish_open_prediction(
             *configs[i + k], p, service, solved[k],
-            cell_fp(grid.rates_per_us[k])));
+            cell_fp(grid.rates_per_us[k]));
       }
     }
     i = end;
+  }
+
+  // One population bucket at a time: the lanes of a recursion step share
+  // the customer count n.
+  std::stable_sort(mva_cells.begin(), mva_cells.end(),
+                   [](const MvaCell& a, const MvaCell& b) {
+                     return a.population < b.population;
+                   });
+  std::vector<MvaClassNetwork> networks;
+  for (std::size_t first = 0; first < mva_cells.size(); /* below */) {
+    const std::uint64_t population = mva_cells[first].population;
+    std::size_t last = first;
+    networks.clear();
+    for (; last < mva_cells.size() &&
+           mva_cells[last].population == population;
+         ++last) {
+      const MvaCell& cell = mva_cells[last];
+      networks.push_back(MvaClassNetwork{
+          mva_groups[cell.group].layout.classes,
+          1.0 / configs[cell.index]->generation_rate_per_us});
+    }
+    const std::vector<MvaClassResult> solved = solve_closed_mva_classes_batch(
+        networks, population, options.fixed_point.cancel);
+    for (std::size_t k = 0; k < solved.size(); ++k) {
+      const MvaCell& cell = mva_cells[first + k];
+      const MvaGroup& group = mva_groups[cell.group];
+      out[cell.index] = detail::finish_mva_prediction(
+          *configs[cell.index], group.p, group.service, group.layout,
+          solved[k]);
+    }
+    first = last;
   }
   return out;
 }

@@ -181,8 +181,20 @@ FixedPointResult solve_mva(const SystemConfig& config,
   const HmcsMvaClassLayout layout =
       build_hmcs_mva_class_layout(config, service);
   const double think = 1.0 / config.generation_rate_per_us;
-  const MvaClassResult mva = solve_closed_mva_classes(
-      layout.classes, think, config.total_nodes(), options.cancel);
+  return detail::mva_fixed_point(
+      layout,
+      solve_closed_mva_classes(layout.classes, think, config.total_nodes(),
+                               options.cancel),
+      config.total_nodes());
+}
+
+}  // namespace
+
+namespace detail {
+
+FixedPointResult mva_fixed_point(const HmcsMvaClassLayout& layout,
+                                 const MvaClassResult& mva,
+                                 std::uint64_t total_nodes) {
   double total_queue = 0.0;
   for (std::size_t i = 0; i < layout.classes.size(); ++i) {
     total_queue += static_cast<double>(layout.classes[i].multiplicity) *
@@ -190,12 +202,11 @@ FixedPointResult solve_mva(const SystemConfig& config,
   }
   // The recursion runs one step per customer: report the population as
   // the iteration count (64-bit — populations >= 2^32 must not wrap).
-  return FixedPointResult{
-      mva.throughput / static_cast<double>(config.total_nodes()), total_queue,
-      config.total_nodes(), true};
+  return FixedPointResult{mva.throughput / static_cast<double>(total_nodes),
+                          total_queue, total_nodes, true};
 }
 
-}  // namespace
+}  // namespace detail
 
 FixedPointResult solve_effective_rate(const SystemConfig& config,
                                       const CenterServiceTimes& service,

@@ -76,10 +76,14 @@ LatencyPrediction finish_mva_prediction(const SystemConfig& config, double p,
   out.inter_cluster_probability = p;
   out.service_times = service;
 
+  const FixedPointResult fixed_point =
+      mva_fixed_point(layout, mva, config.total_nodes());
+  out.lambda_effective = fixed_point.lambda_effective;
+  out.total_queue_length = fixed_point.total_queue_length;
+  out.fixed_point_converged = fixed_point.converged;
+  out.fixed_point_iterations = fixed_point.iterations;
+
   const double x = mva.throughput;  // system-wide cycles per us
-  out.lambda_effective = x / static_cast<double>(config.total_nodes());
-  out.fixed_point_converged = true;
-  out.fixed_point_iterations = config.total_nodes();
 
   auto fill = [&](std::size_t cls) {
     CenterPrediction center{};
@@ -93,13 +97,6 @@ LatencyPrediction finish_mva_prediction(const SystemConfig& config, double p,
   out.icn1 = fill(layout.icn1_class);
   out.ecn1 = fill(layout.ecn1_class);
   out.icn2 = fill(layout.icn2_class);
-
-  out.total_queue_length = 0.0;
-  for (std::size_t cls = 0; cls < layout.classes.size(); ++cls) {
-    out.total_queue_length +=
-        static_cast<double>(layout.classes[cls].multiplicity) *
-        mva.queue_length[cls];
-  }
 
   // eq. (15) with MVA waiting times; identically sum_k m_k v_k W_k.
   out.mean_latency_us = mva.total_residence_us;

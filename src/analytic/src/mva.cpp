@@ -1,7 +1,10 @@
 #include "hmcs/analytic/mva.hpp"
 
 #include <algorithm>
+#include <array>
 #include <cmath>
+#include <type_traits>
+#include <utility>
 
 #include "hmcs/analytic/routing_probability.hpp"
 #include "hmcs/analytic/service_time.hpp"
@@ -16,6 +19,149 @@ namespace {
 /// Deadline/cancel poll cadence for the O(population) recursions — the
 /// same rare-path granularity the simulators use (every 4096 events).
 constexpr std::uint64_t kMvaCancelPollMask = 4095;
+constexpr std::uint64_t kMvaPollSteps = kMvaCancelPollMask + 1;
+
+/// Class count of the HMCS layout (ICN1, ECN1, ICN2), which the lane
+/// kernel is also compiled for as a constant.
+constexpr std::size_t kHmcsClasses = 3;
+
+/// A cycle must take time: with no think time and no visited station
+/// the first step would divide by a zero cycle.
+void require_positive_cycle(double think_time_us, bool visits_a_station) {
+  require(think_time_us > 0.0 || visits_a_station,
+          "mva: think time 0 needs a station with visit ratio > 0");
+}
+
+void validate_class_network(std::span<const MvaStationClass> classes,
+                            double think_time_us) {
+  require(std::isfinite(think_time_us) && think_time_us >= 0.0,
+          "mva: think time must be >= 0");
+  bool visits_a_station = false;
+  for (const MvaStationClass& cls : classes) {
+    require(std::isfinite(cls.visit_ratio) && cls.visit_ratio >= 0.0,
+            "mva: visit ratios must be >= 0");
+    require(std::isfinite(cls.service_rate) && cls.service_rate > 0.0,
+            "mva: service rates must be > 0");
+    require(cls.multiplicity >= 1, "mva: class multiplicity must be >= 1");
+    visits_a_station = visits_a_station || cls.visit_ratio > 0.0;
+  }
+  require_positive_cycle(think_time_us, visits_a_station);
+}
+
+/// One station class across the L lanes of a solve, class-major x lane:
+/// the lanes' constants and recursion state sit in contiguous arrays, so
+/// every per-step loop over the lanes vectorises.
+template <std::size_t L>
+struct LaneClass {
+  /// 1/mu, hoisted: the step then carries one division (n / cycle)
+  /// instead of k+1, which shortens its loop-carried dependency chain.
+  /// It costs an ulp on W against the station recursion's (1 + l)/mu,
+  /// well inside the <= 1e-12 contract.
+  double inv_rate[L];
+  double class_visits[L];  ///< m v: the class's share of the cycle
+  double visit_ratio[L];
+  double w[L];  ///< response time per visit at one member station
+  double l[L];  ///< queue length at one member station
+};
+
+/// The state check of the lane kernel. After validation a cycle is
+/// positive until the recursion overflows, and a non-finite state
+/// persists once reached (inf turns into NaN within two steps, and NaN
+/// propagates), so polling it every kMvaPollSteps steps and at the end
+/// replaces a per-step guard.
+template <std::size_t L, typename Classes>
+void ensure_finite(const Classes& classes, const double (&x)[L]) {
+  bool finite = true;
+  for (std::size_t j = 0; j < L; ++j) finite = finite && std::isfinite(x[j]);
+  for (const LaneClass<L>& cls : classes) {
+    for (std::size_t j = 0; j < L; ++j) {
+      finite = finite && std::isfinite(cls.l[j]);
+    }
+  }
+  ensure(finite, "mva: recursion overflowed to a non-finite state");
+}
+
+/// The station-class recursion, L lanes at a time (count <= L networks;
+/// spare lanes repeat the last network and are discarded). The station
+/// recursion keeps identical stations equal (they start at L = 0 and
+/// receive identical updates), so one update per class is exact, with
+/// the class's cycle contribution m_k v_k W_k. Per lane:
+///   W_k = (1 + L_k) * (1/mu_k);  cycle = Z + sum_k m_k v_k W_k;
+///   X = n / cycle;  L_k = X v_k W_k
+/// — the same operations in the same order for every lane, so each lane
+/// is bit-identical to a one-lane solve of its network. Baseline x86-64
+/// builds vectorise the lane loops without contracting a*b+c into FMA,
+/// which that identity relies on.
+///
+/// K is the class count when it is known at compile time (kHmcsClasses),
+/// or 0 for any other count. A fixed count keeps the state in a local
+/// array, which a single lane holds in registers: the step's dependency
+/// chain then never goes through memory.
+template <std::size_t L, std::size_t K>
+void solve_lanes(const MvaClassNetwork* networks, std::size_t count,
+                 std::uint64_t population, const util::CancelToken* cancel,
+                 MvaClassResult* out) {
+  const std::size_t k = K == 0 ? networks[0].classes.size() : K;
+  std::conditional_t<K == 0, std::vector<LaneClass<L>>,
+                     std::array<LaneClass<L>, K>>
+      classes{};
+  if constexpr (K == 0) classes.resize(k);
+  double think[L];
+  double x[L];
+  for (std::size_t j = 0; j < L; ++j) {
+    const MvaClassNetwork& network = networks[std::min(j, count - 1)];
+    think[j] = network.think_time_us;
+    x[j] = 0.0;
+    for (std::size_t i = 0; i < k; ++i) {
+      const MvaStationClass& cls = network.classes[i];
+      classes[i].inv_rate[j] = 1.0 / cls.service_rate;
+      classes[i].class_visits[j] =
+          static_cast<double>(cls.multiplicity) * cls.visit_ratio;
+      classes[i].visit_ratio[j] = cls.visit_ratio;
+      classes[i].w[j] = 0.0;
+      classes[i].l[j] = 0.0;
+    }
+  }
+
+  for (std::uint64_t done = 0; done < population;) {
+    if (cancel != nullptr) cancel->check("mva");
+    ensure_finite(classes, x);
+    const std::uint64_t steps = std::min(population - done, kMvaPollSteps);
+    for (std::uint64_t n = done + 1; n <= done + steps; ++n) {
+      const double customers = static_cast<double>(n);
+      double cycle[L];
+      for (std::size_t j = 0; j < L; ++j) cycle[j] = think[j];
+      for (LaneClass<L>& cls : classes) {
+        for (std::size_t j = 0; j < L; ++j) {
+          cls.w[j] = (1.0 + cls.l[j]) * cls.inv_rate[j];
+          cycle[j] += cls.class_visits[j] * cls.w[j];
+        }
+      }
+      for (std::size_t j = 0; j < L; ++j) x[j] = customers / cycle[j];
+      for (LaneClass<L>& cls : classes) {
+        for (std::size_t j = 0; j < L; ++j) {
+          cls.l[j] = x[j] * cls.visit_ratio[j] * cls.w[j];
+        }
+      }
+    }
+    done += steps;
+  }
+  ensure_finite(classes, x);
+
+  for (std::size_t j = 0; j < count; ++j) {
+    MvaClassResult& result = out[j];
+    result.throughput = x[j];
+    result.response_time_us.resize(k);
+    result.queue_length.resize(k);
+    result.total_residence_us = 0.0;
+    for (std::size_t i = 0; i < k; ++i) {
+      result.response_time_us[i] = classes[i].w[j];
+      result.queue_length[i] = classes[i].l[j];
+      result.total_residence_us +=
+          classes[i].class_visits[j] * classes[i].w[j];
+    }
+  }
+}
 
 }  // namespace
 
@@ -25,12 +171,15 @@ MvaResult solve_closed_mva(const std::vector<MvaStation>& stations,
   require(population >= 1, "mva: population must be >= 1");
   require(std::isfinite(think_time_us) && think_time_us >= 0.0,
           "mva: think time must be >= 0");
+  bool visits_a_station = false;
   for (const MvaStation& station : stations) {
     require(std::isfinite(station.visit_ratio) && station.visit_ratio >= 0.0,
             "mva: visit ratios must be >= 0");
     require(std::isfinite(station.service_rate) && station.service_rate > 0.0,
             "mva: service rates must be > 0");
+    visits_a_station = visits_a_station || station.visit_ratio > 0.0;
   }
+  require_positive_cycle(think_time_us, visits_a_station);
 
   const std::size_t m = stations.size();
   MvaResult result;
@@ -68,105 +217,39 @@ MvaResult solve_closed_mva(const std::vector<MvaStation>& stations,
 MvaClassResult solve_closed_mva_classes(
     const std::vector<MvaStationClass>& classes, double think_time_us,
     std::uint64_t population, const util::CancelToken* cancel) {
+  const MvaClassNetwork network{classes, think_time_us};
+  return std::move(solve_closed_mva_classes_batch(
+      std::span<const MvaClassNetwork>(&network, 1), population, cancel)[0]);
+}
+
+std::vector<MvaClassResult> solve_closed_mva_classes_batch(
+    std::span<const MvaClassNetwork> networks, std::uint64_t population,
+    const util::CancelToken* cancel) {
   require(population >= 1, "mva: population must be >= 1");
-  require(std::isfinite(think_time_us) && think_time_us >= 0.0,
-          "mva: think time must be >= 0");
-  for (const MvaStationClass& cls : classes) {
-    require(std::isfinite(cls.visit_ratio) && cls.visit_ratio >= 0.0,
-            "mva: visit ratios must be >= 0");
-    require(std::isfinite(cls.service_rate) && cls.service_rate > 0.0,
-            "mva: service rates must be > 0");
-    require(cls.multiplicity >= 1, "mva: class multiplicity must be >= 1");
+  for (const MvaClassNetwork& network : networks) {
+    require(network.classes.size() == networks[0].classes.size(),
+            "mva: batched networks must share a class count");
+    validate_class_network(network.classes, network.think_time_us);
   }
 
-  const std::size_t k = classes.size();
-  MvaClassResult result;
-  result.response_time_us.assign(k, 0.0);
-  result.queue_length.assign(k, 0.0);
-
-  // The scalar recursion preserves equality across identical stations
-  // (they start at L = 0 and receive identical updates), so one update
-  // per class is exact; the class's cycle contribution is m_k v_k W_k.
-  std::vector<double> class_visits(k);
-  for (std::size_t i = 0; i < k; ++i) {
-    class_visits[i] =
-        static_cast<double>(classes[i].multiplicity) * classes[i].visit_ratio;
-  }
-
-  // W_i = (1 + L_i) * (1/mu_i) with the reciprocal hoisted: the O(N)
-  // loop then carries one division (n / cycle) instead of k+1, which
-  // shortens its loop-carried dependency chain by a division latency
-  // per class. This is the one place the class path's arithmetic
-  // deviates from the station recursion beyond association — it costs
-  // an ulp on W and stays comfortably inside the <= 1e-12 contract.
-  // The batch lockstep recursion (batch_solver.cpp) hoists the same
-  // reciprocals in the same order, keeping the two paths bit-identical
-  // to each other.
-  std::vector<double> inv_rate(k);
-  for (std::size_t i = 0; i < k; ++i) {
-    inv_rate[i] = 1.0 / classes[i].service_rate;
-  }
-
-  if (k == 3) {
-    // The HMCS layout (ICN1/ECN1/ICN2) always lands here; running the
-    // recursion in registers frees it from vector loads/stores. Same
-    // operations in the same order as the generic loop below, so the
-    // result is bit-identical to it.
-    const double s0 = inv_rate[0], s1 = inv_rate[1], s2 = inv_rate[2];
-    const double v0 = classes[0].visit_ratio;
-    const double v1 = classes[1].visit_ratio;
-    const double v2 = classes[2].visit_ratio;
-    const double cv0 = class_visits[0];
-    const double cv1 = class_visits[1];
-    const double cv2 = class_visits[2];
-    double w0 = 0.0, w1 = 0.0, w2 = 0.0;
-    double l0 = 0.0, l1 = 0.0, l2 = 0.0;
-    double x = 0.0;
-    for (std::uint64_t n = 1; n <= population; ++n) {
-      if (cancel != nullptr && (n & kMvaCancelPollMask) == 1) {
-        cancel->check("mva");
-      }
-      w0 = (1.0 + l0) * s0;
-      w1 = (1.0 + l1) * s1;
-      w2 = (1.0 + l2) * s2;
-      double cycle = think_time_us;
-      cycle += cv0 * w0;
-      cycle += cv1 * w1;
-      cycle += cv2 * w2;
-      ensure(cycle > 0.0, "mva: degenerate zero cycle time");
-      x = static_cast<double>(n) / cycle;
-      l0 = x * v0 * w0;
-      l1 = x * v1 * w1;
-      l2 = x * v2 * w2;
-    }
-    result.response_time_us = {w0, w1, w2};
-    result.queue_length = {l0, l1, l2};
-    result.throughput = x;
-  } else {
-    for (std::uint64_t n = 1; n <= population; ++n) {
-      if (cancel != nullptr && (n & kMvaCancelPollMask) == 1) {
-        cancel->check("mva");
-      }
-      double cycle = think_time_us;
-      for (std::size_t i = 0; i < k; ++i) {
-        result.response_time_us[i] =
-            (1.0 + result.queue_length[i]) * inv_rate[i];
-        cycle += class_visits[i] * result.response_time_us[i];
-      }
-      ensure(cycle > 0.0, "mva: degenerate zero cycle time");
-      result.throughput = static_cast<double>(n) / cycle;
-      for (std::size_t i = 0; i < k; ++i) {
-        result.queue_length[i] = result.throughput * classes[i].visit_ratio *
-                                 result.response_time_us[i];
-      }
+  // A group of one network runs a single lane; spare lanes would only
+  // add work.
+  std::vector<MvaClassResult> results(networks.size());
+  for (std::size_t first = 0; first < networks.size(); first += kMvaLanes) {
+    const std::size_t count = std::min(kMvaLanes, networks.size() - first);
+    const MvaClassNetwork* group = networks.data() + first;
+    MvaClassResult* group_out = results.data() + first;
+    const bool hmcs = group->classes.size() == kHmcsClasses;
+    if (count == 1) {
+      (hmcs ? solve_lanes<1, kHmcsClasses> : solve_lanes<1, 0>)(
+          group, count, population, cancel, group_out);
+    } else {
+      (hmcs ? solve_lanes<kMvaLanes, kHmcsClasses>
+            : solve_lanes<kMvaLanes, 0>)(group, count, population, cancel,
+                                         group_out);
     }
   }
-
-  result.total_residence_us = 0.0;
-  for (std::size_t i = 0; i < k; ++i) {
-    result.total_residence_us += class_visits[i] * result.response_time_us[i];
-  }
-  return result;
+  return results;
 }
 
 MultiClassMvaResult solve_multiclass_amva(

@@ -42,6 +42,25 @@ SweepSpec rate_spec() {
   return spec;
 }
 
+/// The axis shape of a cartesian solver grid: clusters x message size x
+/// architecture x technology, which expands with architecture innermost
+/// — so no two neighbouring points share a topology and every
+/// same-topology run of a chunk is one cell long.
+SweepSpec mixed_topology_spec() {
+  SweepSpec spec;
+  spec.id = "mixed";
+  spec.axes.clusters = {1, 2, 4, 8, 16};
+  spec.axes.message_bytes = {512.0, 1024.0, 4096.0};
+  spec.axes.architectures = {analytic::NetworkArchitecture::kNonBlocking,
+                             analytic::NetworkArchitecture::kBlocking};
+  spec.axes.technologies = {
+      runner::technology_case(analytic::HeterogeneityCase::kCase1),
+      runner::technology_case(analytic::HeterogeneityCase::kCase2)};
+  spec.axes.lambda_per_us = {1e-3};
+  spec.base_seed = 7;
+  return spec;
+}
+
 void expect_identical_cells(const SweepResult& a, const SweepResult& b,
                             const char* what) {
   ASSERT_EQ(a.cells.size(), b.cells.size()) << what;
@@ -66,30 +85,34 @@ void expect_identical_cells(const SweepResult& a, const SweepResult& b,
 // Bit-identity: batching is an execution detail, not a model change.
 // The default AnalyticBackend runs the batch path with warm starts off,
 // so every chunk size reproduces the per-cell sweep exactly — including
-// the kDegraded statuses of the non-converged saturated cells.
+// the kDegraded statuses of the non-converged saturated cells — both on
+// a rate axis (one long same-topology run) and on a mixed-topology grid
+// (runs of one cell; exact MVA solves its whole chunk together).
 
 TEST(BatchBackend, BatchedSweepIsBitIdenticalToScalarForEveryMethod) {
   const analytic::SourceThrottling methods[] = {
       analytic::SourceThrottling::kNone, analytic::SourceThrottling::kPicard,
       analytic::SourceThrottling::kBisection,
       analytic::SourceThrottling::kExactMva};
-  for (const analytic::SourceThrottling method : methods) {
-    analytic::ModelOptions model;
-    model.fixed_point.method = method;
-    const auto backend = std::make_shared<AnalyticBackend>(model);
+  for (const SweepSpec& spec : {rate_spec(), mixed_topology_spec()}) {
+    for (const analytic::SourceThrottling method : methods) {
+      analytic::ModelOptions model;
+      model.fixed_point.method = method;
+      const auto backend = std::make_shared<AnalyticBackend>(model);
 
-    RunnerOptions scalar;
-    scalar.threads = 2;
-    scalar.on_error = FailurePolicy::kCollectAll;
-    const SweepResult reference = run_sweep(rate_spec(), {backend}, scalar);
+      RunnerOptions scalar;
+      scalar.threads = 2;
+      scalar.on_error = FailurePolicy::kCollectAll;
+      const SweepResult reference = run_sweep(spec, {backend}, scalar);
 
-    // Chunk sizes that divide the 12 points, leave a ragged tail, and
-    // exceed the grid.
-    for (const std::uint32_t chunk : {2u, 5u, 8u, 64u}) {
-      RunnerOptions batched = scalar;
-      batched.batch_cells = chunk;
-      const SweepResult result = run_sweep(rate_spec(), {backend}, batched);
-      expect_identical_cells(reference, result, "chunk");
+      // Chunk sizes that divide the 12 rate points, leave a ragged
+      // tail, and exceed the 12- and 60-point grids.
+      for (const std::uint32_t chunk : {2u, 5u, 8u, 64u}) {
+        RunnerOptions batched = scalar;
+        batched.batch_cells = chunk;
+        const SweepResult result = run_sweep(spec, {backend}, batched);
+        expect_identical_cells(reference, result, spec.id.c_str());
+      }
     }
   }
 }

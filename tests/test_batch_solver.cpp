@@ -2,18 +2,23 @@
 // bit-identity with the scalar fixed-point solver for every
 // SourceThrottling method over a dense rate grid (idle, light,
 // saturated cells), the warm-start tolerance contract, topology
-// grouping in predict_latency_batch, and cancellation/deadline
-// unwinding.
+// grouping in predict_latency_batch, seeded randomized scalar-vs-batch
+// differential chunks, and cancellation/deadline unwinding.
 
 #include <gtest/gtest.h>
 
+#include <bit>
 #include <cmath>
+#include <random>
+#include <string>
 #include <vector>
 
 #include "hmcs/analytic/batch_solver.hpp"
 #include "hmcs/analytic/fixed_point.hpp"
 #include "hmcs/analytic/latency_model.hpp"
+#include "hmcs/analytic/mva.hpp"  // kMvaLanes
 #include "hmcs/analytic/network_tech.hpp"
+#include "hmcs/analytic/scenario.hpp"
 #include "hmcs/analytic/service_time.hpp"
 #include "hmcs/util/cancel.hpp"
 #include "hmcs/util/error.hpp"
@@ -352,6 +357,117 @@ TEST(BatchSolver, PredictBatchValidatesEveryCell) {
   bad.generation_rate_per_us = -1.0;
   std::vector<SystemConfig> configs{make_config(4, 4), bad};
   EXPECT_THROW(predict_latency_batch(configs), hmcs::ConfigError);
+}
+
+// ---------------------------------------------------------------------
+// Differential: seeded random chunks — clusters, nodes per cluster, both
+// technology cases, both architectures, message sizes and rates, with
+// zero-rate cells and two populations interleaved — must come out of the
+// cold batch path bit for bit as from predict_latency, for every method.
+// The chunk lengths straddle the MVA lane width.
+
+/// Bitwise equality, so -0.0 vs 0.0 and NaN payloads count too.
+bool same_bits(double a, double b) {
+  return std::bit_cast<std::uint64_t>(a) == std::bit_cast<std::uint64_t>(b);
+}
+
+void expect_same_center(const CenterPrediction& a, const CenterPrediction& b,
+                        const std::string& where) {
+  EXPECT_TRUE(same_bits(a.arrival_rate, b.arrival_rate)) << where;
+  EXPECT_TRUE(same_bits(a.service_rate, b.service_rate)) << where;
+  EXPECT_TRUE(same_bits(a.utilization, b.utilization)) << where;
+  EXPECT_TRUE(same_bits(a.response_time_us, b.response_time_us)) << where;
+  EXPECT_TRUE(same_bits(a.queue_length, b.queue_length)) << where;
+}
+
+void expect_same_service(const ServiceTimeBreakdown& a,
+                         const ServiceTimeBreakdown& b,
+                         const std::string& where) {
+  EXPECT_TRUE(same_bits(a.link_latency_us, b.link_latency_us)) << where;
+  EXPECT_TRUE(same_bits(a.switch_latency_us, b.switch_latency_us)) << where;
+  EXPECT_TRUE(same_bits(a.transmission_us, b.transmission_us)) << where;
+  EXPECT_TRUE(same_bits(a.blocking_us, b.blocking_us)) << where;
+}
+
+/// Every LatencyPrediction field, bit for bit.
+void expect_same_prediction(const LatencyPrediction& a,
+                            const LatencyPrediction& b,
+                            const std::string& where) {
+  EXPECT_TRUE(same_bits(a.mean_latency_us, b.mean_latency_us)) << where;
+  EXPECT_TRUE(same_bits(a.inter_cluster_probability,
+                        b.inter_cluster_probability))
+      << where;
+  EXPECT_TRUE(same_bits(a.lambda_offered, b.lambda_offered)) << where;
+  EXPECT_TRUE(same_bits(a.lambda_effective, b.lambda_effective)) << where;
+  EXPECT_TRUE(same_bits(a.total_queue_length, b.total_queue_length))
+      << where;
+  EXPECT_EQ(a.fixed_point_converged, b.fixed_point_converged) << where;
+  EXPECT_EQ(a.fixed_point_iterations, b.fixed_point_iterations) << where;
+  expect_same_center(a.icn1, b.icn1, where + " icn1");
+  expect_same_center(a.ecn1, b.ecn1, where + " ecn1");
+  expect_same_center(a.icn2, b.icn2, where + " icn2");
+  expect_same_service(a.service_times.icn1, b.service_times.icn1,
+                      where + " service icn1");
+  expect_same_service(a.service_times.ecn1, b.service_times.ecn1,
+                      where + " service ecn1");
+  expect_same_service(a.service_times.icn2, b.service_times.icn2,
+                      where + " service icn2");
+}
+
+/// One random cell: a population of 256 or 96 nodes (interleaved), a
+/// cluster count dividing it, either technology case and architecture,
+/// a message size in [64, 8192) bytes and, one time in five, rate 0.
+SystemConfig random_cell(std::mt19937_64& rng) {
+  static constexpr std::uint32_t kDivisors256[] = {1, 2, 4, 8, 16, 32, 64,
+                                                   128, 256};
+  static constexpr std::uint32_t kDivisors96[] = {1, 2, 3, 4, 6, 8,
+                                                  12, 16, 24, 32, 48, 96};
+  const bool large = std::bernoulli_distribution(0.5)(rng);
+  const std::uint32_t population = large ? 256 : 96;
+  const std::uint32_t clusters =
+      large ? kDivisors256[std::uniform_int_distribution<std::size_t>(0, 8)(
+                  rng)]
+            : kDivisors96[std::uniform_int_distribution<std::size_t>(0, 11)(
+                  rng)];
+  const HeterogeneityCase hetero = std::bernoulli_distribution(0.5)(rng)
+                                       ? HeterogeneityCase::kCase1
+                                       : HeterogeneityCase::kCase2;
+  const NetworkArchitecture architecture =
+      std::bernoulli_distribution(0.5)(rng) ? NetworkArchitecture::kNonBlocking
+                                            : NetworkArchitecture::kBlocking;
+  const double bytes = std::uniform_real_distribution<double>(64.0, 8192.0)(rng);
+  // Log-uniform in [1e-6, 5e-3] msg/us: idle through deep saturation.
+  const double rate =
+      std::bernoulli_distribution(0.2)(rng)
+          ? 0.0
+          : 1e-6 * std::pow(5e3, std::uniform_real_distribution<double>(
+                                      0.0, 1.0)(rng));
+  return paper_scenario(hetero, clusters, architecture, bytes, population,
+                        rate);
+}
+
+TEST(BatchSolver, RandomChunksMatchScalarBitwiseForEveryMethod) {
+  std::mt19937_64 rng(20261017);
+  for (const std::size_t length :
+       {std::size_t{1}, kMvaLanes - 1, kMvaLanes, kMvaLanes + 1,
+        std::size_t{256}}) {
+    std::vector<SystemConfig> chunk;
+    for (std::size_t i = 0; i < length; ++i) chunk.push_back(random_cell(rng));
+
+    for (const SourceThrottling method : kAllMethods) {
+      ModelOptions options;
+      options.fixed_point.method = method;
+      const std::vector<LatencyPrediction> batch =
+          predict_latency_batch(chunk, options, BatchOptions{false});
+      ASSERT_EQ(batch.size(), chunk.size());
+      for (std::size_t i = 0; i < chunk.size(); ++i) {
+        expect_same_prediction(batch[i], predict_latency(chunk[i], options),
+                               std::string(method_name(method)) + " length " +
+                                   std::to_string(length) + " cell " +
+                                   std::to_string(i));
+      }
+    }
+  }
 }
 
 // ---------------------------------------------------------------------

@@ -4,6 +4,7 @@
 #include <gtest/gtest.h>
 
 #include <algorithm>
+#include <bit>
 #include <cmath>
 #include <random>
 
@@ -234,7 +235,9 @@ double rel_diff(double a, double b) {
 TEST(MvaClasses, CollapseMatchesScalarOnRandomizedNetworks) {
   // Property: the class recursion is the scalar recursion with identical
   // stations deduplicated, so every observable agrees to rounding
-  // (<= 1e-12 relative; only the cycle-sum association differs).
+  // (<= 1e-12 relative; only the cycle-sum association and the hoisted
+  // reciprocal differ). Class counts 5 and 9 show the lane kernel has
+  // no class-count cap.
   std::mt19937_64 rng(20260807);
   std::uniform_real_distribution<double> visit(0.05, 2.0);
   std::uniform_real_distribution<double> mu(0.005, 1.0);
@@ -243,9 +246,9 @@ TEST(MvaClasses, CollapseMatchesScalarOnRandomizedNetworks) {
   std::uniform_int_distribution<std::uint64_t> multiplicity(1, 6);
   std::uniform_int_distribution<std::uint64_t> population(1, 80);
 
-  for (int trial = 0; trial < 50; ++trial) {
+  for (int trial = 0; trial < 66; ++trial) {
     std::vector<MvaStationClass> classes;
-    const int k = n_classes(rng);
+    const int k = trial < 50 ? n_classes(rng) : (trial < 58 ? 5 : 9);
     for (int c = 0; c < k; ++c) {
       classes.push_back(
           MvaStationClass{visit(rng), mu(rng), multiplicity(rng)});
@@ -334,6 +337,112 @@ TEST(MvaClasses, Validation) {
                hmcs::ConfigError);
   EXPECT_THROW(solve_closed_mva_classes({{1.0, 1.0, 1}}, 1.0, 0),
                hmcs::ConfigError);
+}
+
+TEST(MvaClasses, ZeroCycleNetworkIsAConfigError) {
+  // No think time and no visited station: every cycle would take zero
+  // time. Both recursions reject it up front as a bad input instead of
+  // tripping an internal invariant on their first step.
+  EXPECT_THROW(solve_closed_mva({{0.0, 1.0}}, 0.0, 10), hmcs::ConfigError);
+  EXPECT_THROW(solve_closed_mva({}, 0.0, 10), hmcs::ConfigError);
+  EXPECT_THROW(solve_closed_mva_classes({{0.0, 1.0, 1}}, 0.0, 10),
+               hmcs::ConfigError);
+  EXPECT_THROW(solve_closed_mva_classes({}, 0.0, 10), hmcs::ConfigError);
+  // Either half alone makes the cycle positive.
+  EXPECT_NO_THROW(solve_closed_mva({{0.0, 1.0}}, 1.0, 10));
+  EXPECT_NO_THROW(solve_closed_mva({{1.0, 1.0}}, 0.0, 10));
+  EXPECT_NO_THROW(solve_closed_mva_classes({{0.0, 1.0, 1}}, 1.0, 10));
+  EXPECT_NO_THROW(solve_closed_mva_classes({{1.0, 1.0, 1}}, 0.0, 10));
+}
+
+// --- Lane-parallel station-class recursion --------------------------------
+
+bool same_bits(double a, double b) {
+  return std::bit_cast<std::uint64_t>(a) == std::bit_cast<std::uint64_t>(b);
+}
+
+/// k classes with random visit ratios (a few unvisited), rates and
+/// multiplicities.
+std::vector<MvaStationClass> random_classes(std::mt19937_64& rng,
+                                            std::size_t k) {
+  std::uniform_real_distribution<double> visit(0.05, 2.0);
+  std::uniform_real_distribution<double> mu(0.005, 1.0);
+  std::uniform_int_distribution<std::uint64_t> multiplicity(1, 5);
+  std::vector<MvaStationClass> classes;
+  for (std::size_t i = 0; i < k; ++i) {
+    const double v = std::bernoulli_distribution(0.15)(rng) ? 0.0 : visit(rng);
+    classes.push_back(MvaStationClass{v, mu(rng), multiplicity(rng)});
+  }
+  return classes;
+}
+
+TEST(MvaLanes, EveryLaneIsBitIdenticalToItsOneNetworkSolve) {
+  // kMvaLanes + 3 networks: one full group of lanes and a padded one,
+  // for the HMCS class count (compiled as a constant) and another.
+  std::mt19937_64 rng(4242);
+  std::uniform_real_distribution<double> think(0.5, 500.0);
+  for (const std::size_t k : {3u, 5u}) {
+    std::vector<std::vector<MvaStationClass>> layouts;
+    std::vector<MvaClassNetwork> networks;
+    for (std::size_t i = 0; i < kMvaLanes + 3; ++i) {
+      layouts.push_back(random_classes(rng, k));
+    }
+    for (const std::vector<MvaStationClass>& layout : layouts) {
+      networks.push_back(MvaClassNetwork{layout, think(rng)});
+    }
+    const std::uint64_t population = 5000;  // crosses a cancel poll
+    const std::vector<MvaClassResult> lanes =
+        solve_closed_mva_classes_batch(networks, population);
+    ASSERT_EQ(lanes.size(), networks.size());
+    for (std::size_t i = 0; i < networks.size(); ++i) {
+      const MvaClassResult alone = solve_closed_mva_classes(
+          layouts[i], networks[i].think_time_us, population);
+      EXPECT_TRUE(same_bits(lanes[i].throughput, alone.throughput))
+          << "k=" << k << " lane " << i;
+      EXPECT_TRUE(
+          same_bits(lanes[i].total_residence_us, alone.total_residence_us))
+          << "k=" << k << " lane " << i;
+      for (std::size_t c = 0; c < k; ++c) {
+        EXPECT_TRUE(same_bits(lanes[i].response_time_us[c],
+                              alone.response_time_us[c]))
+            << "k=" << k << " lane " << i;
+        EXPECT_TRUE(
+            same_bits(lanes[i].queue_length[c], alone.queue_length[c]))
+            << "k=" << k << " lane " << i;
+      }
+    }
+  }
+}
+
+TEST(MvaLanes, BatchValidatesEveryNetwork) {
+  const std::vector<MvaStationClass> good{{1.0, 0.5, 2}, {0.5, 0.25, 1}};
+  const std::vector<MvaStationClass> one_class{{1.0, 0.5, 2}};
+  const std::vector<MvaStationClass> unvisited{{0.0, 0.5, 2}, {0.0, 1.0, 1}};
+  EXPECT_TRUE(solve_closed_mva_classes_batch({}, 10).empty());
+  const MvaClassNetwork mixed_counts[] = {{good, 1.0}, {one_class, 1.0}};
+  EXPECT_THROW(solve_closed_mva_classes_batch(mixed_counts, 10),
+               hmcs::ConfigError);
+  const MvaClassNetwork zero_cycle[] = {{good, 1.0}, {unvisited, 0.0}};
+  EXPECT_THROW(solve_closed_mva_classes_batch(zero_cycle, 10),
+               hmcs::ConfigError);
+  const MvaClassNetwork negative_think[] = {{good, 1.0}, {good, -1.0}};
+  EXPECT_THROW(solve_closed_mva_classes_batch(negative_think, 10),
+               hmcs::ConfigError);
+  const MvaClassNetwork fine[] = {{good, 1.0}, {good, 2.0}};
+  EXPECT_THROW(solve_closed_mva_classes_batch(fine, 0), hmcs::ConfigError);
+}
+
+TEST(MvaLanes, OverflowToANonFiniteStateIsAnInvariantFailure) {
+  // A subnormal service rate passes validation, but its reciprocal
+  // overflows and the recursion state turns NaN within two steps. The
+  // lane kernel reports that at its cancel polls and at the end.
+  const std::vector<MvaStationClass> healthy{{1.0, 0.5, 1}};
+  const std::vector<MvaStationClass> overflowing{{1.0, 1e-310, 1}};
+  EXPECT_THROW(solve_closed_mva_classes(overflowing, 1.0, 3),
+               hmcs::LogicError);
+  const MvaClassNetwork lanes[] = {{healthy, 1.0}, {overflowing, 1.0}};
+  EXPECT_THROW(solve_closed_mva_classes_batch(lanes, 10000),
+               hmcs::LogicError);
 }
 
 }  // namespace
