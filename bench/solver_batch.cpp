@@ -7,21 +7,26 @@
 //     through the recursion, so the collapse is exact — the record
 //     carries the measured max relative error next to the speedup.
 //
-//  2. Batch grid evaluation: predict_latency cell-by-cell vs
+//  2. Batch grid evaluation: predict_latency cell by cell vs
 //     predict_latency_batch over a dense generation-rate grid, for every
-//     SourceThrottling method, with warm starts on (the default).
+//     SourceThrottling method, with warm starts on (the default). Both
+//     sides run the one fixed-point engine: predict_latency is a
+//     one-cell call of it, so the speedup is what one grouped call (the
+//     shared precomputation, the lockstep sweep and the warm starts)
+//     buys over one call per cell.
 //
 //  3. Mixed chunk: the first 256 points of a cartesian technology x
 //     rate x clusters x message size x architecture sweep, in its
 //     expansion order (architecture innermost, so no two neighbouring
 //     points share a topology), through exact MVA: predict_latency
-//     cell-by-cell vs predict_latency_batch with warm starts off. Every
+//     cell by cell vs predict_latency_batch with warm starts off. Every
 //     field of every cell must match bit for bit; the program exits 1
 //     when one does not.
 //
-// All three comparisons run the same trajectories on the same inputs in
-// the same process, cold each time; speedups are wall-clock ratios of
-// the two implementations, nothing else.
+// All three comparisons run on the same inputs in the same process,
+// cold each time; speedups are wall-clock ratios of the two sides
+// (station vs class recursion in 1, one call per cell vs one call per
+// grid or chunk in 2 and 3), nothing else.
 
 #include <bit>
 #include <chrono>

@@ -55,7 +55,9 @@ struct LatencyPrediction {
 /// Solves the model for one configuration. Throws hmcs::ConfigError for
 /// invalid configurations; a saturated system is *not* an error — the
 /// fixed point throttles lambda_effective below saturation, exactly the
-/// behaviour assumption 4 models.
+/// behaviour assumption 4 models. A one-cell call of
+/// predict_latency_batch (batch_solver.hpp): the same engine and
+/// epilogues as every grid.
 LatencyPrediction predict_latency(const SystemConfig& config,
                                   const ModelOptions& options = {});
 
@@ -64,11 +66,10 @@ struct MvaClassResult;      // mva.hpp
 
 namespace detail {
 
-/// Epilogue shared by predict_latency and the batch solver
+/// The open-network epilogue of predict_latency_batch
 /// (batch_solver.hpp): assembles the full prediction from an
-/// already-solved open-network fixed point. Keeping one implementation
-/// guarantees the batch path's per-cell post-processing is bit-identical
-/// to the scalar path's.
+/// already-solved fixed point. Exposed so that tests can assemble
+/// predictions from a reference solve with the same arithmetic.
 /// `options` carries the distribution parameters (service cs^2, arrival
 /// ca^2, failure/repair) applied to every centre.
 LatencyPrediction finish_open_prediction(const SystemConfig& config, double p,

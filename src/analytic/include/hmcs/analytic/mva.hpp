@@ -148,10 +148,12 @@ struct MultiClassMvaResult {
 /// correction. Typical accuracy is within a few percent of exact MVA,
 /// whose multi-class recursion costs prod_c (N_c+1) states and is
 /// infeasible beyond toy populations. Service rates must be > 0;
-/// classes with zero population are rejected.
+/// classes with zero population are rejected. `cancel` (when non-null)
+/// is polled once per iteration.
 MultiClassMvaResult solve_multiclass_amva(
     const std::vector<double>& station_service_rates,
-    const std::vector<MvaClass>& classes, double tolerance = 1e-10,
+    const std::vector<MvaClass>& classes,
+    const util::CancelToken* cancel = nullptr, double tolerance = 1e-10,
     std::uint32_t max_iterations = 10000);
 
 // --- HMSCS-shaped network ---------------------------------------------------

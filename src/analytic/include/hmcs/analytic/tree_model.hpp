@@ -16,7 +16,9 @@
 ///               past each other, an egress carries its subtree's exit
 ///               plus entry traffic;
 ///   fixed point eqs. (6)-(7) generalise to a throttle factor phi on
-///               every leaf rate (the same blocked-source argument);
+///               every leaf rate (the same blocked-source argument),
+///               solved by the flat engine (batch_solver.hpp) as one
+///               cell at rate 1;
 ///   latency     eq. (15) generalises to a sum over the source leaf's
 ///               ancestors of P(LCA = v) * (egress climb + W_net(v) +
 ///               expected egress descent).
@@ -25,8 +27,8 @@
 /// tree is uniform (is_uniform_tree — all customers exchangeable) and to
 /// the multi-class Bard-Schweitzer AMVA otherwise, one class per leaf.
 ///
-/// Trees of exactly the flat two-stage shape are dispatched to the
-/// scalar SystemConfig pipeline (bit-identical results); set
+/// Trees of exactly the flat two-stage shape are dispatched to
+/// predict_latency (bit-identical results); set
 /// TreeModelOptions::exact_lowering = false to force the generic
 /// recursion, whose results agree to rounding, not bit-for-bit.
 
@@ -41,7 +43,7 @@ namespace hmcs::analytic {
 
 struct TreeModelOptions {
   FixedPointOptions fixed_point;
-  /// Dispatch flat-shaped trees (as_system_config) to the scalar solver
+  /// Dispatch flat-shaped trees (as_system_config) to predict_latency
   /// for bit-identical predictions. The generic recursion is only used
   /// when this is false or the tree does not lower.
   bool exact_lowering = true;
@@ -71,7 +73,7 @@ struct TreeLatencyPrediction {
   bool fixed_point_converged;
   std::uint64_t fixed_point_iterations;
   /// True when the tree was recognised as flat-shaped and evaluated by
-  /// the scalar pipeline (bit-identical to predict_latency).
+  /// predict_latency (bit-identical to it).
   bool lowered_to_flat;
 
   std::vector<TreeCenterPrediction> centers;

@@ -3,12 +3,11 @@
 #include <algorithm>
 #include <cmath>
 
+#include "fixed_point_engine.hpp"
 #include "hmcs/analytic/arrival_rates.hpp"
 #include "hmcs/analytic/mm1.hpp"
 #include "hmcs/analytic/mva.hpp"
 #include "hmcs/analytic/routing_probability.hpp"
-#include "hmcs/obs/metrics.hpp"
-#include "hmcs/util/cancel.hpp"
 #include "hmcs/util/error.hpp"
 
 namespace hmcs::analytic {
@@ -80,116 +79,6 @@ FixedPointOptions with_scenario(const FixedPointOptions& options,
   return out;
 }
 
-namespace {
-
-FixedPointResult solve_none(const SystemConfig& config,
-                            const CenterServiceTimes& service,
-                            const FixedPointOptions& options) {
-  return FixedPointResult{
-      config.generation_rate_per_us,
-      total_queue_length(config, service, config.generation_rate_per_us,
-                         options),
-      0, true};
-}
-
-/// lambda == 0 short-circuit shared by the iterative solvers: a source
-/// that never generates has lambda_eff = 0 and an empty system, and the
-/// solvers' lambda-relative residuals and tolerances (|next - current| /
-/// lambda, tolerance * lambda) are 0/0 = NaN and a vacuous `<= 0` test
-/// there. Converged at 0 in 0 iterations, by definition.
-FixedPointResult zero_rate_result() { return FixedPointResult{0.0, 0.0, 0, true}; }
-
-FixedPointResult solve_picard(const SystemConfig& config,
-                              const CenterServiceTimes& service,
-                              const FixedPointOptions& options) {
-  const double lambda = config.generation_rate_per_us;
-  if (lambda == 0.0) return zero_rate_result();
-  const double n = static_cast<double>(config.total_nodes());
-  double current = lambda;
-  double queue = 0.0;
-  for (std::uint32_t i = 1; i <= options.max_iterations; ++i) {
-    if (options.cancel != nullptr) options.cancel->check("fixed_point");
-    queue = total_queue_length(config, service, current, options);
-    const double candidate = lambda * (n - queue) / n;
-    const double next = options.picard_damping * candidate +
-                        (1.0 - options.picard_damping) * current;
-    if (options.residual_trace != nullptr) {
-      options.residual_trace->push_back(std::fabs(next - current) / lambda);
-    }
-    if (std::fabs(next - current) <= options.tolerance * lambda) {
-      return FixedPointResult{next,
-                              total_queue_length(config, service, next,
-                                                 options),
-                              i, true};
-    }
-    current = next;
-  }
-  return FixedPointResult{current, queue, options.max_iterations, false};
-}
-
-FixedPointResult solve_bisection(const SystemConfig& config,
-                                 const CenterServiceTimes& service,
-                                 const FixedPointOptions& options) {
-  const double lambda = config.generation_rate_per_us;
-  if (lambda == 0.0) return zero_rate_result();
-  const double n = static_cast<double>(config.total_nodes());
-  auto g = [&](double x) {
-    return lambda * (n - total_queue_length(config, service, x, options)) /
-               n -
-           x;
-  };
-
-  // g(lambda) <= 0 always; if g(lambda) == 0 the system is load-free.
-  if (g(lambda) >= 0.0) {
-    return FixedPointResult{
-        lambda,
-        total_queue_length(config, service, lambda, options), 1, true};
-  }
-
-  double lo = 0.0;  // g(0+) = lambda > 0
-  double hi = lambda;
-  std::uint32_t iterations = 0;
-  while (iterations < options.max_iterations &&
-         (hi - lo) > options.tolerance * lambda) {
-    if (options.cancel != nullptr) options.cancel->check("fixed_point");
-    ++iterations;
-    const double mid = 0.5 * (lo + hi);
-    if (g(mid) > 0.0) {
-      lo = mid;
-    } else {
-      hi = mid;
-    }
-    if (options.residual_trace != nullptr) {
-      options.residual_trace->push_back((hi - lo) / lambda);
-    }
-  }
-  // Report the stable side of the bracket (queue length finite).
-  const double solution = lo;
-  return FixedPointResult{
-      solution,
-      total_queue_length(config, service, solution, options),
-      iterations, (hi - lo) <= options.tolerance * lambda};
-}
-
-FixedPointResult solve_mva(const SystemConfig& config,
-                           const CenterServiceTimes& service,
-                           const FixedPointOptions& options) {
-  if (config.generation_rate_per_us == 0.0) return zero_rate_result();
-  // Station-class recursion: the C ICN1 (and C ECN1) stations are
-  // identical, so the 2C+1-station network collapses to 3 classes and
-  // the O(N * stations) recursion to O(N * 3) (docs/PERFORMANCE.md).
-  const HmcsMvaClassLayout layout =
-      build_hmcs_mva_class_layout(config, service);
-  const double think = 1.0 / config.generation_rate_per_us;
-  return detail::mva_fixed_point(
-      layout,
-      solve_closed_mva_classes(layout.classes, think, config.total_nodes(),
-                               options.cancel),
-      config.total_nodes());
-}
-
-}  // namespace
-
 namespace detail {
 
 FixedPointResult mva_fixed_point(const HmcsMvaClassLayout& layout,
@@ -206,12 +95,7 @@ FixedPointResult mva_fixed_point(const HmcsMvaClassLayout& layout,
                           total_queue, total_nodes, true};
 }
 
-}  // namespace detail
-
-FixedPointResult solve_effective_rate(const SystemConfig& config,
-                                      const CenterServiceTimes& service,
-                                      const FixedPointOptions& options) {
-  config.validate();
+void validate_fixed_point_options(const FixedPointOptions& options) {
   require(options.tolerance > 0.0, "fixed_point: tolerance must be > 0");
   require(options.max_iterations >= 1, "fixed_point: needs >= 1 iteration");
   require(options.picard_damping > 0.0 && options.picard_damping <= 1.0,
@@ -220,45 +104,28 @@ FixedPointResult solve_effective_rate(const SystemConfig& config,
   require(options.arrival_ca2 >= 0.0, "fixed_point: ca^2 must be >= 0");
   require(options.failure_mtbf_us >= 0.0 && options.failure_mttr_us >= 0.0,
           "fixed_point: failure mtbf/mttr must be >= 0");
-  require(options.method != SourceThrottling::kExactMva ||
-              options.service_cv2 == 1.0,
-          "fixed_point: exact MVA requires exponential service (cv^2 = 1)");
-  require(options.method != SourceThrottling::kExactMva ||
-              (options.arrival_ca2 == 1.0 &&
-               (options.failure_mtbf_us <= 0.0 ||
-                options.failure_mttr_us <= 0.0)),
-          "fixed_point: exact MVA requires Poisson arrivals and no "
+}
+
+void require_product_form(const FixedPointOptions& options,
+                          double arrival_ca2) {
+  require(options.service_cv2 == 1.0 && arrival_ca2 == 1.0 &&
+              (options.failure_mtbf_us <= 0.0 ||
+               options.failure_mttr_us <= 0.0),
+          "exact MVA requires exponential service, Poisson arrivals and no "
           "failure/repair (product form)");
-  if (options.residual_trace != nullptr) options.residual_trace->clear();
+}
 
-  const auto instrumented = [&options](FixedPointResult result) {
-    HMCS_OBS_COUNTER_INC("analytic.fixed_point.solves");
-    HMCS_OBS_COUNTER_ADD("analytic.fixed_point.iterations", result.iterations);
-    if (!result.converged) {
-      HMCS_OBS_COUNTER_INC("analytic.fixed_point.nonconverged");
-    }
-    HMCS_OBS_STAT_OBSERVE("analytic.fixed_point.iterations_per_solve",
-                          result.iterations);
-    if (options.residual_trace != nullptr &&
-        !options.residual_trace->empty()) {
-      HMCS_OBS_GAUGE_SET("analytic.fixed_point.last_residual",
-                         options.residual_trace->back());
-    }
-    return result;
-  };
+}  // namespace detail
 
-  switch (options.method) {
-    case SourceThrottling::kNone:
-      return instrumented(solve_none(config, service, options));
-    case SourceThrottling::kPicard:
-      return instrumented(solve_picard(config, service, options));
-    case SourceThrottling::kBisection:
-      return instrumented(solve_bisection(config, service, options));
-    case SourceThrottling::kExactMva:
-      return instrumented(solve_mva(config, service, options));
-  }
-  ensure(false, "fixed_point: unknown method");
-  return {};
+FixedPointResult solve_effective_rate(const SystemConfig& config,
+                                      const CenterServiceTimes& service,
+                                      const FixedPointOptions& options) {
+  config.validate();
+  const double rate = config.generation_rate_per_us;
+  FixedPointResult result;
+  detail::solve_group(config, service, options, false, {&rate, 1},
+                      {&options.arrival_ca2, 1}, &result);
+  return result;
 }
 
 }  // namespace hmcs::analytic

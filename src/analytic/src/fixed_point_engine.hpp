@@ -1,0 +1,311 @@
+#pragma once
+
+/// \file fixed_point_engine.hpp
+/// The one implementation of the blocked-source fixed point, eqs.
+/// (6)-(7). Private to hmcs_analytic (not installed). Every solve runs
+/// through these templates:
+///  - solve_effective_rate and predict_latency, as one-cell calls;
+///  - solve_effective_rate_batch and predict_latency_batch, over SoA
+///    groups of cells sharing a topology (batch_solver.cpp);
+///  - the tree's throttle-factor solve (tree_model.cpp), as one cell at
+///    rate 1 and start 1, where every lambda factor and divisor is
+///    exactly 1.0 and the iterate is phi itself.
+///
+/// The solvers are templated on the queue-length evaluation:
+/// `queue(cell, x)` returns L of cell `cell` at iterate x, capped at n.
+/// The active cells advance in lockstep, one iteration per sweep, and
+/// retire in place as they converge. Every cell performs exactly the
+/// operations of a plain scalar loop on its own, in the same order, so
+/// the grouping never changes a result.
+///
+/// FixedPointOptions::residual_trace is appended to by every cell that
+/// iterates: callers pass it only to one-cell solves (one buffer cannot
+/// hold interleaved traces) and clear it first.
+
+#include <algorithm>
+#include <cmath>
+#include <cstdint>
+#include <span>
+#include <utility>
+#include <vector>
+
+#include "hmcs/analytic/batch_solver.hpp"
+#include "hmcs/analytic/fixed_point.hpp"
+#include "hmcs/util/cancel.hpp"
+
+namespace hmcs::analytic::detail {
+
+/// Throws hmcs::ConfigError unless the solver knobs and distribution
+/// parameters are in domain (tolerance, iterations, damping, cv², ca²,
+/// failure/repair).
+void validate_fixed_point_options(const FixedPointOptions& options);
+
+/// Throws hmcs::ConfigError unless the network is product form at
+/// arrival ca² `arrival_ca2`: exponential service, Poisson arrivals and
+/// no failure/repair — the precondition of every exact-MVA path.
+void require_product_form(const FixedPointOptions& options,
+                          double arrival_ca2);
+
+/// Solves eqs. (6)-(7) for every cell of a group sharing `base`'s
+/// topology: cell i runs at rates[i] with arrival ca² ca2s[i] (base's
+/// own rate is ignored). `service` and `options` are used as given, any
+/// workload scenario already folded in. Validates the options, records
+/// the call (record_solves), and honours options.residual_trace only
+/// when the group has one cell. Defined in batch_solver.cpp.
+void solve_group(const SystemConfig& base, const CenterServiceTimes& service,
+                 FixedPointOptions options, bool warm_start,
+                 std::span<const double> rates, std::span<const double> ca2s,
+                 FixedPointResult* out);
+
+/// Records one engine call of `count` cells: analytic.batch.groups and
+/// .cells, and analytic.fixed_point.solves, .iterations, .nonconverged,
+/// .iterations_per_solve and .last_residual (from a non-empty residual
+/// trace). Defined in batch_solver.cpp.
+void record_solves(const FixedPointResult* results, std::size_t count,
+                   const FixedPointOptions& options);
+
+/// A source that never generates: lambda_eff = 0 and an empty system.
+/// The lambda-relative residuals and tolerances would be 0/0 = NaN and a
+/// vacuous `<= 0` test there, so this is converged at 0 in 0 iterations,
+/// by definition.
+inline FixedPointResult zero_rate_result() {
+  return FixedPointResult{0.0, 0.0, 0, true};
+}
+
+// --- Picard -----------------------------------------------------------------
+
+struct PicardSlot {
+  std::size_t cell = 0;
+  double lambda = 0.0;
+  double current = 0.0;
+  double queue = 0.0;
+};
+
+/// Advances every slot one step of the paper's eq. (7) recurrence per
+/// sweep (with damping); converged slots retire in place (stable
+/// compaction). A converged cell reports the post-update iterate and the
+/// queue at it; an exhausted cell reports the final iterate with the
+/// queue of the previous one. `where` labels the cancellation point.
+template <class Queue>
+void picard_lockstep(const Queue& queue, double n,
+                     const FixedPointOptions& options, const char* where,
+                     std::vector<PicardSlot> slots, FixedPointResult* out) {
+  for (std::uint32_t iter = 1;
+       iter <= options.max_iterations && !slots.empty(); ++iter) {
+    if (options.cancel != nullptr) options.cancel->check(where);
+    std::size_t keep = 0;
+    for (PicardSlot& slot : slots) {
+      slot.queue = queue(slot.cell, slot.current);
+      const double candidate = slot.lambda * (n - slot.queue) / n;
+      const double next = options.picard_damping * candidate +
+                          (1.0 - options.picard_damping) * slot.current;
+      if (options.residual_trace != nullptr) {
+        options.residual_trace->push_back(std::fabs(next - slot.current) /
+                                          slot.lambda);
+      }
+      if (std::fabs(next - slot.current) <= options.tolerance * slot.lambda) {
+        out[slot.cell] =
+            FixedPointResult{next, queue(slot.cell, next), iter, true};
+      } else {
+        slot.current = next;
+        slots[keep++] = slot;
+      }
+    }
+    slots.resize(keep);
+  }
+  for (const PicardSlot& slot : slots) {
+    out[slot.cell] = FixedPointResult{slot.current, slot.queue,
+                                      options.max_iterations, false};
+  }
+}
+
+/// Picard over every cell of a group, started at the offered rate. With
+/// warm starts, anchor cells (every kWarmStride-th active cell) solve
+/// first and the cells between them start from their preceding anchor's
+/// fixed point.
+template <class Queue>
+void solve_picard(const Queue& queue, double n,
+                  const FixedPointOptions& options, const char* where,
+                  bool warm_start, std::span<const double> rates,
+                  FixedPointResult* out) {
+  // Cells that iterate (rate > 0), in grid order.
+  std::vector<std::size_t> active;
+  active.reserve(rates.size());
+  for (std::size_t i = 0; i < rates.size(); ++i) {
+    if (rates[i] == 0.0) {
+      out[i] = zero_rate_result();
+    } else {
+      active.push_back(i);
+    }
+  }
+  if (active.empty()) return;
+
+  const auto make_slot = [&](std::size_t cell, double start) {
+    PicardSlot slot;
+    slot.cell = cell;
+    slot.lambda = rates[cell];
+    slot.current = start;
+    return slot;
+  };
+
+  if (!warm_start) {
+    std::vector<PicardSlot> slots;
+    slots.reserve(active.size());
+    for (const std::size_t cell : active) {
+      slots.push_back(make_slot(cell, rates[cell]));
+    }
+    picard_lockstep(queue, n, options, where, std::move(slots), out);
+    return;
+  }
+
+  std::vector<PicardSlot> anchors;
+  for (std::size_t pos = 0; pos < active.size(); pos += kWarmStride) {
+    anchors.push_back(make_slot(active[pos], rates[active[pos]]));
+  }
+  picard_lockstep(queue, n, options, where, std::move(anchors), out);
+
+  // The fixed point never exceeds the offered rate: clamp the warm start
+  // into (0, lambda].
+  std::vector<PicardSlot> followers;
+  for (std::size_t pos = 0; pos < active.size(); ++pos) {
+    if (pos % kWarmStride == 0) continue;
+    const std::size_t cell = active[pos];
+    const std::size_t anchor = active[pos - pos % kWarmStride];
+    const double warm = out[anchor].lambda_effective;
+    const double start =
+        (warm > 0.0 && warm < rates[cell]) ? warm : rates[cell];
+    followers.push_back(make_slot(cell, start));
+  }
+  picard_lockstep(queue, n, options, where, std::move(followers), out);
+}
+
+// --- Bisection --------------------------------------------------------------
+
+struct BisectionSlot {
+  std::size_t cell = 0;
+  double lambda = 0.0;
+  double lo = 0.0;
+  double hi = 0.0;
+  std::uint32_t iterations = 0;
+};
+
+/// The monotone root function g(x) = lambda (N - L(x))/N - x of eq. (7).
+template <class Queue>
+double root_fn(const Queue& queue, double n, std::size_t cell, double lambda,
+               double x) {
+  return lambda * (n - queue(cell, x)) / n - x;
+}
+
+/// Halves every slot's bracket once per sweep until it is within
+/// tolerance or out of iterations, then reports the stable side of the
+/// bracket (queue length finite).
+template <class Queue>
+void bisection_lockstep(const Queue& queue, double n,
+                        const FixedPointOptions& options, const char* where,
+                        std::vector<BisectionSlot> slots,
+                        FixedPointResult* out) {
+  while (!slots.empty()) {
+    if (options.cancel != nullptr) options.cancel->check(where);
+    std::size_t keep = 0;
+    for (BisectionSlot& slot : slots) {
+      if (slot.iterations >= options.max_iterations ||
+          (slot.hi - slot.lo) <= options.tolerance * slot.lambda) {
+        out[slot.cell] = FixedPointResult{
+            slot.lo, queue(slot.cell, slot.lo), slot.iterations,
+            (slot.hi - slot.lo) <= options.tolerance * slot.lambda};
+        continue;
+      }
+      ++slot.iterations;
+      const double mid = 0.5 * (slot.lo + slot.hi);
+      if (root_fn(queue, n, slot.cell, slot.lambda, mid) > 0.0) {
+        slot.lo = mid;
+      } else {
+        slot.hi = mid;
+      }
+      if (options.residual_trace != nullptr) {
+        options.residual_trace->push_back((slot.hi - slot.lo) / slot.lambda);
+      }
+      slots[keep++] = slot;
+    }
+    slots.resize(keep);
+  }
+}
+
+/// Bisection of g on [0, lambda] over every cell of a group: g(0+) =
+/// lambda > 0 and g(lambda) <= 0 always. With warm starts, followers
+/// shrink the initial bracket around their anchor's root.
+template <class Queue>
+void solve_bisection(const Queue& queue, double n,
+                     const FixedPointOptions& options, const char* where,
+                     bool warm_start, std::span<const double> rates,
+                     FixedPointResult* out) {
+  std::vector<std::size_t> active;
+  active.reserve(rates.size());
+  for (std::size_t i = 0; i < rates.size(); ++i) {
+    const double lambda = rates[i];
+    if (lambda == 0.0) {
+      out[i] = zero_rate_result();
+      continue;
+    }
+    // g(lambda) == 0: the system is load-free at the offered rate.
+    if (root_fn(queue, n, i, lambda, lambda) >= 0.0) {
+      out[i] = FixedPointResult{lambda, queue(i, lambda), 1, true};
+      continue;
+    }
+    active.push_back(i);
+  }
+  if (active.empty()) return;
+
+  const auto cold_slot = [&](std::size_t cell) {
+    BisectionSlot slot;
+    slot.cell = cell;
+    slot.lambda = rates[cell];
+    slot.lo = 0.0;
+    slot.hi = rates[cell];
+    return slot;
+  };
+
+  if (!warm_start) {
+    std::vector<BisectionSlot> slots;
+    slots.reserve(active.size());
+    for (const std::size_t cell : active) slots.push_back(cold_slot(cell));
+    bisection_lockstep(queue, n, options, where, std::move(slots), out);
+    return;
+  }
+
+  std::vector<BisectionSlot> anchors;
+  for (std::size_t pos = 0; pos < active.size(); pos += kWarmStride) {
+    anchors.push_back(cold_slot(active[pos]));
+  }
+  bisection_lockstep(queue, n, options, where, std::move(anchors), out);
+
+  // A probe pair at anchor*(1 ± 1e-3) usually straddles the neighbouring
+  // cell's root, replacing ~10 halvings of [0, lambda] with 2 evals.
+  // When it does not straddle, the probe signs still cut the bracket on
+  // the correct side, so the result stays a valid bisection from a
+  // narrower start — never an approximation.
+  std::vector<BisectionSlot> followers;
+  for (std::size_t pos = 0; pos < active.size(); ++pos) {
+    if (pos % kWarmStride == 0) continue;
+    BisectionSlot slot = cold_slot(active[pos]);
+    const std::size_t anchor = active[pos - pos % kWarmStride];
+    const double warm = out[anchor].lambda_effective;
+    if (warm > 0.0 && warm < slot.lambda) {
+      const double probe_lo = warm * (1.0 - 1e-3);
+      const double probe_hi = std::min(slot.lambda, warm * (1.0 + 1e-3));
+      if (probe_lo > 0.0 &&
+          root_fn(queue, n, slot.cell, slot.lambda, probe_lo) > 0.0) {
+        slot.lo = probe_lo;
+        if (root_fn(queue, n, slot.cell, slot.lambda, probe_hi) <= 0.0) {
+          slot.hi = probe_hi;
+        }
+      } else if (probe_lo > 0.0) {
+        slot.hi = probe_lo;
+      }
+    }
+    followers.push_back(slot);
+  }
+  bisection_lockstep(queue, n, options, where, std::move(followers), out);
+}
+
+}  // namespace hmcs::analytic::detail

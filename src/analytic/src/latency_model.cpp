@@ -1,9 +1,8 @@
 #include "hmcs/analytic/latency_model.hpp"
 
+#include "hmcs/analytic/batch_solver.hpp"
 #include "hmcs/analytic/mm1.hpp"
 #include "hmcs/analytic/mva.hpp"
-#include "hmcs/analytic/routing_probability.hpp"
-#include "hmcs/util/error.hpp"
 
 namespace hmcs::analytic {
 
@@ -107,43 +106,9 @@ LatencyPrediction finish_mva_prediction(const SystemConfig& config, double p,
 
 LatencyPrediction predict_latency(const SystemConfig& config,
                                   const ModelOptions& options) {
-  config.validate();
-
-  const double p =
-      inter_cluster_probability(config.clusters, config.nodes_per_cluster);
-  const CenterServiceTimes service = center_service_times(config);
-
-  // Fold the config's workload scenario (non-exponential service, MMPP
-  // burstiness, failure/repair) into the solver options; the default
-  // scenario leaves them untouched.
-  const FixedPointOptions fp_options = with_scenario(
-      options.fixed_point, config.scenario, config.generation_rate_per_us);
-
-  // The MVA path needs a finite think time 1/lambda; at lambda == 0 the
-  // open-network path below degenerates correctly (solve_effective_rate
-  // returns the converged-at-zero fixed point, every centre sees rate 0,
-  // and eq. 15 yields the no-load latency), so route zero-rate configs
-  // through it.
-  if (fp_options.method == SourceThrottling::kExactMva &&
-      config.generation_rate_per_us > 0.0) {
-    // Mirror solve_effective_rate's product-form preconditions — this
-    // branch bypasses that validation.
-    require(fp_options.service_cv2 == 1.0 && fp_options.arrival_ca2 == 1.0 &&
-                (fp_options.failure_mtbf_us <= 0.0 ||
-                 fp_options.failure_mttr_us <= 0.0),
-            "fixed_point: exact MVA requires exponential service, Poisson "
-            "arrivals and no failure/repair (product form)");
-    const HmcsMvaClassLayout layout =
-        build_hmcs_mva_class_layout(config, service);
-    const MvaClassResult mva = solve_closed_mva_classes(
-        layout.classes, 1.0 / config.generation_rate_per_us,
-        config.total_nodes(), fp_options.cancel);
-    return detail::finish_mva_prediction(config, p, service, layout, mva);
-  }
-
-  const FixedPointResult fp =
-      solve_effective_rate(config, service, fp_options);
-  return detail::finish_open_prediction(config, p, service, fp, fp_options);
+  const SystemConfig* const cell = &config;
+  return predict_latency_batch(&cell, 1, options, BatchOptions{false})
+      .front();
 }
 
 }  // namespace hmcs::analytic

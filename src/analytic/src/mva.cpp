@@ -254,8 +254,8 @@ std::vector<MvaClassResult> solve_closed_mva_classes_batch(
 
 MultiClassMvaResult solve_multiclass_amva(
     const std::vector<double>& station_service_rates,
-    const std::vector<MvaClass>& classes, double tolerance,
-    std::uint32_t max_iterations) {
+    const std::vector<MvaClass>& classes, const util::CancelToken* cancel,
+    double tolerance, std::uint32_t max_iterations) {
   const std::size_t m = station_service_rates.size();
   const std::size_t k = classes.size();
   require(m >= 1, "amva: needs at least one station");
@@ -297,6 +297,7 @@ MultiClassMvaResult solve_multiclass_amva(
 
   std::uint32_t iteration = 0;
   for (; iteration < max_iterations; ++iteration) {
+    if (cancel != nullptr) cancel->check("amva");
     // Schweitzer estimate of the queue a class-c arrival sees at i:
     // everyone else's queue plus (N_c-1)/N_c of its own class's.
     double delta = 0.0;

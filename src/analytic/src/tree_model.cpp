@@ -3,10 +3,10 @@
 #include <algorithm>
 #include <cmath>
 
+#include "fixed_point_engine.hpp"
 #include "hmcs/analytic/latency_model.hpp"
 #include "hmcs/analytic/mm1.hpp"
 #include "hmcs/analytic/mva.hpp"
-#include "hmcs/util/cancel.hpp"
 #include "hmcs/util/error.hpp"
 
 namespace hmcs::analytic {
@@ -101,78 +101,33 @@ double queue_length_at(const FlatTreeView& view,
   return saturated ? n : std::min(total, n);
 }
 
-struct TreePhi {
-  double phi = 1.0;
-  std::uint64_t iterations = 0;
-  bool converged = true;
-};
-
-/// The blocked-source fixed point on the common throttle factor
-/// phi in (0, 1]: g(phi) = (N - L(phi))/N - phi is decreasing with
-/// g(0+) > 0, exactly the cluster-of-clusters solve shape.
-TreePhi solve_phi(const FlatTreeView& view,
-                  const std::vector<TreeCenter>& centers,
-                  const FixedPointOptions& fp) {
+/// The blocked-source fixed point on the common throttle factor phi in
+/// (0, 1]: the flat engine (fixed_point_engine.hpp) run as one cell at
+/// rate 1 and start 1, so its root function is g(phi) = (N - L(phi))/N -
+/// phi — decreasing, with g(0+) > 0. An idle tree, or kNone, keeps
+/// phi = 1 without iterating.
+FixedPointResult solve_throttle(const FlatTreeView& view,
+                                const std::vector<TreeCenter>& centers,
+                                const FixedPointOptions& fp) {
   if (fp.residual_trace != nullptr) fp.residual_trace->clear();
-  TreePhi out;
+  FixedPointResult phi{1.0, 0.0, 0, true};
   if (view.total_generation_rate <= 0.0 ||
       fp.method == SourceThrottling::kNone) {
-    return out;
+    return phi;
   }
   const double n = static_cast<double>(view.total_processors);
-  const auto g = [&](double phi) {
-    return (n - queue_length_at(view, centers, fp, phi)) / n - phi;
+  const auto queue = [&](std::size_t, double x) {
+    return queue_length_at(view, centers, fp, x);
   };
-
+  const double rate = 1.0;
   if (fp.method == SourceThrottling::kPicard) {
-    double phi = 1.0;
-    bool converged = false;
-    std::uint64_t iterations = 0;
-    while (iterations < fp.max_iterations) {
-      ++iterations;
-      if (fp.cancel != nullptr) fp.cancel->check("tree_model");
-      const double candidate =
-          (n - queue_length_at(view, centers, fp, phi)) / n;
-      const double next =
-          fp.picard_damping * candidate + (1.0 - fp.picard_damping) * phi;
-      const double residual = std::abs(next - phi);
-      if (fp.residual_trace != nullptr) {
-        fp.residual_trace->push_back(residual);
-      }
-      phi = next;
-      if (residual <= fp.tolerance) {
-        converged = true;
-        break;
-      }
-    }
-    out.phi = phi;
-    out.iterations = iterations;
-    out.converged = converged;
-    return out;
+    detail::solve_picard(queue, n, fp, "tree_model", false, {&rate, 1}, &phi);
+  } else {
+    detail::solve_bisection(queue, n, fp, "tree_model", false, {&rate, 1},
+                            &phi);
   }
-
-  // Bisection (default).
-  if (g(1.0) >= 0.0) return out;  // unthrottled rate is self-consistent
-  double lo = 0.0;
-  double hi = 1.0;
-  std::uint64_t iterations = 0;
-  while (iterations < fp.max_iterations && (hi - lo) > fp.tolerance) {
-    ++iterations;
-    if (fp.cancel != nullptr) fp.cancel->check("tree_model");
-    const double mid = 0.5 * (lo + hi);
-    if (g(mid) > 0.0) {
-      lo = mid;
-    } else {
-      hi = mid;
-    }
-    if (fp.residual_trace != nullptr) {
-      fp.residual_trace->push_back(hi - lo);
-    }
-  }
-  out.phi = lo;
-  out.iterations = iterations;
-  out.converged = (hi - lo) <= fp.tolerance;
-  return out;
+  detail::record_solves(&phi, 1, fp);
+  return phi;
 }
 
 /// Mean latency of a message sourced in each leaf, given every centre's
@@ -256,15 +211,16 @@ TreeLatencyPrediction predict_open(const FlatTreeView& view,
                                    const std::vector<TreeCenter>& centers,
                                    const CenterIndex& index,
                                    const FixedPointOptions& fp) {
-  const TreePhi solved = solve_phi(view, centers, fp);
-  const std::vector<double> rates =
-      center_arrival_rates(view, centers, solved.phi);
+  const FixedPointResult solved = solve_throttle(view, centers, fp);
+  const double phi = solved.lambda_effective;
+  const std::vector<double> rates = center_arrival_rates(view, centers, phi);
 
   TreeLatencyPrediction out{};
   out.lowered_to_flat = false;
   out.lambda_offered_total = view.total_generation_rate;
-  out.effective_rate_scale = solved.phi;
-  out.total_queue_length = queue_length_at(view, centers, fp, solved.phi);
+  out.effective_rate_scale = phi;
+  // Evaluated at the final phi, also where Picard ran out of iterations.
+  out.total_queue_length = queue_length_at(view, centers, fp, phi);
   out.fixed_point_converged = solved.converged;
   out.fixed_point_iterations = solved.iterations;
 
@@ -364,7 +320,8 @@ TreeLatencyPrediction predict_uniform_mva(const FlatTreeView& view,
 /// recursive generalisation of the cluster-of-clusters kApproxMva path.
 TreeLatencyPrediction predict_tree_amva(const FlatTreeView& view,
                                         const std::vector<TreeCenter>& centers,
-                                        const CenterIndex& index) {
+                                        const CenterIndex& index,
+                                        const FixedPointOptions& fp) {
   const double n = static_cast<double>(view.total_processors);
   for (const FlatLeaf& leaf : view.leaves) {
     require(leaf.rate_per_us > 0.0,
@@ -417,7 +374,7 @@ TreeLatencyPrediction predict_tree_amva(const FlatTreeView& view,
   }
 
   const MultiClassMvaResult mva =
-      solve_multiclass_amva(station_rates, classes);
+      solve_multiclass_amva(station_rates, classes, fp.cancel);
 
   TreeLatencyPrediction out{};
   out.lowered_to_flat = false;
@@ -532,14 +489,11 @@ TreeLatencyPrediction predict_model_tree(const ModelTree& tree,
 
   if (fp.method == SourceThrottling::kExactMva &&
       view.total_generation_rate > 0.0) {
-    require(fp.service_cv2 == 1.0 && fp.arrival_ca2 == 1.0 &&
-                (fp.failure_mtbf_us <= 0.0 || fp.failure_mttr_us <= 0.0),
-            "tree_model: exact MVA requires exponential service, Poisson "
-            "arrivals and no failure/repair (product form)");
+    detail::require_product_form(fp, fp.arrival_ca2);
     if (is_uniform_tree(tree)) {
       return predict_uniform_mva(view, centers, index, fp);
     }
-    return predict_tree_amva(view, centers, index);
+    return predict_tree_amva(view, centers, index, fp);
   }
   return predict_open(view, centers, index, fp);
 }

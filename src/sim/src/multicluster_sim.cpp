@@ -44,25 +44,6 @@ struct ResolvedCluster {
 
 enum class Stage : std::uint8_t { kIcn1, kEcn1Out, kIcn2, kEcn1In };
 
-/// Lag-1 autocorrelation of a series — the batch-means health check: a
-/// value near 0 means the batches are long enough to be treated as
-/// independent, so the CI width is trustworthy.
-double lag1_autocorrelation(const std::vector<double>& xs) {
-  if (xs.size() < 3) return 0.0;
-  double mean = 0.0;
-  for (const double x : xs) mean += x;
-  mean /= static_cast<double>(xs.size());
-  double variance = 0.0;
-  double covariance = 0.0;
-  for (std::size_t i = 0; i < xs.size(); ++i) {
-    variance += (xs[i] - mean) * (xs[i] - mean);
-    if (i + 1 < xs.size()) {
-      covariance += (xs[i] - mean) * (xs[i + 1] - mean);
-    }
-  }
-  return variance > 0.0 ? covariance / variance : 0.0;
-}
-
 struct MessageState {
   std::uint64_t src = 0;
   std::uint64_t dst = 0;
@@ -380,7 +361,10 @@ struct MultiClusterSim::Impl {
       measured_samples.push_back(elapsed);
       ++measured_deliveries;
       if (measured_deliveries >= options.measured_messages &&
-          measurement_complete()) {
+          simcore::precision_reached(measured_samples,
+                                     options.measured_messages,
+                                     options.message_cap,
+                                     options.target_relative_ci)) {
         done = true;
         return;  // source stays idle; the run is over
       }
@@ -389,23 +373,6 @@ struct MultiClusterSim::Impl {
     }
 
     if (options.closed_loop) schedule_think(src);
-  }
-
-  /// Under the precision rule, checks the batch-means CI every 2000
-  /// deliveries past the minimum; otherwise the minimum alone suffices.
-  bool measurement_complete() {
-    if (options.target_relative_ci <= 0.0) return true;
-    if (measured_deliveries >= options.message_cap) return true;
-    if ((measured_deliveries - options.measured_messages) % 2000 != 0) {
-      return false;
-    }
-    const std::uint64_t batch =
-        std::max<std::uint64_t>(1, measured_deliveries / 32);
-    simcore::BatchMeans batches(batch);
-    for (const double sample : measured_samples) batches.add(sample);
-    if (batches.num_complete_batches() < 2) return false;
-    const auto ci = batches.confidence_interval();
-    return ci.half_width <= options.target_relative_ci * batches.mean();
   }
 
   void begin_measurement() {
@@ -476,8 +443,7 @@ struct MultiClusterSim::Impl {
     if (batches.num_complete_batches() >= 2) {
       result.latency_ci = batches.confidence_interval();
       result.obs.batch_count = batches.num_complete_batches();
-      result.obs.batch_lag1_autocorrelation =
-          lag1_autocorrelation(batches.batch_means());
+      result.obs.batch_lag1_autocorrelation = batches.lag1_autocorrelation();
     } else {
       result.latency_ci = latency.confidence_interval();
     }

@@ -209,7 +209,10 @@ struct TreeSim::Impl {
       measured_samples.push_back(elapsed);
       ++measured_deliveries;
       if (measured_deliveries >= options.measured_messages &&
-          measurement_complete()) {
+          simcore::precision_reached(measured_samples,
+                                     options.measured_messages,
+                                     options.message_cap,
+                                     options.target_relative_ci)) {
         done = true;
         return;  // source stays idle; the run is over
       }
@@ -219,23 +222,6 @@ struct TreeSim::Impl {
       for (auto& station : stations) station.reset_statistics();
     }
     schedule_think(proc);
-  }
-
-  /// The precision rule from MultiClusterSim: check the batch-means CI
-  /// every 2000 deliveries past the minimum.
-  bool measurement_complete() {
-    if (options.target_relative_ci <= 0.0) return true;
-    if (measured_deliveries >= options.message_cap) return true;
-    if ((measured_deliveries - options.measured_messages) % 2000 != 0) {
-      return false;
-    }
-    const std::uint64_t batch =
-        std::max<std::uint64_t>(1, measured_deliveries / 32);
-    simcore::BatchMeans batches(batch);
-    for (const double sample : measured_samples) batches.add(sample);
-    if (batches.num_complete_batches() < 2) return false;
-    const auto ci = batches.confidence_interval();
-    return ci.half_width <= options.target_relative_ci * batches.mean();
   }
 
   TreeSimResult collect() {

@@ -50,4 +50,14 @@ class BatchMeans {
   std::vector<double> batch_means_;
 };
 
+/// The simulators' precision stopping rule over the `samples` measured
+/// so far, at least `minimum` of them. With target_relative_ci <= 0 the
+/// minimum suffices; otherwise the run stops at `cap` samples, or when
+/// the batch-means CI (batches of samples/32) is within
+/// target_relative_ci of the mean, checked every 2000 samples past the
+/// minimum.
+bool precision_reached(const std::vector<double>& samples,
+                       std::uint64_t minimum, std::uint64_t cap,
+                       double target_relative_ci);
+
 }  // namespace hmcs::simcore

@@ -1,5 +1,6 @@
 #include "hmcs/simcore/batch_means.hpp"
 
+#include <algorithm>
 #include <cmath>
 
 #include "hmcs/util/error.hpp"
@@ -54,6 +55,20 @@ double BatchMeans::lag1_autocorrelation() const {
   }
   // A constant series (den == 0 implies num == 0) is likewise undefined.
   return den > 0.0 ? num / den : 0.0;
+}
+
+bool precision_reached(const std::vector<double>& samples,
+                       std::uint64_t minimum, std::uint64_t cap,
+                       double target_relative_ci) {
+  if (target_relative_ci <= 0.0) return true;
+  const std::uint64_t measured = samples.size();
+  if (measured >= cap) return true;
+  if ((measured - minimum) % 2000 != 0) return false;
+  BatchMeans batches(std::max<std::uint64_t>(1, measured / 32));
+  for (const double sample : samples) batches.add(sample);
+  if (batches.num_complete_batches() < 2) return false;
+  return batches.confidence_interval().half_width <=
+         target_relative_ci * batches.mean();
 }
 
 }  // namespace hmcs::simcore

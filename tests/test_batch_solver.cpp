@@ -1,9 +1,10 @@
 // Structure-of-arrays batch solver (batch_solver.hpp): cold-path
-// bit-identity with the scalar fixed-point solver for every
-// SourceThrottling method over a dense rate grid (idle, light,
-// saturated cells), the warm-start tolerance contract, topology
-// grouping in predict_latency_batch, seeded randomized scalar-vs-batch
-// differential chunks, and cancellation/deadline unwinding.
+// bit-identity with the plain scalar loops of the test-only reference
+// (reference_fixed_point.hpp) for every SourceThrottling method over a
+// dense rate grid (idle, light, saturated cells), the warm-start
+// tolerance contract, topology grouping in predict_latency_batch, seeded
+// randomized reference-vs-batch differential chunks, and
+// cancellation/deadline unwinding.
 
 #include <gtest/gtest.h>
 
@@ -22,6 +23,7 @@
 #include "hmcs/analytic/service_time.hpp"
 #include "hmcs/util/cancel.hpp"
 #include "hmcs/util/error.hpp"
+#include "reference_fixed_point.hpp"
 
 namespace {
 
@@ -71,8 +73,8 @@ double rel_error(double a, double b) {
 
 // ---------------------------------------------------------------------
 // Cold path: with warm starts off the batch solver's per-cell iterate
-// sequence is arithmetic-identical to the scalar solver's, so every
-// field matches bitwise — converged or not.
+// sequence is arithmetic-identical to the reference's plain scalar
+// loops, so every field matches bitwise — converged or not.
 
 TEST(BatchSolver, ColdPathIsBitIdenticalForEveryMethod) {
   RateGrid grid;
@@ -91,7 +93,7 @@ TEST(BatchSolver, ColdPathIsBitIdenticalForEveryMethod) {
       SystemConfig cell = grid.base;
       cell.generation_rate_per_us = grid.rates_per_us[i];
       const FixedPointResult scalar =
-          solve_effective_rate(cell, service, options);
+          reference::solve_effective_rate(cell, service, options);
       EXPECT_EQ(batch[i].lambda_effective, scalar.lambda_effective)
           << method_name(method) << " cell " << i;
       EXPECT_EQ(batch[i].total_queue_length, scalar.total_queue_length)
@@ -124,7 +126,7 @@ TEST(BatchSolver, ColdPathHonoursNonDefaultSolverKnobs) {
     SystemConfig cell = grid.base;
     cell.generation_rate_per_us = grid.rates_per_us[i];
     const FixedPointResult scalar =
-        solve_effective_rate(cell, service, options);
+        reference::solve_effective_rate(cell, service, options);
     EXPECT_EQ(batch[i].lambda_effective, scalar.lambda_effective) << i;
     EXPECT_EQ(batch[i].iterations, scalar.iterations) << i;
     EXPECT_EQ(batch[i].converged, scalar.converged) << i;
@@ -153,7 +155,7 @@ TEST(BatchSolver, WarmStartAgreesOnConvergedCells) {
       SystemConfig cell = grid.base;
       cell.generation_rate_per_us = grid.rates_per_us[i];
       const FixedPointResult scalar =
-          solve_effective_rate(cell, service, options);
+          reference::solve_effective_rate(cell, service, options);
       if (!scalar.converged || !batch[i].converged) continue;
       ++compared;
       EXPECT_LE(rel_error(batch[i].lambda_effective, scalar.lambda_effective),
@@ -219,9 +221,9 @@ TEST(BatchSolver, MvaIterationsReportPopulationSteps) {
 
 // ---------------------------------------------------------------------
 // predict_latency_batch: contiguous same-topology runs are grouped; the
-// per-cell epilogue is shared with predict_latency, so the cold batch
-// is bit-identical cell for cell across mixed-topology inputs —
-// including singleton groups and the kExactMva path.
+// per-cell epilogue is the one the reference predict_latency uses, so
+// the cold batch is bit-identical cell for cell across mixed-topology
+// inputs — including singleton groups and the kExactMva path.
 
 TEST(BatchSolver, PredictBatchMatchesScalarAcrossMixedTopologies) {
   const SystemConfig small = make_config(4, 8);
@@ -250,7 +252,8 @@ TEST(BatchSolver, PredictBatchMatchesScalarAcrossMixedTopologies) {
         predict_latency_batch(configs, options, BatchOptions{false});
     ASSERT_EQ(batch.size(), configs.size());
     for (std::size_t i = 0; i < configs.size(); ++i) {
-      const LatencyPrediction scalar = predict_latency(configs[i], options);
+      const LatencyPrediction scalar =
+          reference::predict_latency(configs[i], options);
       EXPECT_EQ(batch[i].mean_latency_us, scalar.mean_latency_us)
           << method_name(method) << " cell " << i;
       EXPECT_EQ(batch[i].lambda_offered, scalar.lambda_offered);
@@ -293,7 +296,8 @@ TEST(BatchSolver, ScenarioCellsMatchScalarBitwise) {
         predict_latency_batch(configs, options, BatchOptions{false});
     ASSERT_EQ(batch.size(), configs.size());
     for (std::size_t i = 0; i < configs.size(); ++i) {
-      const LatencyPrediction scalar = predict_latency(configs[i], options);
+      const LatencyPrediction scalar =
+          reference::predict_latency(configs[i], options);
       EXPECT_EQ(batch[i].mean_latency_us, scalar.mean_latency_us)
           << method_name(method) << " cell " << i;
       EXPECT_EQ(batch[i].lambda_effective, scalar.lambda_effective);
@@ -322,7 +326,7 @@ TEST(BatchSolver, MmppCellsResolvePerCellArrivalScv) {
   ASSERT_EQ(batch.size(), configs.size());
   double previous_scv = 0.0;
   for (std::size_t i = 0; i < configs.size(); ++i) {
-    const LatencyPrediction scalar = predict_latency(configs[i]);
+    const LatencyPrediction scalar = reference::predict_latency(configs[i]);
     EXPECT_EQ(batch[i].mean_latency_us, scalar.mean_latency_us) << i;
     EXPECT_EQ(batch[i].lambda_effective, scalar.lambda_effective) << i;
     // And the per-cell SCV really varies across the grid.
@@ -359,11 +363,31 @@ TEST(BatchSolver, PredictBatchValidatesEveryCell) {
   EXPECT_THROW(predict_latency_batch(configs), hmcs::ConfigError);
 }
 
+TEST(BatchSolver, ResidualTraceIsRecordedByOneCellCallsOnly) {
+  // One buffer cannot hold interleaved traces: a one-cell call records
+  // its solve's residuals, a larger batch leaves the buffer alone.
+  SystemConfig cell = make_config(16, 8);
+  cell.generation_rate_per_us = 2e-4;
+  std::vector<double> residuals{-1.0};
+  ModelOptions options;
+  options.fixed_point.residual_trace = &residuals;
+  const LatencyPrediction one = predict_latency(cell, options);
+  EXPECT_GT(residuals.size(), 1u);
+  EXPECT_EQ(residuals.size(), one.fixed_point_iterations);
+
+  residuals.assign(1, -1.0);
+  predict_latency_batch(std::vector<SystemConfig>{cell, cell}, options,
+                        BatchOptions{false});
+  ASSERT_EQ(residuals.size(), 1u);
+  EXPECT_EQ(residuals[0], -1.0);
+}
+
 // ---------------------------------------------------------------------
 // Differential: seeded random chunks — clusters, nodes per cluster, both
 // technology cases, both architectures, message sizes and rates, with
 // zero-rate cells and two populations interleaved — must come out of the
-// cold batch path bit for bit as from predict_latency, for every method.
+// cold batch path bit for bit as from the reference predict_latency, for
+// every method.
 // The chunk lengths straddle the MVA lane width.
 
 /// Bitwise equality, so -0.0 vs 0.0 and NaN payloads count too.
@@ -461,7 +485,8 @@ TEST(BatchSolver, RandomChunksMatchScalarBitwiseForEveryMethod) {
           predict_latency_batch(chunk, options, BatchOptions{false});
       ASSERT_EQ(batch.size(), chunk.size());
       for (std::size_t i = 0; i < chunk.size(); ++i) {
-        expect_same_prediction(batch[i], predict_latency(chunk[i], options),
+        expect_same_prediction(batch[i],
+                               reference::predict_latency(chunk[i], options),
                                std::string(method_name(method)) + " length " +
                                    std::to_string(length) + " cell " +
                                    std::to_string(i));

@@ -1,10 +1,13 @@
 // Recursive model trees: lowering round-trips, bit-identical flat
 // dispatch, generic-recursion agreement, uniform-tree MVA, node-path
-// targeting, and the nested JSON schema.
+// targeting, the nested JSON schema, and cancellation of the AMVA path.
 
 #include <gtest/gtest.h>
 
 #include <cmath>
+#include <fstream>
+#include <sstream>
+#include <string>
 
 #include "hmcs/analytic/cluster_of_clusters.hpp"
 #include "hmcs/analytic/latency_model.hpp"
@@ -13,6 +16,7 @@
 #include "hmcs/analytic/serialize.hpp"
 #include "hmcs/analytic/tree_io.hpp"
 #include "hmcs/analytic/tree_model.hpp"
+#include "hmcs/util/cancel.hpp"
 #include "hmcs/util/error.hpp"
 
 namespace {
@@ -273,6 +277,54 @@ TEST(ModelTree, NestedTreeOpenAndAmvaSolve) {
     EXPECT_GE(prediction.mean_latency_us, lo - 1e-12);
     EXPECT_LE(prediction.mean_latency_us, hi + 1e-12);
   }
+}
+
+TEST(ModelTree, ThrottleFactorRecordsItsResidualTrace) {
+  // The phi solve is a one-cell call of the flat engine at rate 1, so it
+  // records the flat residuals: the bracket width for bisection (halving
+  // every step), |next - phi| for Picard.
+  TreeModelOptions options;
+  std::vector<double> residuals;
+  options.fixed_point.residual_trace = &residuals;
+  const TreeLatencyPrediction bisection =
+      predict_model_tree(nested_tree(), options);
+  ASSERT_GE(residuals.size(), 2u);
+  EXPECT_EQ(residuals.size(), bisection.fixed_point_iterations);
+  for (std::size_t i = 1; i < residuals.size(); ++i) {
+    EXPECT_LT(residuals[i], residuals[i - 1]);
+  }
+  EXPECT_LE(residuals.back(), options.fixed_point.tolerance);
+
+  options.fixed_point.method = SourceThrottling::kPicard;
+  const TreeLatencyPrediction picard =
+      predict_model_tree(nested_tree(), options);
+  ASSERT_TRUE(picard.fixed_point_converged);
+  EXPECT_EQ(residuals.size(), picard.fixed_point_iterations);
+  EXPECT_LE(residuals.back(), options.fixed_point.tolerance);
+}
+
+TEST(ModelTree, HeterogeneousAmvaHonoursCancelAndDeadline) {
+  // A non-uniform tree under kExactMva takes the multi-class AMVA path
+  // (up to 10,000 iterations); it polls the options' token once per
+  // iteration, so sweep and serve deadlines bound it too.
+  std::ifstream file(std::string(HMCS_SOURCE_DIR) +
+                     "/configs/trees/heterogeneous_campuses.json");
+  std::stringstream text;
+  text << file.rdbuf();
+  const ModelTree tree = load_model_tree(text.str());
+  ASSERT_FALSE(is_uniform_tree(tree));
+  TreeModelOptions options;
+  options.fixed_point.method = SourceThrottling::kExactMva;
+
+  hmcs::util::CancelToken cancelled;
+  cancelled.cancel();
+  options.fixed_point.cancel = &cancelled;
+  EXPECT_THROW(predict_model_tree(tree, options), hmcs::Cancelled);
+
+  hmcs::util::CancelToken expired;
+  expired.set_deadline_after_ms(1e-6);
+  options.fixed_point.cancel = &expired;
+  EXPECT_THROW(predict_model_tree(tree, options), hmcs::DeadlineExceeded);
 }
 
 TEST(ModelTree, FasterBackboneLowersLatency) {
