@@ -20,14 +20,12 @@ namespace {
 using namespace hmcs;
 using namespace hmcs::analytic;
 
-double simulate_ms(const SystemConfig& config,
-                   sim::ServiceDistribution distribution, std::uint64_t seed,
+double simulate_ms(const SystemConfig& config, std::uint64_t seed,
                    std::uint64_t messages) {
   sim::SimOptions options;
   options.measured_messages = messages;
   options.warmup_messages = messages / 5;
   options.seed = seed;
-  options.service_distribution = distribution;
   sim::MultiClusterSim simulator(config, options);
   return units::us_to_ms(simulator.run().mean_latency_us);
 }
@@ -71,12 +69,11 @@ int main(int argc, char** argv) {
           units::us_to_ms(predict_latency(config, mva).mean_latency_us);
       const double analysis_md1_ms =
           units::us_to_ms(predict_latency(config, md1).mean_latency_us);
-      const double exp_ms =
-          simulate_ms(config, sim::ServiceDistribution::kExponential,
-                      500 + sweep[i], messages);
+      SystemConfig deterministic = config;
+      deterministic.scenario.service_cv2 = 0.0;
+      const double exp_ms = simulate_ms(config, 500 + sweep[i], messages);
       const double det_ms =
-          simulate_ms(config, sim::ServiceDistribution::kDeterministic,
-                      900 + sweep[i], messages);
+          simulate_ms(deterministic, 900 + sweep[i], messages);
       table.add_row({std::to_string(sweep[i]), format_fixed(analysis_ms, 3),
                      format_fixed(exp_ms, 3),
                      format_fixed(analysis_md1_ms, 3), format_fixed(det_ms, 3),

@@ -10,8 +10,9 @@
 /// This is the most literal "physical" rendering of Figure 1. Together
 /// with SwitchFabricSim it forms the third member of the simulator set:
 ///
-///   1. centre-level  (sim::MultiClusterSim — one server per network,
-///      the paper's own validation simulator)
+///   1. centre-level  (sim::TreeSim, which sim::MultiClusterSim runs on
+///      the config's depth-2 lowering — one server per network, the
+///      paper's own validation simulator)
 ///   2. single-fabric switch-level (netsim_fabric_validation)
 ///   3. whole-system switch-level  (this builder + the
 ///      netsim_hmcs_validation bench), which checks the one-server

@@ -24,7 +24,7 @@
 #include "hmcs/analytic/system_config.hpp"
 #include "hmcs/netsim/switch_fabric_sim.hpp"
 #include "hmcs/obs/trace.hpp"
-#include "hmcs/sim/multicluster_sim.hpp"
+#include "hmcs/sim/tree_sim.hpp"
 #include "hmcs/util/cancel.hpp"
 
 namespace hmcs::runner {
@@ -184,8 +184,12 @@ class AnalyticBackend : public Backend {
   analytic::BatchOptions batch_;
 };
 
-/// Wraps sim::MultiClusterSim (optionally through the independent-
-/// replications harness). The point's seed comes from ctx.seed.
+/// Wraps the validation simulator sim::TreeSim: flat configs run on
+/// their depth-2 lowering, nested trees as they are, both through the
+/// same options, seeding protocol and replication harness
+/// (run_replications). The point's seed comes from ctx.seed; with a
+/// trace attached to the context, each point records its sim-time
+/// phase spans and sampler counter tracks under pid 2 + ctx.index.
 class DesBackend : public Backend {
  public:
   struct Options {
@@ -205,9 +209,10 @@ class DesBackend : public Backend {
   const std::string& name() const override { return name_; }
   PointResult predict(const analytic::SystemConfig& config,
                       const PointContext& ctx) const override;
-  /// Flat-shaped trees lower onto predict() (same replication harness);
-  /// nested trees run sim::TreeSim with per-replication seeds derived
-  /// from ctx.seed by the replication harness's SplitMix64 protocol.
+  /// Flat-shaped trees lower onto predict(); nested trees run the same
+  /// path on the tree itself. max_center_utilization is the busiest
+  /// role (ICN1, ECN1 or ICN2 mean) for flat cells and the busiest
+  /// centre for nested ones.
   PointResult predict_tree(const analytic::ModelTree& tree,
                            const PointContext& ctx) const override;
 

@@ -12,8 +12,9 @@
 #include <cstdint>
 #include <vector>
 
+#include "hmcs/analytic/model_tree.hpp"
 #include "hmcs/analytic/system_config.hpp"
-#include "hmcs/sim/multicluster_sim.hpp"
+#include "hmcs/sim/tree_sim.hpp"
 #include "hmcs/simcore/tally.hpp"
 
 namespace hmcs::runner {
@@ -34,6 +35,12 @@ struct ReplicationResult {
 /// up to `parallelism` threads (0 = hardware concurrency); each
 /// simulator instance is thread-confined, so results are bit-identical
 /// to a serial run regardless of the thread count.
+ReplicationResult run_replications(const analytic::ModelTree& tree,
+                                   const sim::SimOptions& base_options,
+                                   std::uint32_t replications,
+                                   std::uint32_t parallelism = 0);
+
+/// The same on the config's depth-2 lowering (ModelTree::from_system).
 ReplicationResult run_replications(const analytic::SystemConfig& config,
                                    const sim::SimOptions& base_options,
                                    std::uint32_t replications,

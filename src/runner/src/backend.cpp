@@ -6,8 +6,6 @@
 #include "hmcs/netsim/hmcs_fabric.hpp"
 #include "hmcs/runner/replication.hpp"
 #include "hmcs/sim/tree_sim.hpp"
-#include "hmcs/simcore/rng.hpp"
-#include "hmcs/simcore/tally.hpp"
 #include "hmcs/util/error.hpp"
 
 namespace hmcs::runner {
@@ -120,11 +118,15 @@ double max_role_utilization(const sim::SimResult& run) {
                    run.icn2.utilization});
 }
 
-}  // namespace
+double max_center_utilization(const sim::SimResult& run) {
+  return run.max_center_utilization;
+}
 
-PointResult DesBackend::predict(const analytic::SystemConfig& config,
-                                const PointContext& ctx) const {
-  sim::SimOptions sim_options = options_.sim;
+/// The one DES path of flat and nested cells.
+PointResult simulate(const DesBackend::Options& options,
+                     const analytic::ModelTree& tree, const PointContext& ctx,
+                     double (*utilization)(const sim::SimResult&)) {
+  sim::SimOptions sim_options = options.sim;
   sim_options.seed = ctx.seed;
   sim_options.cancel = ctx.cancel;
   if (ctx.trace) {
@@ -137,84 +139,43 @@ PointResult DesBackend::predict(const analytic::SystemConfig& config,
   }
 
   PointResult result;
-  if (options_.direct_seed) {
-    sim::MultiClusterSim simulator(config, sim_options);
-    const sim::SimResult run = simulator.run();
+  if (options.direct_seed) {
+    const sim::SimResult run = sim::TreeSim(tree, sim_options).run();
     result.mean_latency_us = run.mean_latency_us;
     result.ci_half_us = run.latency_ci.half_width;
     result.effective_rate_per_us = run.effective_rate_per_us;
     result.messages_measured = run.messages_measured;
-    result.max_center_utilization = max_role_utilization(run);
+    result.max_center_utilization = utilization(run);
     return result;
   }
 
   // Replications stay serial inside a point: the sweep's points already
   // use the machine.
   const ReplicationResult run =
-      run_replications(config, sim_options, options_.replications, 1);
+      run_replications(tree, sim_options, options.replications, 1);
   result.mean_latency_us = run.mean_latency_us;
   result.ci_half_us = run.latency_ci.half_width;
   result.effective_rate_per_us = run.effective_rate_per_us;
   for (const sim::SimResult& replication : run.replications) {
     result.messages_measured += replication.messages_measured;
-    result.max_center_utilization = std::max(
-        result.max_center_utilization, max_role_utilization(replication));
+    result.max_center_utilization =
+        std::max(result.max_center_utilization, utilization(replication));
   }
   return result;
+}
+
+}  // namespace
+
+PointResult DesBackend::predict(const analytic::SystemConfig& config,
+                                const PointContext& ctx) const {
+  return simulate(options_, analytic::ModelTree::from_system(config), ctx,
+                  max_role_utilization);
 }
 
 PointResult DesBackend::predict_tree(const analytic::ModelTree& tree,
                                      const PointContext& ctx) const {
   if (const auto flat = tree.as_system_config()) return predict(*flat, ctx);
-
-  sim::TreeSimOptions tree_options;
-  tree_options.measured_messages = options_.sim.measured_messages;
-  tree_options.warmup_messages = options_.sim.warmup_messages;
-  tree_options.target_relative_ci = options_.sim.target_relative_ci;
-  tree_options.message_cap = options_.sim.message_cap;
-  tree_options.max_events = options_.sim.max_events;
-  tree_options.cancel = ctx.cancel;
-
-  PointResult result;
-  if (options_.direct_seed) {
-    tree_options.seed = ctx.seed;
-    sim::TreeSim simulator(tree, tree_options);
-    const sim::TreeSimResult run = simulator.run();
-    result.mean_latency_us = run.mean_latency_us;
-    result.ci_half_us = run.latency_ci.half_width;
-    result.effective_rate_per_us = run.effective_rate_per_us;
-    result.messages_measured = run.messages_measured;
-    result.max_center_utilization = run.max_center_utilization;
-    return result;
-  }
-
-  // The replication harness's seeding protocol (replication.cpp):
-  // per-replication seeds pre-derived from the point seed, replications
-  // serial inside a point.
-  simcore::SplitMix64 seeder(ctx.seed);
-  std::vector<std::uint64_t> seeds(options_.replications);
-  for (auto& seed : seeds) seed = seeder.next();
-
-  simcore::Tally means;
-  simcore::Tally rates;
-  simcore::ConfidenceInterval single_ci{0.0, 0.0, 0.0};
-  for (std::uint32_t r = 0; r < options_.replications; ++r) {
-    tree_options.seed = seeds[r];
-    sim::TreeSim simulator(tree, tree_options);
-    const sim::TreeSimResult run = simulator.run();
-    means.add(run.mean_latency_us);
-    rates.add(run.effective_rate_per_us);
-    single_ci = run.latency_ci;
-    result.messages_measured += run.messages_measured;
-    result.max_center_utilization =
-        std::max(result.max_center_utilization, run.max_center_utilization);
-  }
-  result.mean_latency_us = means.mean();
-  result.effective_rate_per_us = rates.mean();
-  result.ci_half_us = options_.replications >= 2
-                          ? means.confidence_interval().half_width
-                          : single_ci.half_width;
-  return result;
+  return simulate(options_, tree, ctx, max_center_utilization);
 }
 
 FabricBackend::FabricBackend(Options options, std::string name)

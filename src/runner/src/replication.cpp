@@ -10,7 +10,7 @@
 
 namespace hmcs::runner {
 
-ReplicationResult run_replications(const analytic::SystemConfig& config,
+ReplicationResult run_replications(const analytic::ModelTree& tree,
                                    const sim::SimOptions& base_options,
                                    std::uint32_t replications,
                                    std::uint32_t parallelism) {
@@ -34,7 +34,7 @@ ReplicationResult run_replications(const analytic::SystemConfig& config,
     options.seed = seeds[r];
     // Tracing is not thread-safe to share; replications drop it.
     options.trace.reset();
-    sim::MultiClusterSim simulator(config, options);
+    sim::TreeSim simulator(tree, options);
     result.replications[r] = simulator.run();
   };
 
@@ -69,6 +69,14 @@ ReplicationResult run_replications(const analytic::SystemConfig& config,
     result.latency_ci = result.replications.front().latency_ci;
   }
   return result;
+}
+
+ReplicationResult run_replications(const analytic::SystemConfig& config,
+                                   const sim::SimOptions& base_options,
+                                   std::uint32_t replications,
+                                   std::uint32_t parallelism) {
+  return run_replications(analytic::ModelTree::from_system(config),
+                          base_options, replications, parallelism);
 }
 
 }  // namespace hmcs::runner

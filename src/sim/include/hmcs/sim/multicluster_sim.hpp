@@ -1,11 +1,11 @@
 #pragma once
 
 /// \file multicluster_sim.hpp
-/// The validation simulator (Section 6): a discrete-event model of the
-/// HMSCS with closed-loop processors. Each processor thinks for an
-/// exponential interval (mean 1/lambda), generates a message to a
-/// destination drawn from the traffic pattern, and stays blocked until
-/// the message is delivered (assumption 4). Messages traverse
+/// The flat validation surface of Section 6: the Super-Cluster
+/// SystemConfig and the heterogeneous ClusterOfClustersConfig, each
+/// lowered onto its depth-2 ModelTree (ModelTree::from_system /
+/// from_cluster_of_clusters) and run by the tree engine in tree_sim.hpp.
+/// Messages traverse
 ///
 ///   local:   ICN1(cluster)
 ///   remote:  ECN1(source cluster) -> ICN2 -> ECN1(destination cluster)
@@ -13,189 +13,20 @@
 /// with each network a FIFO service centre whose mean service time comes
 /// from the same Section 5 formulas the analytical model uses (that is
 /// the paper's validation setup: same parameters, stochastic execution).
-/// Every message is time-stamped at generation and its latency recorded
-/// in a sink when delivered; the run measures a fixed number of
-/// post-warm-up deliveries (the paper gathers 10,000 messages).
-///
-/// The simulator accepts both the Super-Cluster SystemConfig and the
-/// heterogeneous ClusterOfClustersConfig, so it validates the extension
-/// model too.
-
-#include <cstdint>
-#include <memory>
-#include <vector>
+/// Node ids are cluster * nodes_per_cluster + local index, the
+/// numbering workload::NodeSpace and the traffic patterns use.
 
 #include "hmcs/analytic/cluster_of_clusters.hpp"
-#include "hmcs/analytic/service_time.hpp"
 #include "hmcs/analytic/system_config.hpp"
-#include "hmcs/obs/sampler.hpp"
-#include "hmcs/obs/trace.hpp"
-#include "hmcs/simcore/fifo_station.hpp"
-#include "hmcs/simcore/histogram.hpp"
-#include "hmcs/simcore/rng.hpp"
-#include "hmcs/sim/trace.hpp"
-#include "hmcs/simcore/simulation.hpp"
-#include "hmcs/util/cancel.hpp"
-#include "hmcs/simcore/tally.hpp"
-#include "hmcs/workload/message_size.hpp"
-#include "hmcs/workload/traffic_pattern.hpp"
+#include "hmcs/sim/tree_sim.hpp"
 
 namespace hmcs::sim {
 
-enum class ServiceDistribution {
-  kExponential,    ///< the paper's assumption for the M/M/1 centres
-  kDeterministic,  ///< fixed service time (M/D/1-like ablation)
-};
-
-struct SimOptions {
-  /// Deliveries measured after warm-up; the paper's runs use 10,000.
-  /// When target_relative_ci is set this becomes the *minimum* sample.
-  std::uint64_t measured_messages = 10000;
-  /// Deliveries discarded before statistics start.
-  std::uint64_t warmup_messages = 2000;
-  /// Precision-driven stopping: keep measuring past measured_messages
-  /// until the batch-means 95% CI half-width falls below this fraction
-  /// of the mean (e.g. 0.01 = ±1%), or message_cap is reached.
-  /// 0 disables the rule (the paper's fixed-count protocol).
-  double target_relative_ci = 0.0;
-  /// Hard ceiling on measured deliveries under the precision rule.
-  std::uint64_t message_cap = 400000;
-  std::uint64_t seed = 1;
-  ServiceDistribution service_distribution = ServiceDistribution::kExponential;
-  /// Assumption 4 ablation: true (default) blocks a source while its
-  /// message is in flight; false injects as an open Poisson stream.
-  /// Open-loop runs match the SourceThrottling::kNone analytical model
-  /// when every centre is stable, and diverge (growing queues) when the
-  /// raw rates saturate a centre — which is exactly why the paper needs
-  /// the eq. (7) correction.
-  bool closed_loop = true;
-  /// Destination selection; null = the paper's uniform pattern.
-  std::shared_ptr<const workload::TrafficPattern> traffic;
-  /// Message sizes; null = fixed at the config's message_bytes.
-  std::shared_ptr<const workload::MessageSizeDistribution> message_size;
-  /// Safety valve against configuration mistakes (0 = no limit).
-  std::uint64_t max_events = 200'000'000;
-  /// Cooperative cancellation / wall-clock deadline, polled every few
-  /// thousand events so the hot path stays branch-cheap; run() unwinds
-  /// with hmcs::Cancelled or hmcs::DeadlineExceeded. The token must
-  /// outlive run(); null = never interrupted. The poll draws no random
-  /// numbers, so an uninterrupted run is bit-identical with or without
-  /// a token attached.
-  const util::CancelToken* cancel = nullptr;
-  /// Optional message-lifecycle trace (see trace.hpp); null = off.
-  std::shared_ptr<TraceRecorder> trace;
-
-  /// Observability hooks (see docs/OBSERVABILITY.md). Attaching them
-  /// changes the executed-event count (sampler ticks ride the engine)
-  /// but never the stochastic trajectory: the sampler draws no random
-  /// numbers, so every latency and statistic matches an unobserved run.
-  struct Observability {
-    /// Simulated-time phase spans and queue-depth counter tracks are
-    /// recorded here as Chrome trace events; null = off.
-    std::shared_ptr<obs::TraceSession> trace;
-    /// Perfetto process id grouping this run's tracks (keep distinct per
-    /// concurrent run so counter tracks do not interleave).
-    std::uint32_t trace_pid = 2;
-    /// Period of the queue-depth sampler in simulated µs; 0 = off.
-    double sample_interval_us = 0.0;
-    /// Ring capacity per sampled series (oldest points drop beyond it).
-    std::size_t sample_capacity = 8192;
-  };
-  Observability obs;
-};
-
-/// Aggregated observations for one service-centre role (ICN1/ECN1
-/// aggregate over their per-cluster stations).
-struct CenterStats {
-  double mean_wait_us = 0.0;
-  double mean_service_us = 0.0;
-  double mean_response_us = 0.0;
-  /// Mean over the role's stations of per-station busy fraction.
-  double utilization = 0.0;
-  /// Mean over the role's stations of time-averaged number in system.
-  double avg_queue_length = 0.0;
-  std::uint64_t departures = 0;
-};
-
-struct SimResult {
-  std::uint64_t messages_measured = 0;
-  double mean_latency_us = 0.0;
-  simcore::ConfidenceInterval latency_ci{0.0, 0.0, 0.0};
-  double min_latency_us = 0.0;
-  double max_latency_us = 0.0;
-  /// Exact order statistics over the measured window.
-  double p50_latency_us = 0.0;
-  double p95_latency_us = 0.0;
-  double p99_latency_us = 0.0;
-
-  /// Split by message kind (0 when a kind never occurred).
-  double mean_local_latency_us = 0.0;
-  double mean_remote_latency_us = 0.0;
-  double remote_fraction = 0.0;
-
-  /// Measured per-processor delivery rate over the window — the
-  /// simulated counterpart of the model's lambda_effective.
-  double effective_rate_per_us = 0.0;
-  /// Time-averaged total customers over all stations — counterpart of
-  /// the fixed point's L.
-  double total_avg_queue_length = 0.0;
-
-  double window_duration_us = 0.0;
-  std::uint64_t events_executed = 0;
-
-  CenterStats icn1;
-  CenterStats ecn1;
-  CenterStats icn2;
-
-  /// Run-health diagnostics surfaced by the observability layer.
-  struct ObsStats {
-    /// Simulated time at which warm-up ended and measurement began.
-    double warmup_end_us = 0.0;
-    /// Batch-means diagnostics for the latency CI (0 batches when the
-    /// i.i.d. fallback was used).
-    std::uint64_t batch_count = 0;
-    double batch_lag1_autocorrelation = 0.0;
-    /// Message-lifecycle TraceRecorder events rejected at capacity.
-    std::uint64_t trace_dropped = 0;
-    /// Queue-depth sampler ticks taken (0 when sampling was off).
-    std::uint64_t samples_taken = 0;
-    /// Engine diagnostics for this run's event queue.
-    std::uint64_t events_pushed = 0;
-    std::uint64_t calendar_resizes = 0;
-    std::uint64_t calendar_purges = 0;
-    std::uint64_t sweep_fallbacks = 0;
-    std::size_t peak_slot_capacity = 0;
-  };
-  ObsStats obs;
-};
-
-class MultiClusterSim {
+class MultiClusterSim : public TreeSim {
  public:
   MultiClusterSim(const analytic::SystemConfig& config, SimOptions options);
   MultiClusterSim(const analytic::ClusterOfClustersConfig& config,
                   SimOptions options);
-  ~MultiClusterSim();
-
-  MultiClusterSim(const MultiClusterSim&) = delete;
-  MultiClusterSim& operator=(const MultiClusterSim&) = delete;
-
-  /// Executes one complete run. May be called once per instance.
-  SimResult run();
-
-  /// Latency histogram over the measured window (valid after run()).
-  const simcore::Histogram& latency_histogram() const;
-
-  /// Raw measured latencies in delivery order (valid after run()) — the
-  /// input for external analyses such as simcore::mser_warmup.
-  const std::vector<double>& measured_latencies() const;
-
-  /// The queue-depth sampler, or null when options.obs.sample_interval_us
-  /// was 0. Series cover the whole run (warm-up included).
-  const obs::TimeSeriesSampler* sampler() const;
-
- private:
-  struct Impl;
-  std::unique_ptr<Impl> impl_;
 };
 
 }  // namespace hmcs::sim

@@ -1,8 +1,12 @@
 #include "hmcs/sim/tree_sim.hpp"
 
 #include <algorithm>
+#include <cstddef>
 #include <deque>
+#include <optional>
+#include <utility>
 
+#include "hmcs/obs/metrics.hpp"
 #include "hmcs/simcore/batch_means.hpp"
 #include "hmcs/simcore/distributions.hpp"
 #include "hmcs/simcore/fifo_station.hpp"
@@ -14,15 +18,43 @@ namespace hmcs::sim {
 
 namespace {
 
-/// One in-flight message. Closed-loop sources are blocked while their
-/// message is in flight, so slot id == source processor id and the pool
-/// never grows.
+/// Mean service time as an affine function of message size:
+/// T(M) = fixed + M * per_byte. For blocking networks per_byte folds in
+/// the eq. (20) bisection penalty, so T(M) matches eq. (21) at every M.
+/// The reproducibility contract fixes this form, also at the reference
+/// size (it rounds differently from ServiceTimeBreakdown::total_us).
+struct CenterModel {
+  double fixed_us = 0.0;
+  double per_byte_us = 0.0;
+
+  double mean_service_us(double bytes) const {
+    return fixed_us + bytes * per_byte_us;
+  }
+
+  static CenterModel from_breakdown(const analytic::ServiceTimeBreakdown& b,
+                                    double reference_bytes) {
+    CenterModel m;
+    m.fixed_us = b.link_latency_us + b.switch_latency_us;
+    m.per_byte_us = (b.transmission_us + b.blocking_us) / reference_bytes;
+    return m;
+  }
+};
+
+/// One message. Slots are pooled and reused, so a slot id is unique
+/// among in-flight messages; closed loop bounds the pool at one slot per
+/// source, open loop grows it on demand.
 struct MessageState {
+  std::uint64_t src = 0;
   std::uint64_t dst = 0;
   double generated_at = 0.0;
+  double bytes = 0.0;
   std::vector<std::size_t> route;  ///< centre indices, in traversal order
   std::size_t hop = 0;
 };
+
+constexpr std::size_t kNoCenter = analytic::FlatNode::npos;
+/// tree_centers lists the root's network first.
+constexpr std::size_t kRootNetwork = 0;
 
 }  // namespace
 
@@ -30,110 +62,213 @@ struct TreeSim::Impl {
   analytic::ModelTree tree;
   analytic::FlatTreeView view;
   std::vector<analytic::TreeCenter> centers;
-  TreeSimOptions options;
+  SimOptions options;
 
   // --- derived topology tables -------------------------------------------
   std::vector<std::size_t> net_center;     ///< node -> centre index
-  std::vector<std::size_t> egress_center;  ///< node -> centre index (root unused)
+  std::vector<std::size_t> egress_center;  ///< node -> centre (root: none)
   std::vector<std::uint32_t> node_level;   ///< root = 0
-  std::vector<std::uint64_t> leaf_first_proc;  ///< prefix sums over leaves
-  std::vector<std::size_t> proc_leaf;          ///< processor -> leaf index
+  std::vector<std::size_t> proc_leaf;      ///< processor -> leaf index
+  /// Role members in tree_centers order; the root's network is ICN2.
+  std::vector<std::size_t> icn1_centers;
+  std::vector<std::size_t> ecn1_centers;
 
   // --- engine ---------------------------------------------------------------
   simcore::Simulator simulator;
   std::deque<simcore::FifoStation> stations;  ///< one per centre, same order
-  std::deque<simcore::Rng> service_rngs;
+  std::vector<simcore::Rng> service_rngs;     ///< one per centre, same order
   simcore::Rng think_rng{0};
   simcore::Rng traffic_rng{0};
+  simcore::Rng size_rng{0};
   /// Per-processor MMPP modulators; empty when sources are Poisson.
   std::vector<simcore::Mmpp2> modulators;
 
-  std::vector<MessageState> messages;  ///< indexed by source processor
+  std::vector<MessageState> messages;
+  std::vector<std::uint32_t> free_slots;
+
+  // --- observability --------------------------------------------------------
+  std::optional<obs::TimeSeriesSampler> sampler;
 
   // --- measurement ----------------------------------------------------------
   bool measuring = false;
   bool done = false;
   bool has_run = false;
   double window_start = 0.0;
+  std::uint64_t generated_total = 0;
+  std::uint64_t pool_growths = 0;
   std::uint64_t delivered_total = 0;
   std::uint64_t measured_deliveries = 0;
   simcore::Tally latency;
+  simcore::Tally local_latency;
+  simcore::Tally remote_latency;
   std::vector<double> measured_samples;
+  std::optional<simcore::Histogram> histogram;
 
   std::uint64_t total_processors() const { return view.total_processors; }
 
-  void build(std::uint64_t seed) {
+  /// The role rule: ICN2 for the root's network, ICN1[k] / ECN1[k] for
+  /// the k-th non-root network / egress in tree_centers order — node
+  /// index - 1, since every non-root node has exactly one of each.
+  std::string role_label(std::size_t c) const {
+    const analytic::TreeCenter& center = centers[c];
+    if (center.node == 0) return "ICN2";
+    return (center.egress ? "ECN1[" : "ICN1[") +
+           std::to_string(center.node - 1) + "]";
+  }
+
+  void build() {
     const std::size_t internal_count = view.nodes.size();
-    net_center.assign(internal_count, analytic::FlatNode::npos);
-    egress_center.assign(internal_count, analytic::FlatNode::npos);
+    net_center.assign(internal_count, kNoCenter);
+    egress_center.assign(internal_count, kNoCenter);
     for (std::size_t c = 0; c < centers.size(); ++c) {
-      (centers[c].egress ? egress_center : net_center)[centers[c].node] = c;
+      const analytic::TreeCenter& center = centers[c];
+      (center.egress ? egress_center : net_center)[center.node] = c;
+      if (center.node != 0) {
+        (center.egress ? ecn1_centers : icn1_centers).push_back(c);
+      }
     }
     node_level.assign(internal_count, 0);
     for (std::size_t u = 1; u < internal_count; ++u) {
       node_level[u] = node_level[view.nodes[u].parent] + 1;
     }
-    leaf_first_proc.reserve(view.leaves.size() + 1);
-    leaf_first_proc.push_back(0);
     proc_leaf.reserve(total_processors());
     for (std::size_t l = 0; l < view.leaves.size(); ++l) {
-      leaf_first_proc.push_back(leaf_first_proc.back() +
-                                view.leaves[l].processors);
-      for (std::uint32_t p = 0; p < view.leaves[l].processors; ++p) {
-        proc_leaf.push_back(l);
-      }
+      proc_leaf.insert(proc_leaf.end(), view.leaves[l].processors, l);
     }
 
-    simcore::Rng master(seed);
+    // Draw order (docs/PERFORMANCE.md): the think, traffic and size
+    // streams, then one service stream per centre in node post-order,
+    // network before egress — ICN1_0, ECN1_0, ..., ICN2 at depth 2.
+    simcore::Rng master(options.seed);
     think_rng = master.split();
     traffic_rng = master.split();
-    // The default scenario (cv^2 = 1, no failures) draws exactly one
-    // exponential per service — bit-identical to the pre-scenario
-    // sampler, which the fixed-seed regression tests rely on.
-    const double cv2 = tree.scenario.service_cv2;
-    const double mtbf =
-        tree.scenario.failure ? tree.scenario.failure->mtbf_us : 0.0;
-    const double mttr =
-        tree.scenario.failure ? tree.scenario.failure->mttr_us : 0.0;
+    size_rng = master.split();
+    service_rngs.assign(centers.size(), simcore::Rng{0});
+    auto split_post_order = [&](auto&& self, std::size_t u) -> void {
+      for (const std::size_t child : view.nodes[u].internal_children) {
+        self(self, child);
+      }
+      service_rngs[net_center[u]] = master.split();
+      if (u != 0) service_rngs[egress_center[u]] = master.split();
+    };
+    split_post_order(split_post_order, 0);
+
     for (std::size_t c = 0; c < centers.size(); ++c) {
-      service_rngs.push_back(master.split());
-      const double mean = centers[c].service.total_us();
-      simcore::Rng& rng = service_rngs.back();
       stations.emplace_back(
-          simulator, centers[c].path,
-          [mean, &rng, cv2, mtbf, mttr](const simcore::FifoStation::Job&) {
-            if (mean <= 0.0) return 0.0;
-            double service = simcore::variate_cv2(rng, mean, cv2);
-            if (mtbf > 0.0 && mttr > 0.0) {
-              const std::uint64_t failures =
-                  simcore::poisson(rng, service / mtbf);
-              for (std::uint64_t i = 0; i < failures; ++i) {
-                service += rng.exponential(mttr);
-              }
-            }
-            return service;
-          });
+          simulator, role_label(c),
+          make_sampler(CenterModel::from_breakdown(centers[c].service,
+                                                   tree.message_bytes),
+                       service_rngs[c]));
       stations.back().set_departure_callback(
-          [this](const simcore::FifoStation::Departure& d) {
+          [this, c](const simcore::FifoStation::Departure& d) {
+            trace(TraceEventKind::kDeparted, d.job.id, c);
             advance(d.job.id);
           });
     }
 
+    const std::uint64_t n = total_processors();
+    messages.resize(n);
+    free_slots.reserve(n);
+    for (std::uint64_t i = n; i > 0; --i) {
+      free_slots.push_back(static_cast<std::uint32_t>(i - 1));
+    }
+
     if (tree.scenario.mmpp.has_value()) {
-      modulators.reserve(total_processors());
-      for (std::uint64_t proc = 0; proc < total_processors(); ++proc) {
+      modulators.reserve(n);
+      for (std::uint64_t proc = 0; proc < n; ++proc) {
         const analytic::MmppRates rates =
             analytic::resolve_mmpp(*tree.scenario.mmpp, proc_rate(proc));
         simcore::Mmpp2 modulator(rates.base_rate, rates.burst_rate,
                                  rates.leave_base, rates.leave_burst);
+        // Seed each source's modulator from the stationary distribution
+        // so the arrival stream starts in equilibrium.
         modulator.set_bursty(
             think_rng.bernoulli(tree.scenario.mmpp->burst_fraction));
         modulators.push_back(modulator);
       }
     }
 
-    messages.resize(total_processors());
     if (options.warmup_messages == 0) measuring = true;
+
+    init_observability();
+  }
+
+  simcore::FifoStation::ServiceSampler make_sampler(CenterModel model,
+                                                    simcore::Rng& rng) {
+    // The default scenario (cv^2 = 1, no failures) makes exactly one
+    // rng.exponential draw per service; cv^2 = 0 draws nothing.
+    return [this, model, &rng](const simcore::FifoStation::Job& job) {
+      const MessageState& msg = messages[static_cast<std::size_t>(job.id)];
+      const double mean = model.mean_service_us(msg.bytes);
+      if (mean <= 0.0) return 0.0;
+      double service =
+          simcore::variate_cv2(rng, mean, tree.scenario.service_cv2);
+      if (tree.scenario.failure.has_value()) {
+        // Preemptive-resume breakdowns: failures arrive Poisson over the
+        // work requirement and each adds an exponential repair.
+        const analytic::FailureRepair& f = *tree.scenario.failure;
+        if (f.mttr_us > 0.0) {
+          const std::uint64_t failures =
+              simcore::poisson(rng, service / f.mtbf_us);
+          for (std::uint64_t i = 0; i < failures; ++i) {
+            service += rng.exponential(f.mttr_us);
+          }
+        }
+      }
+      return service;
+    };
+  }
+
+  /// Records a trace event; the centre label is copied only when a
+  /// recorder is attached, so a disabled trace costs no allocation.
+  void trace(TraceEventKind kind, std::uint64_t id, std::size_t center) {
+    if (!options.trace) return;
+    const MessageState& msg = messages[static_cast<std::size_t>(id)];
+    options.trace->record(
+        TraceEvent{simulator.now(), kind, id, msg.src, msg.dst,
+                   center == kNoCenter ? std::string()
+                                       : stations[center].name()});
+  }
+
+  void init_observability() {
+    if (options.obs.sample_interval_us <= 0.0) return;
+    sampler.emplace(options.obs.sample_capacity);
+    if (options.obs.trace) {
+      sampler->attach_trace(options.obs.trace.get(), options.obs.trace_pid);
+    }
+    sampler->add_probe("sim.event_queue.pending", [this] {
+      return static_cast<double>(simulator.pending_events());
+    });
+    sampler->add_probe("sim.icn1.queue_total",
+                       [this] { return queue_total(icn1_centers); });
+    sampler->add_probe("sim.ecn1.queue_total",
+                       [this] { return queue_total(ecn1_centers); });
+    sampler->add_probe("sim.icn2.queue", [this] {
+      return static_cast<double>(stations[kRootNetwork].queue_length());
+    });
+    sampler->add_probe("sim.messages_in_flight", [this] {
+      return static_cast<double>(messages.size() - free_slots.size());
+    });
+  }
+
+  double queue_total(const std::vector<std::size_t>& role) const {
+    double total = 0.0;
+    for (const std::size_t c : role) {
+      total += static_cast<double>(stations[c].queue_length());
+    }
+    return total;
+  }
+
+  /// Sampler heartbeat: reads every probe at the current simulated time
+  /// and re-arms itself. Rides the regular event queue, so the trace's
+  /// time axis is simulated µs — but the probes draw no random numbers,
+  /// so the stochastic trajectory is identical to an unsampled run.
+  void sample_tick() {
+    sampler->sample(simulator.now());
+    if (!done) {
+      simulator.schedule_after(options.obs.sample_interval_us,
+                               [this] { sample_tick(); });
+    }
   }
 
   double proc_rate(std::uint64_t proc) const {
@@ -146,6 +281,23 @@ struct TreeSim::Impl {
             ? think_rng.exponential(1.0 / proc_rate(proc))
             : modulators[proc].next_interarrival_us(think_rng);
     simulator.schedule_after(wait, [this, proc] { generate(proc); });
+  }
+
+  std::uint64_t pick_destination(std::uint64_t src) {
+    if (options.traffic) {
+      const std::uint64_t dst =
+          options.traffic->pick_destination(src, traffic_rng);
+      // A pattern over a larger node space would index past the tree.
+      require(dst < total_processors(),
+              "TreeSim: traffic pattern picked a destination outside the "
+              "tree");
+      return dst;
+    }
+    // Uniform over the other N-1 processors (assumption 2): the one draw
+    // workload::UniformTraffic makes, without the virtual call.
+    const std::uint64_t draw =
+        traffic_rng.uniform_below(total_processors() - 1);
+    return draw >= src ? draw + 1 : draw;
   }
 
   /// Route: egress chain from the source's parent up to (exclusive) the
@@ -180,32 +332,60 @@ struct TreeSim::Impl {
   }
 
   void generate(std::uint64_t proc) {
-    MessageState& msg = messages[proc];
-    const std::uint64_t n = total_processors();
-    std::uint64_t dst = traffic_rng.uniform_below(n - 1);
-    if (dst >= proc) ++dst;  // uniform over the other N-1 processors
-    msg.dst = dst;
+    if (free_slots.empty()) {
+      // Open-loop injection has no bound on in-flight messages; grow
+      // the pool on demand. (Closed loop is bounded at one per source.)
+      ensure(!options.closed_loop, "TreeSim: message pool exhausted");
+      messages.emplace_back();
+      free_slots.push_back(static_cast<std::uint32_t>(messages.size() - 1));
+      ++pool_growths;
+    }
+    const std::uint32_t slot = free_slots.back();
+    free_slots.pop_back();
+    ++generated_total;
+    // Open loop: the next arrival is scheduled independently of this
+    // message's fate (Poisson stream, assumption 1 without assumption 4).
+    if (!options.closed_loop) schedule_think(proc);
+
+    MessageState& msg = messages[slot];
+    msg.src = proc;
+    msg.dst = pick_destination(proc);
     msg.generated_at = simulator.now();
-    build_route(msg.route, proc, dst);
+    msg.bytes = options.message_size
+                    ? options.message_size->sample_bytes(size_rng)
+                    : tree.message_bytes;
+    build_route(msg.route, proc, msg.dst);
     msg.hop = 0;
-    stations[msg.route[0]].arrive(proc);
+    trace(TraceEventKind::kGenerated, slot, kNoCenter);
+    enter(slot, msg.route[0]);
   }
 
-  void advance(std::uint64_t proc) {
-    MessageState& msg = messages[proc];
-    ++msg.hop;
-    if (msg.hop < msg.route.size()) {
-      stations[msg.route[msg.hop]].arrive(proc);
+  void enter(std::uint64_t id, std::size_t center) {
+    trace(TraceEventKind::kEnqueued, id, center);
+    stations[center].arrive(id);
+  }
+
+  void advance(std::uint64_t id) {
+    MessageState& msg = messages[static_cast<std::size_t>(id)];
+    if (++msg.hop < msg.route.size()) {
+      enter(id, msg.route[msg.hop]);
       return;
     }
-    deliver(proc);
+    deliver(id);
   }
 
-  void deliver(std::uint64_t proc) {
-    const double elapsed = simulator.now() - messages[proc].generated_at;
+  void deliver(std::uint64_t id) {
+    trace(TraceEventKind::kDelivered, id, kNoCenter);
+    const MessageState& msg = messages[static_cast<std::size_t>(id)];
+    const double elapsed = simulator.now() - msg.generated_at;
+    const bool remote = msg.route.size() > 1;
+    const std::uint64_t src = msg.src;
+    free_slots.push_back(static_cast<std::uint32_t>(id));
+
     ++delivered_total;
     if (measuring) {
       latency.add(elapsed);
+      (remote ? remote_latency : local_latency).add(elapsed);
       measured_samples.push_back(elapsed);
       ++measured_deliveries;
       if (measured_deliveries >= options.measured_messages &&
@@ -217,33 +397,114 @@ struct TreeSim::Impl {
         return;  // source stays idle; the run is over
       }
     } else if (delivered_total >= options.warmup_messages) {
-      measuring = true;
-      window_start = simulator.now();
-      for (auto& station : stations) station.reset_statistics();
+      begin_measurement();
     }
-    schedule_think(proc);
+
+    if (options.closed_loop) schedule_think(src);
   }
 
-  TreeSimResult collect() {
-    TreeSimResult result{};
+  void begin_measurement() {
+    measuring = true;
+    window_start = simulator.now();
+    for (auto& station : stations) station.reset_statistics();
+    if (options.obs.trace) {
+      options.obs.trace->complete("warmup", "sim.phase", 0.0, window_start,
+                                  options.obs.trace_pid);
+      options.obs.trace->instant("measurement_start", "sim.phase",
+                                 window_start, options.obs.trace_pid);
+    }
+  }
+
+  CenterStats aggregate(const std::vector<std::size_t>& role) const {
+    CenterStats out{};
+    if (role.empty()) return out;  // a root-only tree has no ICN1/ECN1
+    simcore::Tally waits;
+    simcore::Tally services;
+    simcore::Tally responses;
+    double utilization_sum = 0.0;
+    double queue_sum = 0.0;
+    for (const std::size_t c : role) {
+      const simcore::FifoStation& station = stations[c];
+      waits.merge(station.wait_times());
+      services.merge(station.service_times());
+      responses.merge(station.response_times());
+      utilization_sum += station.utilization();
+      queue_sum += station.average_number_in_system();
+      out.departures += station.departures();
+    }
+    const double count = static_cast<double>(role.size());
+    out.utilization = utilization_sum / count;
+    out.avg_queue_length = queue_sum / count;
+    if (waits.count() > 0) {
+      out.mean_wait_us = waits.mean();
+      out.mean_service_us = services.mean();
+      out.mean_response_us = responses.mean();
+    }
+    return out;
+  }
+
+  SimResult collect() {
+    SimResult result{};
     result.messages_measured = measured_deliveries;
     result.mean_latency_us = latency.mean();
+    result.min_latency_us = latency.min();
+    result.max_latency_us = latency.max();
 
+    // Exact percentiles via selection on a scratch copy.
+    std::vector<double> scratch = measured_samples;
+    auto percentile = [&scratch](double q) {
+      const auto rank = static_cast<std::ptrdiff_t>(
+          q * static_cast<double>(scratch.size() - 1));
+      std::nth_element(scratch.begin(), scratch.begin() + rank, scratch.end());
+      return scratch[static_cast<std::size_t>(rank)];
+    };
+    result.p50_latency_us = percentile(0.50);
+    result.p95_latency_us = percentile(0.95);
+    result.p99_latency_us = percentile(0.99);
+
+    // Batch means absorb the autocorrelation of consecutive latencies;
+    // fall back to the i.i.d. interval for very short runs.
     const std::uint64_t batch =
         std::max<std::uint64_t>(1, latency.count() / 32);
     simcore::BatchMeans batches(batch);
     for (const double sample : measured_samples) batches.add(sample);
-    result.latency_ci = batches.num_complete_batches() >= 2
-                            ? batches.confidence_interval()
-                            : latency.confidence_interval();
+    if (batches.num_complete_batches() >= 2) {
+      result.latency_ci = batches.confidence_interval();
+      result.obs.batch_count = batches.num_complete_batches();
+      result.obs.batch_lag1_autocorrelation = batches.lag1_autocorrelation();
+    } else {
+      result.latency_ci = latency.confidence_interval();
+    }
+
+    if (local_latency.count() > 0) {
+      result.mean_local_latency_us = local_latency.mean();
+    }
+    if (remote_latency.count() > 0) {
+      result.mean_remote_latency_us = remote_latency.mean();
+    }
+    result.remote_fraction = static_cast<double>(remote_latency.count()) /
+                             static_cast<double>(latency.count());
 
     result.window_duration_us = simulator.now() - window_start;
     if (result.window_duration_us > 0.0) {
       result.effective_rate_per_us =
           static_cast<double>(measured_deliveries) /
-          result.window_duration_us /
-          static_cast<double>(total_processors());
+          result.window_duration_us / static_cast<double>(total_processors());
     }
+
+    result.icn1 = aggregate(icn1_centers);
+    result.ecn1 = aggregate(ecn1_centers);
+    result.icn2 = aggregate({kRootNetwork});
+    // Summed by role (ICN1s, ECN1s, then ICN2): the flat order, which
+    // the reproducibility contract fixes.
+    for (const std::size_t c : icn1_centers) {
+      result.total_avg_queue_length += stations[c].average_number_in_system();
+    }
+    for (const std::size_t c : ecn1_centers) {
+      result.total_avg_queue_length += stations[c].average_number_in_system();
+    }
+    result.total_avg_queue_length +=
+        stations[kRootNetwork].average_number_in_system();
 
     result.centers.reserve(centers.size());
     for (std::size_t c = 0; c < centers.size(); ++c) {
@@ -259,14 +520,60 @@ struct TreeSim::Impl {
       stats.departures = station.departures();
       result.max_center_utilization =
           std::max(result.max_center_utilization, stats.utilization);
-      result.total_avg_queue_length += stats.avg_queue_length;
       result.centers.push_back(std::move(stats));
     }
+
     result.events_executed = simulator.executed_events();
+
+    finish_observability(result);
+
+    const double hi = std::max(result.max_latency_us * 1.001, 1.0);
+    histogram.emplace(0.0, hi, 64);
+    for (const double sample : measured_samples) histogram->add(sample);
     return result;
   }
 
-  TreeSimResult run() {
+  /// End-of-run observability: fills SimResult::ObsStats from the engine
+  /// and publishes the run's aggregates to the global metrics registry.
+  /// Per-message quantities are counted in plain members on the hot path
+  /// and flushed here in one shot, so concurrent replications never
+  /// contend on shared cache lines mid-run.
+  void finish_observability(SimResult& result) {
+    result.obs.warmup_end_us = window_start;
+    result.obs.trace_dropped =
+        options.trace ? options.trace->dropped_count() : 0;
+    result.obs.samples_taken = sampler ? sampler->samples_taken() : 0;
+    const simcore::EventQueue& queue = simulator.queue();
+    result.obs.events_pushed = queue.total_pushed();
+    result.obs.calendar_resizes = queue.calendar_resizes();
+    result.obs.calendar_purges = queue.calendar_purges();
+    result.obs.sweep_fallbacks = queue.sweep_fallbacks();
+    result.obs.peak_slot_capacity = queue.slot_capacity();
+
+    if (options.obs.trace) {
+      options.obs.trace->complete("measurement", "sim.phase", window_start,
+                                  simulator.now() - window_start,
+                                  options.obs.trace_pid);
+    }
+
+    HMCS_OBS_COUNTER_ADD("sim.messages.generated", generated_total);
+    HMCS_OBS_COUNTER_ADD("sim.messages.delivered", delivered_total);
+    HMCS_OBS_COUNTER_ADD("sim.messages.measured", measured_deliveries);
+    HMCS_OBS_COUNTER_ADD("sim.message_pool.growths", pool_growths);
+    HMCS_OBS_COUNTER_ADD("sim.trace.dropped_events", result.obs.trace_dropped);
+    HMCS_OBS_STAT_OBSERVE("sim.center.icn1.utilization",
+                          result.icn1.utilization);
+    HMCS_OBS_STAT_OBSERVE("sim.center.ecn1.utilization",
+                          result.ecn1.utilization);
+    HMCS_OBS_STAT_OBSERVE("sim.center.icn2.utilization",
+                          result.icn2.utilization);
+    HMCS_OBS_STAT_OBSERVE("sim.run.mean_latency_us", result.mean_latency_us);
+    HMCS_OBS_STAT_OBSERVE("sim.run.batch_lag1",
+                          result.obs.batch_lag1_autocorrelation);
+    HMCS_OBS_GAUGE_SET("sim.run.warmup_end_us", window_start);
+  }
+
+  SimResult run() {
     require(!has_run, "TreeSim: run() may be called only once");
     has_run = true;
     require(options.measured_messages >= 2,
@@ -275,9 +582,13 @@ struct TreeSim::Impl {
     for (std::uint64_t proc = 0; proc < total_processors(); ++proc) {
       schedule_think(proc);
     }
+    if (sampler) sample_tick();
+    // Cancellation poll period: the steady_clock read behind
+    // CancelToken::check stays off the per-event hot path.
     constexpr std::uint64_t kCancelPollMask = 4095;
     while (!done) {
-      ensure(simulator.step(), "TreeSim: event queue drained before completion");
+      ensure(simulator.step(),
+             "TreeSim: event queue drained before completion");
       if (options.max_events != 0 &&
           simulator.executed_events() > options.max_events) {
         detail::throw_config_error(
@@ -293,10 +604,10 @@ struct TreeSim::Impl {
   }
 };
 
-TreeSim::TreeSim(const analytic::ModelTree& tree, TreeSimOptions options)
+TreeSim::TreeSim(analytic::ModelTree tree, SimOptions options)
     : impl_(std::make_unique<Impl>()) {
-  impl_->tree = tree;
-  impl_->view = analytic::flatten(tree);  // validates
+  impl_->tree = std::move(tree);
+  impl_->view = analytic::flatten(impl_->tree);  // validates
   require(impl_->view.total_processors >= 2, "TreeSim: needs >= 2 processors");
   for (const analytic::FlatLeaf& leaf : impl_->view.leaves) {
     require(leaf.rate_per_us > 0.0,
@@ -304,12 +615,28 @@ TreeSim::TreeSim(const analytic::ModelTree& tree, TreeSimOptions options)
             "sources never release an idle processor)");
   }
   impl_->centers = analytic::tree_centers(impl_->tree, impl_->view);
-  impl_->options = options;
-  impl_->build(options.seed);
+  impl_->options = std::move(options);
+  impl_->build();
 }
 
 TreeSim::~TreeSim() = default;
 
-TreeSimResult TreeSim::run() { return impl_->run(); }
+SimResult TreeSim::run() { return impl_->run(); }
+
+const simcore::Histogram& TreeSim::latency_histogram() const {
+  require(impl_->histogram.has_value(),
+          "TreeSim: histogram available only after run()");
+  return *impl_->histogram;
+}
+
+const std::vector<double>& TreeSim::measured_latencies() const {
+  require(impl_->has_run && impl_->done,
+          "TreeSim: samples available only after run()");
+  return impl_->measured_samples;
+}
+
+const obs::TimeSeriesSampler* TreeSim::sampler() const {
+  return impl_->sampler.has_value() ? &*impl_->sampler : nullptr;
+}
 
 }  // namespace hmcs::sim

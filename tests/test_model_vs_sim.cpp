@@ -142,8 +142,9 @@ TEST(ModelVsSim, DeterministicServiceMatchesMD1Model) {
   options.measured_messages = 20000;
   options.warmup_messages = 4000;
   options.seed = 314;
-  options.service_distribution = sim::ServiceDistribution::kDeterministic;
-  sim::MultiClusterSim simulator(config, options);
+  analytic::SystemConfig deterministic = config;
+  deterministic.scenario.service_cv2 = 0.0;
+  sim::MultiClusterSim simulator(deterministic, options);
   const auto result = simulator.run();
 
   EXPECT_LT(relative_error(deterministic_model.mean_latency_us,

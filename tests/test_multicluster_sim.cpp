@@ -111,11 +111,10 @@ TEST(MultiClusterSim, EffectiveRateBelowOffered) {
 }
 
 TEST(MultiClusterSim, DeterministicServiceReducesVariance) {
-  auto exponential = fast_options();
-  auto deterministic = fast_options();
-  deterministic.service_distribution = sim::ServiceDistribution::kDeterministic;
-  MultiClusterSim a(small_config(), exponential);
-  MultiClusterSim b(small_config(), deterministic);
+  auto deterministic = small_config();
+  deterministic.scenario.service_cv2 = 0.0;
+  MultiClusterSim a(small_config(), fast_options());
+  MultiClusterSim b(deterministic, fast_options());
   const SimResult ra = a.run();
   const SimResult rb = b.run();
   // M/D/1 waits are shorter than M/M/1 (PK formula halves the queue).

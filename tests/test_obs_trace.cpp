@@ -1,17 +1,22 @@
 // The span/trace recorder and its Chrome trace-event export: ring
 // bounding, JSON validity (parsed back with hmcs::util::parse_json), the
-// end-to-end fixed-seed simulator golden run, and the fixed-point
-// residual trace.
+// end-to-end fixed-seed simulator golden run, sim-time tracks of nested
+// DES sweep cells, and the fixed-point residual trace.
 
 #include <gtest/gtest.h>
 
+#include <fstream>
 #include <memory>
 #include <set>
+#include <sstream>
+#include <string>
 
 #include "hmcs/analytic/fixed_point.hpp"
 #include "hmcs/analytic/scenario.hpp"
+#include "hmcs/analytic/tree_io.hpp"
 #include "hmcs/obs/sampler.hpp"
 #include "hmcs/obs/trace.hpp"
+#include "hmcs/runner/backend.hpp"
 #include "hmcs/sim/multicluster_sim.hpp"
 #include "hmcs/util/error.hpp"
 #include "hmcs/util/json.hpp"
@@ -130,6 +135,44 @@ TEST(ObsTrace, FixedSeedSimProducesLoadableTrace) {
   EXPECT_TRUE(names.count("sim.event_queue.pending"));
   EXPECT_TRUE(names.count("sim.icn1.queue_total"));
   EXPECT_TRUE(names.count("sim.messages_in_flight"));
+}
+
+/// A nested-tree DES cell gets the flat cells' observability: with a
+/// trace on the point context and a sample interval set, its sim-time
+/// phase spans and counter tracks land under pid 2 + index, named after
+/// the point.
+TEST(ObsTrace, NestedDesCellRecordsSimTimeTracks) {
+  std::ifstream file(std::string(HMCS_SOURCE_DIR) +
+                     "/configs/trees/heterogeneous_campuses.json");
+  std::stringstream text;
+  text << file.rdbuf();
+  const analytic::ModelTree tree = analytic::load_model_tree(text.str());
+  ASSERT_FALSE(tree.as_system_config().has_value());
+
+  runner::DesBackend::Options options;
+  options.sim.measured_messages = 500;
+  options.sim.warmup_messages = 100;
+  options.sim.obs.sample_interval_us = 500.0;
+  const runner::DesBackend backend(options);
+  runner::PointContext ctx;
+  ctx.index = 3;
+  ctx.seed = 17;
+  ctx.label = "campuses";
+  ctx.trace = std::make_shared<obs::TraceSession>();
+  const runner::PointResult result = backend.predict_tree(tree, ctx);
+  EXPECT_EQ(result.messages_measured, 500u);
+
+  bool measurement = false;
+  bool pending = false;
+  for (const obs::SpanEvent& event : ctx.trace->events()) {
+    if (event.pid != 5) continue;
+    measurement |= event.phase == 'X' && event.name == "measurement";
+    pending |= event.phase == 'C' && event.name == "sim.event_queue.pending";
+  }
+  EXPECT_TRUE(measurement);
+  EXPECT_TRUE(pending);
+  EXPECT_NE(ctx.trace->to_chrome_json().find("campuses (sim us)"),
+            std::string::npos);
 }
 
 TEST(ObsTrace, SamplerSeriesAreBoundedAndMirrored) {

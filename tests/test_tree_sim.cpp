@@ -6,12 +6,18 @@
 #include <gtest/gtest.h>
 
 #include <cmath>
+#include <fstream>
+#include <memory>
+#include <sstream>
+#include <string>
 
 #include "hmcs/analytic/model_tree.hpp"
 #include "hmcs/analytic/network_tech.hpp"
+#include "hmcs/analytic/tree_io.hpp"
 #include "hmcs/analytic/tree_model.hpp"
 #include "hmcs/sim/tree_sim.hpp"
 #include "hmcs/util/error.hpp"
+#include "hmcs/workload/traffic_pattern.hpp"
 
 namespace {
 
@@ -138,6 +144,96 @@ TEST(TreeSim, DeterministicForFixedSeed) {
 
   const sim::TreeSimResult c = simulate(tree, 8);
   EXPECT_NE(a.mean_latency_us, c.mean_latency_us);
+}
+
+/// configs/trees/heterogeneous_campuses.json: two campuses, the first
+/// with two leaf groups (16 + 8 processors), the second with one (32).
+analytic::ModelTree heterogeneous_campuses() {
+  std::ifstream file(std::string(HMCS_SOURCE_DIR) +
+                     "/configs/trees/heterogeneous_campuses.json");
+  std::stringstream text;
+  text << file.rdbuf();
+  return analytic::load_model_tree(text.str());
+}
+
+sim::SimOptions campus_options(std::uint64_t seed) {
+  sim::SimOptions options;
+  options.measured_messages = 3000;
+  options.warmup_messages = 500;
+  options.seed = seed;
+  return options;
+}
+
+std::uint64_t departures_where(const sim::SimResult& result, bool egress,
+                               bool root) {
+  std::uint64_t total = 0;
+  for (const sim::TreeCenterStats& center : result.centers) {
+    const bool is_root = center.path == "root.icn";
+    if (center.egress == egress && is_root == root) total += center.departures;
+  }
+  return total;
+}
+
+TEST(TreeSim, LocalizedTrafficOverLeafGroupsStaysInsideTheirParent) {
+  // Leaf groups in DFS order are the traffic pattern's clusters; with
+  // locality 1 every message stays in its own group, so it crosses only
+  // its parent's network and never an egress.
+  sim::SimOptions options = campus_options(41);
+  workload::NodeSpace groups;
+  groups.clusters = 3;
+  groups.nodes_per_cluster = {16, 8, 32};
+  options.traffic = std::make_shared<workload::LocalizedTraffic>(groups, 1.0);
+  const sim::SimResult result =
+      sim::TreeSim(heterogeneous_campuses(), options).run();
+  EXPECT_EQ(result.remote_fraction, 0.0);
+  EXPECT_EQ(result.mean_remote_latency_us, 0.0);
+  EXPECT_EQ(result.ecn1.departures, 0u);
+  EXPECT_EQ(result.icn2.departures, 0u);
+  EXPECT_EQ(departures_where(result, true, false), 0u);
+  EXPECT_GT(result.icn1.departures, 0u);
+}
+
+TEST(TreeSim, OpenLoopAtAStableRateMeasuresItsQuota) {
+  sim::SimOptions options = campus_options(42);
+  options.closed_loop = false;
+  const sim::SimResult result =
+      sim::TreeSim(heterogeneous_campuses(), options).run();
+  EXPECT_EQ(result.messages_measured, options.measured_messages);
+  EXPECT_GT(result.remote_fraction, 0.0);
+  EXPECT_LT(result.max_center_utilization, 1.0);
+}
+
+TEST(TreeSim, PercentilesAreOrdered) {
+  const sim::SimResult result =
+      sim::TreeSim(heterogeneous_campuses(), campus_options(43)).run();
+  EXPECT_LE(result.min_latency_us, result.p50_latency_us);
+  EXPECT_LE(result.p50_latency_us, result.p95_latency_us);
+  EXPECT_LE(result.p95_latency_us, result.p99_latency_us);
+  EXPECT_LE(result.p99_latency_us, result.max_latency_us);
+  EXPECT_LT(result.min_latency_us, result.max_latency_us);
+}
+
+TEST(TreeSim, RoleDeparturesSumTheirCenters) {
+  // Role rule: the root's network is ICN2, the other networks ICN1 and
+  // every egress ECN1.
+  const sim::SimResult result =
+      sim::TreeSim(heterogeneous_campuses(), campus_options(44)).run();
+  ASSERT_EQ(result.centers.size(), 5u);
+  EXPECT_EQ(result.icn1.departures, departures_where(result, false, false));
+  EXPECT_EQ(result.ecn1.departures, departures_where(result, true, false));
+  EXPECT_EQ(result.icn2.departures, departures_where(result, false, true));
+  EXPECT_GT(result.ecn1.departures, 0u);
+  EXPECT_GT(result.icn2.departures, 0u);
+}
+
+TEST(TreeSim, RejectsTrafficOutsideTheTree) {
+  // A pattern built for 128 nodes always picking node 100 cannot be
+  // routed on the campuses tree's 56 processors.
+  sim::SimOptions options = campus_options(45);
+  options.traffic = std::make_shared<workload::HotspotTraffic>(
+      workload::NodeSpace::uniform(4, 32), 100, 1.0);
+  sim::TreeSim simulator(heterogeneous_campuses(), options);
+  EXPECT_THROW(simulator.run(), hmcs::ConfigError);
 }
 
 TEST(TreeSim, RejectsDegenerateTrees) {
