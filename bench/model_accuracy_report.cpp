@@ -10,7 +10,7 @@
 #include <iostream>
 #include <memory>
 
-#include "hmcs/experiment/figure_experiment.hpp"
+#include "hmcs/analytic/scenario.hpp"
 #include "hmcs/runner/sweep_runner.hpp"
 #include "hmcs/util/cli.hpp"
 #include "hmcs/util/math_util.hpp"
@@ -22,13 +22,33 @@ namespace {
 
 using namespace hmcs;
 
+/// One of the paper's validation figures: a technology case and an
+/// architecture, swept over C = 1..256 at M in {1024, 512} bytes
+/// (configs/sweeps/fig{4,5,6,7}.json hold the same grids).
+struct Figure {
+  const char* id;
+  analytic::HeterogeneityCase hetero;
+  analytic::NetworkArchitecture architecture;
+};
+
+constexpr Figure kFigures[] = {
+    {"fig4", analytic::HeterogeneityCase::kCase1,
+     analytic::NetworkArchitecture::kNonBlocking},
+    {"fig5", analytic::HeterogeneityCase::kCase2,
+     analytic::NetworkArchitecture::kNonBlocking},
+    {"fig6", analytic::HeterogeneityCase::kCase1,
+     analytic::NetworkArchitecture::kBlocking},
+    {"fig7", analytic::HeterogeneityCase::kCase2,
+     analytic::NetworkArchitecture::kBlocking},
+};
+
 struct ErrorSummary {
   double mean = 0.0;
   double max = 0.0;
 };
 
 /// Mean/max relative error of one analytic backend column against the
-/// simulation column, in ms — the figure harness's accuracy notion.
+/// simulation column, in ms — the paper's accuracy notion.
 ErrorSummary column_errors(const runner::SweepResult& result,
                            std::size_t analytic_column,
                            std::size_t sim_column) {
@@ -49,8 +69,6 @@ ErrorSummary column_errors(const runner::SweepResult& result,
 }  // namespace
 
 int main(int argc, char** argv) {
-  using namespace hmcs::experiment;
-
   CliParser cli("model_accuracy_report",
                 "analysis-vs-simulation agreement across Figures 4-7");
   cli.add_option("messages", "measured deliveries per point", "10000");
@@ -76,18 +94,18 @@ int main(int argc, char** argv) {
 
     Table table({"figure", "paper model: mean err", "max err",
                  "exact MVA: mean err", "max err"});
-    for (const FigureSpec& fig : {figure4_spec(), figure5_spec(),
-                                  figure6_spec(), figure7_spec()}) {
+    for (const Figure& fig : kFigures) {
       // The figure's sweep, evaluated by both analytic variants and the
-      // simulator in one grid (same per-point seeds as the figure
-      // harness, so the simulation column matches the figures).
+      // simulator in one grid. The per-point seeds are the figure
+      // configs', so with --replications 3 the simulation column is
+      // theirs.
       runner::SweepSpec spec;
       spec.id = fig.id;
       spec.axes.technologies = {runner::technology_case(fig.hetero)};
-      spec.axes.lambda_per_us = {fig.rate_per_us};
-      spec.axes.message_bytes = fig.message_sizes;
+      spec.axes.lambda_per_us = {analytic::kPaperRatePerUs};
+      spec.axes.message_bytes = {1024.0, 512.0};
       spec.axes.architectures = {fig.architecture};
-      spec.total_nodes = fig.total_nodes;
+      spec.total_nodes = analytic::kPaperTotalNodes;
       spec.base_seed = cli.get_uint("seed");
 
       const runner::SweepResult result = runner::run_sweep(

@@ -13,12 +13,12 @@
 ///
 ///     root(ICN2) -> C x [cluster(ICN1, egress=ECN1) -> leaf(N0, lambda)]
 ///
-/// and the heterogeneous Cluster-of-Clusters model is the same shape
-/// with per-child sizes/technologies/rates. `from_system` /
-/// `from_cluster_of_clusters` lower those configs onto trees, and
-/// `as_system_config` / `as_cluster_of_clusters` recognise trees of
-/// exactly those shapes so the solvers can dispatch flat-shaped trees to
-/// the scalar pipeline bit-identically (docs/COMPOSITION.md).
+/// and the heterogeneous Cluster-of-Clusters model (the paper's future
+/// work) is the same shape with per-child sizes/technologies/rates,
+/// built directly as a ModelTree. `from_system` lowers a flat config
+/// onto its tree, and `as_system_config` recognises exactly that shape
+/// so the solvers can dispatch flat-shaped trees to the scalar pipeline
+/// bit-identically (docs/COMPOSITION.md).
 ///
 /// Endpoint convention (DESIGN.md note 3, generalised): a node's network
 /// joins its children — a leaf child contributes its processor count, an
@@ -32,7 +32,6 @@
 #include <string_view>
 #include <vector>
 
-#include "hmcs/analytic/cluster_of_clusters.hpp"
 #include "hmcs/analytic/network_tech.hpp"
 #include "hmcs/analytic/service_time.hpp"
 #include "hmcs/analytic/system_config.hpp"
@@ -82,8 +81,7 @@ struct ModelTree {
   /// M: fixed message length in bytes (assumption 6).
   double message_bytes = 1024.0;
   /// Heavy-traffic workload scenario (workload.hpp), tree-wide: applies
-  /// to every centre and every leaf source. from_cluster_of_clusters
-  /// leaves it default (the CoC surface stays exponential-only).
+  /// to every centre and every leaf source.
   WorkloadScenario scenario;
 
   /// N: all processors in the tree.
@@ -97,18 +95,15 @@ struct ModelTree {
   void validate() const;
 
   static ModelTree from_system(const SystemConfig& config);
-  static ModelTree from_cluster_of_clusters(
-      const ClusterOfClustersConfig& config);
 
   /// Recognises the exact two-stage homogeneous shape produced by
   /// `from_system` (every root child an internal node over one leaf, all
-  /// children identical) and returns the equivalent flat config;
-  /// std::nullopt for any other shape. Solvers use this to route
-  /// flat-shaped trees through the scalar pipeline bit-identically.
+  /// children identical: processors, rate, and network and egress
+  /// technologies by name, latency and bandwidth) and returns the
+  /// equivalent flat config, scenario included; std::nullopt for any
+  /// other shape. Solvers use this to route flat-shaped trees through
+  /// the scalar pipeline bit-identically.
   std::optional<SystemConfig> as_system_config() const;
-  /// Same recognition with per-child heterogeneity allowed — the
-  /// Cluster-of-Clusters shape.
-  std::optional<ClusterOfClustersConfig> as_cluster_of_clusters() const;
 };
 
 // --- Flattened traversal ----------------------------------------------------

@@ -8,7 +8,6 @@
 
 #include <string>
 
-#include "hmcs/analytic/cluster_of_clusters.hpp"
 #include "hmcs/analytic/latency_model.hpp"
 #include "hmcs/analytic/model_tree.hpp"
 #include "hmcs/analytic/system_config.hpp"
@@ -23,8 +22,6 @@ void write_json(JsonWriter& json, const NetworkTechnology& tech);
 void write_json(JsonWriter& json, const SystemConfig& config);
 void write_json(JsonWriter& json, const CenterPrediction& center);
 void write_json(JsonWriter& json, const LatencyPrediction& prediction);
-void write_json(JsonWriter& json, const ClusterOfClustersConfig& config);
-void write_json(JsonWriter& json, const HeteroLatencyPrediction& prediction);
 /// Canonical recursive schema (docs/COMPOSITION.md): keys in declaration
 /// order, node names emitted only when non-empty, rates spelled as
 /// lambda_per_s — the same schema tree_io.hpp parses, so
@@ -37,8 +34,6 @@ void write_json(JsonWriter& json, const TreeLatencyPrediction& prediction);
 /// Convenience: a standalone document.
 std::string to_json(const SystemConfig& config);
 std::string to_json(const LatencyPrediction& prediction);
-std::string to_json(const ClusterOfClustersConfig& config);
-std::string to_json(const HeteroLatencyPrediction& prediction);
 std::string to_json(const ModelTree& tree);
 std::string to_json(const TreeLatencyPrediction& prediction);
 

@@ -165,74 +165,39 @@ ModelTree ModelTree::from_system(const SystemConfig& config) {
   return tree;
 }
 
-ModelTree ModelTree::from_cluster_of_clusters(
-    const ClusterOfClustersConfig& config) {
-  config.validate();
-  std::vector<ModelNode> clusters;
-  clusters.reserve(config.clusters.size());
-  for (const ClusterSpec& spec : config.clusters) {
-    std::vector<ModelNode> group;
-    group.push_back(
-        ModelNode::leaf(spec.nodes, spec.generation_rate_per_us));
-    clusters.push_back(
-        ModelNode::internal(spec.icn1, spec.ecn1, std::move(group)));
+std::optional<SystemConfig> ModelTree::as_system_config() const {
+  if (root.is_leaf() ||
+      root.children.size() > std::numeric_limits<std::uint32_t>::max()) {
+    return std::nullopt;
   }
-  ModelTree tree;
-  tree.root = ModelNode::internal(config.icn2, std::move(clusters));
-  tree.switch_params = config.switch_params;
-  tree.architecture = config.architecture;
-  tree.message_bytes = config.message_bytes;
-  return tree;
-}
-
-std::optional<ClusterOfClustersConfig> ModelTree::as_cluster_of_clusters()
-    const {
-  if (root.is_leaf()) return std::nullopt;
-  ClusterOfClustersConfig out;
-  out.clusters.reserve(root.children.size());
+  // Every root child is a cluster over one leaf group, identical to the
+  // first (which passes the shape check before anything reads it).
+  const ModelNode& first = root.children.front();
   for (const ModelNode& child : root.children) {
     if (child.is_leaf() || child.children.size() != 1 ||
         !child.children.front().is_leaf()) {
       return std::nullopt;
     }
     const ModelNode& leaf = child.children.front();
-    out.clusters.push_back(ClusterSpec{leaf.processors, child.network,
-                                       child.egress,
-                                       leaf.generation_rate_per_us});
-  }
-  out.icn2 = root.network;
-  out.switch_params = switch_params;
-  out.architecture = architecture;
-  out.message_bytes = message_bytes;
-  return out;
-}
-
-std::optional<SystemConfig> ModelTree::as_system_config() const {
-  const auto coc = as_cluster_of_clusters();
-  if (!coc) return std::nullopt;
-  if (coc->clusters.size() >
-      std::numeric_limits<std::uint32_t>::max()) {
-    return std::nullopt;
-  }
-  const ClusterSpec& first = coc->clusters.front();
-  for (const ClusterSpec& spec : coc->clusters) {
-    if (spec.nodes != first.nodes ||
-        spec.generation_rate_per_us != first.generation_rate_per_us ||
-        !same_technology(spec.icn1, first.icn1) ||
-        !same_technology(spec.ecn1, first.ecn1)) {
+    const ModelNode& first_leaf = first.children.front();
+    if (leaf.processors != first_leaf.processors ||
+        leaf.generation_rate_per_us != first_leaf.generation_rate_per_us ||
+        !same_technology(child.network, first.network) ||
+        !same_technology(child.egress, first.egress)) {
       return std::nullopt;
     }
   }
+  const ModelNode& first_leaf = first.children.front();
   SystemConfig config;
-  config.clusters = static_cast<std::uint32_t>(coc->clusters.size());
-  config.nodes_per_cluster = first.nodes;
-  config.icn1 = first.icn1;
-  config.ecn1 = first.ecn1;
-  config.icn2 = coc->icn2;
+  config.clusters = static_cast<std::uint32_t>(root.children.size());
+  config.nodes_per_cluster = first_leaf.processors;
+  config.icn1 = first.network;
+  config.ecn1 = first.egress;
+  config.icn2 = root.network;
   config.switch_params = switch_params;
   config.architecture = architecture;
   config.message_bytes = message_bytes;
-  config.generation_rate_per_us = first.generation_rate_per_us;
+  config.generation_rate_per_us = first_leaf.generation_rate_per_us;
   config.scenario = scenario;
   return config;
 }

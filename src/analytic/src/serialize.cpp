@@ -67,64 +67,6 @@ void write_json(JsonWriter& json, const LatencyPrediction& prediction) {
   json.end_object();
 }
 
-void write_json(JsonWriter& json, const ClusterOfClustersConfig& config) {
-  json.begin_object();
-  json.key("clusters").begin_array();
-  for (const ClusterSpec& cluster : config.clusters) {
-    json.begin_object();
-    json.key("nodes").value(cluster.nodes);
-    json.key("icn1");
-    write_json(json, cluster.icn1);
-    json.key("ecn1");
-    write_json(json, cluster.ecn1);
-    json.key("generation_rate_per_us").value(cluster.generation_rate_per_us);
-    json.end_object();
-  }
-  json.end_array();
-  json.key("icn2");
-  write_json(json, config.icn2);
-  json.key("switch_ports").value(config.switch_params.ports);
-  json.key("switch_latency_us").value(config.switch_params.latency_us);
-  json.key("architecture").value(to_string(config.architecture));
-  json.key("message_bytes").value(config.message_bytes);
-  json.end_object();
-}
-
-namespace {
-
-void write_hetero_center(JsonWriter& json, const HeteroCenterState& center) {
-  json.begin_object();
-  json.key("arrival_rate_per_us").value(center.arrival_rate);
-  json.key("utilization").value(center.utilization);
-  json.key("response_time_us").value(center.response_time_us);
-  json.key("queue_length").value(center.queue_length);
-  json.end_object();
-}
-
-}  // namespace
-
-void write_json(JsonWriter& json, const HeteroLatencyPrediction& prediction) {
-  json.begin_object();
-  json.key("mean_latency_us").value(prediction.mean_latency_us);
-  json.key("per_cluster_latency_us").begin_array();
-  for (const double latency : prediction.per_cluster_latency_us) {
-    json.value(latency);
-  }
-  json.end_array();
-  json.key("effective_rate_scale").value(prediction.effective_rate_scale);
-  json.key("total_queue_length").value(prediction.total_queue_length);
-  json.key("converged").value(prediction.fixed_point_converged);
-  json.key("icn1").begin_array();
-  for (const auto& center : prediction.icn1) write_hetero_center(json, center);
-  json.end_array();
-  json.key("ecn1").begin_array();
-  for (const auto& center : prediction.ecn1) write_hetero_center(json, center);
-  json.end_array();
-  json.key("icn2");
-  write_hetero_center(json, prediction.icn2);
-  json.end_object();
-}
-
 void write_json(JsonWriter& json, const ModelNode& node, bool root) {
   json.begin_object();
   if (!node.name.empty()) json.key("name").value(node.name);
@@ -213,12 +155,6 @@ std::string document(const T& value) {
 
 std::string to_json(const SystemConfig& config) { return document(config); }
 std::string to_json(const LatencyPrediction& prediction) {
-  return document(prediction);
-}
-std::string to_json(const ClusterOfClustersConfig& config) {
-  return document(config);
-}
-std::string to_json(const HeteroLatencyPrediction& prediction) {
   return document(prediction);
 }
 std::string to_json(const ModelTree& tree) { return document(tree); }

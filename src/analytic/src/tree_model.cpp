@@ -74,8 +74,7 @@ std::vector<double> center_arrival_rates(const FlatTreeView& view,
 }
 
 /// L(phi) per the chosen queue rule, capped at N; N when any centre is
-/// saturated (mirrors analytic::total_queue_length and the
-/// cluster-of-clusters evaluate()).
+/// saturated (mirrors analytic::total_queue_length).
 double queue_length_at(const FlatTreeView& view,
                        const std::vector<TreeCenter>& centers,
                        const FixedPointOptions& fp, double phi) {
@@ -316,8 +315,9 @@ TreeLatencyPrediction predict_uniform_mva(const FlatTreeView& view,
 }
 
 /// Heterogeneous trees: multi-class Bard-Schweitzer AMVA, one customer
-/// class per leaf (own population, think time, visit ratios) — the
-/// recursive generalisation of the cluster-of-clusters kApproxMva path.
+/// class per leaf (own population, think time, visit ratios). Exact
+/// multi-class MVA is intractable: its state space is the product of
+/// the class populations.
 TreeLatencyPrediction predict_tree_amva(const FlatTreeView& view,
                                         const std::vector<TreeCenter>& centers,
                                         const CenterIndex& index,

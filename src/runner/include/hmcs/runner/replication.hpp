@@ -5,9 +5,8 @@
 /// decorrelated seeds and build the confidence interval across the
 /// replication means. This is the statistically sound way to interval a
 /// steady-state simulation (batch means within one run being the cheap
-/// approximation); the DES backend uses it when replications > 1.
-/// (Lived in hmcs::experiment before the sweep engine; moved here
-/// because replication is an execution-strategy concern of the runner.)
+/// approximation); the DES backend uses it when replications > 1, as
+/// the Figure 4-7 configs do (configs/sweeps/fig{4,5,6,7}.json).
 
 #include <cstdint>
 #include <vector>

@@ -150,7 +150,7 @@ std::shared_ptr<Backend> backend_from_json(const JsonValue& entry,
                                            const SweepLoadOptions& options = {});
 
 /// Parses an analytic throttling-model name: bisection|picard|mva|none
-/// (the figure harnesses' --model vocabulary).
+/// (the analytic backend's "model" key and the bench binaries' --model).
 analytic::SourceThrottling parse_throttling_model(const std::string& name);
 
 /// Inverse of parse_throttling_model (stable wire names). Used for

@@ -4,9 +4,10 @@
 /// Generic artifact rendering for an executed sweep: a paper-style
 /// table (one row per point, one latency column per backend, relative
 /// error against the first backend), a flat CSV series, and a
-/// machine-readable JSON record. The figure harness keeps its own
-/// renderer (fixed two-message-size layout with ASCII charts); these
-/// cover every other sweep, including anything run through hmcs_run.
+/// machine-readable JSON record. Every sweep run through hmcs_run
+/// renders with these, the paper's Figures 4-7 included
+/// (configs/sweeps/fig{4,5,6,7}.json, outputs in results/fig*); bench
+/// binaries with bespoke layouts read the SweepResult directly.
 
 #include <iosfwd>
 #include <string>

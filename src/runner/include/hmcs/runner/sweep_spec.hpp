@@ -125,11 +125,11 @@ struct SweepSpec {
   std::shared_ptr<const analytic::ModelTree> base_tree;
   /// Per-point seed override for studies with historical hand-rolled
   /// seeding (the point's seed field is unset when called); null = the
-  /// default_point_seed chain, the figure harness protocol.
+  /// default_point_seed chain, the Figure 4-7 protocol.
   std::function<std::uint64_t(const SweepPoint&)> seed_fn;
 };
 
-/// The figure harness's seed derivation: decorrelates runs across sweep
+/// The Figure 4-7 seed derivation: decorrelates runs across sweep
 /// points while keeping the whole sweep reproducible from one base seed.
 /// Each coordinate is folded in through a full SplitMix64 finalizer: an
 /// affine mix of (seed, clusters, bytes) collides for nearby sweep

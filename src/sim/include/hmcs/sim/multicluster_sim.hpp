@@ -2,9 +2,10 @@
 
 /// \file multicluster_sim.hpp
 /// The flat validation surface of Section 6: the Super-Cluster
-/// SystemConfig and the heterogeneous ClusterOfClustersConfig, each
-/// lowered onto its depth-2 ModelTree (ModelTree::from_system /
-/// from_cluster_of_clusters) and run by the tree engine in tree_sim.hpp.
+/// SystemConfig lowered onto its depth-2 ModelTree
+/// (ModelTree::from_system) and run by the tree engine in tree_sim.hpp.
+/// A heterogeneous Cluster-of-Clusters is a hand-built depth-2 tree and
+/// runs on TreeSim directly.
 /// Messages traverse
 ///
 ///   local:   ICN1(cluster)
@@ -16,7 +17,6 @@
 /// Node ids are cluster * nodes_per_cluster + local index, the
 /// numbering workload::NodeSpace and the traffic patterns use.
 
-#include "hmcs/analytic/cluster_of_clusters.hpp"
 #include "hmcs/analytic/system_config.hpp"
 #include "hmcs/sim/tree_sim.hpp"
 
@@ -25,8 +25,6 @@ namespace hmcs::sim {
 class MultiClusterSim : public TreeSim {
  public:
   MultiClusterSim(const analytic::SystemConfig& config, SimOptions options);
-  MultiClusterSim(const analytic::ClusterOfClustersConfig& config,
-                  SimOptions options);
 };
 
 }  // namespace hmcs::sim

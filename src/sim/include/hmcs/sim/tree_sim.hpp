@@ -6,8 +6,8 @@
 /// queueing centre from analytic::tree_centers, so the simulator and
 /// the analytic solver share node numbering and service times exactly.
 /// It is the repo's one centre-level simulator: the flat SystemConfig
-/// and ClusterOfClustersConfig surfaces (multicluster_sim.hpp) lower
-/// onto depth-2 trees and run here.
+/// surface (multicluster_sim.hpp) lowers onto a depth-2 tree and runs
+/// here, as does a heterogeneous Cluster-of-Clusters built as a tree.
 ///
 /// Each processor thinks for an interval from its leaf's generation
 /// rate (exponential, or a 2-state MMPP from the tree's scenario),

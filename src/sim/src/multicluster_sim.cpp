@@ -8,9 +8,4 @@ MultiClusterSim::MultiClusterSim(const analytic::SystemConfig& config,
                                  SimOptions options)
     : TreeSim(analytic::ModelTree::from_system(config), std::move(options)) {}
 
-MultiClusterSim::MultiClusterSim(
-    const analytic::ClusterOfClustersConfig& config, SimOptions options)
-    : TreeSim(analytic::ModelTree::from_cluster_of_clusters(config),
-              std::move(options)) {}
-
 }  // namespace hmcs::sim

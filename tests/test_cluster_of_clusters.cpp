@@ -1,45 +1,89 @@
-// Heterogeneous Cluster-of-Clusters extension: reduction to the
-// Super-Cluster model for identical clusters, and qualitative behaviour
-// for genuinely heterogeneous ones.
+// Heterogeneous Cluster-of-Clusters (the paper's future work) as a
+// hand-built depth-2 ModelTree: reduction to the Super-Cluster model for
+// identical clusters, and qualitative behaviour for genuinely
+// heterogeneous ones.
 
 #include <gtest/gtest.h>
 
 #include <algorithm>
 
-#include "hmcs/analytic/cluster_of_clusters.hpp"
 #include "hmcs/analytic/latency_model.hpp"
 #include "hmcs/analytic/model_tree.hpp"
 #include "hmcs/analytic/scenario.hpp"
 #include "hmcs/analytic/tree_model.hpp"
-#include "hmcs/util/error.hpp"
 
 namespace {
 
 using namespace hmcs::analytic;
 
-ClusterOfClustersConfig hetero_config() {
-  // Two big GE clusters + two small FE clusters behind a FE backbone.
-  ClusterOfClustersConfig config;
-  ClusterSpec fast;
-  fast.nodes = 32;
-  fast.icn1 = gigabit_ethernet();
-  fast.ecn1 = fast_ethernet();
-  fast.generation_rate_per_us = 1e-4;
-  ClusterSpec slow;
-  slow.nodes = 8;
-  slow.icn1 = fast_ethernet();
-  slow.ecn1 = fast_ethernet();
-  slow.generation_rate_per_us = 0.5e-4;
-  config.clusters = {fast, fast, slow, slow};
-  config.icn2 = fast_ethernet();
-  config.switch_params = {24, 10.0};
-  config.architecture = NetworkArchitecture::kNonBlocking;
-  config.message_bytes = 1024.0;
-  return config;
+/// One cluster: intra network, egress to the backbone, one leaf group.
+ModelNode cluster(std::uint32_t nodes, const NetworkTechnology& icn1,
+                  const NetworkTechnology& ecn1, double rate_per_us) {
+  return ModelNode::internal(icn1, ecn1,
+                             {ModelNode::leaf(nodes, rate_per_us)});
 }
 
-TEST(ClusterOfClusters, TotalNodesSumsClusters) {
-  EXPECT_EQ(hetero_config().total_nodes(), 80u);
+ModelTree depth2_tree(const NetworkTechnology& icn2,
+                      std::vector<ModelNode> clusters) {
+  ModelTree tree;
+  tree.root = ModelNode::internal(icn2, std::move(clusters));
+  tree.switch_params = {24, 10.0};
+  tree.architecture = NetworkArchitecture::kNonBlocking;
+  tree.message_bytes = 1024.0;
+  return tree;
+}
+
+ModelTree hetero_tree() {
+  // Two big GE clusters + two small FE clusters behind a FE backbone.
+  const ModelNode fast =
+      cluster(32, gigabit_ethernet(), fast_ethernet(), 1e-4);
+  const ModelNode slow = cluster(8, fast_ethernet(), fast_ethernet(), 0.5e-4);
+  return depth2_tree(fast_ethernet(), {fast, fast, slow, slow});
+}
+
+/// `super` as identical clusters behind its ICN2.
+ModelTree identical_clusters(const SystemConfig& super) {
+  ModelTree tree = depth2_tree(
+      super.icn2,
+      std::vector<ModelNode>(super.clusters,
+                             cluster(super.nodes_per_cluster, super.icn1,
+                                     super.ecn1,
+                                     super.generation_rate_per_us)));
+  tree.switch_params = super.switch_params;
+  tree.architecture = super.architecture;
+  tree.message_bytes = super.message_bytes;
+  return tree;
+}
+
+/// The open-network model: eq. (7) by bisection, each centre counted once.
+TreeLatencyPrediction open_model(const ModelTree& tree) {
+  TreeModelOptions options;
+  options.fixed_point.method = SourceThrottling::kBisection;
+  options.fixed_point.queue_rule = QueueLengthRule::kConsistent;
+  return predict_model_tree(tree, options);
+}
+
+/// Multi-class Bard-Schweitzer AMVA on heterogeneous trees (exact MVA on
+/// identical clusters).
+TreeLatencyPrediction amva(const ModelTree& tree) {
+  TreeModelOptions options;
+  options.fixed_point.method = SourceThrottling::kExactMva;
+  return predict_model_tree(tree, options);
+}
+
+// Centres in tree_centers order: ICN2, then ICN1_i / ECN1_i per cluster.
+const TreeCenterPrediction& icn2(const TreeLatencyPrediction& prediction) {
+  return prediction.centers[0];
+}
+const TreeCenterPrediction& ecn1(const TreeLatencyPrediction& prediction,
+                                 std::size_t cluster_index) {
+  return prediction.centers[2 + 2 * cluster_index];
+}
+
+void set_rates(ModelTree& tree, double rate_per_us) {
+  for (ModelNode& child : tree.root.children) {
+    child.children.front().generation_rate_per_us = rate_per_us;
+  }
 }
 
 TEST(ClusterOfClusters, HomogeneousReductionMatchesSuperClusterModel) {
@@ -53,15 +97,13 @@ TEST(ClusterOfClusters, HomogeneousReductionMatchesSuperClusterModel) {
     options.fixed_point.queue_rule = QueueLengthRule::kConsistent;
     const LatencyPrediction expected = predict_latency(super, options);
 
-    const ClusterOfClustersConfig hetero =
-        ClusterOfClustersConfig::from_super_cluster(super);
-    const HeteroLatencyPrediction actual =
-        predict_cluster_of_clusters(hetero);
+    const TreeLatencyPrediction actual =
+        open_model(identical_clusters(super));
 
     EXPECT_NEAR(actual.mean_latency_us, expected.mean_latency_us,
                 1e-6 * expected.mean_latency_us)
         << "C=" << clusters;
-    for (const double per_cluster : actual.per_cluster_latency_us) {
+    for (const double per_cluster : actual.per_leaf_latency_us) {
       EXPECT_NEAR(per_cluster, expected.mean_latency_us,
                   1e-6 * expected.mean_latency_us);
     }
@@ -81,44 +123,39 @@ TEST(ClusterOfClusters, AmvaHomogeneousReductionMatchesExactMva) {
   options.fixed_point.method = SourceThrottling::kExactMva;
   const LatencyPrediction exact = predict_latency(super, options);
 
-  const HeteroLatencyPrediction approx = predict_cluster_of_clusters(
-      ClusterOfClustersConfig::from_super_cluster(super),
-      HeteroSolver::kApproxMva);
+  const TreeLatencyPrediction approx = amva(identical_clusters(super));
   EXPECT_TRUE(approx.fixed_point_converged);
   EXPECT_NEAR(approx.mean_latency_us, exact.mean_latency_us,
               0.05 * exact.mean_latency_us);
-  EXPECT_NEAR(approx.icn2.utilization, exact.icn2.utilization, 0.05);
+  EXPECT_NEAR(icn2(approx).utilization, exact.icn2.utilization, 0.05);
 }
 
 TEST(ClusterOfClusters, AmvaHandlesSaturationGracefully) {
-  ClusterOfClustersConfig config = hetero_config();
-  for (auto& cluster : config.clusters) cluster.generation_rate_per_us = 1e-2;
-  const HeteroLatencyPrediction prediction =
-      predict_cluster_of_clusters(config, HeteroSolver::kApproxMva);
+  ModelTree tree = hetero_tree();
+  set_rates(tree, 1e-2);
+  const TreeLatencyPrediction prediction = amva(tree);
   EXPECT_TRUE(prediction.fixed_point_converged);
   EXPECT_LT(prediction.effective_rate_scale, 0.5);
-  for (const auto& center : prediction.ecn1) {
-    EXPECT_LT(center.utilization, 1.0 + 1e-9);
+  for (std::size_t i = 0; i < tree.root.children.size(); ++i) {
+    EXPECT_LT(ecn1(prediction, i).utilization, 1.0 + 1e-9);
   }
 }
 
 TEST(ClusterOfClusters, SlowClusterSeesHigherLocalLatency) {
-  const HeteroLatencyPrediction prediction =
-      predict_cluster_of_clusters(hetero_config());
+  const TreeLatencyPrediction prediction = open_model(hetero_tree());
   // Clusters 0/1 have GE intra networks; 2/3 have FE. Their source
   // latencies must reflect that.
-  EXPECT_LT(prediction.per_cluster_latency_us[0],
-            prediction.per_cluster_latency_us[2]);
-  EXPECT_NEAR(prediction.per_cluster_latency_us[0],
-              prediction.per_cluster_latency_us[1], 1e-9);
+  EXPECT_LT(prediction.per_leaf_latency_us[0],
+            prediction.per_leaf_latency_us[2]);
+  EXPECT_NEAR(prediction.per_leaf_latency_us[0],
+              prediction.per_leaf_latency_us[1], 1e-9);
 }
 
 TEST(ClusterOfClusters, MeanIsGenerationWeighted) {
-  const HeteroLatencyPrediction prediction =
-      predict_cluster_of_clusters(hetero_config());
-  double lo = prediction.per_cluster_latency_us[0];
+  const TreeLatencyPrediction prediction = open_model(hetero_tree());
+  double lo = prediction.per_leaf_latency_us[0];
   double hi = lo;
-  for (const double v : prediction.per_cluster_latency_us) {
+  for (const double v : prediction.per_leaf_latency_us) {
     lo = std::min(lo, v);
     hi = std::max(hi, v);
   }
@@ -128,71 +165,22 @@ TEST(ClusterOfClusters, MeanIsGenerationWeighted) {
 
 TEST(ClusterOfClusters, IngressEgressBalanceAtIcn2) {
   // Everything leaving the clusters passes ICN2 exactly once.
-  const HeteroLatencyPrediction prediction =
-      predict_cluster_of_clusters(hetero_config());
+  const ModelTree tree = hetero_tree();
+  const TreeLatencyPrediction prediction = open_model(tree);
   double ecn1_total = 0.0;
-  for (const auto& center : prediction.ecn1) ecn1_total += center.arrival_rate;
-  EXPECT_NEAR(ecn1_total, 2.0 * prediction.icn2.arrival_rate, 1e-12);
+  for (std::size_t i = 0; i < tree.root.children.size(); ++i) {
+    ecn1_total += ecn1(prediction, i).arrival_rate;
+  }
+  EXPECT_NEAR(ecn1_total, 2.0 * icn2(prediction).arrival_rate, 1e-12);
 }
 
 TEST(ClusterOfClusters, ThrottlesUnderHeavyLoad) {
-  ClusterOfClustersConfig config = hetero_config();
-  for (auto& cluster : config.clusters) cluster.generation_rate_per_us = 1e-2;
-  const HeteroLatencyPrediction prediction =
-      predict_cluster_of_clusters(config);
+  ModelTree tree = hetero_tree();
+  set_rates(tree, 1e-2);
+  const TreeLatencyPrediction prediction = open_model(tree);
   EXPECT_TRUE(prediction.fixed_point_converged);
   EXPECT_LT(prediction.effective_rate_scale, 0.5);
   EXPECT_GT(prediction.mean_latency_us, 0.0);
-}
-
-TEST(ClusterOfClusters, Validation) {
-  ClusterOfClustersConfig config;
-  EXPECT_THROW(config.validate(), hmcs::ConfigError);  // no clusters
-  config = hetero_config();
-  config.clusters[1].nodes = 0;
-  EXPECT_THROW(predict_cluster_of_clusters(config), hmcs::ConfigError);
-  config = hetero_config();
-  config.clusters[0].generation_rate_per_us = 0.0;
-  EXPECT_THROW(predict_cluster_of_clusters(config), hmcs::ConfigError);
-  config = hetero_config();
-  config.message_bytes = 0.0;
-  EXPECT_THROW(predict_cluster_of_clusters(config), hmcs::ConfigError);
-}
-
-TEST(ClusterOfClusters, AgreesWithTreeApiOnDepth2Lowering) {
-  // The CoC entry point is now a thin view over the tree solver; calling
-  // the tree API directly on the lowered depth-2 tree must agree exactly.
-  const ClusterOfClustersConfig config = hetero_config();
-  const HeteroLatencyPrediction via_coc =
-      predict_cluster_of_clusters(config);
-
-  const ModelTree tree = ModelTree::from_cluster_of_clusters(config);
-  TreeModelOptions options;
-  options.fixed_point.method = SourceThrottling::kBisection;
-  options.fixed_point.queue_rule = QueueLengthRule::kConsistent;
-  const TreeLatencyPrediction via_tree = predict_model_tree(tree, options);
-
-  EXPECT_EQ(via_tree.mean_latency_us, via_coc.mean_latency_us);
-  EXPECT_EQ(via_tree.effective_rate_scale, via_coc.effective_rate_scale);
-  ASSERT_EQ(via_tree.per_leaf_latency_us.size(),
-            via_coc.per_cluster_latency_us.size());
-  for (std::size_t i = 0; i < via_tree.per_leaf_latency_us.size(); ++i) {
-    EXPECT_EQ(via_tree.per_leaf_latency_us[i],
-              via_coc.per_cluster_latency_us[i]);
-  }
-}
-
-TEST(ClusterOfClusters, FromSuperClusterCopiesShape) {
-  const SystemConfig super = paper_scenario(
-      HeterogeneityCase::kCase2, 8, NetworkArchitecture::kBlocking, 512.0);
-  const ClusterOfClustersConfig hetero =
-      ClusterOfClustersConfig::from_super_cluster(super);
-  ASSERT_EQ(hetero.clusters.size(), 8u);
-  EXPECT_EQ(hetero.clusters[0].nodes, 32u);
-  EXPECT_EQ(hetero.clusters[3].icn1.name, "Fast Ethernet");
-  EXPECT_EQ(hetero.icn2.name, "Gigabit Ethernet");
-  EXPECT_EQ(hetero.architecture, NetworkArchitecture::kBlocking);
-  EXPECT_EQ(hetero.total_nodes(), 256u);
 }
 
 }  // namespace

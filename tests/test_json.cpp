@@ -137,23 +137,30 @@ TEST(Serialize, SimResultDocument) {
 }
 
 TEST(Serialize, HeteroDocuments) {
-  analytic::ClusterOfClustersConfig config;
-  analytic::ClusterSpec spec;
-  spec.nodes = 8;
-  spec.icn1 = analytic::gigabit_ethernet();
-  spec.ecn1 = analytic::fast_ethernet();
-  spec.generation_rate_per_us = 1e-4;
-  config.clusters = {spec, spec};
-  config.icn2 = analytic::fast_ethernet();
-  config.switch_params = {24, 10.0};
-  config.message_bytes = 512.0;
+  // A heterogeneous depth-2 tree (the Cluster-of-Clusters shape) and its
+  // prediction serialise through the recursive schema.
+  using analytic::ModelNode;
+  analytic::ModelTree tree;
+  tree.root = ModelNode::internal(
+      analytic::fast_ethernet(),
+      {ModelNode::internal(analytic::gigabit_ethernet(),
+                           analytic::fast_ethernet(),
+                           {ModelNode::leaf(8, 1e-4)}),
+       ModelNode::internal(analytic::fast_ethernet(),
+                           analytic::fast_ethernet(),
+                           {ModelNode::leaf(4, 2e-4)})});
+  tree.switch_params = {24, 10.0};
+  tree.message_bytes = 512.0;
 
-  const std::string config_json = analytic::to_json(config);
-  EXPECT_NE(config_json.find("\"clusters\":[{"), std::string::npos);
+  const std::string config_json = analytic::to_json(tree);
+  EXPECT_NE(config_json.find("\"children\":[{\"network\""),
+            std::string::npos);
 
   const std::string prediction_json =
-      analytic::to_json(analytic::predict_cluster_of_clusters(config));
-  EXPECT_NE(prediction_json.find("\"per_cluster_latency_us\":["),
+      analytic::to_json(analytic::predict_model_tree(tree));
+  EXPECT_NE(prediction_json.find("\"per_leaf_latency_us\":["),
+            std::string::npos);
+  EXPECT_NE(prediction_json.find("\"lowered_to_flat\":false"),
             std::string::npos);
 }
 

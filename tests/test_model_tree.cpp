@@ -9,7 +9,6 @@
 #include <sstream>
 #include <string>
 
-#include "hmcs/analytic/cluster_of_clusters.hpp"
 #include "hmcs/analytic/latency_model.hpp"
 #include "hmcs/analytic/model_tree.hpp"
 #include "hmcs/analytic/scenario.hpp"
@@ -77,34 +76,45 @@ TEST(ModelTree, FromSystemRoundTripsThroughAsSystemConfig) {
   EXPECT_EQ(back->generation_rate_per_us, config.generation_rate_per_us);
 }
 
-TEST(ModelTree, FromClusterOfClustersRoundTrips) {
-  ClusterOfClustersConfig config;
-  ClusterSpec fast{32, gigabit_ethernet(), fast_ethernet(), 1e-4};
-  ClusterSpec slow{8, fast_ethernet(), fast_ethernet(), 0.5e-4};
-  config.clusters = {fast, slow};
-  config.icn2 = fast_ethernet();
-  config.switch_params = {24, 10.0};
-  config.message_bytes = 1024.0;
+TEST(ModelTree, HeterogeneousDepth2TreeDoesNotLower) {
+  // The Cluster-of-Clusters shape: every root child one cluster over one
+  // leaf group. It lowers only while all clusters are identical; any one
+  // differing field (size, rate, intra or egress technology, including
+  // its name) keeps it a tree.
+  const ModelNode cluster = ModelNode::internal(
+      gigabit_ethernet(), fast_ethernet(), {ModelNode::leaf(32, 1e-4)});
+  ModelTree tree;
+  tree.root = ModelNode::internal(fast_ethernet(), {cluster, cluster});
+  tree.switch_params = {24, 10.0};
+  ASSERT_TRUE(tree.as_system_config().has_value());
 
-  const ModelTree tree = ModelTree::from_cluster_of_clusters(config);
-  EXPECT_EQ(tree.total_processors(), 40u);
-  // Heterogeneous children: not a SystemConfig, still a CoC shape.
-  EXPECT_FALSE(tree.as_system_config().has_value());
-  const auto back = tree.as_cluster_of_clusters();
-  ASSERT_TRUE(back.has_value());
-  ASSERT_EQ(back->clusters.size(), 2u);
-  EXPECT_EQ(back->clusters[0].nodes, 32u);
-  EXPECT_EQ(back->clusters[1].generation_rate_per_us, 0.5e-4);
-  EXPECT_EQ(back->icn2.name, config.icn2.name);
+  const auto differ = [&](auto mutate) {
+    ModelTree copy = tree;
+    mutate(copy.root.children[1]);
+    return copy;
+  };
+  const ModelTree ragged[] = {
+      differ([](ModelNode& c) { c.children[0].processors = 8; }),
+      differ([](ModelNode& c) {
+        c.children[0].generation_rate_per_us = 0.5e-4;
+      }),
+      differ([](ModelNode& c) { c.network = fast_ethernet(); }),
+      differ([](ModelNode& c) { c.egress = gigabit_ethernet(); }),
+      differ([](ModelNode& c) { c.network.name = "renamed"; }),
+  };
+  for (const ModelTree& heterogeneous : ragged) {
+    EXPECT_EQ(heterogeneous.depth(), 2u);
+    EXPECT_FALSE(heterogeneous.as_system_config().has_value());
+  }
+  EXPECT_EQ(ragged[0].total_processors(), 40u);
 }
 
 TEST(ModelTree, NestedTreeDoesNotLower) {
   const ModelTree tree = nested_tree();
-  // Two network levels, but campus-a joins two leaf groups: neither the
-  // flat HMCS nor the Cluster-of-Clusters shape can express it.
+  // Two network levels, but campus-a joins two leaf groups: the flat
+  // HMCS cannot express it.
   EXPECT_EQ(tree.depth(), 2u);
   EXPECT_FALSE(tree.as_system_config().has_value());
-  EXPECT_FALSE(tree.as_cluster_of_clusters().has_value());
 }
 
 TEST(ModelTree, ThreeNetworkLevelsSolve) {

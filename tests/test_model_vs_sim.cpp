@@ -14,9 +14,12 @@
 #include <string>
 
 #include "hmcs/analytic/latency_model.hpp"
+#include "hmcs/analytic/model_tree.hpp"
 #include "hmcs/analytic/scenario.hpp"
+#include "hmcs/analytic/tree_model.hpp"
 #include "hmcs/analytic/workload.hpp"
 #include "hmcs/sim/multicluster_sim.hpp"
+#include "hmcs/sim/tree_sim.hpp"
 #include "hmcs/util/math_util.hpp"
 
 namespace {
@@ -284,34 +287,35 @@ TEST(ModelVsSim, FailureRepairTracksPerformabilityFold) {
 }
 
 TEST(ModelVsSim, HeteroModelTracksHeteroSimulation) {
-  // The cluster-of-clusters extension validates against the same
-  // simulator running the heterogeneous configuration.
-  analytic::ClusterOfClustersConfig config;
-  analytic::ClusterSpec big;
-  big.nodes = 24;
-  big.icn1 = analytic::gigabit_ethernet();
-  big.ecn1 = analytic::fast_ethernet();
-  big.generation_rate_per_us = 1e-4;
-  analytic::ClusterSpec small;
-  small.nodes = 8;
-  small.icn1 = analytic::fast_ethernet();
-  small.ecn1 = analytic::gigabit_ethernet();
-  small.generation_rate_per_us = 2e-4;
-  config.clusters = {big, small, small};
-  config.icn2 = analytic::fast_ethernet();
-  config.switch_params = {24, 10.0};
-  config.architecture = NetworkArchitecture::kNonBlocking;
-  config.message_bytes = 1024.0;
+  // The Cluster-of-Clusters extension, a depth-2 tree of unequal
+  // clusters, validates against the same simulator running that tree.
+  using analytic::ModelNode;
+  const ModelNode big = ModelNode::internal(
+      analytic::gigabit_ethernet(), analytic::fast_ethernet(),
+      {ModelNode::leaf(24, 1e-4)});
+  const ModelNode small = ModelNode::internal(
+      analytic::fast_ethernet(), analytic::gigabit_ethernet(),
+      {ModelNode::leaf(8, 2e-4)});
+  analytic::ModelTree tree;
+  tree.root =
+      ModelNode::internal(analytic::fast_ethernet(), {big, small, small});
+  tree.switch_params = {24, 10.0};
+  tree.architecture = NetworkArchitecture::kNonBlocking;
+  tree.message_bytes = 1024.0;
 
-  const auto open = analytic::predict_cluster_of_clusters(config);
-  const auto amva = analytic::predict_cluster_of_clusters(
-      config, analytic::HeteroSolver::kApproxMva);
+  analytic::TreeModelOptions open_options;
+  open_options.fixed_point.method = analytic::SourceThrottling::kBisection;
+  open_options.fixed_point.queue_rule = analytic::QueueLengthRule::kConsistent;
+  const auto open = analytic::predict_model_tree(tree, open_options);
+  analytic::TreeModelOptions amva_options;
+  amva_options.fixed_point.method = analytic::SourceThrottling::kExactMva;
+  const auto amva = analytic::predict_model_tree(tree, amva_options);
 
-  sim::SimOptions options;
+  sim::TreeSimOptions options;
   options.measured_messages = 10000;
   options.warmup_messages = 2000;
   options.seed = 99;
-  sim::MultiClusterSim simulator(config, options);
+  sim::TreeSim simulator(tree, options);
   const auto result = simulator.run();
 
   EXPECT_LT(relative_error(open.mean_latency_us, result.mean_latency_us),

@@ -5,8 +5,10 @@
 
 #include <memory>
 
+#include "hmcs/analytic/model_tree.hpp"
 #include "hmcs/analytic/scenario.hpp"
 #include "hmcs/sim/multicluster_sim.hpp"
+#include "hmcs/sim/tree_sim.hpp"
 #include "hmcs/simcore/warmup.hpp"
 #include "hmcs/util/error.hpp"
 
@@ -204,24 +206,21 @@ TEST(MultiClusterSim, CustomTrafficPatternIsHonoured) {
 }
 
 TEST(MultiClusterSim, HeterogeneousConfigRuns) {
-  analytic::ClusterOfClustersConfig config;
-  analytic::ClusterSpec big;
-  big.nodes = 12;
-  big.icn1 = analytic::gigabit_ethernet();
-  big.ecn1 = analytic::fast_ethernet();
-  big.generation_rate_per_us = 1e-4;
-  analytic::ClusterSpec small;
-  small.nodes = 4;
-  small.icn1 = analytic::fast_ethernet();
-  small.ecn1 = analytic::fast_ethernet();
-  small.generation_rate_per_us = 2e-4;
-  config.clusters = {big, small};
-  config.icn2 = analytic::fast_ethernet();
-  config.switch_params = {24, 10.0};
-  config.architecture = analytic::NetworkArchitecture::kNonBlocking;
-  config.message_bytes = 512.0;
+  // Ragged clusters are a hand-built depth-2 tree on the same engine.
+  using analytic::ModelNode;
+  const ModelNode big = ModelNode::internal(
+      analytic::gigabit_ethernet(), analytic::fast_ethernet(),
+      {ModelNode::leaf(12, 1e-4)});
+  const ModelNode small = ModelNode::internal(
+      analytic::fast_ethernet(), analytic::fast_ethernet(),
+      {ModelNode::leaf(4, 2e-4)});
+  analytic::ModelTree tree;
+  tree.root = ModelNode::internal(analytic::fast_ethernet(), {big, small});
+  tree.switch_params = {24, 10.0};
+  tree.architecture = analytic::NetworkArchitecture::kNonBlocking;
+  tree.message_bytes = 512.0;
 
-  MultiClusterSim simulator(config, fast_options());
+  sim::TreeSim simulator(tree, fast_options());
   const SimResult result = simulator.run();
   EXPECT_GT(result.mean_latency_us, 0.0);
   // P for ragged clusters: weighted mix; sanity-bound it.

@@ -25,7 +25,6 @@
 #include <string_view>
 #include <vector>
 
-#include "hmcs/analytic/cluster_of_clusters.hpp"
 #include "hmcs/analytic/model_tree.hpp"
 #include "hmcs/analytic/network_tech.hpp"
 #include "hmcs/analytic/scenario.hpp"
@@ -152,8 +151,8 @@ Pin digest_run(sim::TreeSim& simulator, bool per_centre = false) {
   return Pin{digest.value(), result.mean_latency_us};
 }
 
-template <typename Config>
-Pin run_pinned(const Config& config, const sim::SimOptions& options) {
+Pin run_pinned(const analytic::SystemConfig& config,
+               const sim::SimOptions& options) {
   sim::MultiClusterSim simulator(config, options);
   return digest_run(simulator);
 }
@@ -288,29 +287,27 @@ TEST(SimGolden, PrecisionStopping) {
              {0xe3bcff84780c55cfull, 503.9872719179001});
 }
 
+/// Three unequal clusters (sizes, technologies, rates) as a hand-built
+/// depth-2 tree: the Cluster-of-Clusters shape, which does not lower to
+/// a SystemConfig.
 TEST(SimGolden, HeterogeneousClusterOfClusters) {
-  analytic::ClusterOfClustersConfig config;
-  analytic::ClusterSpec big;
-  big.nodes = 12;
-  big.icn1 = analytic::gigabit_ethernet();
-  big.ecn1 = analytic::fast_ethernet();
-  big.generation_rate_per_us = 1e-4;
-  analytic::ClusterSpec small;
-  small.nodes = 4;
-  small.icn1 = analytic::fast_ethernet();
-  small.ecn1 = analytic::fast_ethernet();
-  small.generation_rate_per_us = 2e-4;
-  analytic::ClusterSpec mid;
-  mid.nodes = 7;
-  mid.icn1 = analytic::gigabit_ethernet();
-  mid.ecn1 = analytic::gigabit_ethernet();
-  mid.generation_rate_per_us = 1.5e-4;
-  config.clusters = {big, small, mid};
-  config.icn2 = analytic::fast_ethernet();
-  config.switch_params = {24, 10.0};
-  config.architecture = NetworkArchitecture::kBlocking;
-  config.message_bytes = 512.0;
-  expect_pin(run_pinned(config, short_run(209)),
+  using analytic::ModelNode;
+  const ModelNode big = ModelNode::internal(
+      analytic::gigabit_ethernet(), analytic::fast_ethernet(),
+      {ModelNode::leaf(12, 1e-4)});
+  const ModelNode small = ModelNode::internal(
+      analytic::fast_ethernet(), analytic::fast_ethernet(),
+      {ModelNode::leaf(4, 2e-4)});
+  const ModelNode mid = ModelNode::internal(
+      analytic::gigabit_ethernet(), analytic::gigabit_ethernet(),
+      {ModelNode::leaf(7, 1.5e-4)});
+  analytic::ModelTree tree;
+  tree.root = ModelNode::internal(analytic::fast_ethernet(), {big, small, mid});
+  tree.switch_params = {24, 10.0};
+  tree.architecture = NetworkArchitecture::kBlocking;
+  tree.message_bytes = 512.0;
+  sim::TreeSim simulator(tree, short_run(209));
+  expect_pin(digest_run(simulator),
              {0x24c3645c2ccbb93eull, 640.06598073664497});
 }
 

@@ -4,6 +4,9 @@
 
 #include <gtest/gtest.h>
 
+#include <filesystem>
+#include <string>
+
 #include "hmcs/analytic/config_io.hpp"
 #include "hmcs/runner/sweep_config.hpp"
 #include "hmcs/util/error.hpp"
@@ -15,6 +18,22 @@ using namespace hmcs;
 using runner::SweepRunConfig;
 using runner::sweep_config_from_json;
 using runner::sweep_config_from_keyvalue;
+
+TEST(SweepConfig, ShippedConfigsLoadAndExpand) {
+  // Every config under configs/sweeps/ parses and expands to a grid.
+  std::size_t loaded = 0;
+  for (const auto& entry : std::filesystem::directory_iterator(
+           std::string(HMCS_SOURCE_DIR) + "/configs/sweeps")) {
+    if (entry.path().extension() != ".json") continue;
+    SCOPED_TRACE(entry.path().string());
+    const SweepRunConfig config =
+        runner::load_sweep_config(entry.path().string());
+    EXPECT_FALSE(runner::expand_sweep(config.spec).empty());
+    EXPECT_FALSE(config.backends.empty());
+    ++loaded;
+  }
+  EXPECT_GE(loaded, 8u);
+}
 
 TEST(SweepConfig, JsonFullDocument) {
   const SweepRunConfig config = sweep_config_from_json(R"({

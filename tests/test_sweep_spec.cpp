@@ -94,7 +94,7 @@ TEST(SweepSpec, LabelGrowsSuffixesForVaryingExtras) {
 }
 
 TEST(SweepSpec, DefaultSeedMatchesSplitMixChain) {
-  // The figure harness's historical derivation, kept bit-exact.
+  // The figures' historical derivation, kept bit-exact.
   simcore::SplitMix64 seed_mix(3);
   simcore::SplitMix64 cluster_mix(seed_mix.next() ^ 8u);
   simcore::SplitMix64 byte_mix(cluster_mix.next() ^

@@ -1,9 +1,12 @@
 // hmcs_run — the config-driven sweep front-end: load a sweep config
 // (JSON or key=value), execute it on the work-stealing runner, and emit
 // the standard artifact set. Any study expressible as axes × backends
-// runs from here without writing a new binary; the bespoke harnesses in
+// runs from here without writing a new binary, the paper's Figures 4-7
+// included (configs/sweeps/fig{4,5,6,7}.json); the bespoke harnesses in
 // bench/ remain for the layouts that need custom rendering.
 //
+//   $ ./hmcs_run --config configs/sweeps/fig4.json --csv-dir results
+//       --json-dir results
 //   $ ./hmcs_run --config configs/sweeps/smoke_analytic.json
 //   $ ./hmcs_run --config sweep.json --threads 8 --csv-dir out/
 //   $ ./hmcs_run --config sweep.json --journal run.jsonl
