@@ -1,20 +1,25 @@
-// Config-file driven prediction tool: load a system description from a
-// key=value file, solve the analytical model (paper fixed point and
+// Config-file driven prediction tool: load a one-point sweep config
+// (the JSON schema hmcs_run reads, through the same load_sweep_config +
+// expand_sweep path), solve the analytical model (paper fixed point and
 // exact MVA), optionally cross-check by simulation, and emit a JSON
 // record for downstream tooling.
 //
-//   $ ./predict_from_config examples/configs/case1_c8.cfg
-//   $ ./predict_from_config my.cfg --simulate --json out.json
+//   $ ./predict_from_config examples/configs/case1_c8.json
+//   $ ./predict_from_config my.json --simulate --json out.json
+//
+// The config must expand to exactly one flat point; its backends, seed
+// and fault-tolerance members are ignored. A nested tree is refused (run
+// it with hmcs_run); a flat-shaped one was lowered at expansion.
 
 #include <cstdio>
 #include <fstream>
 #include <optional>
 #include <iostream>
 
-#include "hmcs/analytic/config_io.hpp"
 #include "hmcs/analytic/latency_distribution.hpp"
 #include "hmcs/analytic/latency_model.hpp"
 #include "hmcs/analytic/serialize.hpp"
+#include "hmcs/runner/sweep_config.hpp"
 #include "hmcs/sim/multicluster_sim.hpp"
 #include "hmcs/util/cli.hpp"
 #include "hmcs/util/string_util.hpp"
@@ -32,12 +37,21 @@ int main(int argc, char** argv) {
   try {
     if (!cli.parse(argc, argv) || cli.positional().empty()) {
       std::cout << cli.help_text()
-                << "\nusage: predict_from_config <config.cfg> [--simulate]"
+                << "\nusage: predict_from_config <config.json> [--simulate]"
                    " [--json out.json]\n";
       return cli.positional().empty() ? 1 : 0;
     }
     const std::string path = cli.positional().front();
-    const SystemConfig config = load_system_config(path);
+    const std::vector<runner::SweepPoint> points =
+        runner::expand_sweep(runner::load_sweep_config(path).spec);
+    require(points.size() == 1,
+            "predict_from_config: '" + path + "' expands to " +
+                std::to_string(points.size()) +
+                " points; give every axis one value");
+    require(points.front().tree == nullptr,
+            "predict_from_config: '" + path +
+                "' describes a nested tree; run it with hmcs_run");
+    const SystemConfig& config = points.front().config;
 
     std::printf("%s: C=%u x N0=%u, %s, M=%.0fB, lambda=%.1f msg/s\n\n",
                 path.c_str(), config.clusters, config.nodes_per_cluster,

@@ -13,27 +13,32 @@ trap 'rm -rf "$WORK"' EXIT
 
 # A sweep heavy enough to survive a couple of seconds on CI hardware
 # (roughly tens of seconds in total), so the interrupt lands mid-grid.
-cat > "$WORK/sweep.kv" <<'EOF'
-id            = resume_smoke
-mode          = cartesian
-clusters      = 1,2,4,8,16,32
-message_bytes = 1024,512
-lambda_per_s  = 250
-architecture  = blocking
-technology    = case1
-backends      = analytic,des
-messages      = 3000000
-warmup        = 5000
-seed          = 7
+cat > "$WORK/sweep.json" <<'EOF'
+{
+  "id": "resume_smoke",
+  "mode": "cartesian",
+  "seed": 7,
+  "axes": {
+    "clusters": [1, 2, 4, 8, 16, 32],
+    "message_bytes": [1024, 512],
+    "lambda_per_s": [250],
+    "architecture": ["blocking"],
+    "technology": ["case1"]
+  },
+  "backends": [
+    {"type": "analytic"},
+    {"type": "des", "messages": 3000000, "warmup": 5000}
+  ]
+}
 EOF
 
 echo "== reference (uninterrupted) run =="
-"$HMCS_RUN" --config "$WORK/sweep.kv" --threads 2 \
+"$HMCS_RUN" --config "$WORK/sweep.json" --threads 2 \
   --csv-dir "$WORK/ref" --json-dir "$WORK/ref" > "$WORK/ref.txt"
 
 echo "== interrupted run (SIGINT after 3s) =="
 set +e
-"$HMCS_RUN" --config "$WORK/sweep.kv" --threads 2 \
+"$HMCS_RUN" --config "$WORK/sweep.json" --threads 2 \
   --journal "$WORK/run.jsonl" \
   --csv-dir "$WORK/part" --json-dir "$WORK/part" > "$WORK/part.txt" 2>&1 &
 pid=$!
@@ -56,7 +61,7 @@ if [ "$journaled" -ge 24 ]; then
 fi
 
 echo "== resumed run =="
-"$HMCS_RUN" --config "$WORK/sweep.kv" --threads 2 \
+"$HMCS_RUN" --config "$WORK/sweep.json" --threads 2 \
   --resume "$WORK/run.jsonl" \
   --csv-dir "$WORK/res" --json-dir "$WORK/res" > "$WORK/res.txt"
 

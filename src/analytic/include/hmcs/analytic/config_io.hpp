@@ -1,26 +1,15 @@
 #pragma once
 
 /// \file config_io.hpp
-/// Loading a SystemConfig from a key=value file (see
-/// examples/configs/*.cfg for complete samples):
-///
-///   clusters              = 8
-///   nodes_per_cluster     = 32
-///   architecture          = non-blocking        # or: blocking
-///   icn1                  = gigabit-ethernet    # preset, or custom:
-///   ecn1                  = custom:MyNet,25,120 # name,latency_us,MB/s
-///   icn2                  = fast-ethernet
-///   message_bytes         = 1024
-///   generation_rate_per_s = 250
-///   switch_ports          = 24                  # optional (default 24)
-///   switch_latency_us     = 10                  # optional (default 10)
-///
-/// Unknown keys are rejected so typos fail loudly.
+/// The string vocabularies shared by every JSON config reader: network
+/// technologies (tree configs, sweep technology entries, serve requests)
+/// and network architectures. System descriptions themselves are JSON
+/// sweep configs (runner/sweep_config.hpp) or nested tree configs
+/// (tree_io.hpp).
 
 #include <string>
 
 #include "hmcs/analytic/system_config.hpp"
-#include "hmcs/util/keyvalue.hpp"
 
 namespace hmcs::analytic {
 
@@ -32,8 +21,5 @@ NetworkTechnology parse_technology(const std::string& spec);
 /// Parses "non-blocking"/"fat-tree" or "blocking"/"chain"; throws
 /// hmcs::ConfigError on anything else.
 NetworkArchitecture parse_architecture(const std::string& spec);
-
-SystemConfig system_config_from(const KeyValueFile& file);
-SystemConfig load_system_config(const std::string& path);
 
 }  // namespace hmcs::analytic

@@ -16,9 +16,11 @@
 /// and the heterogeneous Cluster-of-Clusters model (the paper's future
 /// work) is the same shape with per-child sizes/technologies/rates,
 /// built directly as a ModelTree. `from_system` lowers a flat config
-/// onto its tree, and `as_system_config` recognises exactly that shape
-/// so the solvers can dispatch flat-shaped trees to the scalar pipeline
-/// bit-identically (docs/COMPOSITION.md).
+/// onto its tree, and `as_system_config` recognises exactly that shape.
+/// Input is lowered once, where it enters — runner::expand_sweep and
+/// serve::parse_request turn a flat-shaped tree into the flat config it
+/// denotes — so nothing downstream re-tests a tree's shape
+/// (docs/COMPOSITION.md).
 ///
 /// Endpoint convention (DESIGN.md note 3, generalised): a node's network
 /// joins its children — a leaf child contributes its processor count, an
@@ -101,8 +103,9 @@ struct ModelTree {
   /// children identical: processors, rate, and network and egress
   /// technologies by name, latency and bandwidth) and returns the
   /// equivalent flat config, scenario included; std::nullopt for any
-  /// other shape. Solvers use this to route flat-shaped trees through
-  /// the scalar pipeline bit-identically.
+  /// other shape. Called only where input enters (expand_sweep,
+  /// serve::parse_request), so flat-shaped trees reach the flat
+  /// pipeline and its bit-exact results.
   std::optional<SystemConfig> as_system_config() const;
 };
 

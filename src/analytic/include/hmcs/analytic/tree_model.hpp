@@ -27,10 +27,11 @@
 /// tree is uniform (is_uniform_tree — all customers exchangeable) and to
 /// the multi-class Bard-Schweitzer AMVA otherwise, one class per leaf.
 ///
-/// Trees of exactly the flat two-stage shape are dispatched to
-/// predict_latency (bit-identical results); set
-/// TreeModelOptions::exact_lowering = false to force the generic
-/// recursion, whose results agree to rounding, not bit-for-bit.
+/// Every tree runs this recursion, flat-shaped ones included; on the
+/// flat two-stage shape it agrees with predict_latency to rounding, not
+/// bit for bit. Callers that want the flat engine's exact numbers for a
+/// flat-shaped tree lower it where input enters — expand_sweep and
+/// serve::parse_request do — rather than here (docs/COMPOSITION.md).
 
 #include <cstdint>
 #include <string>
@@ -43,10 +44,6 @@ namespace hmcs::analytic {
 
 struct TreeModelOptions {
   FixedPointOptions fixed_point;
-  /// Dispatch flat-shaped trees (as_system_config) to predict_latency
-  /// for bit-identical predictions. The generic recursion is only used
-  /// when this is false or the tree does not lower.
-  bool exact_lowering = true;
 };
 
 /// One queueing centre of the solved tree, in tree_centers order.
@@ -72,9 +69,6 @@ struct TreeLatencyPrediction {
   double total_queue_length;
   bool fixed_point_converged;
   std::uint64_t fixed_point_iterations;
-  /// True when the tree was recognised as flat-shaped and evaluated by
-  /// predict_latency (bit-identical to it).
-  bool lowered_to_flat;
 
   std::vector<TreeCenterPrediction> centers;
 };

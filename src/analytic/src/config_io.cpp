@@ -46,39 +46,4 @@ NetworkArchitecture parse_architecture(const std::string& spec) {
       std::source_location::current());
 }
 
-SystemConfig system_config_from(const KeyValueFile& file) {
-  const std::vector<std::string> known{
-      "clusters",      "nodes_per_cluster", "architecture",
-      "icn1",          "ecn1",              "icn2",
-      "message_bytes", "generation_rate_per_s", "switch_ports",
-      "switch_latency_us"};
-  const auto unknown = file.unknown_keys(known);
-  require(unknown.empty(),
-          "config: unknown key '" + (unknown.empty() ? "" : unknown[0]) + "'");
-
-  SystemConfig config;
-  config.clusters = static_cast<std::uint32_t>(file.get_int("clusters"));
-  config.nodes_per_cluster =
-      static_cast<std::uint32_t>(file.get_int("nodes_per_cluster"));
-
-  config.architecture = parse_architecture(file.get("architecture"));
-
-  config.icn1 = parse_technology(file.get("icn1"));
-  config.ecn1 = parse_technology(file.get("ecn1"));
-  config.icn2 = parse_technology(file.get("icn2"));
-  config.message_bytes = file.get_double("message_bytes");
-  config.generation_rate_per_us =
-      units::per_s_to_per_us(file.get_double("generation_rate_per_s"));
-  config.switch_params.ports =
-      static_cast<std::uint32_t>(parse_int(file.get_or("switch_ports", "24")));
-  config.switch_params.latency_us =
-      parse_double(file.get_or("switch_latency_us", "10"));
-  config.validate();
-  return config;
-}
-
-SystemConfig load_system_config(const std::string& path) {
-  return system_config_from(KeyValueFile::load(path));
-}
-
 }  // namespace hmcs::analytic

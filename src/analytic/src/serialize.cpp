@@ -125,7 +125,6 @@ void write_json(JsonWriter& json, const TreeLatencyPrediction& prediction) {
   json.key("total_queue_length").value(prediction.total_queue_length);
   json.key("converged").value(prediction.fixed_point_converged);
   json.key("iterations").value(prediction.fixed_point_iterations);
-  json.key("lowered_to_flat").value(prediction.lowered_to_flat);
   json.key("centers").begin_array();
   for (const TreeCenterPrediction& center : prediction.centers) {
     json.begin_object();

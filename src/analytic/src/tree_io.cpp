@@ -1,9 +1,5 @@
 #include "hmcs/analytic/tree_io.hpp"
 
-#include <cmath>
-#include <initializer_list>
-#include <limits>
-
 #include "hmcs/analytic/config_io.hpp"
 #include "hmcs/analytic/scenario.hpp"
 #include "hmcs/util/error.hpp"
@@ -17,41 +13,7 @@ bool is_tree_config(const JsonValue& config) {
 
 namespace {
 
-void reject_unknown(const JsonValue& object,
-                    std::initializer_list<std::string_view> known,
-                    const std::string& where) {
-  for (const auto& [key, value] : object.members) {
-    (void)value;
-    bool recognised = false;
-    for (const std::string_view candidate : known) {
-      if (key == candidate) {
-        recognised = true;
-        break;
-      }
-    }
-    require(recognised,
-            "tree config: unknown key '" + key + "' in " + where);
-  }
-}
-
-double number_member(const JsonValue& object, std::string_view key,
-                     double fallback) {
-  const JsonValue* member = object.find(key);
-  return member == nullptr ? fallback : member->as_number();
-}
-
-std::uint32_t uint_member(const JsonValue& object, std::string_view key,
-                          std::uint32_t fallback, const std::string& where) {
-  const JsonValue* member = object.find(key);
-  if (member == nullptr) return fallback;
-  const double number = member->as_number();
-  require(number >= 0.0 && number == std::floor(number) &&
-              number <= static_cast<double>(
-                            std::numeric_limits<std::uint32_t>::max()),
-          "tree config: '" + std::string(key) + "' in " + where +
-              " must be a non-negative integer");
-  return static_cast<std::uint32_t>(number);
-}
+constexpr std::string_view kPrefix = "tree config";
 
 NetworkTechnology technology_entry(const JsonValue& entry,
                                    const std::string& where) {
@@ -59,10 +21,10 @@ NetworkTechnology technology_entry(const JsonValue& entry,
   require(entry.is_object(),
           "tree config: a technology at " + where +
               " must be a preset/custom string or an object");
-  reject_unknown(entry, {"name", "latency_us", "bandwidth_mb_per_s"}, where);
+  reject_unknown_members(entry, {"name", "latency_us", "bandwidth_mb_per_s"},
+                         kPrefix, where);
   NetworkTechnology tech;
-  const JsonValue* name = entry.find("name");
-  tech.name = name != nullptr ? name->as_string() : "custom";
+  tech.name = string_member(entry, "name", "custom", kPrefix);
   tech.latency_us = entry.at("latency_us").as_number();
   tech.bandwidth_bytes_per_us = entry.at("bandwidth_mb_per_s").as_number();
   return tech;
@@ -76,23 +38,23 @@ ModelNode node_from_json(const JsonValue& entry, bool root,
                         entry.find("egress") != nullptr ||
                         entry.find("children") != nullptr;
   ModelNode node;
-  if (const JsonValue* name = entry.find("name")) {
-    node.name = name->as_string();
-  }
+  node.name = string_member(entry, "name", "", kPrefix);
 
   if (!internal) {
-    reject_unknown(entry, {"name", "processors", "lambda_per_s"}, path);
-    node.processors =
-        uint_member(entry, "processors", 0, path);
+    reject_unknown_members(entry, {"name", "processors", "lambda_per_s"},
+                           kPrefix, path);
+    node.processors = uint_member(entry, "processors", std::uint32_t{0},
+                                  std::string(kPrefix) + ": " + path);
     require(node.processors >= 1,
             "tree config: leaf at " + path + " needs 'processors' >= 1");
     node.generation_rate_per_us = units::per_s_to_per_us(
         number_member(entry, "lambda_per_s",
-                      units::per_us_to_per_s(kPaperRatePerUs)));
+                      units::per_us_to_per_s(kPaperRatePerUs), kPrefix));
     return node;
   }
 
-  reject_unknown(entry, {"name", "network", "egress", "children"}, path);
+  reject_unknown_members(entry, {"name", "network", "egress", "children"},
+                         kPrefix, path);
   const JsonValue* network = entry.find("network");
   require(network != nullptr,
           "tree config: internal node at " + path + " needs a 'network'");
@@ -127,23 +89,24 @@ ModelNode node_from_json(const JsonValue& entry, bool root,
 ModelTree model_tree_from_json(const JsonValue& config,
                                const std::string& where) {
   require(config.is_object(), "tree config: " + where + " must be an object");
-  reject_unknown(config,
-                 {"tree", "architecture", "message_bytes", "switch_ports",
-                  "switch_latency_us", "workload"},
-                 where);
+  reject_unknown_members(config,
+                         {"tree", "architecture", "message_bytes",
+                          "switch_ports", "switch_latency_us", "workload"},
+                         kPrefix, where);
   const JsonValue* root = config.find("tree");
   require(root != nullptr, "tree config: " + where + " needs a 'tree'");
 
   ModelTree tree;
   tree.root = node_from_json(*root, /*root=*/true, "root");
-  if (const JsonValue* architecture = config.find("architecture")) {
-    tree.architecture = parse_architecture(architecture->as_string());
-  }
-  tree.message_bytes = number_member(config, "message_bytes", 1024.0);
+  tree.architecture = parse_architecture(
+      string_member(config, "architecture", "non-blocking", kPrefix));
+  tree.message_bytes =
+      number_member(config, "message_bytes", 1024.0, kPrefix);
   tree.switch_params.ports =
-      uint_member(config, "switch_ports", kPaperSwitchPorts, where);
-  tree.switch_params.latency_us =
-      number_member(config, "switch_latency_us", kPaperSwitchLatencyUs);
+      uint_member(config, "switch_ports", kPaperSwitchPorts,
+                  std::string(kPrefix) + ": " + where);
+  tree.switch_params.latency_us = number_member(
+      config, "switch_latency_us", kPaperSwitchLatencyUs, kPrefix);
   if (const JsonValue* workload = config.find("workload")) {
     tree.scenario = workload_from_json(*workload);
   }

@@ -4,7 +4,6 @@
 #include <cmath>
 
 #include "fixed_point_engine.hpp"
-#include "hmcs/analytic/latency_model.hpp"
 #include "hmcs/analytic/mm1.hpp"
 #include "hmcs/analytic/mva.hpp"
 #include "hmcs/util/error.hpp"
@@ -215,7 +214,6 @@ TreeLatencyPrediction predict_open(const FlatTreeView& view,
   const std::vector<double> rates = center_arrival_rates(view, centers, phi);
 
   TreeLatencyPrediction out{};
-  out.lowered_to_flat = false;
   out.lambda_offered_total = view.total_generation_rate;
   out.effective_rate_scale = phi;
   // Evaluated at the final phi, also where Picard ran out of iterations.
@@ -286,7 +284,6 @@ TreeLatencyPrediction predict_uniform_mva(const FlatTreeView& view,
       classes, 1.0 / leaf_rate, population, fp.cancel);
 
   TreeLatencyPrediction out{};
-  out.lowered_to_flat = false;
   out.mean_latency_us = mva.total_residence_us;
   out.lambda_offered_total = total_gen;
   out.effective_rate_scale = mva.throughput / total_gen;
@@ -377,7 +374,6 @@ TreeLatencyPrediction predict_tree_amva(const FlatTreeView& view,
       solve_multiclass_amva(station_rates, classes, fp.cancel);
 
   TreeLatencyPrediction out{};
-  out.lowered_to_flat = false;
   out.fixed_point_converged = mva.converged;
   out.fixed_point_iterations = mva.iterations;
   out.total_queue_length = 0.0;
@@ -424,57 +420,11 @@ TreeLatencyPrediction predict_tree_amva(const FlatTreeView& view,
   return out;
 }
 
-TreeLatencyPrediction from_flat_prediction(const SystemConfig& config,
-                                           const LatencyPrediction& flat) {
-  TreeLatencyPrediction out{};
-  out.lowered_to_flat = true;
-  out.mean_latency_us = flat.mean_latency_us;
-  out.per_leaf_latency_us.assign(config.clusters, flat.mean_latency_us);
-  out.lambda_offered_total =
-      static_cast<double>(config.total_nodes()) * flat.lambda_offered;
-  out.effective_rate_scale =
-      flat.lambda_offered > 0.0 ? flat.lambda_effective / flat.lambda_offered
-                                : 1.0;
-  out.total_queue_length = flat.total_queue_length;
-  out.fixed_point_converged = flat.fixed_point_converged;
-  out.fixed_point_iterations = flat.fixed_point_iterations;
-
-  const auto convert = [](const CenterPrediction& from, std::string path,
-                          bool egress) {
-    TreeCenterPrediction center{};
-    center.path = std::move(path);
-    center.egress = egress;
-    center.arrival_rate = from.arrival_rate;
-    center.service_rate = from.service_rate;
-    center.utilization = from.utilization;
-    center.response_time_us = from.response_time_us;
-    center.queue_length = from.queue_length;
-    return center;
-  };
-  out.centers.reserve(1 + 2 * static_cast<std::size_t>(config.clusters));
-  out.centers.push_back(convert(flat.icn2, "root.icn", false));
-  for (std::uint32_t i = 0; i < config.clusters; ++i) {
-    const std::string base = "root.children[" + std::to_string(i) + "]";
-    out.centers.push_back(convert(flat.icn1, base + ".icn", false));
-    out.centers.push_back(convert(flat.ecn1, base + ".egress", true));
-  }
-  return out;
-}
-
 }  // namespace
 
 TreeLatencyPrediction predict_model_tree(const ModelTree& tree,
                                          const TreeModelOptions& options) {
-  tree.validate();
-  if (options.exact_lowering) {
-    if (const auto flat = tree.as_system_config()) {
-      ModelOptions scalar;
-      scalar.fixed_point = options.fixed_point;
-      return from_flat_prediction(*flat, predict_latency(*flat, scalar));
-    }
-  }
-
-  const FlatTreeView view = flatten(tree);
+  const FlatTreeView view = flatten(tree);  // validates
   const std::vector<TreeCenter> centers = tree_centers(tree, view);
   const CenterIndex index = index_centers(view, centers);
   // Fold the tree-wide workload scenario into the solver options; the

@@ -1,7 +1,6 @@
 #include "hmcs/analytic/workload.hpp"
 
 #include <cmath>
-#include <initializer_list>
 #include <string>
 
 #include "hmcs/util/error.hpp"
@@ -106,58 +105,38 @@ bool operator==(const WorkloadScenario& a, const WorkloadScenario& b) {
          a.mmpp == b.mmpp && a.failure == b.failure;
 }
 
-namespace {
-
-void reject_unknown(const JsonValue& object,
-                    std::initializer_list<std::string_view> known,
-                    const std::string& where) {
-  for (const auto& [key, value] : object.members) {
-    (void)value;
-    bool recognised = false;
-    for (const std::string_view candidate : known) {
-      if (key == candidate) {
-        recognised = true;
-        break;
-      }
-    }
-    require(recognised, "workload: unknown key '" + key + "' in " + where);
-  }
-}
-
-}  // namespace
-
 WorkloadScenario workload_from_json(const JsonValue& value) {
+  constexpr std::string_view kPrefix = "workload";
   require(value.is_object(), "workload: must be an object");
-  reject_unknown(value, {"service_cv2", "arrival_ca2", "mmpp", "failure"},
-                 "workload");
+  reject_unknown_members(value,
+                         {"service_cv2", "arrival_ca2", "mmpp", "failure"},
+                         kPrefix, "workload");
+  require(value.find("arrival_ca2") == nullptr ||
+              value.find("mmpp") == nullptr,
+          "workload: arrival_ca2 and mmpp are mutually exclusive");
   WorkloadScenario scenario;
-  if (const JsonValue* cv2 = value.find("service_cv2")) {
-    scenario.service_cv2 = cv2->as_number();
-  }
-  if (const JsonValue* ca2 = value.find("arrival_ca2")) {
-    require(value.find("mmpp") == nullptr,
-            "workload: arrival_ca2 and mmpp are mutually exclusive");
-    scenario.arrival_ca2 = ca2->as_number();
-  }
+  scenario.service_cv2 =
+      number_member(value, "service_cv2", scenario.service_cv2, kPrefix);
+  scenario.arrival_ca2 =
+      number_member(value, "arrival_ca2", scenario.arrival_ca2, kPrefix);
   if (const JsonValue* mmpp = value.find("mmpp")) {
     require(mmpp->is_object(), "workload: mmpp must be an object");
-    reject_unknown(*mmpp, {"burst_ratio", "burst_fraction", "burst_dwell_us"},
-                   "workload.mmpp");
+    reject_unknown_members(*mmpp,
+                           {"burst_ratio", "burst_fraction", "burst_dwell_us"},
+                           kPrefix, "workload.mmpp");
     MmppArrivals arrivals;
-    if (const JsonValue* ratio = mmpp->find("burst_ratio")) {
-      arrivals.burst_ratio = ratio->as_number();
-    }
-    if (const JsonValue* fraction = mmpp->find("burst_fraction")) {
-      arrivals.burst_fraction = fraction->as_number();
-    }
-    if (const JsonValue* dwell = mmpp->find("burst_dwell_us")) {
-      arrivals.burst_dwell_us = dwell->as_number();
-    }
+    arrivals.burst_ratio =
+        number_member(*mmpp, "burst_ratio", arrivals.burst_ratio, kPrefix);
+    arrivals.burst_fraction = number_member(*mmpp, "burst_fraction",
+                                            arrivals.burst_fraction, kPrefix);
+    arrivals.burst_dwell_us = number_member(*mmpp, "burst_dwell_us",
+                                            arrivals.burst_dwell_us, kPrefix);
     scenario.mmpp = arrivals;
   }
   if (const JsonValue* failure = value.find("failure")) {
     require(failure->is_object(), "workload: failure must be an object");
-    reject_unknown(*failure, {"mtbf_us", "mttr_us"}, "workload.failure");
+    reject_unknown_members(*failure, {"mtbf_us", "mttr_us"}, kPrefix,
+                           "workload.failure");
     FailureRepair repair;
     repair.mtbf_us = failure->at("mtbf_us").as_number();
     repair.mttr_us = failure->at("mttr_us").as_number();

@@ -26,6 +26,7 @@
 #include "hmcs/obs/trace.hpp"
 #include "hmcs/sim/tree_sim.hpp"
 #include "hmcs/util/cancel.hpp"
+#include "hmcs/util/json.hpp"
 
 namespace hmcs::runner {
 
@@ -82,6 +83,20 @@ struct PointResult {
   std::string error;
 };
 
+/// The one wire spelling of a PointResult's ten result members, shared
+/// by journal cell lines and serve replies: one object in declaration
+/// order, finite doubles exact (%.17g), non-finite ones as the strings
+/// "nan"/"inf"/"-inf" (JSON has no spelling for them), and
+/// messages_measured as a decimal string (exact for all 64 bits). The
+/// fault-tolerance record (status, attempts, error) is not written.
+void write_json(JsonWriter& json, const PointResult& result);
+
+/// Reads write_json's object back bit for bit; status, attempts and
+/// error keep their defaults. Throws hmcs::ConfigError, `prefix`
+/// starting the message, on a missing member or a bad spelling.
+PointResult point_result_from_json(const JsonValue& object,
+                                   std::string_view prefix);
+
 /// Per-point execution context handed to a backend: the point's
 /// deterministic seed, its flat index and label (used for trace track
 /// naming), the worker lane executing it, and the sweep's optional trace
@@ -123,11 +138,11 @@ class Backend {
   virtual PointResult predict(const analytic::SystemConfig& config,
                               const PointContext& ctx) const = 0;
 
-  /// Evaluates one recursive topology (docs/COMPOSITION.md). The base
-  /// implementation lowers flat-shaped trees through as_system_config()
-  /// onto predict(), so every backend handles depth-2 trees for free;
-  /// genuinely nested trees throw hmcs::ConfigError unless a backend
-  /// overrides this (AnalyticBackend, DesBackend). Same const and
+  /// Evaluates one nested topology (docs/COMPOSITION.md). Flat-shaped
+  /// trees never arrive here: expand_sweep and serve::parse_request
+  /// lower them to the SystemConfig they denote, which goes to
+  /// predict(). The base implementation throws hmcs::ConfigError;
+  /// AnalyticBackend and DesBackend override it. Same const and
   /// thread-safety contract as predict().
   virtual PointResult predict_tree(const analytic::ModelTree& tree,
                                    const PointContext& ctx) const;
@@ -168,8 +183,7 @@ class AnalyticBackend : public Backend {
   const std::string& name() const override { return name_; }
   PointResult predict(const analytic::SystemConfig& config,
                       const PointContext& ctx) const override;
-  /// predict_model_tree with this backend's fixed-point options; flat
-  /// shapes take the exact-lowering path and match predict() exactly.
+  /// predict_model_tree with this backend's fixed-point options.
   PointResult predict_tree(const analytic::ModelTree& tree,
                            const PointContext& ctx) const override;
 
@@ -209,10 +223,9 @@ class DesBackend : public Backend {
   const std::string& name() const override { return name_; }
   PointResult predict(const analytic::SystemConfig& config,
                       const PointContext& ctx) const override;
-  /// Flat-shaped trees lower onto predict(); nested trees run the same
-  /// path on the tree itself. max_center_utilization is the busiest
-  /// role (ICN1, ECN1 or ICN2 mean) for flat cells and the busiest
-  /// centre for nested ones.
+  /// The same simulation path as predict(), on the tree itself.
+  /// max_center_utilization is the busiest role (ICN1, ECN1 or ICN2
+  /// mean) for flat cells and the busiest centre for nested ones.
   PointResult predict_tree(const analytic::ModelTree& tree,
                            const PointContext& ctx) const override;
 

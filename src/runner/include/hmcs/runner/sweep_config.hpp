@@ -2,10 +2,13 @@
 
 /// \file sweep_config.hpp
 /// The sweep-config loader: builds a complete runnable sweep — spec,
-/// backend set, thread count, output directories — from a JSON document
-/// or a key=value file, so any study is a config file away instead of a
-/// bespoke binary (see configs/sweeps/*.json for complete samples and
-/// docs/ARCHITECTURE.md for the format reference).
+/// backend set, thread count, output directories — from a JSON document,
+/// so any study is a config file away instead of a bespoke binary (see
+/// configs/sweeps/*.json for complete samples and docs/ARCHITECTURE.md
+/// for the format reference). JSON is the only config format; members
+/// are read through the util/json.hpp member readers, so an integer the
+/// destination cannot store (a fraction, a negative, 2^32 clusters) is
+/// rejected, never truncated.
 ///
 /// JSON (RFC 8259, parsed with hmcs::parse_json):
 ///
@@ -38,7 +41,7 @@
 ///     ]
 ///   }
 ///
-/// Tree sweeps (JSON only): a top-level "tree" member holds a complete
+/// Tree sweeps: a top-level "tree" member holds a complete
 /// nested topology config (the docs/COMPOSITION.md schema, as accepted
 /// by hmcs_serve), and the axes sweep node fields by path instead of
 /// the flat shape axes:
@@ -57,29 +60,8 @@
 ///
 /// The technology/lambda/clusters axes do not combine with "tree"
 /// (the topology owns those properties); message_bytes and
-/// architecture still apply.
-///
-/// Key=value (flat; lists are comma-separated; technology entries are
-/// case1|case2 or a single preset applied to all three roles):
-///
-///   id            = fig6_small
-///   mode          = cartesian
-///   clusters      = 1,2,4,8
-///   message_bytes = 1024,512
-///   lambda_per_s  = 250
-///   architecture  = blocking
-///   technology    = case1
-///   backends      = analytic,des
-///   model         = mva          # analytic throttling method
-///   messages      = 2000         # DES/fabric deliveries per point
-///   warmup        = 400
-///   replications  = 1
-///   seed          = 3
-///   on_error      = collect-all  # fail-fast (default) | collect-all
-///   max_attempts  = 2
-///   cell_deadline_ms = 60000
-///   degraded_utilization = 0.999
-///   batch_cells   = 256          # 0 = per-cell evaluation (default)
+/// architecture still apply. A point whose tree has the flat two-stage
+/// shape is lowered to its SystemConfig at expansion (expand_sweep).
 ///
 /// Unknown keys are rejected at every level so typos fail loudly.
 
@@ -92,7 +74,6 @@
 #include "hmcs/runner/sweep_runner.hpp"
 #include "hmcs/runner/sweep_spec.hpp"
 #include "hmcs/util/json.hpp"
-#include "hmcs/util/keyvalue.hpp"
 
 namespace hmcs::runner {
 
@@ -123,19 +104,15 @@ struct SweepRunConfig {
   std::uint32_t batch_cells = 0;
 };
 
-/// Loads a sweep config from `path`: `.json` is parsed as the JSON
-/// schema, anything else as key=value. Throws hmcs::ConfigError on
-/// unreadable files or malformed/unknown content.
+/// Loads a sweep config from `path`, parsed as the JSON schema whatever
+/// its extension. Throws hmcs::ConfigError on unreadable files or
+/// malformed/unknown content.
 SweepRunConfig load_sweep_config(const std::string& path,
                                  const SweepLoadOptions& options = {});
 
 /// Parses the JSON schema from text.
 SweepRunConfig sweep_config_from_json(std::string_view text,
                                       const SweepLoadOptions& options = {});
-
-/// Builds from an already-parsed key=value file.
-SweepRunConfig sweep_config_from_keyvalue(const KeyValueFile& file,
-                                          const SweepLoadOptions& options = {});
 
 /// Parses one technology-axis entry: a string ("case1"/"case2" or any
 /// parse_technology spec applied to all three roles) or an object with

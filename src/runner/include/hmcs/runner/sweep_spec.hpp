@@ -93,12 +93,14 @@ struct SweepPoint {
   /// Human-readable coordinates, e.g. "fig6 C=8 M=1024"; names trace
   /// tracks and error messages.
   std::string label;
-  analytic::SystemConfig config;  ///< fully built and validated
-  /// Tree sweeps: the point's topology with this point's node-path
-  /// overrides applied; null for flat sweeps. When set, `config` holds
-  /// the equivalent flat config if the tree lowers (as_system_config)
-  /// and a default-constructed placeholder otherwise — backends are
-  /// dispatched through predict_tree for these points.
+  /// Fully built and validated; for a tree-sweep point whose tree has
+  /// the flat two-stage shape, the SystemConfig that tree denotes.
+  analytic::SystemConfig config;
+  /// Nested tree-sweep points only: the point's topology with its
+  /// node-path overrides applied, dispatched through
+  /// Backend::predict_tree (`config` is then a default placeholder).
+  /// Null for flat sweeps and for flat-shaped trees, which expansion
+  /// lowers into `config` — the one place a sweep lowers a tree.
   std::shared_ptr<const analytic::ModelTree> tree;
 };
 

@@ -1,6 +1,8 @@
 #include "hmcs/runner/backend.hpp"
 
 #include <algorithm>
+#include <cmath>
+#include <limits>
 
 #include "hmcs/analytic/tree_model.hpp"
 #include "hmcs/netsim/hmcs_fabric.hpp"
@@ -39,12 +41,76 @@ void Backend::evaluate_batch(const analytic::SystemConfig* const*, std::size_t,
       std::source_location::current());
 }
 
-PointResult Backend::predict_tree(const analytic::ModelTree& tree,
-                                  const PointContext& ctx) const {
-  if (const auto flat = tree.as_system_config()) return predict(*flat, ctx);
+PointResult Backend::predict_tree(const analytic::ModelTree&,
+                                  const PointContext&) const {
   detail::throw_config_error(
       "backend '" + name() + "' cannot evaluate nested model trees",
       std::source_location::current());
+}
+
+namespace {
+
+void write_number(JsonWriter& json, const char* key, double value) {
+  json.key(key);
+  if (std::isnan(value)) {
+    json.value("nan");
+  } else if (std::isinf(value)) {
+    json.value(value > 0.0 ? "inf" : "-inf");
+  } else {
+    json.value(value);
+  }
+}
+
+double read_number(const JsonValue& object, const char* key,
+                   std::string_view prefix) {
+  const JsonValue& member = object.at(key);
+  if (!member.is_string()) return member.as_number();
+  const std::string& text = member.as_string();
+  if (text == "nan") return std::numeric_limits<double>::quiet_NaN();
+  if (text == "inf") return std::numeric_limits<double>::infinity();
+  if (text == "-inf") return -std::numeric_limits<double>::infinity();
+  detail::throw_config_error(std::string(prefix) +
+                                 ": bad non-finite spelling '" + text +
+                                 "' for " + key,
+                             std::source_location::current());
+}
+
+}  // namespace
+
+void write_json(JsonWriter& json, const PointResult& result) {
+  json.begin_object();
+  write_number(json, "mean_latency_us", result.mean_latency_us);
+  write_number(json, "ci_half_us", result.ci_half_us);
+  write_number(json, "lambda_offered", result.lambda_offered);
+  write_number(json, "lambda_effective", result.lambda_effective);
+  json.key("converged").value(result.converged);
+  write_number(json, "effective_rate_per_us", result.effective_rate_per_us);
+  json.key("messages_measured")
+      .value(std::to_string(result.messages_measured));
+  write_number(json, "mean_switch_hops", result.mean_switch_hops);
+  write_number(json, "max_switch_utilization", result.max_switch_utilization);
+  write_number(json, "max_center_utilization", result.max_center_utilization);
+  json.end_object();
+}
+
+PointResult point_result_from_json(const JsonValue& object,
+                                   std::string_view prefix) {
+  PointResult result;
+  result.mean_latency_us = read_number(object, "mean_latency_us", prefix);
+  result.ci_half_us = read_number(object, "ci_half_us", prefix);
+  result.lambda_offered = read_number(object, "lambda_offered", prefix);
+  result.lambda_effective = read_number(object, "lambda_effective", prefix);
+  result.converged = object.at("converged").as_bool();
+  result.effective_rate_per_us =
+      read_number(object, "effective_rate_per_us", prefix);
+  result.messages_measured = json_uint<std::uint64_t>(
+      object.at("messages_measured"), prefix, "messages_measured");
+  result.mean_switch_hops = read_number(object, "mean_switch_hops", prefix);
+  result.max_switch_utilization =
+      read_number(object, "max_switch_utilization", prefix);
+  result.max_center_utilization =
+      read_number(object, "max_center_utilization", prefix);
+  return result;
 }
 
 namespace {
@@ -174,7 +240,6 @@ PointResult DesBackend::predict(const analytic::SystemConfig& config,
 
 PointResult DesBackend::predict_tree(const analytic::ModelTree& tree,
                                      const PointContext& ctx) const {
-  if (const auto flat = tree.as_system_config()) return predict(*flat, ctx);
   return simulate(options_, tree, ctx, max_center_utilization);
 }
 

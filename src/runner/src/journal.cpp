@@ -1,10 +1,6 @@
 #include "hmcs/runner/journal.hpp"
 
-#include <cerrno>
-#include <cmath>
-#include <cstdlib>
 #include <filesystem>
-#include <limits>
 #include <sstream>
 
 #include "hmcs/util/error.hpp"
@@ -14,48 +10,7 @@ namespace hmcs::runner {
 
 namespace {
 
-/// Doubles must round-trip exactly for the resume bit-identity
-/// contract. JsonWriter already emits finite values as %.17g (exact);
-/// non-finite values — a backend can legitimately produce NaN/inf — are
-/// encoded as the strings "nan"/"inf"/"-inf" because JSON has no
-/// spelling for them.
-void journal_number(JsonWriter& json, const char* key, double value) {
-  json.key(key);
-  if (std::isnan(value)) {
-    json.value("nan");
-  } else if (std::isinf(value)) {
-    json.value(value > 0.0 ? "inf" : "-inf");
-  } else {
-    json.value(value);
-  }
-}
-
-double read_journal_number(const JsonValue& object, const char* key) {
-  const JsonValue& member = object.at(key);
-  if (member.is_string()) {
-    const std::string& text = member.as_string();
-    if (text == "nan") return std::numeric_limits<double>::quiet_NaN();
-    if (text == "inf") return std::numeric_limits<double>::infinity();
-    if (text == "-inf") return -std::numeric_limits<double>::infinity();
-    detail::throw_config_error(
-        "journal: bad non-finite spelling '" + text + "' for " + key,
-        std::source_location::current());
-  }
-  return member.as_number();
-}
-
-/// u64 values (seeds, message counts) are encoded as decimal strings:
-/// the JSON parser narrows numbers through double, which silently loses
-/// bits above 2^53 — and SplitMix64 seeds use all 64.
-std::uint64_t read_journal_u64(const JsonValue& object, const char* key) {
-  const std::string& text = object.at(key).as_string();
-  errno = 0;
-  char* end = nullptr;
-  const unsigned long long value = std::strtoull(text.c_str(), &end, 10);
-  require(errno == 0 && end != nullptr && *end == '\0' && !text.empty(),
-          "journal: bad u64 '" + text + "' for " + key);
-  return static_cast<std::uint64_t>(value);
-}
+constexpr std::string_view kPrefix = "journal";
 
 std::string header_line(const JournalWriter::Shape& shape) {
   JsonWriter json;
@@ -80,21 +35,10 @@ std::string cell_line(std::size_t cell, std::uint64_t seed,
   json.key("status").value(to_string(result.status));
   json.key("attempts").value(result.attempts);
   json.key("error").value(result.error);
-  json.key("result").begin_object();
-  journal_number(json, "mean_latency_us", result.mean_latency_us);
-  journal_number(json, "ci_half_us", result.ci_half_us);
-  journal_number(json, "lambda_offered", result.lambda_offered);
-  journal_number(json, "lambda_effective", result.lambda_effective);
-  json.key("converged").value(result.converged);
-  journal_number(json, "effective_rate_per_us", result.effective_rate_per_us);
-  json.key("messages_measured")
-      .value(std::to_string(result.messages_measured));
-  journal_number(json, "mean_switch_hops", result.mean_switch_hops);
-  journal_number(json, "max_switch_utilization",
-                 result.max_switch_utilization);
-  journal_number(json, "max_center_utilization",
-                 result.max_center_utilization);
-  json.end_object();
+  // Doubles and the u64 message count round-trip exactly, which the
+  // resume bit-identity contract needs.
+  json.key("result");
+  write_json(json, result);
   json.end_object();
   return json.str();
 }
@@ -106,7 +50,7 @@ void apply_header(SweepJournal& journal, const JsonValue& doc, bool& seen) {
           "journal: unsupported version");
   SweepJournal header;
   header.id = doc.at("id").as_string();
-  header.points = static_cast<std::size_t>(doc.at("points").as_number());
+  header.points = json_uint<std::size_t>(doc.at("points"), kPrefix, "points");
   for (const JsonValue& name : doc.at("backends").items) {
     header.backend_names.push_back(name.as_string());
   }
@@ -129,31 +73,18 @@ void apply_header(SweepJournal& journal, const JsonValue& doc, bool& seen) {
 }
 
 void apply_cell(SweepJournal& journal, const JsonValue& doc) {
-  const std::size_t cell = static_cast<std::size_t>(
-      doc.at("cell").as_number());
+  const auto cell = json_uint<std::size_t>(doc.at("cell"), kPrefix, "cell");
   require(cell < journal.cells.size(), "journal: cell index out of range");
-  PointResult result;
-  result.status = parse_cell_status(doc.at("status").as_string());
-  require(result.status != CellStatus::kSkipped,
+  const CellStatus status = parse_cell_status(doc.at("status").as_string());
+  require(status != CellStatus::kSkipped,
           "journal: skipped cells are never journaled");
+  PointResult result = point_result_from_json(doc.at("result"), kPrefix);
+  result.status = status;
   result.attempts =
-      static_cast<std::uint32_t>(doc.at("attempts").as_number());
+      json_uint<std::uint32_t>(doc.at("attempts"), kPrefix, "attempts");
   result.error = doc.at("error").as_string();
-  const JsonValue& fields = doc.at("result");
-  result.mean_latency_us = read_journal_number(fields, "mean_latency_us");
-  result.ci_half_us = read_journal_number(fields, "ci_half_us");
-  result.lambda_offered = read_journal_number(fields, "lambda_offered");
-  result.lambda_effective = read_journal_number(fields, "lambda_effective");
-  result.converged = fields.at("converged").as_bool();
-  result.effective_rate_per_us =
-      read_journal_number(fields, "effective_rate_per_us");
-  result.messages_measured = read_journal_u64(fields, "messages_measured");
-  result.mean_switch_hops = read_journal_number(fields, "mean_switch_hops");
-  result.max_switch_utilization =
-      read_journal_number(fields, "max_switch_utilization");
-  result.max_center_utilization =
-      read_journal_number(fields, "max_center_utilization");
-  journal.seeds[cell] = read_journal_u64(doc, "seed");
+  journal.seeds[cell] =
+      json_uint<std::uint64_t>(doc.at("seed"), kPrefix, "seed");
   journal.cells[cell] = std::move(result);
 }
 

@@ -1,6 +1,5 @@
 #include "hmcs/runner/sweep_config.hpp"
 
-#include <algorithm>
 #include <filesystem>
 #include <fstream>
 #include <sstream>
@@ -18,39 +17,7 @@ namespace {
 using analytic::parse_architecture;
 using analytic::parse_technology;
 
-void reject_unknown_members(const JsonValue& object,
-                            const std::vector<std::string>& known,
-                            const std::string& where) {
-  for (const auto& [key, value] : object.members) {
-    (void)value;
-    require(std::find(known.begin(), known.end(), key) != known.end(),
-            "sweep config: unknown key '" + key + "' in " + where);
-  }
-}
-
-double number_member(const JsonValue& object, std::string_view key,
-                     double fallback) {
-  const JsonValue* member = object.find(key);
-  return member == nullptr ? fallback : member->as_number();
-}
-
-std::uint64_t uint_member(const JsonValue& object, std::string_view key,
-                          std::uint64_t fallback) {
-  const JsonValue* member = object.find(key);
-  if (member == nullptr) return fallback;
-  const double number = member->as_number();
-  require(number >= 0.0 && number == static_cast<double>(
-                                         static_cast<std::uint64_t>(number)),
-          "sweep config: '" + std::string(key) +
-              "' must be a non-negative integer");
-  return static_cast<std::uint64_t>(number);
-}
-
-std::string string_member(const JsonValue& object, std::string_view key,
-                          const std::string& fallback) {
-  const JsonValue* member = object.find(key);
-  return member == nullptr ? fallback : member->as_string();
-}
+constexpr std::string_view kPrefix = "sweep config";
 
 /// "case1"/"case2", or any parse_technology spec applied to all roles.
 TechnologyCase technology_from_string(const std::string& spec) {
@@ -81,17 +48,15 @@ void load_axes_json(const JsonValue& axes, SweepAxes& out) {
                          {"clusters", "message_bytes", "lambda_per_s",
                           "architecture", "technology", "paths",
                           "service_cv2", "arrival_ca2"},
-                         "'axes'");
+                         kPrefix, "'axes'");
   if (const JsonValue* clusters = axes.find("clusters")) {
     require(clusters->is_array(),
             "sweep config: 'clusters' must be an array");
     for (const JsonValue& item : clusters->items) {
-      const double number = item.as_number();
-      require(number >= 1.0 &&
-                  number == static_cast<double>(
-                                static_cast<std::uint32_t>(number)),
+      out.clusters.push_back(
+          json_uint<std::uint32_t>(item, kPrefix, "clusters"));
+      require(out.clusters.back() >= 1,
               "sweep config: cluster counts must be positive integers");
-      out.clusters.push_back(static_cast<std::uint32_t>(number));
     }
   }
   if (const JsonValue* bytes = axes.find("message_bytes")) {
@@ -141,7 +106,7 @@ void load_axes_json(const JsonValue& axes, SweepAxes& out) {
     for (const JsonValue& item : paths->items) {
       require(item.is_object(),
               "sweep config: 'paths' entries must be objects");
-      reject_unknown_members(item, {"path", "values"}, "a path axis");
+      reject_unknown_members(item, {"path", "values"}, kPrefix, "a path axis");
       PathAxis axis;
       axis.path = item.at("path").as_string();
       const JsonValue& values = item.at("values");
@@ -162,15 +127,15 @@ TechnologyCase technology_from_json(const JsonValue& entry) {
   if (entry.is_string()) return technology_from_string(entry.as_string());
   require(entry.is_object(),
           "sweep config: technology entries must be strings or objects");
-  reject_unknown_members(entry, {"label", "icn1", "ecn1", "icn2"},
+  reject_unknown_members(entry, {"label", "icn1", "ecn1", "icn2"}, kPrefix,
                          "a technology entry");
   TechnologyCase tech;
   tech.icn1 = parse_technology(entry.at("icn1").as_string());
   tech.ecn1 = parse_technology(entry.at("ecn1").as_string());
   tech.icn2 = parse_technology(entry.at("icn2").as_string());
-  tech.label = string_member(entry, "label",
-                             tech.icn1.name + "/" + tech.ecn1.name + "/" +
-                                 tech.icn2.name);
+  tech.label = string_member(
+      entry, "label",
+      tech.icn1.name + "/" + tech.ecn1.name + "/" + tech.icn2.name, kPrefix);
   return tech;
 }
 
@@ -180,41 +145,41 @@ std::shared_ptr<Backend> backend_from_json(const JsonValue& entry,
           "sweep config: backend entries must be objects");
   const std::string type = entry.at("type").as_string();
   if (type == "analytic") {
-    reject_unknown_members(entry, {"type", "model", "name"},
+    reject_unknown_members(entry, {"type", "model", "name"}, kPrefix,
                            "an analytic backend");
     analytic::ModelOptions model;
-    model.fixed_point.method =
-        parse_throttling_model(string_member(entry, "model", "bisection"));
+    model.fixed_point.method = parse_throttling_model(
+        string_member(entry, "model", "bisection", kPrefix));
     return std::make_shared<AnalyticBackend>(
-        model, string_member(entry, "name", "analytic"));
+        model, string_member(entry, "name", "analytic", kPrefix));
   }
   if (type == "des") {
     reject_unknown_members(
         entry, {"type", "messages", "warmup", "replications", "name"},
-        "a des backend");
+        kPrefix, "a des backend");
     DesBackend::Options des;
     des.sim.measured_messages =
-        uint_member(entry, "messages", des.sim.measured_messages);
+        uint_member(entry, "messages", des.sim.measured_messages, kPrefix);
     des.sim.warmup_messages =
-        uint_member(entry, "warmup", des.sim.warmup_messages);
+        uint_member(entry, "warmup", des.sim.warmup_messages, kPrefix);
     des.sim.obs.sample_interval_us = options.obs_sample_interval_us;
-    des.replications = static_cast<std::uint32_t>(
-        uint_member(entry, "replications", 1));
+    des.replications =
+        uint_member(entry, "replications", des.replications, kPrefix);
     require(des.replications >= 1,
             "sweep config: des replications must be >= 1");
-    return std::make_shared<DesBackend>(des,
-                                        string_member(entry, "name", "des"));
+    return std::make_shared<DesBackend>(
+        des, string_member(entry, "name", "des", kPrefix));
   }
   if (type == "fabric") {
     reject_unknown_members(entry, {"type", "messages", "warmup", "name"},
-                           "a fabric backend");
+                           kPrefix, "a fabric backend");
     FabricBackend::Options fabric;
     fabric.measured_messages =
-        uint_member(entry, "messages", fabric.measured_messages);
+        uint_member(entry, "messages", fabric.measured_messages, kPrefix);
     fabric.warmup_messages =
-        uint_member(entry, "warmup", fabric.warmup_messages);
+        uint_member(entry, "warmup", fabric.warmup_messages, kPrefix);
     return std::make_shared<FabricBackend>(
-        fabric, string_member(entry, "name", "fabric"));
+        fabric, string_member(entry, "name", "fabric", kPrefix));
   }
   detail::throw_config_error(
       "sweep config: backend type must be analytic|des|fabric, got '" + type +
@@ -265,51 +230,53 @@ SweepRunConfig sweep_config_from_json(std::string_view text,
                           "max_attempts", "cell_deadline_ms",
                           "degraded_utilization", "batch_cells", "tree",
                           "workload"},
-                         "the sweep config");
+                         kPrefix, "the sweep config");
 
   SweepRunConfig config;
-  config.spec.id = string_member(doc, "id", "sweep");
-  config.spec.title = string_member(doc, "title", "");
-  config.spec.mode = parse_mode(string_member(doc, "mode", "cartesian"));
-  config.spec.total_nodes = static_cast<std::uint32_t>(
-      uint_member(doc, "total_nodes", analytic::kPaperTotalNodes));
-  config.spec.switch_params.ports = static_cast<std::uint32_t>(
-      uint_member(doc, "switch_ports", analytic::kPaperSwitchPorts));
-  config.spec.switch_params.latency_us =
-      number_member(doc, "switch_latency_us", analytic::kPaperSwitchLatencyUs);
-  config.spec.base_seed = uint_member(doc, "seed", 1);
-  config.threads = static_cast<std::uint32_t>(uint_member(doc, "threads", 0));
-  config.on_error =
-      parse_failure_policy(string_member(doc, "on_error", "fail-fast"));
+  SweepSpec& spec = config.spec;
+  spec.id = string_member(doc, "id", "sweep", kPrefix);
+  spec.title = string_member(doc, "title", "", kPrefix);
+  spec.mode = parse_mode(string_member(doc, "mode", "cartesian", kPrefix));
+  spec.total_nodes =
+      uint_member(doc, "total_nodes", spec.total_nodes, kPrefix);
+  spec.switch_params.ports =
+      uint_member(doc, "switch_ports", spec.switch_params.ports, kPrefix);
+  spec.switch_params.latency_us = number_member(
+      doc, "switch_latency_us", spec.switch_params.latency_us, kPrefix);
+  spec.base_seed = uint_member(doc, "seed", spec.base_seed, kPrefix);
+  config.threads = uint_member(doc, "threads", config.threads, kPrefix);
+  config.on_error = parse_failure_policy(
+      string_member(doc, "on_error", "fail-fast", kPrefix));
   config.max_attempts =
-      static_cast<std::uint32_t>(uint_member(doc, "max_attempts", 1));
+      uint_member(doc, "max_attempts", config.max_attempts, kPrefix);
   require(config.max_attempts >= 1,
           "sweep config: max_attempts must be >= 1");
-  config.cell_deadline_ms = number_member(doc, "cell_deadline_ms", 0.0);
+  config.cell_deadline_ms =
+      number_member(doc, "cell_deadline_ms", config.cell_deadline_ms, kPrefix);
   require(config.cell_deadline_ms >= 0.0,
           "sweep config: cell_deadline_ms must be >= 0");
-  config.degraded_utilization =
-      number_member(doc, "degraded_utilization", 1.0);
+  config.degraded_utilization = number_member(
+      doc, "degraded_utilization", config.degraded_utilization, kPrefix);
   require(config.degraded_utilization > 0.0,
           "sweep config: degraded_utilization must be > 0");
   config.batch_cells =
-      static_cast<std::uint32_t>(uint_member(doc, "batch_cells", 0));
+      uint_member(doc, "batch_cells", config.batch_cells, kPrefix);
 
   if (const JsonValue* tree = doc.find("tree")) {
     // The member is a complete nested topology config (the same
     // docs/COMPOSITION.md document hmcs_serve accepts), so the topology
     // carries its own switch/message parameters.
-    config.spec.base_tree = std::make_shared<const analytic::ModelTree>(
+    spec.base_tree = std::make_shared<const analytic::ModelTree>(
         analytic::model_tree_from_json(*tree, "'tree'"));
   }
 
   if (const JsonValue* workload = doc.find("workload")) {
-    config.spec.workload = analytic::workload_from_json(*workload);
+    spec.workload = analytic::workload_from_json(*workload);
   }
 
   if (const JsonValue* axes = doc.find("axes")) {
     require(axes->is_object(), "sweep config: 'axes' must be an object");
-    load_axes_json(*axes, config.spec.axes);
+    load_axes_json(*axes, spec.axes);
   }
 
   if (const JsonValue* backends = doc.find("backends")) {
@@ -325,120 +292,6 @@ SweepRunConfig sweep_config_from_json(std::string_view text,
   return config;
 }
 
-SweepRunConfig sweep_config_from_keyvalue(const KeyValueFile& file,
-                                          const SweepLoadOptions& options) {
-  const std::vector<std::string> known{
-      "id",           "title",       "mode",         "total_nodes",
-      "switch_ports", "switch_latency_us", "seed",   "threads",
-      "clusters",     "message_bytes", "lambda_per_s", "architecture",
-      "service_cv2",  "arrival_ca2",
-      "technology",   "backends",    "model",        "messages",
-      "warmup",       "replications", "on_error",    "max_attempts",
-      "cell_deadline_ms", "degraded_utilization", "batch_cells"};
-  const auto unknown = file.unknown_keys(known);
-  require(unknown.empty(), "sweep config: unknown key '" +
-                               (unknown.empty() ? "" : unknown[0]) + "'");
-
-  SweepRunConfig config;
-  config.spec.id = file.get_or("id", "sweep");
-  config.spec.title = file.get_or("title", "");
-  config.spec.mode = parse_mode(file.get_or("mode", "cartesian"));
-  config.spec.total_nodes = static_cast<std::uint32_t>(
-      parse_int(file.get_or("total_nodes",
-                            std::to_string(analytic::kPaperTotalNodes))));
-  config.spec.switch_params.ports = static_cast<std::uint32_t>(
-      parse_int(file.get_or("switch_ports",
-                            std::to_string(analytic::kPaperSwitchPorts))));
-  config.spec.switch_params.latency_us =
-      parse_double(file.get_or("switch_latency_us", "10"));
-  const long long seed = parse_int(file.get_or("seed", "1"));
-  require(seed >= 0, "sweep config: seed must be >= 0");
-  config.spec.base_seed = static_cast<std::uint64_t>(seed);
-  config.threads =
-      static_cast<std::uint32_t>(parse_int(file.get_or("threads", "0")));
-  config.on_error = parse_failure_policy(file.get_or("on_error", "fail-fast"));
-  const long long attempts = parse_int(file.get_or("max_attempts", "1"));
-  require(attempts >= 1, "sweep config: max_attempts must be >= 1");
-  config.max_attempts = static_cast<std::uint32_t>(attempts);
-  config.cell_deadline_ms = parse_double(file.get_or("cell_deadline_ms", "0"));
-  require(config.cell_deadline_ms >= 0.0,
-          "sweep config: cell_deadline_ms must be >= 0");
-  config.degraded_utilization =
-      parse_double(file.get_or("degraded_utilization", "1"));
-  require(config.degraded_utilization > 0.0,
-          "sweep config: degraded_utilization must be > 0");
-  const long long batch_cells = parse_int(file.get_or("batch_cells", "0"));
-  require(batch_cells >= 0, "sweep config: batch_cells must be >= 0");
-  config.batch_cells = static_cast<std::uint32_t>(batch_cells);
-
-  const auto list = [&](const char* key) {
-    std::vector<std::string> items;
-    if (!file.has(key)) return items;
-    for (const std::string& item : split(file.get(key), ',')) {
-      items.push_back(trim(item));
-    }
-    return items;
-  };
-  for (const std::string& item : list("clusters")) {
-    const long long value = parse_int(item);
-    require(value >= 1, "sweep config: cluster counts must be >= 1");
-    config.spec.axes.clusters.push_back(static_cast<std::uint32_t>(value));
-  }
-  for (const std::string& item : list("message_bytes")) {
-    config.spec.axes.message_bytes.push_back(parse_double(item));
-  }
-  for (const std::string& item : list("lambda_per_s")) {
-    config.spec.axes.lambda_per_us.push_back(
-        units::per_s_to_per_us(parse_double(item)));
-  }
-  for (const std::string& item : list("architecture")) {
-    config.spec.axes.architectures.push_back(parse_architecture(item));
-  }
-  for (const std::string& item : list("technology")) {
-    config.spec.axes.technologies.push_back(technology_from_string(item));
-  }
-  for (const std::string& item : list("service_cv2")) {
-    config.spec.axes.service_cv2.push_back(parse_double(item));
-  }
-  for (const std::string& item : list("arrival_ca2")) {
-    config.spec.axes.arrival_ca2.push_back(parse_double(item));
-  }
-
-  const auto messages =
-      static_cast<std::uint64_t>(parse_int(file.get_or("messages", "10000")));
-  const auto warmup =
-      static_cast<std::uint64_t>(parse_int(file.get_or("warmup", "2000")));
-  std::vector<std::string> backend_names = list("backends");
-  if (backend_names.empty()) backend_names = {"analytic"};
-  for (const std::string& name : backend_names) {
-    if (name == "analytic") {
-      analytic::ModelOptions model;
-      model.fixed_point.method =
-          parse_throttling_model(file.get_or("model", "bisection"));
-      config.backends.push_back(std::make_shared<AnalyticBackend>(model));
-    } else if (name == "des") {
-      DesBackend::Options des;
-      des.sim.measured_messages = messages;
-      des.sim.warmup_messages = warmup;
-      des.sim.obs.sample_interval_us = options.obs_sample_interval_us;
-      des.replications = static_cast<std::uint32_t>(
-          parse_int(file.get_or("replications", "1")));
-      config.backends.push_back(std::make_shared<DesBackend>(des));
-    } else if (name == "fabric") {
-      FabricBackend::Options fabric;
-      fabric.measured_messages = messages;
-      fabric.warmup_messages = warmup;
-      config.backends.push_back(std::make_shared<FabricBackend>(fabric));
-    } else {
-      detail::throw_config_error(
-          "sweep config: backend must be analytic|des|fabric, got '" + name +
-              "'",
-          std::source_location::current());
-    }
-  }
-  return config;
-}
-
 SweepRunConfig load_sweep_config(const std::string& path,
                                  const SweepLoadOptions& options) {
   // An ifstream on a directory "opens" and reads nothing, which would
@@ -447,16 +300,11 @@ SweepRunConfig load_sweep_config(const std::string& path,
   std::error_code ec;
   require(std::filesystem::is_regular_file(path, ec),
           "sweep config: '" + path + "' is not a readable file");
-  const bool is_json =
-      path.size() >= 5 && path.compare(path.size() - 5, 5, ".json") == 0;
-  if (is_json) {
-    std::ifstream in(path);
-    require(in.good(), "sweep config: cannot open '" + path + "'");
-    std::stringstream buffer;
-    buffer << in.rdbuf();
-    return sweep_config_from_json(buffer.str(), options);
-  }
-  return sweep_config_from_keyvalue(KeyValueFile::load(path), options);
+  std::ifstream in(path);
+  require(in.good(), "sweep config: cannot open '" + path + "'");
+  std::stringstream buffer;
+  buffer << in.rdbuf();
+  return sweep_config_from_json(buffer.str(), options);
 }
 
 }  // namespace hmcs::runner

@@ -345,9 +345,11 @@ SweepResult run_sweep(const SweepSpec& spec,
   // point-aligned boundaries — independent of thread count and resume
   // state, which keeps results deterministic.
   const std::size_t n_points = result.points.size();
-  // Tree points cannot ride the batched path: evaluate_batch takes
-  // SystemConfig pointers, and a tree point's config is only a lowered
-  // view (or a placeholder). Force per-cell tasks for such sweeps.
+  // Nested tree points cannot ride the batched path: evaluate_batch
+  // takes SystemConfig pointers, and a nested point's config is a
+  // placeholder. Force per-cell tasks for such sweeps. Flat-shaped
+  // trees were lowered to configs at expansion, so their sweeps batch
+  // like flat ones.
   bool any_tree_point = false;
   for (const SweepPoint& point : result.points) {
     if (point.tree != nullptr) {

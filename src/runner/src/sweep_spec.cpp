@@ -199,15 +199,15 @@ SweepPoint make_tree_point(
     point.label += analytic::to_string(point.architecture);
   }
 
-  // Flat-shaped trees also carry the equivalent SystemConfig so
-  // reporting code that reads point.config keeps working; genuinely
-  // nested points leave the placeholder and are dispatched through
-  // Backend::predict_tree.
+  // The one place a sweep lowers: a point whose tree has the flat
+  // two-stage shape becomes that flat config (Backend::predict and the
+  // batch path); only nested points keep a tree (Backend::predict_tree).
   if (const auto flat = tree.as_system_config()) {
     point.config = *flat;
     point.lambda_per_us = flat->generation_rate_per_us;
+  } else {
+    point.tree = std::make_shared<const analytic::ModelTree>(std::move(tree));
   }
-  point.tree = std::make_shared<const analytic::ModelTree>(std::move(tree));
 
   point.seed = spec.seed_fn ? spec.seed_fn(point)
                             : default_point_seed(

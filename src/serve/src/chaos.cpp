@@ -1,7 +1,6 @@
 #include "hmcs/serve/chaos.hpp"
 
-#include <algorithm>
-#include <vector>
+#include <utility>
 
 #include "hmcs/obs/metrics.hpp"
 #include "hmcs/simcore/rng.hpp"
@@ -10,15 +9,6 @@
 namespace hmcs::serve {
 
 namespace {
-
-double prob_member(const JsonValue& doc, std::string_view key) {
-  const JsonValue* member = doc.find(key);
-  if (member == nullptr) return 0.0;
-  const double value = member->as_number();
-  require(value >= 0.0 && value <= 1.0,
-          "chaos: '" + std::string(key) + "' must be in [0, 1]");
-  return value;
-}
 
 /// One uniform double in [0, 1) from a site-salted splitmix64 draw.
 /// Sequential tickets through splitmix64 are well-decorrelated by
@@ -34,33 +24,26 @@ double uniform_draw(std::uint64_t seed, std::uint64_t site,
 }  // namespace
 
 FaultPlan fault_plan_from_json(const JsonValue& doc) {
+  constexpr std::string_view kPrefix = "chaos";
   require(doc.is_object(), "chaos: the plan must be a JSON object");
-  static const std::vector<std::string> known = {
-      "seed",          "shed_prob",      "eval_delay_prob",
-      "eval_delay_ms", "eval_error_prob", "snapshot_fail_prob"};
-  for (const auto& [key, value] : doc.members) {
-    (void)value;
-    require(std::find(known.begin(), known.end(), key) != known.end(),
-            "chaos: unknown key '" + key + "' in the plan");
-  }
+  reject_unknown_members(doc,
+                         {"seed", "shed_prob", "eval_delay_prob",
+                          "eval_delay_ms", "eval_error_prob",
+                          "snapshot_fail_prob"},
+                         kPrefix, "the plan");
   FaultPlan plan;
-  if (const JsonValue* seed = doc.find("seed")) {
-    const double number = seed->as_number();
-    require(number >= 0.0 &&
-                number == static_cast<double>(
-                              static_cast<std::uint64_t>(number)),
-            "chaos: 'seed' must be a non-negative integer");
-    plan.seed = static_cast<std::uint64_t>(number);
+  plan.seed = uint_member(doc, "seed", plan.seed, kPrefix);
+  for (const auto& [key, prob] :
+       {std::pair{"shed_prob", &plan.shed_prob},
+        std::pair{"eval_delay_prob", &plan.eval_delay_prob},
+        std::pair{"eval_error_prob", &plan.eval_error_prob},
+        std::pair{"snapshot_fail_prob", &plan.snapshot_fail_prob}}) {
+    *prob = number_member(doc, key, 0.0, kPrefix);
+    require(*prob >= 0.0 && *prob <= 1.0,
+            "chaos: '" + std::string(key) + "' must be in [0, 1]");
   }
-  plan.shed_prob = prob_member(doc, "shed_prob");
-  plan.eval_delay_prob = prob_member(doc, "eval_delay_prob");
-  plan.eval_error_prob = prob_member(doc, "eval_error_prob");
-  plan.snapshot_fail_prob = prob_member(doc, "snapshot_fail_prob");
-  if (const JsonValue* delay = doc.find("eval_delay_ms")) {
-    plan.eval_delay_ms = delay->as_number();
-    require(plan.eval_delay_ms >= 0.0,
-            "chaos: 'eval_delay_ms' must be >= 0");
-  }
+  plan.eval_delay_ms = number_member(doc, "eval_delay_ms", 0.0, kPrefix);
+  require(plan.eval_delay_ms >= 0.0, "chaos: 'eval_delay_ms' must be >= 0");
   return plan;
 }
 

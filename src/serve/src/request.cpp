@@ -1,11 +1,7 @@
 #include "hmcs/serve/request.hpp"
 
-#include <algorithm>
-#include <cerrno>
 #include <cinttypes>
 #include <cstdio>
-#include <cstdlib>
-#include <vector>
 
 #include "hmcs/analytic/config_io.hpp"
 #include "hmcs/analytic/scenario.hpp"
@@ -18,54 +14,7 @@ namespace hmcs::serve {
 
 namespace {
 
-void reject_unknown_members(const JsonValue& object,
-                            const std::vector<std::string>& known,
-                            const std::string& where) {
-  for (const auto& [key, value] : object.members) {
-    (void)value;
-    require(std::find(known.begin(), known.end(), key) != known.end(),
-            "serve: unknown key '" + key + "' in " + where);
-  }
-}
-
-double number_member(const JsonValue& object, std::string_view key,
-                     double fallback) {
-  const JsonValue* member = object.find(key);
-  return member == nullptr ? fallback : member->as_number();
-}
-
-std::uint64_t uint_member(const JsonValue& object, std::string_view key,
-                          std::uint64_t fallback) {
-  const JsonValue* member = object.find(key);
-  if (member == nullptr) return fallback;
-  const double number = member->as_number();
-  require(number >= 0.0 && number == static_cast<double>(
-                                         static_cast<std::uint64_t>(number)),
-          "serve: '" + std::string(key) + "' must be a non-negative integer");
-  return static_cast<std::uint64_t>(number);
-}
-
-std::string string_member(const JsonValue& object, std::string_view key,
-                          const std::string& fallback) {
-  const JsonValue* member = object.find(key);
-  return member == nullptr ? fallback : member->as_string();
-}
-
-/// u64 fields accept the journal spelling (decimal string, exact for
-/// all 64 bits) or a plain number (exact up to 2^53).
-std::uint64_t u64_member(const JsonValue& object, std::string_view key,
-                         std::uint64_t fallback) {
-  const JsonValue* member = object.find(key);
-  if (member == nullptr) return fallback;
-  if (member->is_number()) return uint_member(object, key, fallback);
-  const std::string& text = member->as_string();
-  errno = 0;
-  char* end = nullptr;
-  const unsigned long long value = std::strtoull(text.c_str(), &end, 10);
-  require(errno == 0 && end == text.c_str() + text.size() && !text.empty(),
-          "serve: bad u64 '" + text + "' for " + std::string(key));
-  return static_cast<std::uint64_t>(value);
-}
+constexpr std::string_view kPrefix = "serve";
 
 analytic::SystemConfig config_from_json(const JsonValue& entry) {
   require(entry.is_object(), "serve: 'config' must be an object");
@@ -74,24 +23,22 @@ analytic::SystemConfig config_from_json(const JsonValue& entry) {
                           "architecture", "technology", "message_bytes",
                           "lambda_per_s", "switch_ports",
                           "switch_latency_us", "workload"},
-                         "'config'");
+                         kPrefix, "'config'");
   analytic::SystemConfig config;
-  config.clusters =
-      static_cast<std::uint32_t>(uint_member(entry, "clusters", 1));
+  config.clusters = uint_member(entry, "clusters", 1u, kPrefix);
   require(config.clusters >= 1, "serve: 'clusters' must be >= 1");
 
   if (const JsonValue* per_cluster = entry.find("nodes_per_cluster")) {
     require(entry.find("total_nodes") == nullptr,
             "serve: give 'nodes_per_cluster' or 'total_nodes', not both");
     config.nodes_per_cluster =
-        static_cast<std::uint32_t>(per_cluster->as_number());
+        json_uint<std::uint32_t>(*per_cluster, kPrefix, "nodes_per_cluster");
   } else {
-    const std::uint64_t total =
-        uint_member(entry, "total_nodes", analytic::kPaperTotalNodes);
+    const std::uint32_t total =
+        uint_member(entry, "total_nodes", analytic::kPaperTotalNodes, kPrefix);
     require(total >= 1 && total % config.clusters == 0,
             "serve: 'total_nodes' must be a positive multiple of 'clusters'");
-    config.nodes_per_cluster =
-        static_cast<std::uint32_t>(total / config.clusters);
+    config.nodes_per_cluster = total / config.clusters;
   }
 
   // Technology entries use the sweep-config vocabulary ("case1",
@@ -106,15 +53,16 @@ analytic::SystemConfig config_from_json(const JsonValue& entry) {
   config.icn2 = tech.icn2;
 
   config.architecture = analytic::parse_architecture(
-      string_member(entry, "architecture", "non-blocking"));
-  config.message_bytes = number_member(entry, "message_bytes", 1024.0);
+      string_member(entry, "architecture", "non-blocking", kPrefix));
+  config.message_bytes =
+      number_member(entry, "message_bytes", 1024.0, kPrefix);
   config.generation_rate_per_us = units::per_s_to_per_us(number_member(
       entry, "lambda_per_s",
-      units::per_us_to_per_s(analytic::kPaperRatePerUs)));
-  config.switch_params.ports = static_cast<std::uint32_t>(
-      uint_member(entry, "switch_ports", analytic::kPaperSwitchPorts));
+      units::per_us_to_per_s(analytic::kPaperRatePerUs), kPrefix));
+  config.switch_params.ports = uint_member(
+      entry, "switch_ports", analytic::kPaperSwitchPorts, kPrefix);
   config.switch_params.latency_us = number_member(
-      entry, "switch_latency_us", analytic::kPaperSwitchLatencyUs);
+      entry, "switch_latency_us", analytic::kPaperSwitchLatencyUs, kPrefix);
   // The canonical key renderer collapses a spelled-out default workload
   // onto the key bytes of an omitted one, so pre-workload caches and
   // snapshots stay warm.
@@ -136,21 +84,23 @@ void write_backend_key(JsonWriter& json, const JsonValue* entry,
   if (type == "analytic") {
     const analytic::SourceThrottling method = runner::parse_throttling_model(
         entry == nullptr ? "bisection"
-                         : string_member(*entry, "model", "bisection"));
+                         : string_member(*entry, "model", "bisection",
+                                         kPrefix));
     json.key("model").value(runner::throttling_model_name(method));
   } else if (type == "des") {
     runner::DesBackend::Options defaults;
-    json.key("messages").value(
-        uint_member(*entry, "messages", defaults.sim.measured_messages));
-    json.key("warmup").value(
-        uint_member(*entry, "warmup", defaults.sim.warmup_messages));
-    json.key("replications").value(uint_member(*entry, "replications", 1));
+    json.key("messages").value(uint_member(
+        *entry, "messages", defaults.sim.measured_messages, kPrefix));
+    json.key("warmup").value(uint_member(
+        *entry, "warmup", defaults.sim.warmup_messages, kPrefix));
+    json.key("replications").value(uint_member(
+        *entry, "replications", defaults.replications, kPrefix));
   } else if (type == "fabric") {
     runner::FabricBackend::Options defaults;
-    json.key("messages").value(
-        uint_member(*entry, "messages", defaults.measured_messages));
-    json.key("warmup").value(
-        uint_member(*entry, "warmup", defaults.warmup_messages));
+    json.key("messages").value(uint_member(
+        *entry, "messages", defaults.measured_messages, kPrefix));
+    json.key("warmup").value(uint_member(
+        *entry, "warmup", defaults.warmup_messages, kPrefix));
   }
   json.end_object();
 }
@@ -191,7 +141,7 @@ ServeRequest parse_request(const JsonValue& doc,
   reject_unknown_members(doc,
                          {"id", "backend", "config", "seed", "deadline_ms",
                           "no_cache", "timing"},
-                         "the request");
+                         kPrefix, "the request");
 
   ServeRequest request;
   if (const JsonValue* id = doc.find("id")) request.id_json = render_id(*id);
@@ -222,15 +172,12 @@ ServeRequest parse_request(const JsonValue& doc,
     request.config = config_from_json(*config_entry);
   }
 
-  request.seed = u64_member(doc, "seed", 1);
-  request.deadline_ms = number_member(doc, "deadline_ms", 0.0);
+  request.seed = uint_member(doc, "seed", request.seed, kPrefix);
+  request.deadline_ms =
+      number_member(doc, "deadline_ms", request.deadline_ms, kPrefix);
   require(request.deadline_ms >= 0.0, "serve: 'deadline_ms' must be >= 0");
-  if (const JsonValue* no_cache = doc.find("no_cache")) {
-    request.no_cache = no_cache->as_bool();
-  }
-  if (const JsonValue* timing = doc.find("timing")) {
-    request.timing = timing->as_bool();
-  }
+  request.no_cache = bool_member(doc, "no_cache", request.no_cache, kPrefix);
+  request.timing = bool_member(doc, "timing", request.timing, kPrefix);
 
   // Canonical key: version tag + normalised backend + the built config
   // (stable declaration-order serialisation resolves presets, unit

@@ -1,6 +1,5 @@
 #include "hmcs/serve/service.hpp"
 
-#include <cmath>
 #include <cstdio>
 #include <exception>
 #include <thread>
@@ -13,20 +12,6 @@
 namespace hmcs::serve {
 
 namespace {
-
-/// Journal-style number spelling: finite doubles as %.17g (exact
-/// round-trip, the byte-identity contract), non-finite as the strings
-/// "nan"/"inf"/"-inf" (JSON has no spelling for them).
-void write_number(JsonWriter& json, const char* key, double value) {
-  json.key(key);
-  if (std::isnan(value)) {
-    json.value("nan");
-  } else if (std::isinf(value)) {
-    json.value(value > 0.0 ? "inf" : "-inf");
-  } else {
-    json.value(value);
-  }
-}
 
 /// Splices the caller's id into a stored (id-free) body. The body is
 /// the cached unit, so cold and warm replies to the same request line
@@ -43,20 +28,8 @@ std::string ok_body(const ServeRequest& request,
   json.key("status").value("ok");
   json.key("backend").value(request.backend_kind);
   json.key("key").value(key_hash_hex(request.key_hash));
-  json.key("result").begin_object();
-  write_number(json, "mean_latency_us", result.mean_latency_us);
-  write_number(json, "ci_half_us", result.ci_half_us);
-  write_number(json, "lambda_offered", result.lambda_offered);
-  write_number(json, "lambda_effective", result.lambda_effective);
-  json.key("converged").value(result.converged);
-  write_number(json, "effective_rate_per_us", result.effective_rate_per_us);
-  json.key("messages_measured")
-      .value(std::to_string(result.messages_measured));
-  write_number(json, "mean_switch_hops", result.mean_switch_hops);
-  write_number(json, "max_switch_utilization", result.max_switch_utilization);
-  write_number(json, "max_center_utilization",
-               result.max_center_utilization);
-  json.end_object();
+  json.key("result");
+  write_json(json, result);
   json.end_object();
   return json.str();
 }

@@ -18,7 +18,10 @@
 ///   json.end_object();
 ///   std::string text = json.str();
 
+#include <concepts>
 #include <cstdint>
+#include <initializer_list>
+#include <limits>
 #include <string>
 #include <string_view>
 #include <utility>
@@ -113,5 +116,60 @@ struct JsonValue {
 /// trailing garbage rejected). Throws hmcs::ConfigError with an offset
 /// on malformed input.
 JsonValue parse_json(std::string_view text);
+
+// --- Member readers ---------------------------------------------------------
+//
+// The one reader set for JSON that comes from outside: sweep and tree
+// configs, workloads, serve requests, chaos plans and journal lines all
+// read their members through these. `prefix` names the reader ("serve",
+// "sweep config", ...) and starts every error message; every rejection
+// throws hmcs::ConfigError.
+
+/// Rejects the first member of `object` not named in `known`:
+/// "<prefix>: unknown key '<key>' in <where>".
+void reject_unknown_members(const JsonValue& object,
+                            std::initializer_list<std::string_view> known,
+                            std::string_view prefix, std::string_view where);
+
+/// Optional members: `fallback` when absent; a member of another kind
+/// throws "<prefix>: '<key>' must be a number" (a string, a boolean).
+double number_member(const JsonValue& object, std::string_view key,
+                     double fallback, std::string_view prefix);
+std::string string_member(const JsonValue& object, std::string_view key,
+                          std::string_view fallback, std::string_view prefix);
+bool bool_member(const JsonValue& object, std::string_view key, bool fallback,
+                 std::string_view prefix);
+
+namespace detail {
+/// json_uint's width-independent core: `value` as an integer in
+/// [0, 2^bits), strings of decimal digits too when `decimal_string`.
+std::uint64_t read_json_uint(const JsonValue& value, int bits,
+                             bool decimal_string, std::string_view prefix,
+                             std::string_view key);
+}  // namespace detail
+
+/// The one integer reader: `value` as a T, checked against T's range.
+/// It must be a whole JSON number in [0, max T]; fractions, negatives
+/// and larger values throw "<prefix>: '<key>' must be an integer in
+/// [0, max]", and an out-of-range double is never cast, because that
+/// cast is undefined behaviour. The u64 form also takes the
+/// decimal-string spelling — exact for all 64 bits, where a double is
+/// exact only to 2^53 (seeds use all 64) — and a sign, whitespace or
+/// any other non-digit in the string throws.
+template <std::unsigned_integral T>
+T json_uint(const JsonValue& value, std::string_view prefix,
+            std::string_view key) {
+  return static_cast<T>(detail::read_json_uint(
+      value, std::numeric_limits<T>::digits, std::same_as<T, std::uint64_t>,
+      prefix, key));
+}
+
+/// Optional integer member: `fallback` when absent, else json_uint<T>.
+template <std::unsigned_integral T>
+T uint_member(const JsonValue& object, std::string_view key, T fallback,
+              std::string_view prefix) {
+  const JsonValue* member = object.find(key);
+  return member == nullptr ? fallback : json_uint<T>(*member, prefix, key);
+}
 
 }  // namespace hmcs

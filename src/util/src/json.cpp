@@ -1,6 +1,8 @@
 #include "hmcs/util/json.hpp"
 
+#include <algorithm>
 #include <cerrno>
+#include <charconv>
 #include <cmath>
 #include <cstdio>
 #include <cstdlib>
@@ -437,6 +439,93 @@ class JsonParser {
 
 JsonValue parse_json(std::string_view text) {
   return JsonParser(text).parse_document();
+}
+
+// ---------------------------------------------------------------------------
+// Member readers
+// ---------------------------------------------------------------------------
+
+namespace {
+
+/// "<prefix>: '<key>' <problem>", built only when a read fails.
+[[noreturn]] void member_error(std::string_view prefix, std::string_view key,
+                               std::string_view problem) {
+  std::string message(prefix);
+  message += ": '";
+  message += key;
+  message += "' ";
+  message += problem;
+  detail::throw_config_error(message, std::source_location::current());
+}
+
+}  // namespace
+
+void reject_unknown_members(const JsonValue& object,
+                            std::initializer_list<std::string_view> known,
+                            std::string_view prefix, std::string_view where) {
+  for (const auto& [key, value] : object.members) {
+    (void)value;
+    if (std::find(known.begin(), known.end(), key) != known.end()) continue;
+    std::string message(prefix);
+    message += ": unknown key '" + key + "' in ";
+    message += where;
+    detail::throw_config_error(message, std::source_location::current());
+  }
+}
+
+double number_member(const JsonValue& object, std::string_view key,
+                     double fallback, std::string_view prefix) {
+  const JsonValue* member = object.find(key);
+  if (member == nullptr) return fallback;
+  if (!member->is_number()) member_error(prefix, key, "must be a number");
+  return member->number_value;
+}
+
+std::string string_member(const JsonValue& object, std::string_view key,
+                          std::string_view fallback, std::string_view prefix) {
+  const JsonValue* member = object.find(key);
+  if (member == nullptr) return std::string(fallback);
+  if (!member->is_string()) member_error(prefix, key, "must be a string");
+  return member->string_value;
+}
+
+bool bool_member(const JsonValue& object, std::string_view key, bool fallback,
+                 std::string_view prefix) {
+  const JsonValue* member = object.find(key);
+  if (member == nullptr) return fallback;
+  if (!member->is_bool()) member_error(prefix, key, "must be a boolean");
+  return member->bool_value;
+}
+
+std::uint64_t detail::read_json_uint(const JsonValue& value, int bits,
+                                     bool decimal_string,
+                                     std::string_view prefix,
+                                     std::string_view key) {
+  ensure(bits >= 1 && bits <= 64, "read_json_uint: bits must be in [1, 64]");
+  const std::uint64_t max =
+      bits == 64 ? std::numeric_limits<std::uint64_t>::max()
+                 : (std::uint64_t{1} << bits) - 1;
+  if (value.is_number()) {
+    // 2^bits is exact in a double, so every whole number below it
+    // converts exactly; NaN fails the first comparison.
+    const double number = value.number_value;
+    if (number >= 0.0 && number == std::floor(number) &&
+        number < std::ldexp(1.0, bits)) {
+      return static_cast<std::uint64_t>(number);
+    }
+  } else if (decimal_string && value.is_string()) {
+    // from_chars into an unsigned type takes digits only: a sign or
+    // leading whitespace fails, and anything after the digits is left
+    // unconsumed.
+    const std::string& text = value.string_value;
+    std::uint64_t parsed = 0;
+    const char* const end = text.data() + text.size();
+    const auto [stop, error] = std::from_chars(text.data(), end, parsed);
+    if (error == std::errc() && stop == end && parsed <= max) return parsed;
+  }
+  member_error(prefix, key,
+               "must be an integer in [0, " + std::to_string(max) + "]" +
+                   (decimal_string ? " (a number or a decimal string)" : ""));
 }
 
 }  // namespace hmcs

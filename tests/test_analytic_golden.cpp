@@ -95,7 +95,9 @@ void add_tree(Digest& d, const TreeLatencyPrediction& p) {
   d.add(p.total_queue_length);
   d.add(p.fixed_point_converged);
   d.add(p.fixed_point_iterations);
-  d.add(p.lowered_to_flat);
+  // The digest word of the retired lowered-to-flat flag: it was false on
+  // every pinned tree solve, so the pins keep their values.
+  d.add(false);
   d.add(std::uint64_t{p.centers.size()});
   for (const TreeCenterPrediction& c : p.centers) {
     d.add(c.egress);
@@ -310,7 +312,6 @@ ModelTree campuses() {
 TreeLatencyPrediction predict_tree(const ModelTree& tree,
                                    SourceThrottling method) {
   TreeModelOptions options;
-  options.exact_lowering = false;
   options.fixed_point.method = method;
   return predict_model_tree(tree, options);
 }
@@ -324,7 +325,6 @@ TEST(AnalyticGolden, HeterogeneousTreeUnderEveryMethod) {
   const ModelTree tree = campuses();
   for (std::size_t m = 0; m < 4; ++m) {
     const TreeLatencyPrediction prediction = predict_tree(tree, kMethods[m]);
-    EXPECT_FALSE(prediction.lowered_to_flat);
     EXPECT_TRUE(prediction.fixed_point_converged) << method_name(kMethods[m]);
     Digest digest;
     add_tree(digest, prediction);

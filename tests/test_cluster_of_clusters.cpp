@@ -114,8 +114,9 @@ TEST(ClusterOfClusters, HomogeneousReductionMatchesSuperClusterModel) {
 }
 
 TEST(ClusterOfClusters, AmvaHomogeneousReductionMatchesExactMva) {
-  // Identical clusters through the multi-class AMVA solver must land on
-  // the Super-Cluster exact-MVA prediction to Schweitzer accuracy.
+  // Identical clusters form a uniform tree, so kExactMva takes the
+  // station-class exact MVA, not the multi-class AMVA, and must land on
+  // the Super-Cluster exact-MVA prediction.
   const SystemConfig super = paper_scenario(
       HeterogeneityCase::kCase1, 4, NetworkArchitecture::kNonBlocking,
       1024.0, 128, 2e-4);

@@ -1,67 +1,50 @@
-// Key=value parsing and SystemConfig loading.
+// The config vocabularies (technology and architecture strings) and the
+// shipped single-point sample configs, read through the sweep-config
+// loader like every other JSON config.
 
 #include <gtest/gtest.h>
 
+#include <fstream>
+#include <sstream>
+#include <string>
+#include <vector>
+
 #include "hmcs/analytic/config_io.hpp"
+#include "hmcs/runner/sweep_config.hpp"
 #include "hmcs/util/error.hpp"
-#include "hmcs/util/keyvalue.hpp"
 
 namespace {
 
 using namespace hmcs;
 using namespace hmcs::analytic;
 
-const char* kValidConfig = R"(
-# sample
-clusters              = 8
-nodes_per_cluster     = 32
-architecture          = non-blocking
-icn1                  = gigabit-ethernet
-ecn1                  = fast-ethernet
-icn2                  = fast-ethernet
-message_bytes         = 1024
-generation_rate_per_s = 250   # trailing comment
-)";
+const std::string kSamples = std::string(HMCS_SOURCE_DIR) + "/examples/configs";
 
-TEST(KeyValue, ParsesCommentsAndWhitespace) {
-  const auto file = KeyValueFile::parse(
-      "# header\n a = 1 \n\nb=two#inline\n  # only comment\n");
-  EXPECT_EQ(file.keys().size(), 2u);
-  EXPECT_EQ(file.get("a"), "1");
-  EXPECT_EQ(file.get("b"), "two");
-  EXPECT_TRUE(file.has("a"));
-  EXPECT_FALSE(file.has("c"));
-  EXPECT_EQ(file.get_or("c", "dflt"), "dflt");
-  EXPECT_EQ(file.get_int("a"), 1);
+/// The one SystemConfig a single-point sweep config expands to.
+SystemConfig single_point(const runner::SweepRunConfig& run) {
+  const std::vector<runner::SweepPoint> points = runner::expand_sweep(run.spec);
+  EXPECT_EQ(points.size(), 1u);
+  return points.front().config;
 }
 
-TEST(KeyValue, RejectsMalformedInput) {
-  EXPECT_THROW(KeyValueFile::parse("novalue\n"), ConfigError);
-  EXPECT_THROW(KeyValueFile::parse("= 5\n"), ConfigError);
-  EXPECT_THROW(KeyValueFile::parse("a=1\na=2\n"), ConfigError);
-  const auto file = KeyValueFile::parse("a=1\n");
-  EXPECT_THROW(file.get("missing"), ConfigError);
-  EXPECT_THROW(KeyValueFile::load("/nonexistent/file.cfg"), ConfigError);
-}
-
-TEST(KeyValue, UnknownKeyDetection) {
-  const auto file = KeyValueFile::parse("a=1\nz=2\n");
-  const auto unknown = file.unknown_keys({"a", "b"});
-  ASSERT_EQ(unknown.size(), 1u);
-  EXPECT_EQ(unknown[0], "z");
+std::string read_sample(const std::string& name) {
+  std::ifstream in(kSamples + "/" + name);
+  std::stringstream text;
+  text << in.rdbuf();
+  return text.str();
 }
 
 TEST(ConfigIo, LoadsValidConfig) {
-  const SystemConfig config =
-      system_config_from(KeyValueFile::parse(kValidConfig));
+  const SystemConfig config = single_point(
+      runner::sweep_config_from_json(read_sample("case1_c8.json")));
   EXPECT_EQ(config.clusters, 8u);
   EXPECT_EQ(config.nodes_per_cluster, 32u);
   EXPECT_EQ(config.architecture, NetworkArchitecture::kNonBlocking);
   EXPECT_EQ(config.icn1.name, "Gigabit Ethernet");
   EXPECT_EQ(config.ecn1.name, "Fast Ethernet");
+  EXPECT_EQ(config.icn2.name, "Fast Ethernet");
   EXPECT_DOUBLE_EQ(config.message_bytes, 1024.0);
   EXPECT_DOUBLE_EQ(config.generation_rate_per_us, 2.5e-4);
-  // Defaults applied.
   EXPECT_EQ(config.switch_params.ports, 24u);
   EXPECT_DOUBLE_EQ(config.switch_params.latency_us, 10.0);
 }
@@ -80,36 +63,42 @@ TEST(ConfigIo, ParsesTechnologySpecs) {
 }
 
 TEST(ConfigIo, BlockingAliasAccepted) {
-  std::string text = kValidConfig;
-  text.replace(text.find("non-blocking"), 12, "chain       ");
-  const SystemConfig config = system_config_from(KeyValueFile::parse(text));
-  EXPECT_EQ(config.architecture, NetworkArchitecture::kBlocking);
+  EXPECT_EQ(parse_architecture("chain"), NetworkArchitecture::kBlocking);
+  EXPECT_EQ(parse_architecture("blocking"), NetworkArchitecture::kBlocking);
+  EXPECT_EQ(parse_architecture("fat-tree"),
+            NetworkArchitecture::kNonBlocking);
 }
 
 TEST(ConfigIo, RejectsUnknownKeysAndBadValues) {
-  std::string with_typo = kValidConfig;
-  with_typo += "mesage_bytes = 12\n";  // typo'd key
-  EXPECT_THROW(system_config_from(KeyValueFile::parse(with_typo)),
-               ConfigError);
+  const std::string sample = read_sample("case1_c8.json");
 
-  std::string bad_arch = kValidConfig;
-  bad_arch.replace(bad_arch.find("non-blocking"), 12, "mesh        ");
-  EXPECT_THROW(system_config_from(KeyValueFile::parse(bad_arch)),
-               ConfigError);
+  std::string with_typo = sample;
+  with_typo.replace(with_typo.find("\"total_nodes\""), 13, "\"total_nodez\"");
+  EXPECT_THROW(runner::sweep_config_from_json(with_typo), ConfigError);
 
-  std::string missing = "clusters = 4\n";
-  EXPECT_THROW(system_config_from(KeyValueFile::parse(missing)), ConfigError);
+  std::string bad_arch = sample;
+  bad_arch.replace(bad_arch.find("non-blocking"), 12, "mesh");
+  EXPECT_THROW(runner::sweep_config_from_json(bad_arch), ConfigError);
+  EXPECT_THROW(parse_architecture("mesh"), ConfigError);
+
+  // Eight clusters do not divide 12 nodes (assumption 5).
+  std::string uneven = sample;
+  uneven.replace(uneven.find("256"), 3, "12");
+  EXPECT_THROW(
+      runner::expand_sweep(runner::sweep_config_from_json(uneven).spec),
+      ConfigError);
 }
 
 TEST(ConfigIo, ShippedSampleConfigsLoad) {
-  // The example configs in the repo must stay valid.
-  const std::string root = HMCS_SOURCE_DIR;
+  // The example configs in the repo must stay valid single-point sweeps.
   const SystemConfig case1 =
-      load_system_config(root + "/examples/configs/case1_c8.cfg");
+      single_point(runner::load_sweep_config(kSamples + "/case1_c8.json"));
   EXPECT_EQ(case1.total_nodes(), 256u);
-  const SystemConfig myri =
-      load_system_config(root + "/examples/configs/myrinet_backbone.cfg");
+  const SystemConfig myri = single_point(
+      runner::load_sweep_config(kSamples + "/myrinet_backbone.json"));
   EXPECT_EQ(myri.ecn1.name, "Myrinet");
+  EXPECT_EQ(myri.icn2.name, "Myrinet");
+  EXPECT_EQ(myri.icn1.name, "Gigabit Ethernet");
 }
 
 }  // namespace

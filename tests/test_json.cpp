@@ -160,8 +160,6 @@ TEST(Serialize, HeteroDocuments) {
       analytic::to_json(analytic::predict_model_tree(tree));
   EXPECT_NE(prediction_json.find("\"per_leaf_latency_us\":["),
             std::string::npos);
-  EXPECT_NE(prediction_json.find("\"lowered_to_flat\":false"),
-            std::string::npos);
 }
 
 TEST(JsonParse, Scalars) {

@@ -1,13 +1,16 @@
-// Recursive model trees: lowering round-trips, bit-identical flat
-// dispatch, generic-recursion agreement, uniform-tree MVA, node-path
-// targeting, the nested JSON schema, and cancellation of the AMVA path.
+// Recursive model trees: lowering round-trips, bit-identical lowering of
+// flat-shaped tree sweeps at expansion, generic-recursion agreement,
+// uniform-tree MVA, node-path targeting, the nested JSON schema, and
+// cancellation of the AMVA path.
 
 #include <gtest/gtest.h>
 
 #include <cmath>
 #include <fstream>
+#include <memory>
 #include <sstream>
 #include <string>
+#include <vector>
 
 #include "hmcs/analytic/latency_model.hpp"
 #include "hmcs/analytic/model_tree.hpp"
@@ -15,12 +18,14 @@
 #include "hmcs/analytic/serialize.hpp"
 #include "hmcs/analytic/tree_io.hpp"
 #include "hmcs/analytic/tree_model.hpp"
+#include "hmcs/runner/sweep_runner.hpp"
 #include "hmcs/util/cancel.hpp"
 #include "hmcs/util/error.hpp"
 
 namespace {
 
 using namespace hmcs::analytic;
+namespace runner = hmcs::runner;
 
 /// A genuinely three-level topology: a fast-ethernet backbone over two
 /// campuses, each a gigabit spine over heterogeneous leaf groups.
@@ -152,40 +157,52 @@ TEST(ModelTree, ThreeNetworkLevelsSolve) {
 }
 
 TEST(ModelTree, FlatShapeBitIdenticalAcrossFigureGrids) {
-  // The exact-lowering dispatch must reproduce the scalar pipeline
-  // bit-for-bit on the pinned figure grids, for every throttling method.
+  // Flat-shaped trees are lowered where input enters, not in the
+  // solver: a tree sweep over ModelTree::from_system(config) expands to
+  // plain flat points, and its analytic cells — batched or per cell —
+  // are bit-identical to predict_latency on the pinned figure grids, for
+  // every throttling method.
   for (const SourceThrottling method :
        {SourceThrottling::kNone, SourceThrottling::kPicard,
         SourceThrottling::kBisection, SourceThrottling::kExactMva}) {
+    ModelOptions scalar;
+    scalar.fixed_point.method = method;
+    const auto backend = std::make_shared<runner::AnalyticBackend>(scalar);
     for (const std::uint32_t clusters : {1u, 2u, 4u, 8u, 16u}) {
-      for (const double bytes : {512.0, 1024.0}) {
-        const SystemConfig config =
-            paper_scenario(HeterogeneityCase::kCase1, clusters,
-                           NetworkArchitecture::kNonBlocking, bytes);
-        ModelOptions scalar;
-        scalar.fixed_point.method = method;
-        const LatencyPrediction expected = predict_latency(config, scalar);
+      runner::SweepSpec spec;
+      spec.id = "flat_shape";
+      spec.base_tree = std::make_shared<const ModelTree>(
+          ModelTree::from_system(paper_scenario(
+              HeterogeneityCase::kCase1, clusters,
+              NetworkArchitecture::kNonBlocking, 1024.0)));
+      spec.axes.message_bytes = {512.0, 1024.0};
 
-        TreeModelOptions options;
-        options.fixed_point = scalar.fixed_point;
-        const TreeLatencyPrediction actual =
-            predict_model_tree(ModelTree::from_system(config), options);
+      const std::vector<runner::SweepPoint> points = runner::expand_sweep(spec);
+      ASSERT_EQ(points.size(), 2u);
+      for (const runner::SweepPoint& point : points) {
+        EXPECT_EQ(point.tree, nullptr) << point.label;
+        EXPECT_EQ(to_json(point.config),
+                  to_json(paper_scenario(HeterogeneityCase::kCase1, clusters,
+                                         NetworkArchitecture::kNonBlocking,
+                                         point.message_bytes)))
+            << point.label;
+      }
 
-        EXPECT_TRUE(actual.lowered_to_flat);
-        EXPECT_EQ(actual.mean_latency_us, expected.mean_latency_us)
-            << "method=" << static_cast<int>(method) << " C=" << clusters
-            << " M=" << bytes;
-        EXPECT_EQ(actual.lambda_offered_total,
-                  expected.lambda_offered *
-                      static_cast<double>(config.total_nodes()));
-        EXPECT_EQ(actual.effective_rate_scale,
-                  expected.lambda_offered > 0.0
-                      ? expected.lambda_effective / expected.lambda_offered
-                      : 1.0);
-        EXPECT_EQ(actual.fixed_point_converged,
-                  expected.fixed_point_converged);
-        for (const double per_leaf : actual.per_leaf_latency_us) {
-          EXPECT_EQ(per_leaf, expected.mean_latency_us);
+      for (const std::uint32_t batch_cells : {0u, 64u}) {
+        runner::RunnerOptions options;
+        options.batch_cells = batch_cells;
+        const runner::SweepResult result =
+            runner::run_sweep(spec, {backend}, options);
+        for (std::size_t p = 0; p < points.size(); ++p) {
+          const LatencyPrediction expected =
+              predict_latency(points[p].config, scalar);
+          const runner::PointResult& actual = result.at(p, 0);
+          EXPECT_EQ(actual.mean_latency_us, expected.mean_latency_us)
+              << "method=" << static_cast<int>(method) << " "
+              << points[p].label << " batch=" << batch_cells;
+          EXPECT_EQ(actual.lambda_offered, expected.lambda_offered);
+          EXPECT_EQ(actual.lambda_effective, expected.lambda_effective);
+          EXPECT_EQ(actual.converged, expected.fixed_point_converged);
         }
       }
     }
@@ -193,7 +210,7 @@ TEST(ModelTree, FlatShapeBitIdenticalAcrossFigureGrids) {
 }
 
 TEST(ModelTree, GenericRecursionMatchesScalarToRounding) {
-  // With exact lowering disabled the generic tree recursion must agree
+  // On a flat-shaped tree the generic tree recursion must agree
   // with the scalar pipeline to numerical tolerance (the consistent
   // queue rule is the one the generalised arrival algebra reproduces).
   for (const std::uint32_t clusters : {2u, 4u, 8u}) {
@@ -206,11 +223,9 @@ TEST(ModelTree, GenericRecursionMatchesScalarToRounding) {
 
     TreeModelOptions options;
     options.fixed_point = scalar.fixed_point;
-    options.exact_lowering = false;
     const TreeLatencyPrediction actual =
         predict_model_tree(ModelTree::from_system(config), options);
 
-    EXPECT_FALSE(actual.lowered_to_flat);
     EXPECT_NEAR(actual.mean_latency_us, expected.mean_latency_us,
                 1e-6 * expected.mean_latency_us)
         << "C=" << clusters;
@@ -231,7 +246,6 @@ TEST(ModelTree, UniformMvaMatchesScalarExactMva) {
 
   TreeModelOptions options;
   options.fixed_point.method = SourceThrottling::kExactMva;
-  options.exact_lowering = false;
   const TreeLatencyPrediction actual =
       predict_model_tree(ModelTree::from_system(config), options);
   EXPECT_NEAR(actual.mean_latency_us, expected.mean_latency_us,

@@ -1,4 +1,4 @@
-// The sweep-config loader: JSON and key=value schemas, axis parsing,
+// The sweep-config loader: the JSON schema, axis parsing,
 // backend construction, unknown-key rejection, and the technology /
 // model / architecture vocabularies.
 
@@ -17,7 +17,6 @@ namespace {
 using namespace hmcs;
 using runner::SweepRunConfig;
 using runner::sweep_config_from_json;
-using runner::sweep_config_from_keyvalue;
 
 TEST(SweepConfig, ShippedConfigsLoadAndExpand) {
   // Every config under configs/sweeps/ parses and expands to a grid.
@@ -250,22 +249,6 @@ TEST(SweepConfig, JsonWorkloadMmppAppliesToEveryPoint) {
   }
 }
 
-TEST(SweepConfig, KeyValueDistributionAxes) {
-  const KeyValueFile file = KeyValueFile::parse(
-      "id = kvheavy\n"
-      "clusters = 2\n"
-      "total_nodes = 32\n"
-      "service_cv2 = 0, 4\n"
-      "arrival_ca2 = 2\n");
-  const SweepRunConfig config = sweep_config_from_keyvalue(file);
-  EXPECT_EQ(config.spec.axes.service_cv2, (std::vector<double>{0.0, 4.0}));
-  EXPECT_EQ(config.spec.axes.arrival_ca2, (std::vector<double>{2.0}));
-  const auto points = runner::expand_sweep(config.spec);
-  ASSERT_EQ(points.size(), 2u);
-  EXPECT_DOUBLE_EQ(points[1].config.scenario.service_cv2, 4.0);
-  EXPECT_DOUBLE_EQ(points[1].config.scenario.arrival_ca2, 2.0);
-}
-
 TEST(SweepConfig, TreeSweepRejectsDistributionAxesButTakesFixedWorkload) {
   // The axes are flat-only; a tree sweep takes the topology-wide
   // scenario through the fixed "workload" instead.
@@ -334,20 +317,6 @@ TEST(SweepConfig, JsonRejectsBadFaultToleranceValues) {
                ConfigError);
 }
 
-TEST(SweepConfig, KeyValueFaultTolerancePolicy) {
-  const KeyValueFile file = KeyValueFile::parse(
-      "id = kv\n"
-      "on_error = collect-all\n"
-      "max_attempts = 2\n"
-      "cell_deadline_ms = 500\n"
-      "degraded_utilization = 0.98\n");
-  const SweepRunConfig config = sweep_config_from_keyvalue(file);
-  EXPECT_EQ(config.on_error, runner::FailurePolicy::kCollectAll);
-  EXPECT_EQ(config.max_attempts, 2u);
-  EXPECT_DOUBLE_EQ(config.cell_deadline_ms, 500.0);
-  EXPECT_DOUBLE_EQ(config.degraded_utilization, 0.98);
-}
-
 TEST(SweepConfig, ParseFailurePolicyVocabulary) {
   EXPECT_EQ(runner::parse_failure_policy("fail-fast"),
             runner::FailurePolicy::kFailFast);
@@ -365,32 +334,6 @@ TEST(SweepConfig, ZippedModeRoundTrips) {
   ASSERT_EQ(points.size(), 3u);
   EXPECT_EQ(points[2].clusters, 8u);
   EXPECT_DOUBLE_EQ(points[2].message_bytes, 1024.0);
-}
-
-TEST(SweepConfig, KeyValueVariant) {
-  const KeyValueFile file = KeyValueFile::parse(
-      "id = kvstudy\n"
-      "clusters = 2, 4\n"
-      "message_bytes = 512\n"
-      "architecture = blocking\n"
-      "technology = case1\n"
-      "backends = analytic, des\n"
-      "model = picard\n"
-      "messages = 700\n"
-      "warmup = 70\n"
-      "seed = 5\n");
-  const SweepRunConfig config = sweep_config_from_keyvalue(file);
-  EXPECT_EQ(config.spec.id, "kvstudy");
-  EXPECT_EQ(config.spec.axes.clusters, (std::vector<std::uint32_t>{2, 4}));
-  EXPECT_EQ(config.spec.base_seed, 5u);
-  ASSERT_EQ(config.backends.size(), 2u);
-  EXPECT_EQ(config.backends[0]->name(), "analytic");
-  EXPECT_EQ(config.backends[1]->name(), "des");
-}
-
-TEST(SweepConfig, KeyValueRejectsUnknownKeys) {
-  const KeyValueFile file = KeyValueFile::parse("clusterz = 2\n");
-  EXPECT_THROW(sweep_config_from_keyvalue(file), ConfigError);
 }
 
 TEST(SweepConfig, ParseThrottlingModelVocabulary) {

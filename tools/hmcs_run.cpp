@@ -1,9 +1,10 @@
-// hmcs_run — the config-driven sweep front-end: load a sweep config
-// (JSON or key=value), execute it on the work-stealing runner, and emit
-// the standard artifact set. Any study expressible as axes × backends
-// runs from here without writing a new binary, the paper's Figures 4-7
-// included (configs/sweeps/fig{4,5,6,7}.json); the bespoke harnesses in
-// bench/ remain for the layouts that need custom rendering.
+// hmcs_run — the config-driven sweep front-end: load a JSON sweep
+// config (runner/sweep_config.hpp), execute it on the work-stealing
+// runner, and emit the standard artifact set. Any study expressible as
+// axes × backends runs from here without writing a new binary, the
+// paper's Figures 4-7 included (configs/sweeps/fig{4,5,6,7}.json); the
+// bespoke harnesses in bench/ remain for the layouts that need custom
+// rendering.
 //
 //   $ ./hmcs_run --config configs/sweeps/fig4.json --csv-dir results
 //       --json-dir results
@@ -54,7 +55,7 @@ int main(int argc, char** argv) {
   using namespace hmcs;
 
   CliParser cli("hmcs_run", "run a declarative sweep from a config file");
-  cli.add_option("config", "sweep config path (.json or key=value)", "");
+  cli.add_option("config", "sweep config path (JSON)", "");
   cli.add_option("threads", "worker threads (0 = hardware concurrency; "
                             "overrides the config when given)", "");
   cli.add_option("csv-dir", "directory for the CSV series", "");

@@ -84,9 +84,9 @@ class Client {
   std::string buffer_;
 };
 
+/// A stats counter, 0 when the daemon does not report it.
 double number_at(const JsonValue& object, const char* key) {
-  const JsonValue* member = object.find(key);
-  return member == nullptr ? 0.0 : member->as_number();
+  return number_member(object, key, 0.0, "hmcs_top");
 }
 
 void render(const JsonValue& stats, double client_qps) {
