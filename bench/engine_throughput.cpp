@@ -20,6 +20,7 @@
 #include <fstream>
 #include <functional>
 #include <string>
+#include <thread>
 #include <vector>
 
 #include "hmcs/simcore/rng.hpp"
@@ -128,6 +129,8 @@ int main(int argc, char** argv) try {
   json.key("sources").value(sources);
   json.key("events_target").value(events);
   json.key("seed").value(seed);
+  json.key("hardware_concurrency")
+      .value(static_cast<std::uint64_t>(std::thread::hardware_concurrency()));
   json.key("runs").begin_array();
   for (const RunRecord& run : runs) {
     json.begin_object();

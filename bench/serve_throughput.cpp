@@ -164,6 +164,8 @@ int main(int argc, char** argv) try {
   json.key("keys").value(static_cast<std::uint64_t>(keys));
   json.key("warm_iterations").value(static_cast<std::uint64_t>(warm_iterations));
   json.key("threads").value(static_cast<std::uint64_t>(threads));
+  json.key("hardware_concurrency")
+      .value(static_cast<std::uint64_t>(std::thread::hardware_concurrency()));
   json.key("total_nodes").value(total_nodes);
   json.key("model").value(model);
   json.key("cold_p50_us").value(cold_p50);

@@ -402,6 +402,8 @@ int main(int argc, char** argv) try {
   json.begin_object();
   json.key("benchmark").value("solver_batch");
   json.key("total_nodes").value(nodes);
+  json.key("hardware_concurrency")
+      .value(static_cast<std::uint64_t>(std::thread::hardware_concurrency()));
   json.key("mva_class_collapse").begin_array();
   for (const MvaCollapseRun& run : collapse) {
     json.begin_object();

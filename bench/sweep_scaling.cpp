@@ -9,18 +9,29 @@
 // ("scenario_sweep") times the same grid under a heavy-traffic workload
 // (G/G/1 cv^2 = 4 service, MMPP bursty arrivals) once per backend, so
 // the analytic-vs-DES cell-cost gap for non-exponential scenarios is
-// tracked alongside the exponential baseline.
+// tracked alongside the exponential baseline. A third ("output_layers")
+// times what follows the solve on a fixed 8,640-cell analytic grid: the
+// table, CSV, sweep-JSON and journal formatting per cell, and the wall
+// time to write one sweep's outputs into a fresh directory and to
+// rewrite them into a directory that already holds them (under the
+// system temporary directory).
 
+#include <algorithm>
 #include <chrono>
+#include <cmath>
 #include <cstdint>
 #include <cstdio>
 #include <cstring>
+#include <filesystem>
 #include <fstream>
 #include <memory>
+#include <sstream>
 #include <string>
 #include <thread>
 #include <vector>
 
+#include "hmcs/runner/journal.hpp"
+#include "hmcs/runner/sweep_report.hpp"
 #include "hmcs/runner/sweep_runner.hpp"
 #include "hmcs/util/cli.hpp"
 #include "hmcs/util/error.hpp"
@@ -121,6 +132,131 @@ ScenarioCost time_backend(const runner::SweepSpec& spec,
   return cost;
 }
 
+/// perfbench's analytic_grid shape with fixed values: 9 cluster counts
+/// x 5 message sizes x 16 rates x 2 architectures x Case 1/2 at
+/// N = 65,536, through three analytic methods — 8,640 cells.
+runner::SweepSpec output_grid_spec() {
+  runner::SweepSpec spec;
+  spec.id = "output_layers";
+  spec.total_nodes = 65536;
+  spec.axes.clusters = {1, 2, 4, 8, 16, 32, 64, 128, 256};
+  spec.axes.message_bytes = {256.0, 512.0, 1024.0, 2048.0, 4096.0};
+  for (int k = 0; k < 16; ++k) {
+    spec.axes.lambda_per_us.push_back(25e-6 * std::pow(1.25, k));
+  }
+  spec.axes.architectures = {analytic::NetworkArchitecture::kNonBlocking,
+                             analytic::NetworkArchitecture::kBlocking};
+  spec.axes.technologies = {
+      runner::technology_case(analytic::HeterogeneityCase::kCase1),
+      runner::technology_case(analytic::HeterogeneityCase::kCase2)};
+  return spec;
+}
+
+std::vector<std::shared_ptr<runner::Backend>> output_grid_backends() {
+  std::vector<std::shared_ptr<runner::Backend>> backends;
+  const std::pair<analytic::SourceThrottling, const char*> methods[] = {
+      {analytic::SourceThrottling::kBisection, "bisection"},
+      {analytic::SourceThrottling::kPicard, "picard"},
+      {analytic::SourceThrottling::kExactMva, "mva"}};
+  for (const auto& [method, name] : methods) {
+    analytic::ModelOptions model;
+    model.fixed_point.method = method;
+    backends.push_back(std::make_shared<runner::AnalyticBackend>(model, name));
+  }
+  return backends;
+}
+
+template <typename Body>
+double median_seconds(int repetitions, Body&& body) {
+  std::vector<double> seconds;
+  for (int r = 0; r < repetitions; ++r) {
+    const auto start = std::chrono::steady_clock::now();
+    body();
+    seconds.push_back(std::chrono::duration<double>(
+                          std::chrono::steady_clock::now() - start)
+                          .count());
+  }
+  std::sort(seconds.begin(), seconds.end());
+  return seconds[seconds.size() / 2];
+}
+
+/// Journals every cell of `result`, one block per 256 consecutive
+/// cells, as the batch path writes a chunk.
+void journal_grid(const std::string& path, const runner::SweepResult& result) {
+  runner::JournalWriter::Shape shape{result.id, result.points.size(),
+                                     result.backend_names};
+  runner::JournalWriter journal(path, shape, /*append=*/false);
+  const std::size_t n_backends = result.backend_names.size();
+  std::vector<runner::JournalWriter::Record> block;
+  for (std::size_t cell = 0; cell < result.cells.size(); ++cell) {
+    block.push_back({cell, result.points[cell / n_backends].seed,
+                     &result.cells[cell]});
+    if (block.size() == 256 || cell + 1 == result.cells.size()) {
+      journal.record(block);
+      block.clear();
+    }
+  }
+}
+
+struct OutputLayers {
+  std::size_t cells = 0;
+  int repetitions = 0;
+  double table_us_per_cell = 0.0;
+  double csv_us_per_cell = 0.0;
+  double json_us_per_cell = 0.0;
+  double journal_us_per_cell = 0.0;
+  std::uintmax_t output_bytes = 0;
+  double fresh_write_ms = 0.0;
+  double rewrite_ms = 0.0;
+};
+
+OutputLayers time_output_layers() {
+  runner::RunnerOptions options;
+  options.batch_cells = 256;
+  options.on_error = runner::FailurePolicy::kCollectAll;
+  const runner::SweepResult result =
+      runner::run_sweep(output_grid_spec(), output_grid_backends(), options);
+
+  OutputLayers layers;
+  layers.cells = result.cells.size();
+  layers.repetitions = 5;
+  const double per_cell_us = 1e6 / static_cast<double>(layers.cells);
+  std::size_t sink = 0;  // keeps the formatted text observable
+  const auto us_per_cell = [&](auto&& body) {
+    return median_seconds(layers.repetitions, body) * per_cell_us;
+  };
+  layers.table_us_per_cell = us_per_cell(
+      [&] { sink += runner::render_sweep_table(result).size(); });
+  layers.csv_us_per_cell = us_per_cell(
+      [&] { sink += runner::sweep_csv(result).to_string().size(); });
+  layers.json_us_per_cell =
+      us_per_cell([&] { sink += runner::sweep_json(result).size(); });
+  // A character device is written through, so this is the formatting
+  // plus one write per block.
+  layers.journal_us_per_cell =
+      us_per_cell([&] { journal_grid("/dev/null", result); });
+
+  // What hmcs_run --journal --csv-dir --json-dir writes after the solve.
+  namespace fs = std::filesystem;
+  const fs::path dir = fs::temp_directory_path() / "hmcs_sweep_scaling_outputs";
+  fs::remove_all(dir);
+  fs::create_directories(dir);
+  const auto write_outputs = [&] {
+    journal_grid((dir / (result.id + ".jsonl")).string(), result);
+    std::ostringstream table;
+    runner::print_sweep_report(table, result, dir.string(), dir.string());
+    sink += table.str().size();
+  };
+  layers.fresh_write_ms = median_seconds(1, write_outputs) * 1e3;
+  layers.rewrite_ms = median_seconds(layers.repetitions, write_outputs) * 1e3;
+  for (const auto& entry : fs::directory_iterator(dir)) {
+    layers.output_bytes += entry.file_size();
+  }
+  fs::remove_all(dir);
+  require(sink > 0, "sweep_scaling: the output layers wrote nothing");
+  return layers;
+}
+
 }  // namespace
 
 int main(int argc, char** argv) try {
@@ -178,6 +314,8 @@ int main(int argc, char** argv) try {
       time_backend(scenario_spec, analytic_backend);
   const ScenarioCost des_cost = time_backend(scenario_spec, backends.front());
 
+  const OutputLayers layers = time_output_layers();
+
   JsonWriter json;
   json.begin_object();
   json.key("benchmark").value("sweep_scaling");
@@ -218,6 +356,21 @@ int main(int argc, char** argv) try {
   json.key("cell_seconds").value(des_cost.cell_seconds);
   json.end_object();
   json.end_object();
+  json.key("output_layers").begin_object();
+  json.key("grid").value(
+      "9 clusters x 5 sizes x 16 rates x 2 architectures x 2 cases, "
+      "N = 65536, bisection + picard + mva");
+  json.key("cells").value(static_cast<std::uint64_t>(layers.cells));
+  json.key("repetitions").value(static_cast<std::uint64_t>(layers.repetitions));
+  json.key("table_us_per_cell").value(layers.table_us_per_cell);
+  json.key("csv_us_per_cell").value(layers.csv_us_per_cell);
+  json.key("sweep_json_us_per_cell").value(layers.json_us_per_cell);
+  json.key("journal_us_per_cell").value(layers.journal_us_per_cell);
+  json.key("output_bytes")
+      .value(static_cast<std::uint64_t>(layers.output_bytes));
+  json.key("fresh_write_ms").value(layers.fresh_write_ms);
+  json.key("rewrite_ms").value(layers.rewrite_ms);
+  json.end_object();
   json.end_object();
 
   std::ofstream out(out_path);
@@ -243,6 +396,13 @@ int main(int argc, char** argv) try {
               "des %.3e s/cell\n",
               analytic_cost.points, analytic_cost.cell_seconds,
               des_cost.cell_seconds);
+  std::printf("output layers (%zu cells): table %.2f, csv %.2f, json %.2f, "
+              "journal %.2f us/cell; outputs %.1f MB written in %.1f ms "
+              "fresh, %.1f ms over themselves\n",
+              layers.cells, layers.table_us_per_cell, layers.csv_us_per_cell,
+              layers.json_us_per_cell, layers.journal_us_per_cell,
+              static_cast<double>(layers.output_bytes) / 1e6,
+              layers.fresh_write_ms, layers.rewrite_ms);
   std::printf("hardware_concurrency=%u\nrecord written to %s\n", cores,
               out_path.c_str());
   return all_identical ? 0 : 1;

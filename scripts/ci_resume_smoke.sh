@@ -2,7 +2,9 @@
 # End-to-end checkpoint/resume smoke for hmcs_run (docs/ROBUSTNESS.md):
 # run a DES sweep with a journal, SIGINT it mid-flight, resume from the
 # journal, and require the resumed CSV/JSON artifacts to be
-# byte-identical to an uninterrupted reference run.
+# byte-identical to an uninterrupted reference run. The reference run is
+# also repeated into its own outputs, one of them a symlink, and must
+# rewrite them byte for byte, writing through the symlink.
 #
 # Usage: scripts/ci_resume_smoke.sh [path/to/hmcs_run]
 set -euo pipefail
@@ -34,7 +36,32 @@ EOF
 
 echo "== reference (uninterrupted) run =="
 "$HMCS_RUN" --config "$WORK/sweep.json" --threads 2 \
+  --journal "$WORK/ref.jsonl" \
   --csv-dir "$WORK/ref" --json-dir "$WORK/ref" > "$WORK/ref.txt"
+
+echo "== reference re-run into the same outputs =="
+mkdir "$WORK/first"
+cp "$WORK/ref/resume_smoke.csv" "$WORK/ref/resume_smoke.json" \
+  "$WORK/ref.jsonl" "$WORK/first/"
+# The CSV path becomes a symlink to an emptied file: the re-run must
+# write through the link, not replace it.
+mv "$WORK/ref/resume_smoke.csv" "$WORK/csv_target.csv"
+: > "$WORK/csv_target.csv"
+ln -s "$WORK/csv_target.csv" "$WORK/ref/resume_smoke.csv"
+"$HMCS_RUN" --config "$WORK/sweep.json" --threads 2 \
+  --journal "$WORK/ref.jsonl" \
+  --csv-dir "$WORK/ref" --json-dir "$WORK/ref" > "$WORK/rerun.txt"
+if [ ! -L "$WORK/ref/resume_smoke.csv" ]; then
+  echo "FAIL: the re-run replaced the CSV symlink with a file" >&2
+  exit 1
+fi
+cmp "$WORK/first/resume_smoke.csv" "$WORK/csv_target.csv"
+cmp "$WORK/first/resume_smoke.json" "$WORK/ref/resume_smoke.json"
+cmp "$WORK/ref.txt" "$WORK/rerun.txt"
+# Two workers journal cells in the order they finish, so the journals
+# hold the same lines, not necessarily in the same order.
+cmp <(sort "$WORK/first/ref.jsonl") <(sort "$WORK/ref.jsonl")
+echo "re-run outputs are byte-identical; the CSV symlink was written through"
 
 echo "== interrupted run (SIGINT after 3s) =="
 set +e

@@ -5,6 +5,7 @@
 
 #include "hmcs/util/error.hpp"
 #include "hmcs/util/json.hpp"
+#include "hmcs/util/output_file.hpp"
 #include "hmcs/util/string_util.hpp"
 
 namespace hmcs::obs {
@@ -138,7 +139,7 @@ void write_run_artifacts(const std::string& dir,
                    "': " + ec.message());
 
   const std::string json_path = dir + "/metrics.json";
-  std::ofstream out(json_path);
+  std::ofstream out = open_output_file(json_path);
   require(out.good(), "write_run_artifacts: cannot write '" + json_path + "'");
   out << metrics_json(snapshot, sampler) << "\n";
   require(out.good(), "write_run_artifacts: write failed for '" + json_path +

@@ -5,6 +5,7 @@
 
 #include "hmcs/util/error.hpp"
 #include "hmcs/util/json.hpp"
+#include "hmcs/util/output_file.hpp"
 
 namespace hmcs::obs {
 
@@ -157,7 +158,7 @@ std::string TraceSession::to_chrome_json() const {
 }
 
 void TraceSession::write_file(const std::string& path) const {
-  std::ofstream out(path);
+  std::ofstream out = open_output_file(path);
   require(out.good(), "TraceSession: cannot write '" + path + "'");
   out << to_chrome_json() << "\n";
   require(out.good(), "TraceSession: write failed for '" + path + "'");

@@ -2,10 +2,14 @@
 
 /// \file journal.hpp
 /// Checkpoint/resume for sweeps: a JSON-lines journal of completed
-/// cells. The writer appends one line per cell as it reaches a terminal
-/// status and flushes after every line, so a run killed at any moment
-/// (SIGINT or SIGKILL) leaves a journal of everything it finished; the
-/// loader replays it and run_sweep skips those cells. Because per-point
+/// cells. The writer appends the lines of each finished task — one
+/// cell, or the cells of one batch chunk, which all finish together
+/// when the chunk's evaluate_batch returns — as one block with one
+/// flush, so a run killed at any moment (SIGINT or SIGKILL) loses only
+/// the tasks it had not finished. A kill in the middle of a block's
+/// write can leave a prefix of the block; resume re-evaluates any chunk
+/// with a pending cell, so that prefix is harmless. The loader replays
+/// the journal and run_sweep skips the cells it holds. Because per-point
 /// seeds are fixed at expansion time and every numeric field round-trips
 /// exactly (17-significant-digit doubles, decimal-string u64 seeds,
 /// nan/inf spelled out), a resumed sweep's merged result is bit-identical
@@ -21,13 +25,15 @@
 ///   {"cell":5,"seed":"1965...","status":"ok","attempts":1,"error":"",
 ///    "result":{"mean_latency_us":31.4,...}}
 ///
-/// A truncated final line (kill mid-write) is ignored on load; appending
-/// to a resumed journal is valid (later records win, headers must agree).
+/// A truncated final line (kill mid-write) is ignored on load and cut
+/// off before a resumed run appends; appending to a resumed journal is
+/// valid (later records win, headers must agree).
 
 #include <cstdint>
 #include <fstream>
 #include <mutex>
 #include <optional>
+#include <span>
 #include <string>
 #include <vector>
 
@@ -56,10 +62,10 @@ struct SweepJournal {
 /// drops) one truncated trailing line.
 SweepJournal load_sweep_journal(const std::string& path);
 
-/// Thread-safe appending journal writer. Constructing it truncates or
-/// appends per `append`; the header is written immediately when the
-/// file is fresh, so even a run killed before its first finished cell
-/// leaves a resumable journal.
+/// Thread-safe appending journal writer. Constructing it starts a new
+/// file (open_output_file) or appends per `append`; the header is
+/// written immediately when the file is fresh, so even a run killed
+/// before its first finished cell leaves a resumable journal.
 class JournalWriter {
  public:
   struct Shape {
@@ -68,11 +74,23 @@ class JournalWriter {
     std::vector<std::string> backend_names;
   };
 
+  /// One terminal cell: its flat index, its point's first-attempt seed
+  /// and its result.
+  struct Record {
+    std::size_t cell = 0;
+    std::uint64_t seed = 0;
+    const PointResult* result = nullptr;
+  };
+
   /// Throws hmcs::ConfigError when the file cannot be opened.
   JournalWriter(const std::string& path, const Shape& shape, bool append);
 
-  /// Appends one terminal cell record and flushes. Safe to call from
-  /// concurrent workers.
+  /// Appends the records of one finished task — one cell, or the
+  /// pending cells of one batch chunk — as one block: the lines are
+  /// formatted before the lock is taken, then written with one flush
+  /// under it. Safe to call from concurrent workers.
+  void record(std::span<const Record> records);
+  /// One finished cell as a one-record block.
   void record(std::size_t cell, std::uint64_t seed, const PointResult& result);
 
   const std::string& path() const { return path_; }

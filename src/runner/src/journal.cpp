@@ -1,10 +1,12 @@
 #include "hmcs/runner/journal.hpp"
 
 #include <filesystem>
+#include <iterator>
 #include <sstream>
 
 #include "hmcs/util/error.hpp"
 #include "hmcs/util/json.hpp"
+#include "hmcs/util/output_file.hpp"
 
 namespace hmcs::runner {
 
@@ -26,12 +28,13 @@ std::string header_line(const JournalWriter::Shape& shape) {
   return json.str();
 }
 
-std::string cell_line(std::size_t cell, std::uint64_t seed,
-                      const PointResult& result) {
+/// Appends one cell's record line, newline included.
+void append_cell_line(std::string& block, const JournalWriter::Record& record) {
+  const PointResult& result = *record.result;
   JsonWriter json;
   json.begin_object();
-  json.key("cell").value(static_cast<std::uint64_t>(cell));
-  json.key("seed").value(std::to_string(seed));
+  json.key("cell").value(static_cast<std::uint64_t>(record.cell));
+  json.key("seed").value(std::to_string(record.seed));
   json.key("status").value(to_string(result.status));
   json.key("attempts").value(result.attempts);
   json.key("error").value(result.error);
@@ -40,7 +43,8 @@ std::string cell_line(std::size_t cell, std::uint64_t seed,
   json.key("result");
   write_json(json, result);
   json.end_object();
-  return json.str();
+  block += json.str();
+  block += '\n';
 }
 
 void apply_header(SweepJournal& journal, const JsonValue& doc, bool& seen) {
@@ -139,7 +143,20 @@ JournalWriter::JournalWriter(const std::string& path, const Shape& shape,
   const bool fresh =
       !append || !std::filesystem::exists(path) ||
       std::filesystem::file_size(path) == 0;
-  out_.open(path, fresh ? std::ios::trunc : std::ios::app);
+  if (fresh) {
+    out_ = open_output_file(path);
+  } else {
+    // A run killed mid-write can leave a partial last line, which the
+    // loader drops. Cut it off, or the appended header would continue
+    // it and leave a corrupt line mid-file that no later load accepts.
+    std::ifstream in(path, std::ios::binary);
+    const std::string text((std::istreambuf_iterator<char>(in)),
+                           std::istreambuf_iterator<char>());
+    if (!text.empty() && text.back() != '\n') {
+      std::filesystem::resize_file(path, text.rfind('\n') + 1);
+    }
+    out_.open(path, std::ios::app);
+  }
   require(out_.good(), "journal: cannot write '" + path + "'");
   // Always restate the header: a fresh file needs one, and an appended
   // header re-validates shape agreement on the next load.
@@ -148,12 +165,19 @@ JournalWriter::JournalWriter(const std::string& path, const Shape& shape,
   require(out_.good(), "journal: write to '" + path + "' failed");
 }
 
+void JournalWriter::record(std::span<const Record> records) {
+  if (records.empty()) return;
+  std::string block;
+  for (const Record& record : records) append_cell_line(block, record);
+  const std::scoped_lock lock(mutex_);
+  out_.write(block.data(), static_cast<std::streamsize>(block.size()));
+  out_.flush();
+}
+
 void JournalWriter::record(std::size_t cell, std::uint64_t seed,
                            const PointResult& result) {
-  const std::string line = cell_line(cell, seed, result);
-  const std::scoped_lock lock(mutex_);
-  out_ << line << "\n";
-  out_.flush();
+  const Record one{cell, seed, &result};
+  record(std::span<const Record>(&one, 1));
 }
 
 }  // namespace hmcs::runner

@@ -8,6 +8,7 @@
 #include "hmcs/util/error.hpp"
 #include "hmcs/util/json.hpp"
 #include "hmcs/util/math_util.hpp"
+#include "hmcs/util/output_file.hpp"
 #include "hmcs/util/string_util.hpp"
 #include "hmcs/util/table.hpp"
 #include "hmcs/util/units.hpp"
@@ -44,21 +45,26 @@ bool has_value(const PointResult& cell) {
          cell.status == CellStatus::kDegraded;
 }
 
-std::string latency_cell(const PointResult& cell) {
+/// A backend's latency column: "mean ±ci" in ms, "*" when not
+/// converged, or the status word when there is no number.
+void append_latency(std::string& text, const PointResult& cell) {
   switch (cell.status) {
-    case CellStatus::kFailed: return "FAILED";
-    case CellStatus::kTimedOut: return "TIMEOUT";
-    case CellStatus::kSkipped: return "-";
+    case CellStatus::kFailed: text += "FAILED"; return;
+    case CellStatus::kTimedOut: text += "TIMEOUT"; return;
+    case CellStatus::kSkipped: text += "-"; return;
     case CellStatus::kOk:
     case CellStatus::kDegraded: break;
   }
-  if (!std::isfinite(cell.mean_latency_us)) return "inf";
-  std::string text = format_fixed(units::us_to_ms(cell.mean_latency_us), 3);
+  if (!std::isfinite(cell.mean_latency_us)) {
+    text += "inf";
+    return;
+  }
+  append_fixed(text, units::us_to_ms(cell.mean_latency_us), 3);
   if (cell.ci_half_us > 0.0) {
-    text += " ±" + format_fixed(units::us_to_ms(cell.ci_half_us), 3);
+    text += " ±";
+    append_fixed(text, units::us_to_ms(cell.ci_half_us), 3);
   }
   if (!cell.converged) text += "*";
-  return text;
 }
 
 std::string status_cell(const PointResult& cell) {
@@ -107,48 +113,57 @@ std::string render_sweep_table(const SweepResult& result) {
   }
 
   Table table(headers);
+  std::string text;  // one composed cell, reused so no cell allocates
+  const auto compact = [&text](double value) -> std::string_view {
+    text.clear();
+    append_compact(text, value, 6);
+    return text;
+  };
   for (const SweepPoint& point : result.points) {
-    std::vector<std::string> row{std::to_string(point.clusters),
-                                 format_compact(point.message_bytes, 6)};
+    table.cell(std::to_string(point.clusters))
+        .cell(compact(point.message_bytes));
     if (varying.lambda) {
-      row.push_back(
-          format_compact(units::per_us_to_per_s(point.lambda_per_us), 6));
+      table.cell(compact(units::per_us_to_per_s(point.lambda_per_us)));
     }
-    if (varying.technology) row.push_back(point.technology_label);
+    if (varying.technology) table.cell(point.technology_label);
     if (varying.architecture) {
-      row.push_back(analytic::to_string(point.architecture));
+      table.cell(analytic::to_string(point.architecture));
     }
     for (std::size_t b = 0; b < n_backends; ++b) {
-      row.push_back(latency_cell(result.at(point.index, b)));
+      text.clear();
+      append_latency(text, result.at(point.index, b));
+      table.cell(text);
     }
     const PointResult& reference = result.at(point.index, 0);
     for (std::size_t b = 1; b < n_backends; ++b) {
       const PointResult& other = result.at(point.index, b);
       if (!has_value(reference) || !has_value(other)) {
-        row.push_back("-");
+        table.cell("-");
         continue;
       }
       // The paper's accuracy notion: |other - reference| / other, with
       // the non-reference evaluation as ground truth (Figures 4-7 use
       // |analysis - simulation| / simulation).
-      row.push_back(
-          format_fixed(relative_error(units::us_to_ms(
-                                          reference.mean_latency_us),
-                                      units::us_to_ms(
-                                          other.mean_latency_us)) *
-                           100.0, 1) + "%");
+      text.clear();
+      append_fixed(text,
+                   relative_error(units::us_to_ms(reference.mean_latency_us),
+                                  units::us_to_ms(other.mean_latency_us)) *
+                       100.0,
+                   1);
+      text += '%';
+      table.cell(text);
     }
     if (any_non_converged) {
       for (std::size_t b = 0; b < n_backends; ++b) {
-        row.push_back(result.at(point.index, b).converged ? "yes" : "no");
+        table.cell(result.at(point.index, b).converged ? "yes" : "no");
       }
     }
     if (any_non_ok) {
       for (std::size_t b = 0; b < n_backends; ++b) {
-        row.push_back(status_cell(result.at(point.index, b)));
+        table.cell(status_cell(result.at(point.index, b)));
       }
     }
-    table.add_row(std::move(row));
+    table.end_row();
   }
   return table.render();
 }
@@ -166,22 +181,21 @@ CsvWriter sweep_csv(const SweepResult& result) {
   }
   CsvWriter csv(headers);
   for (const SweepPoint& point : result.points) {
-    std::vector<std::string> row{
-        std::to_string(point.clusters),
-        format_compact(point.message_bytes, 17),
-        format_compact(units::per_us_to_per_s(point.lambda_per_us), 17),
-        analytic::to_string(point.architecture),
-        point.technology_label,
-        std::to_string(point.seed)};
+    csv.cell(std::to_string(point.clusters))
+        .cell(point.message_bytes, 17)
+        .cell(units::per_us_to_per_s(point.lambda_per_us), 17)
+        .cell(analytic::to_string(point.architecture))
+        .cell(point.technology_label)
+        .cell(std::to_string(point.seed));
     for (std::size_t b = 0; b < result.backend_names.size(); ++b) {
       const PointResult& cell = result.at(point.index, b);
-      row.push_back(format_compact(units::us_to_ms(cell.mean_latency_us), 17));
-      row.push_back(format_compact(units::us_to_ms(cell.ci_half_us), 17));
-      row.push_back(cell.converged ? "1" : "0");
-      row.push_back(to_string(cell.status));
-      row.push_back(std::to_string(cell.attempts));
+      csv.cell(units::us_to_ms(cell.mean_latency_us), 17)
+          .cell(units::us_to_ms(cell.ci_half_us), 17)
+          .cell(cell.converged ? "1" : "0")
+          .cell(to_string(cell.status))
+          .cell(std::to_string(cell.attempts));
     }
-    csv.add_row(row);
+    csv.end_row();
   }
   return csv;
 }
@@ -271,7 +285,7 @@ void print_sweep_report(std::ostream& os, const SweepResult& result,
   if (!json_dir.empty()) {
     std::filesystem::create_directories(json_dir, ec);
     const std::string path = json_dir + "/" + result.id + ".json";
-    std::ofstream out(path);
+    std::ofstream out = open_output_file(path);
     require(out.good(), "print_sweep_report: cannot write '" + path + "'");
     out << sweep_json(result) << "\n";
     os << "record written to " << path << "\n";

@@ -308,6 +308,10 @@ SweepResult run_sweep(const SweepSpec& spec,
     if (evaluated) {
       HMCS_OBS_COUNTER_INC("runner.batch.calls");
       HMCS_OBS_COUNTER_ADD("runner.batch.cells", task.count);
+      // Every cell of the chunk finished together, so the chunk's
+      // pending cells go to the journal as one block.
+      std::vector<JournalWriter::Record> records;
+      if (options.journal != nullptr) records.reserve(task.count);
       for (std::size_t k = 0; k < task.count; ++k) {
         const std::size_t cell =
             (task.first_point + k) * n_backends + task.backend;
@@ -321,10 +325,11 @@ SweepResult run_sweep(const SweepSpec& spec,
         done[cell] = 1;
         count_terminal_status(out.status);
         if (options.journal != nullptr) {
-          options.journal->record(
-              cell, result.points[task.first_point + k].seed, out);
+          records.push_back(JournalWriter::Record{
+              cell, result.points[task.first_point + k].seed, &out});
         }
       }
+      if (options.journal != nullptr) options.journal->record(records);
       return true;
     }
     for (std::size_t k = 0; k < task.count; ++k) {

@@ -52,6 +52,12 @@ class ShardedResultCache {
   /// position on a hit. Returns a copy of the stored value.
   std::optional<std::string> get(std::uint64_t hash, std::string_view key);
 
+  /// Looks up `key` as get() does, but counts neither a hit nor a miss
+  /// and leaves the LRU order alone: a second look by a request whose
+  /// get() already counted.
+  std::optional<std::string> peek(std::uint64_t hash,
+                                  std::string_view key) const;
+
   /// Inserts or refreshes `key`, evicting the shard's least recently
   /// used entries beyond its capacity. Idempotent on duplicate puts
   /// (single-flight races re-store the identical body).
@@ -88,7 +94,7 @@ class ShardedResultCache {
     std::uint64_t evictions = 0;
   };
 
-  Shard& shard_for(std::uint64_t hash) {
+  Shard& shard_for(std::uint64_t hash) const {
     return *shards_[hash % shards_.size()];
   }
 

@@ -30,6 +30,15 @@ std::optional<std::string> ShardedResultCache::get(std::uint64_t hash,
   return it->second->value;
 }
 
+std::optional<std::string> ShardedResultCache::peek(
+    std::uint64_t hash, std::string_view key) const {
+  const Shard& shard = shard_for(hash);
+  const std::scoped_lock lock(shard.mutex);
+  const auto it = shard.index.find(key);
+  if (it == shard.index.end()) return std::nullopt;
+  return it->second->value;
+}
+
 void ShardedResultCache::put(std::uint64_t hash, std::string_view key,
                              std::string value) {
   Shard& shard = shard_for(hash);

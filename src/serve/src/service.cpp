@@ -324,6 +324,19 @@ std::string ServeService::handle_request_body(const ServeRequest& request,
     return body;
   }
 
+  // The previous leader for this key may have published its body and
+  // retired its flight between the probe above and join(): then this
+  // request leads a new flight although the cache holds the reply.
+  // Look once more before evaluating a second time.
+  if (std::optional<std::string> published =
+          cache_.peek(request.key_hash, request.canonical_key)) {
+    flights_.complete(request.canonical_key, flight, *published);
+    coalesced_.fetch_add(1, std::memory_order_relaxed);
+    HMCS_OBS_COUNTER_INC("serve.requests.coalesced");
+    trace.outcome = "coalesced";
+    return std::move(*published);
+  }
+
   trace.outcome = "miss";
   EvalOutcome outcome;
   try {

@@ -53,13 +53,12 @@ class JsonWriter {
   /// Finished document. Throws LogicError if containers are unbalanced.
   std::string str() const;
 
-  static std::string escape(std::string_view text);
-
  private:
   enum class Frame : std::uint8_t { kObject, kArray };
 
   void before_value();
-  JsonWriter& emit(const std::string& text);
+  JsonWriter& after_value();
+  JsonWriter& emit(std::string_view text);
 
   std::string out_;
   std::vector<Frame> stack_;

@@ -9,12 +9,20 @@
 
 namespace hmcs {
 
-/// Formats a double with `precision` digits after the decimal point.
+/// Formats a double with `precision` digits after the decimal point:
+/// the bytes of printf's `%.*f`, never cut short.
 std::string format_fixed(double value, int precision);
 
-/// Formats a double compactly: fixed notation with trailing zeros
-/// trimmed, switching to scientific for very small/large magnitudes.
+/// Formats a double compactly: the bytes of printf's `%.*g` (fixed
+/// notation with trailing zeros trimmed, scientific for very small or
+/// large magnitudes), except that zero of either sign prints as "0".
 std::string format_compact(double value, int significant_digits = 6);
+
+/// format_fixed / format_compact appended to `out`, for writers that
+/// build one buffer and need no string per value.
+void append_fixed(std::string& out, double value, int precision);
+void append_compact(std::string& out, double value,
+                    int significant_digits = 6);
 
 /// Left/right pads `s` with spaces to `width` characters. Strings that
 /// are already wider are returned unchanged.

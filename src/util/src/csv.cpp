@@ -1,64 +1,74 @@
 #include "hmcs/util/csv.hpp"
 
-#include <fstream>
-#include <sstream>
-
 #include "hmcs/util/error.hpp"
+#include "hmcs/util/output_file.hpp"
 #include "hmcs/util/string_util.hpp"
 
 namespace hmcs {
 
-namespace {
-
-std::string escape_cell(const std::string& cell) {
-  if (cell.find_first_of(",\"\n") == std::string::npos) return cell;
-  std::string out = "\"";
-  for (const char ch : cell) {
-    if (ch == '"') out += "\"\"";
-    else out += ch;
-  }
-  out += '"';
-  return out;
+CsvWriter::CsvWriter(std::vector<std::string> headers)
+    : columns_(headers.size()) {
+  require(!headers.empty(), "CsvWriter: needs at least one column");
+  for (const std::string& header : headers) cell(header);
+  end_row();
 }
 
-}  // namespace
+void CsvWriter::begin_cell() {
+  if (row_cells_ != 0) text_ += ',';
+  ++row_cells_;
+}
 
-CsvWriter::CsvWriter(std::vector<std::string> headers)
-    : headers_(std::move(headers)) {
-  require(!headers_.empty(), "CsvWriter: needs at least one column");
+CsvWriter& CsvWriter::cell(std::string_view text) {
+  begin_cell();
+  if (text.find_first_of(",\"\n") == std::string_view::npos) {
+    text_ += text;
+    return *this;
+  }
+  text_ += '"';
+  for (const char ch : text) {
+    if (ch == '"') text_ += '"';
+    text_ += ch;
+  }
+  text_ += '"';
+  return *this;
+}
+
+CsvWriter& CsvWriter::cell(double value, int significant_digits) {
+  begin_cell();
+  // %g output holds no comma, quote or newline: never quoted.
+  append_compact(text_, value, significant_digits);
+  return *this;
+}
+
+void CsvWriter::end_row() {
+  if (row_cells_ != columns_) {
+    text_.resize(row_start_);
+    row_cells_ = 0;
+    require(false, "CsvWriter: row width does not match header width");
+  }
+  text_ += '\n';
+  row_start_ = text_.size();
+  row_cells_ = 0;
 }
 
 void CsvWriter::add_row(const std::vector<std::string>& cells) {
-  require(cells.size() == headers_.size(),
-          "CsvWriter: row width does not match header width");
-  rows_.push_back(cells);
+  for (const std::string& text : cells) cell(text);
+  end_row();
 }
 
 void CsvWriter::add_numeric_row(const std::vector<double>& cells) {
-  std::vector<std::string> formatted;
-  formatted.reserve(cells.size());
-  for (const double v : cells) formatted.push_back(format_compact(v, 9));
-  add_row(formatted);
+  for (const double value : cells) cell(value, 9);
+  end_row();
 }
 
 std::string CsvWriter::to_string() const {
-  std::ostringstream os;
-  auto emit = [&](const std::vector<std::string>& row) {
-    for (std::size_t c = 0; c < row.size(); ++c) {
-      if (c != 0) os << ',';
-      os << escape_cell(row[c]);
-    }
-    os << '\n';
-  };
-  emit(headers_);
-  for (const auto& row : rows_) emit(row);
-  return os.str();
+  return text_.substr(0, row_start_);
 }
 
 void CsvWriter::write_file(const std::string& path) const {
-  std::ofstream out(path);
+  std::ofstream out = open_output_file(path);
   require(out.good(), "CsvWriter: cannot open '" + path + "' for writing");
-  out << to_string();
+  out.write(text_.data(), static_cast<std::streamsize>(row_start_));
   require(out.good(), "CsvWriter: failed writing '" + path + "'");
 }
 

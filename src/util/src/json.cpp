@@ -4,7 +4,6 @@
 #include <cerrno>
 #include <charconv>
 #include <cmath>
-#include <cstdio>
 #include <cstdlib>
 #include <utility>
 
@@ -12,10 +11,18 @@
 
 namespace hmcs {
 
-std::string JsonWriter::escape(std::string_view text) {
-  std::string out;
-  out.reserve(text.size() + 2);
-  for (const char ch : text) {
+namespace {
+
+/// Appends `text` to `out` escaped per RFC 8259, copying the runs that
+/// need no escape in one piece.
+void append_escaped(std::string& out, std::string_view text) {
+  static constexpr char kHex[] = "0123456789abcdef";
+  std::size_t run = 0;
+  for (std::size_t i = 0; i < text.size(); ++i) {
+    const auto ch = static_cast<unsigned char>(text[i]);
+    if (ch >= 0x20 && ch != '"' && ch != '\\') continue;
+    out.append(text.data() + run, i - run);
+    run = i + 1;
     switch (ch) {
       case '"': out += "\\\""; break;
       case '\\': out += "\\\\"; break;
@@ -25,17 +32,24 @@ std::string JsonWriter::escape(std::string_view text) {
       case '\r': out += "\\r"; break;
       case '\t': out += "\\t"; break;
       default:
-        if (static_cast<unsigned char>(ch) < 0x20) {
-          char buf[8];
-          std::snprintf(buf, sizeof(buf), "\\u%04x", ch);
-          out += buf;
-        } else {
-          out += ch;
-        }
+        out += "\\u00";
+        out += kHex[ch >> 4];
+        out += kHex[ch & 0xf];
     }
   }
-  return out;
+  out.append(text.data() + run, text.size() - run);
 }
+
+/// Appends an integer's decimal digits.
+template <typename Integer>
+void append_integer(std::string& out, Integer number) {
+  char buf[24];
+  const auto [end, error] = std::to_chars(buf, buf + sizeof(buf), number);
+  (void)error;  // 24 bytes hold every 64-bit integer
+  out.append(buf, end);
+}
+
+}  // namespace
 
 void JsonWriter::before_value() {
   ensure(!complete_, "JsonWriter: document already complete");
@@ -48,15 +62,19 @@ void JsonWriter::before_value() {
   if (has_items_.back()) out_ += ',';
 }
 
-JsonWriter& JsonWriter::emit(const std::string& text) {
-  before_value();
-  out_ += text;
+JsonWriter& JsonWriter::after_value() {
   if (stack_.empty()) {
     complete_ = true;
   } else {
     has_items_.back() = true;
   }
   return *this;
+}
+
+JsonWriter& JsonWriter::emit(std::string_view text) {
+  before_value();
+  out_ += text;
+  return after_value();
 }
 
 JsonWriter& JsonWriter::begin_object() {
@@ -104,14 +122,18 @@ JsonWriter& JsonWriter::key(std::string_view name) {
   ensure(!expecting_value_, "JsonWriter: two keys in a row");
   if (has_items_.back()) out_ += ',';
   out_ += '"';
-  out_ += escape(name);
+  append_escaped(out_, name);
   out_ += "\":";
   expecting_value_ = true;
   return *this;
 }
 
 JsonWriter& JsonWriter::value(std::string_view text) {
-  return emit('"' + escape(text) + '"');
+  before_value();
+  out_ += '"';
+  append_escaped(out_, text);
+  out_ += '"';
+  return after_value();
 }
 
 JsonWriter& JsonWriter::value(const char* text) {
@@ -120,17 +142,24 @@ JsonWriter& JsonWriter::value(const char* text) {
 
 JsonWriter& JsonWriter::value(double number) {
   if (!std::isfinite(number)) return null();
+  // The bytes of "%.17g": enough digits to round-trip every double.
   char buf[32];
-  std::snprintf(buf, sizeof(buf), "%.17g", number);
-  return emit(buf);
+  const auto [end, error] = std::to_chars(buf, buf + sizeof(buf), number,
+                                          std::chars_format::general, 17);
+  (void)error;  // 17 digits, a sign, a point and "e-308" fit in 32
+  return emit(std::string_view(buf, static_cast<std::size_t>(end - buf)));
 }
 
 JsonWriter& JsonWriter::value(std::int64_t number) {
-  return emit(std::to_string(number));
+  before_value();
+  append_integer(out_, number);
+  return after_value();
 }
 
 JsonWriter& JsonWriter::value(std::uint64_t number) {
-  return emit(std::to_string(number));
+  before_value();
+  append_integer(out_, number);
+  return after_value();
 }
 
 JsonWriter& JsonWriter::value(bool flag) { return emit(flag ? "true" : "false"); }

@@ -2,29 +2,59 @@
 
 #include <cctype>
 #include <charconv>
-#include <cmath>
-#include <cstdio>
 
 #include "hmcs/util/error.hpp"
 
 namespace hmcs {
 
+namespace {
+
+/// std::to_chars at an explicit precision prints exactly what printf
+/// prints for the same conversion in the "C" locale. `%f` of DBL_MAX
+/// has 309 integer digits, so a precision that overflows the stack
+/// buffer gets a buffer sized for the worst case.
+void append_chars(std::string& out, double value, std::chars_format format,
+                  int precision) {
+  char buf[512];
+  const auto [end, error] =
+      std::to_chars(buf, buf + sizeof(buf), value, format, precision);
+  if (error == std::errc()) {
+    out.append(buf, end);
+    return;
+  }
+  const std::size_t start = out.size();
+  out.resize(start + 320 + static_cast<std::size_t>(precision));
+  const auto [last, retry] =
+      std::to_chars(out.data() + start, out.data() + out.size(), value,
+                    format, precision);
+  ensure(retry == std::errc(), "append_chars: buffer too small");
+  out.resize(static_cast<std::size_t>(last - out.data()));
+}
+
+}  // namespace
+
+void append_fixed(std::string& out, double value, int precision) {
+  append_chars(out, value, std::chars_format::fixed, precision);
+}
+
+void append_compact(std::string& out, double value, int significant_digits) {
+  if (value == 0.0) {
+    out += '0';
+    return;
+  }
+  append_chars(out, value, std::chars_format::general, significant_digits);
+}
+
 std::string format_fixed(double value, int precision) {
-  char buf[64];
-  std::snprintf(buf, sizeof(buf), "%.*f", precision, value);
-  return buf;
+  std::string out;
+  append_fixed(out, value, precision);
+  return out;
 }
 
 std::string format_compact(double value, int significant_digits) {
-  if (value == 0.0) return "0";
-  const double mag = std::fabs(value);
-  char buf[64];
-  if (mag >= 1e9 || mag < 1e-4) {
-    std::snprintf(buf, sizeof(buf), "%.*g", significant_digits, value);
-    return buf;
-  }
-  std::snprintf(buf, sizeof(buf), "%.*g", significant_digits, value);
-  return buf;
+  std::string out;
+  append_compact(out, value, significant_digits);
+  return out;
 }
 
 std::string pad_left(std::string_view s, std::size_t width) {

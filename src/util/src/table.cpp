@@ -2,54 +2,84 @@
 
 #include <algorithm>
 #include <ostream>
-#include <sstream>
 
 #include "hmcs/util/error.hpp"
 #include "hmcs/util/string_util.hpp"
 
 namespace hmcs {
 
-Table::Table(std::vector<std::string> headers) : headers_(std::move(headers)) {
-  require(!headers_.empty(), "Table: needs at least one column");
+Table::Table(std::vector<std::string> headers) : columns_(headers.size()) {
+  require(!headers.empty(), "Table: needs at least one column");
+  for (const std::string& header : headers) cell(header);
 }
 
-void Table::add_row(std::vector<std::string> cells) {
-  require(cells.size() == headers_.size(),
-          "Table: row width does not match header width");
-  rows_.push_back(std::move(cells));
+Table& Table::cell(std::string_view text) {
+  text_ += text;
+  ends_.push_back(text_.size());
+  return *this;
+}
+
+Table& Table::cell(double value, int precision) {
+  append_fixed(text_, value, precision);
+  ends_.push_back(text_.size());
+  return *this;
+}
+
+void Table::end_row() {
+  const std::size_t complete = (rows_ + 1) * columns_;
+  if (ends_.size() != complete + columns_) {
+    // Drop the partial row so the table stays well-formed.
+    ends_.resize(complete);
+    text_.resize(ends_.back());
+    require(false, "Table: row width does not match header width");
+  }
+  ++rows_;
+}
+
+void Table::add_row(const std::vector<std::string>& cells) {
+  for (const std::string& text : cells) cell(text);
+  end_row();
 }
 
 void Table::add_numeric_row(const std::vector<double>& cells, int precision) {
-  std::vector<std::string> formatted;
-  formatted.reserve(cells.size());
-  for (const double v : cells) formatted.push_back(format_fixed(v, precision));
-  add_row(std::move(formatted));
+  for (const double value : cells) cell(value, precision);
+  end_row();
 }
 
 std::string Table::render() const {
-  std::vector<std::size_t> widths(headers_.size());
-  for (std::size_t c = 0; c < headers_.size(); ++c) widths[c] = headers_[c].size();
-  for (const auto& row : rows_) {
-    for (std::size_t c = 0; c < row.size(); ++c) {
-      widths[c] = std::max(widths[c], row[c].size());
-    }
+  // Only complete rows render; a row still being built is left out.
+  const std::size_t n_cells = (rows_ + 1) * columns_;
+  const auto width_of = [&](std::size_t i) {
+    return ends_[i] - (i == 0 ? 0 : ends_[i - 1]);
+  };
+  std::vector<std::size_t> widths(columns_, 0);
+  for (std::size_t i = 0; i < n_cells; ++i) {
+    widths[i % columns_] = std::max(widths[i % columns_], width_of(i));
   }
 
-  std::ostringstream os;
-  auto emit_row = [&](const std::vector<std::string>& row) {
-    for (std::size_t c = 0; c < row.size(); ++c) {
-      os << (c == 0 ? "| " : " | ") << pad_left(row[c], widths[c]);
+  std::size_t line = 2;  // "|" ... "\n"
+  for (const std::size_t width : widths) line += width + 3;
+  std::string out;
+  out.reserve(line * (rows_ + 2));
+  const auto emit_row = [&](std::size_t row) {
+    for (std::size_t c = 0; c < columns_; ++c) {
+      const std::size_t i = row * columns_ + c;
+      const std::size_t begin = i == 0 ? 0 : ends_[i - 1];
+      out += c == 0 ? "| " : " | ";
+      out.append(widths[c] - width_of(i), ' ');
+      out.append(text_, begin, ends_[i] - begin);
     }
-    os << " |\n";
+    out += " |\n";
   };
 
-  emit_row(headers_);
-  for (std::size_t c = 0; c < widths.size(); ++c) {
-    os << (c == 0 ? "|" : "|") << std::string(widths[c] + 2, '-');
+  emit_row(0);
+  for (std::size_t c = 0; c < columns_; ++c) {
+    out += '|';
+    out.append(widths[c] + 2, '-');
   }
-  os << "|\n";
-  for (const auto& row : rows_) emit_row(row);
-  return os.str();
+  out += "|\n";
+  for (std::size_t row = 1; row <= rows_; ++row) emit_row(row);
+  return out;
 }
 
 std::ostream& operator<<(std::ostream& os, const Table& table) {

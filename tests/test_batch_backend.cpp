@@ -2,19 +2,27 @@
 // batch_cells): a batched analytic sweep is bit-identical to the
 // per-cell run — values, statuses, attempts — at any chunk size and
 // thread count; chunks containing resumed cells write only the pending
-// ones; a failing chunk falls back to per-cell predict() with full
-// error isolation; and chunk deadlines bound batched exact-MVA cells.
+// ones; a journaled chunk is one block, whole or absent; a failing
+// chunk falls back to per-cell predict() with full error isolation; and
+// chunk deadlines bound batched exact-MVA cells.
 
 #include <gtest/gtest.h>
 
+#include <algorithm>
+#include <atomic>
 #include <cmath>
+#include <fstream>
 #include <memory>
+#include <numeric>
 #include <string>
 #include <vector>
 
 #include "hmcs/runner/journal.hpp"
+#include "hmcs/runner/sweep_report.hpp"
 #include "hmcs/runner/sweep_runner.hpp"
+#include "hmcs/util/cancel.hpp"
 #include "hmcs/util/error.hpp"
+#include "hmcs/util/json.hpp"
 
 namespace {
 
@@ -178,6 +186,142 @@ TEST(BatchBackend, ResumedBatchedSweepMergesBitIdentically) {
   resumed.resume = &journal;
   const SweepResult merged = run_sweep(spec, {backend}, resumed);
   expect_identical_cells(reference, merged, "resume");
+}
+
+// ---------------------------------------------------------------------
+// Journal blocks: every cell of a chunk finishes when its evaluate_batch
+// returns, so the runner journals the chunk as one block — whole, or
+// absent when the sweep stopped first.
+
+/// The cell index of every record line of a journal, in file order.
+std::vector<std::size_t> journaled_cells(const std::string& path) {
+  std::ifstream in(path);
+  std::vector<std::size_t> cells;
+  std::string line;
+  while (std::getline(in, line)) {
+    const JsonValue doc = parse_json(line);
+    if (doc.find("cell") == nullptr) continue;  // a header
+    cells.push_back(json_uint<std::size_t>(doc.at("cell"), "test", "cell"));
+  }
+  return cells;
+}
+
+runner::JournalWriter::Shape journal_shape(const SweepSpec& spec,
+                                           const Backend& backend) {
+  return {spec.id, runner::expand_sweep(spec).size(), {backend.name()}};
+}
+
+TEST(BatchedJournal, ReloadsToTheInMemoryGridWithEveryCellOnce) {
+  const SweepSpec spec = mixed_topology_spec();
+  const auto backend = std::make_shared<AnalyticBackend>();
+  const std::string path = temp_path("hmcs_batched_journal.jsonl");
+  SweepResult result;
+  {
+    runner::JournalWriter writer(path, journal_shape(spec, *backend),
+                                 /*append=*/false);
+    RunnerOptions options;
+    options.threads = 3;
+    options.batch_cells = 8;
+    options.on_error = FailurePolicy::kCollectAll;
+    options.journal = &writer;
+    result = run_sweep(spec, {backend}, options);
+  }
+
+  std::vector<std::size_t> cells = journaled_cells(path);
+  std::sort(cells.begin(), cells.end());
+  std::vector<std::size_t> every(result.cells.size());
+  std::iota(every.begin(), every.end(), std::size_t{0});
+  EXPECT_EQ(cells, every);
+
+  const runner::SweepJournal journal = runner::load_sweep_journal(path);
+  ASSERT_EQ(journal.cells.size(), result.cells.size());
+  SweepResult reloaded = result;
+  for (std::size_t i = 0; i < journal.cells.size(); ++i) {
+    ASSERT_TRUE(journal.cells[i].has_value()) << i;
+    EXPECT_EQ(journal.seeds[i], result.points[i].seed) << i;
+    reloaded.cells[i] = *journal.cells[i];
+  }
+  expect_identical_cells(result, reloaded, "reloaded");
+}
+
+/// The default analytic backend, cancelling the sweep once `after` of
+/// its evaluate_batch calls have returned.
+class CancelAfterChunks : public Backend {
+ public:
+  CancelAfterChunks(util::CancelToken& sweep, std::size_t after)
+      : sweep_(sweep), after_(after) {}
+
+  const std::string& name() const override { return inner_.name(); }
+  PointResult predict(const analytic::SystemConfig& config,
+                      const PointContext& ctx) const override {
+    return inner_.predict(config, ctx);
+  }
+  std::size_t batch_capacity() const override {
+    return inner_.batch_capacity();
+  }
+  void evaluate_batch(const analytic::SystemConfig* const* configs,
+                      std::size_t count, const BatchPointContext& ctx,
+                      PointResult* results) const override {
+    inner_.evaluate_batch(configs, count, ctx, results);
+    if (calls_.fetch_add(1) + 1 == after_) sweep_.cancel();
+  }
+
+ private:
+  AnalyticBackend inner_;
+  util::CancelToken& sweep_;
+  std::size_t after_;
+  mutable std::atomic<std::size_t> calls_{0};
+};
+
+TEST(BatchedJournal, CancelledSweepJournalsWholeChunksAndResumesIdentically) {
+  const SweepSpec spec = mixed_topology_spec();
+  constexpr std::size_t kChunk = 8;
+  RunnerOptions options;
+  options.threads = 3;
+  options.batch_cells = kChunk;
+  options.on_error = FailurePolicy::kCollectAll;
+  const SweepResult uninterrupted =
+      run_sweep(spec, {std::make_shared<AnalyticBackend>()}, options);
+  const std::size_t n_points = uninterrupted.points.size();
+
+  const std::string path = temp_path("hmcs_batched_cancel.jsonl");
+  util::CancelToken interrupt;
+  const auto cancelling = std::make_shared<CancelAfterChunks>(interrupt, 2);
+  {
+    runner::JournalWriter writer(path, journal_shape(spec, *cancelling),
+                                 /*append=*/false);
+    RunnerOptions cancelled = options;
+    cancelled.journal = &writer;
+    cancelled.cancel = &interrupt;
+    const SweepResult partial = run_sweep(spec, {cancelling}, cancelled);
+    EXPECT_GT(partial.count_status(CellStatus::kSkipped), 0u);
+  }
+
+  // Every chunk [8k, 8k + 8) is all there or not there at all, and at
+  // least the two chunks that finished before the cancel are there.
+  std::vector<std::size_t> per_chunk((n_points + kChunk - 1) / kChunk, 0);
+  for (const std::size_t cell : journaled_cells(path)) {
+    ++per_chunk[cell / kChunk];
+  }
+  std::size_t whole = 0;
+  for (std::size_t k = 0; k < per_chunk.size(); ++k) {
+    const std::size_t size = std::min(kChunk, n_points - k * kChunk);
+    EXPECT_TRUE(per_chunk[k] == 0 || per_chunk[k] == size)
+        << "chunk " << k << " has " << per_chunk[k] << " of " << size;
+    if (per_chunk[k] == size) ++whole;
+  }
+  EXPECT_GE(whole, 2u);
+  EXPECT_LT(whole, per_chunk.size());
+
+  const runner::SweepJournal journal = runner::load_sweep_journal(path);
+  RunnerOptions resumed = options;
+  resumed.resume = &journal;
+  const SweepResult merged =
+      run_sweep(spec, {std::make_shared<AnalyticBackend>()}, resumed);
+  expect_identical_cells(uninterrupted, merged, "resume");
+  EXPECT_EQ(runner::sweep_csv(merged).to_string(),
+            runner::sweep_csv(uninterrupted).to_string());
+  EXPECT_EQ(runner::sweep_json(merged), runner::sweep_json(uninterrupted));
 }
 
 // ---------------------------------------------------------------------

@@ -416,6 +416,30 @@ TEST(FaultTolerance, JournalToleratesTruncatedFinalLine) {
   EXPECT_DOUBLE_EQ(journal.cells[0]->mean_latency_us, 42.0);
 }
 
+TEST(FaultTolerance, AppendingAfterATruncatedLineKeepsTheJournalLoadable) {
+  const std::string path = temp_path("hmcs_journal_append_truncated.jsonl");
+  runner::JournalWriter::Shape shape;
+  shape.id = "ft";
+  shape.points = 8;
+  shape.backend_names = {"faulty"};
+  PointResult cell;
+  cell.mean_latency_us = 42.0;
+  cell.attempts = 1;
+  {
+    runner::JournalWriter writer(path, shape, /*append=*/false);
+    writer.record(0, 123, cell);
+  }
+  std::ofstream(path, std::ios::app) << "{\"cell\":1,\"seed\":\"45";
+  {
+    // What a resume does: append to the interrupted run's journal.
+    runner::JournalWriter writer(path, shape, /*append=*/true);
+    writer.record(1, 456, cell);
+  }
+  const runner::SweepJournal journal = runner::load_sweep_journal(path);
+  EXPECT_EQ(journal.completed(), 2u);
+  EXPECT_EQ(journal.seeds[1], 456u);
+}
+
 TEST(FaultTolerance, ResumeRejectsMismatchedJournals) {
   const std::string path = temp_path("hmcs_journal_mismatch.jsonl");
   runner::JournalWriter::Shape shape;

@@ -74,6 +74,20 @@ TEST(ServeCache, PutIsIdempotent) {
   EXPECT_EQ(cache.get(5, "k"), std::optional<std::string>("v"));
 }
 
+TEST(ServeCache, PeekCountsNothingAndKeepsLruOrder) {
+  serve::ShardedResultCache cache({.shards = 1, .capacity = 2});
+  cache.put(1, "a", "A");
+  cache.put(2, "b", "B");
+  EXPECT_EQ(cache.peek(1, "a"), std::optional<std::string>("A"));
+  EXPECT_FALSE(cache.peek(3, "c").has_value());
+  EXPECT_EQ(cache.stats().hits, 0u);
+  EXPECT_EQ(cache.stats().misses, 0u);
+  // The peek did not refresh "a": it is still LRU and "c" evicts it.
+  cache.put(3, "c", "C");
+  EXPECT_FALSE(cache.peek(1, "a").has_value());
+  EXPECT_EQ(cache.peek(2, "b"), std::optional<std::string>("B"));
+}
+
 // ---------------------------------------------------------------------------
 // Canonical request keys
 

@@ -1,11 +1,13 @@
 #include <gtest/gtest.h>
 
 #include <cstdio>
+#include <filesystem>
 #include <fstream>
 #include <sstream>
 
 #include "hmcs/util/csv.hpp"
 #include "hmcs/util/error.hpp"
+#include "hmcs/util/output_file.hpp"
 #include "hmcs/util/table.hpp"
 
 namespace {
@@ -77,6 +79,77 @@ TEST(Csv, WritesFile) {
 TEST(Csv, WriteFileFailsLoudly) {
   CsvWriter csv({"x"});
   EXPECT_THROW(csv.write_file("/nonexistent-dir/file.csv"), ConfigError);
+}
+
+TEST(Csv, CellByCellRowsMatchAddRowAndDropBadRows) {
+  CsvWriter built({"name", "value"});
+  built.cell("a,b").cell(0.1, 9).end_row();
+  built.cell("only one");
+  EXPECT_THROW(built.end_row(), ConfigError);
+  CsvWriter listed({"name", "value"});
+  listed.add_row({"a,b", "0.1"});
+  EXPECT_EQ(built.to_string(), listed.to_string());
+}
+
+TEST(Table, CellByCellRowsMatchAddRowAndDropBadRows) {
+  Table built({"x", "y"});
+  built.cell("1").cell(2.0, 2).end_row();
+  built.cell("3");
+  EXPECT_THROW(built.end_row(), ConfigError);
+  EXPECT_EQ(built.num_rows(), 1u);
+  Table listed({"x", "y"});
+  listed.add_row({"1", "2.00"});
+  EXPECT_EQ(built.render(), listed.render());
+}
+
+std::string read_file(const std::string& path) {
+  std::ifstream in(path);
+  std::stringstream buffer;
+  buffer << in.rdbuf();
+  return buffer.str();
+}
+
+// open_output_file replaces a regular file with a new one instead of
+// truncating it in place: a second name hard-linked to the old file
+// keeps the old bytes.
+TEST(OutputFile, ReplacesAnExistingFileWithANewOne) {
+  namespace fs = std::filesystem;
+  const fs::path dir = fs::path(::testing::TempDir()) / "hmcs_output_file";
+  fs::remove_all(dir);
+  fs::create_directories(dir);
+  const std::string path = (dir / "series.csv").string();
+  const std::string other = (dir / "other_name.csv").string();
+  CsvWriter first({"x"});
+  first.add_numeric_row({1.0});
+  first.write_file(path);
+  fs::create_hard_link(path, other);
+
+  CsvWriter second({"x"});
+  second.add_numeric_row({2.0});
+  second.write_file(path);
+  EXPECT_EQ(read_file(path), "x\n2\n");
+  EXPECT_EQ(read_file(other), "x\n1\n");
+  EXPECT_EQ(fs::hard_link_count(path), 1u);
+  fs::remove_all(dir);
+}
+
+TEST(OutputFile, WritesThroughASymlink) {
+  namespace fs = std::filesystem;
+  const fs::path dir = fs::path(::testing::TempDir()) / "hmcs_output_link";
+  fs::remove_all(dir);
+  fs::create_directories(dir);
+  const fs::path target = dir / "target.json";
+  const fs::path link = dir / "link.json";
+  std::ofstream(target) << "old\n";
+  fs::create_symlink(target, link);
+
+  std::ofstream out = open_output_file(link.string());
+  ASSERT_TRUE(out.good());
+  out << "new\n";
+  out.close();
+  EXPECT_TRUE(fs::is_symlink(link));
+  EXPECT_EQ(read_file(target.string()), "new\n");
+  fs::remove_all(dir);
 }
 
 }  // namespace
