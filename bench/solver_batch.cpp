@@ -19,8 +19,11 @@
 //     rate x clusters x message size x architecture sweep, in its
 //     expansion order (architecture innermost, so no two neighbouring
 //     points share a topology), through exact MVA: predict_latency
-//     cell by cell vs predict_latency_batch with warm starts off. Every
-//     field of every cell must match bit for bit; the program exits 1
+//     cell by cell vs predict_latency_batch with warm starts off, on
+//     the MVA lane kernel the process dispatches to; then the chunk's
+//     networks once through each kernel the CPU supports (AVX-512F,
+//     AVX2, baseline). Every field of every cell must match the
+//     per-cell solve bit for bit, on every kernel; the program exits 1
 //     when one does not.
 //
 // All three comparisons run on the same inputs in the same process,
@@ -42,7 +45,9 @@
 #include "hmcs/analytic/latency_model.hpp"
 #include "hmcs/analytic/mva.hpp"
 #include "hmcs/analytic/network_tech.hpp"
+#include "hmcs/analytic/routing_probability.hpp"
 #include "hmcs/analytic/scenario.hpp"
+#include "hmcs/analytic/service_time.hpp"
 #include "hmcs/util/cli.hpp"
 #include "hmcs/util/error.hpp"
 #include "hmcs/util/json.hpp"
@@ -216,65 +221,105 @@ std::vector<analytic::SystemConfig> mixed_chunk_configs(
   return configs;
 }
 
+/// Names of the LatencyPrediction fields that differ in some cell.
+using Mismatches = std::vector<std::string>;
+
+void compare_field(Mismatches& mismatched, const char* name, double a,
+                   double b) {
+  if (std::bit_cast<std::uint64_t>(a) == std::bit_cast<std::uint64_t>(b)) {
+    return;
+  }
+  for (const std::string& seen : mismatched) {
+    if (seen == name) return;
+  }
+  mismatched.emplace_back(name);
+}
+
+void compare_center(Mismatches& mismatched, const std::string& role,
+                    const analytic::CenterPrediction& a,
+                    const analytic::CenterPrediction& b) {
+  compare_field(mismatched, (role + ".arrival_rate").c_str(), a.arrival_rate,
+                b.arrival_rate);
+  compare_field(mismatched, (role + ".service_rate").c_str(), a.service_rate,
+                b.service_rate);
+  compare_field(mismatched, (role + ".utilization").c_str(), a.utilization,
+                b.utilization);
+  compare_field(mismatched, (role + ".response_time_us").c_str(),
+                a.response_time_us, b.response_time_us);
+  compare_field(mismatched, (role + ".queue_length").c_str(), a.queue_length,
+                b.queue_length);
+}
+
+void compare_service(Mismatches& mismatched, const std::string& role,
+                     const analytic::ServiceTimeBreakdown& a,
+                     const analytic::ServiceTimeBreakdown& b) {
+  compare_field(mismatched, (role + ".link_latency_us").c_str(),
+                a.link_latency_us, b.link_latency_us);
+  compare_field(mismatched, (role + ".switch_latency_us").c_str(),
+                a.switch_latency_us, b.switch_latency_us);
+  compare_field(mismatched, (role + ".transmission_us").c_str(),
+                a.transmission_us, b.transmission_us);
+  compare_field(mismatched, (role + ".blocking_us").c_str(), a.blocking_us,
+                b.blocking_us);
+}
+
+/// Every field of every cell of `batch` against `scalar`, bit for bit.
+Mismatches compare_predictions(
+    const std::vector<analytic::LatencyPrediction>& scalar,
+    const std::vector<analytic::LatencyPrediction>& batch) {
+  Mismatches mismatched;
+  for (std::size_t i = 0; i < scalar.size(); ++i) {
+    const analytic::LatencyPrediction& a = scalar[i];
+    const analytic::LatencyPrediction& b = batch[i];
+    compare_field(mismatched, "mean_latency_us", a.mean_latency_us,
+                  b.mean_latency_us);
+    compare_field(mismatched, "inter_cluster_probability",
+                  a.inter_cluster_probability, b.inter_cluster_probability);
+    compare_field(mismatched, "lambda_offered", a.lambda_offered,
+                  b.lambda_offered);
+    compare_field(mismatched, "lambda_effective", a.lambda_effective,
+                  b.lambda_effective);
+    compare_field(mismatched, "total_queue_length", a.total_queue_length,
+                  b.total_queue_length);
+    compare_field(mismatched, "fixed_point_converged",
+                  a.fixed_point_converged ? 1.0 : 0.0,
+                  b.fixed_point_converged ? 1.0 : 0.0);
+    compare_field(mismatched, "fixed_point_iterations",
+                  static_cast<double>(a.fixed_point_iterations),
+                  static_cast<double>(b.fixed_point_iterations));
+    compare_center(mismatched, "icn1", a.icn1, b.icn1);
+    compare_center(mismatched, "ecn1", a.ecn1, b.ecn1);
+    compare_center(mismatched, "icn2", a.icn2, b.icn2);
+    compare_service(mismatched, "service_times.icn1", a.service_times.icn1,
+                    b.service_times.icn1);
+    compare_service(mismatched, "service_times.ecn1", a.service_times.ecn1,
+                    b.service_times.ecn1);
+    compare_service(mismatched, "service_times.icn2", a.service_times.icn2,
+                    b.service_times.icn2);
+  }
+  return mismatched;
+}
+
 struct MixedChunkRun {
   std::size_t cells = 0;
   double scalar_seconds = 0.0;
   double batch_seconds = 0.0;
-  /// Names of the LatencyPrediction fields that differ in some cell.
-  std::vector<std::string> mismatched_fields;
+  /// The per-cell predictions: the reference every kernel is held to.
+  std::vector<analytic::LatencyPrediction> scalar;
+  Mismatches mismatched_fields;
 };
 
-void compare_field(MixedChunkRun& run, const char* name, double a, double b) {
-  if (std::bit_cast<std::uint64_t>(a) == std::bit_cast<std::uint64_t>(b)) {
-    return;
-  }
-  for (const std::string& seen : run.mismatched_fields) {
-    if (seen == name) return;
-  }
-  run.mismatched_fields.emplace_back(name);
-}
-
-void compare_center(MixedChunkRun& run, const std::string& role,
-                    const analytic::CenterPrediction& a,
-                    const analytic::CenterPrediction& b) {
-  compare_field(run, (role + ".arrival_rate").c_str(), a.arrival_rate,
-                b.arrival_rate);
-  compare_field(run, (role + ".service_rate").c_str(), a.service_rate,
-                b.service_rate);
-  compare_field(run, (role + ".utilization").c_str(), a.utilization,
-                b.utilization);
-  compare_field(run, (role + ".response_time_us").c_str(),
-                a.response_time_us, b.response_time_us);
-  compare_field(run, (role + ".queue_length").c_str(), a.queue_length,
-                b.queue_length);
-}
-
-void compare_service(MixedChunkRun& run, const std::string& role,
-                     const analytic::ServiceTimeBreakdown& a,
-                     const analytic::ServiceTimeBreakdown& b) {
-  compare_field(run, (role + ".link_latency_us").c_str(), a.link_latency_us,
-                b.link_latency_us);
-  compare_field(run, (role + ".switch_latency_us").c_str(),
-                a.switch_latency_us, b.switch_latency_us);
-  compare_field(run, (role + ".transmission_us").c_str(), a.transmission_us,
-                b.transmission_us);
-  compare_field(run, (role + ".blocking_us").c_str(), a.blocking_us,
-                b.blocking_us);
-}
-
-MixedChunkRun run_mixed_chunk(std::uint64_t total_nodes) {
-  const std::vector<analytic::SystemConfig> configs =
-      mixed_chunk_configs(total_nodes, 256);
+MixedChunkRun run_mixed_chunk(
+    const std::vector<analytic::SystemConfig>& configs) {
   analytic::ModelOptions options;
   options.fixed_point.method = SourceThrottling::kExactMva;
 
   MixedChunkRun run;
   run.cells = configs.size();
-  std::vector<analytic::LatencyPrediction> scalar;
-  scalar.reserve(configs.size());
+  run.scalar.reserve(configs.size());
   auto start = std::chrono::steady_clock::now();
   for (const analytic::SystemConfig& config : configs) {
-    scalar.push_back(analytic::predict_latency(config, options));
+    run.scalar.push_back(analytic::predict_latency(config, options));
   }
   run.scalar_seconds = seconds_since(start);
 
@@ -283,35 +328,53 @@ MixedChunkRun run_mixed_chunk(std::uint64_t total_nodes) {
       analytic::predict_latency_batch(configs, options,
                                       analytic::BatchOptions{false});
   run.batch_seconds = seconds_since(start);
+  run.mismatched_fields = compare_predictions(run.scalar, batch);
+  return run;
+}
 
-  for (std::size_t i = 0; i < configs.size(); ++i) {
-    const analytic::LatencyPrediction& a = scalar[i];
-    const analytic::LatencyPrediction& b = batch[i];
-    compare_field(run, "mean_latency_us", a.mean_latency_us,
-                  b.mean_latency_us);
-    compare_field(run, "inter_cluster_probability",
-                  a.inter_cluster_probability, b.inter_cluster_probability);
-    compare_field(run, "lambda_offered", a.lambda_offered, b.lambda_offered);
-    compare_field(run, "lambda_effective", a.lambda_effective,
-                  b.lambda_effective);
-    compare_field(run, "total_queue_length", a.total_queue_length,
-                  b.total_queue_length);
-    compare_field(run, "fixed_point_converged",
-                  a.fixed_point_converged ? 1.0 : 0.0,
-                  b.fixed_point_converged ? 1.0 : 0.0);
-    compare_field(run, "fixed_point_iterations",
-                  static_cast<double>(a.fixed_point_iterations),
-                  static_cast<double>(b.fixed_point_iterations));
-    compare_center(run, "icn1", a.icn1, b.icn1);
-    compare_center(run, "ecn1", a.ecn1, b.ecn1);
-    compare_center(run, "icn2", a.icn2, b.icn2);
-    compare_service(run, "service_times.icn1", a.service_times.icn1,
-                    b.service_times.icn1);
-    compare_service(run, "service_times.ecn1", a.service_times.ecn1,
-                    b.service_times.ecn1);
-    compare_service(run, "service_times.icn2", a.service_times.icn2,
-                    b.service_times.icn2);
+struct KernelRun {
+  std::string kernel;
+  std::size_t lanes = 0;
+  double batch_seconds = 0.0;
+  Mismatches mismatched_fields;
+};
+
+/// The mixed chunk through one MVA kernel: the networks
+/// predict_latency_batch builds for it (HMCS class layout, think time
+/// 1/rate; every cell has a positive rate and the same population),
+/// solved by `kernel` and finished into predictions like the batch path.
+KernelRun run_kernel(const analytic::detail::MvaKernel& kernel,
+                     const std::vector<analytic::SystemConfig>& configs,
+                     const std::vector<analytic::LatencyPrediction>& scalar) {
+  KernelRun run;
+  run.kernel = kernel.name;
+  run.lanes = kernel.lanes;
+  const auto start = std::chrono::steady_clock::now();
+  std::vector<analytic::CenterServiceTimes> services;
+  std::vector<analytic::HmcsMvaClassLayout> layouts;
+  for (const analytic::SystemConfig& config : configs) {
+    services.push_back(analytic::center_service_times(config));
+    layouts.push_back(
+        analytic::build_hmcs_mva_class_layout(config, services.back()));
   }
+  std::vector<analytic::MvaClassNetwork> networks;
+  for (std::size_t i = 0; i < configs.size(); ++i) {
+    networks.push_back(analytic::MvaClassNetwork{
+        layouts[i].classes, 1.0 / configs[i].generation_rate_per_us});
+  }
+  const std::vector<analytic::MvaClassResult> solved =
+      kernel.solve(networks, configs.front().total_nodes());
+  std::vector<analytic::LatencyPrediction> batch;
+  for (std::size_t i = 0; i < configs.size(); ++i) {
+    const analytic::SystemConfig& config = configs[i];
+    batch.push_back(analytic::detail::finish_mva_prediction(
+        config,
+        analytic::inter_cluster_probability(config.clusters,
+                                            config.nodes_per_cluster),
+        services[i], layouts[i], solved[i]));
+  }
+  run.batch_seconds = seconds_since(start);
+  run.mismatched_fields = compare_predictions(scalar, batch);
   return run;
 }
 
@@ -386,16 +449,38 @@ int main(int argc, char** argv) try {
                     run.converged_flag_mismatches));
   }
 
-  // Part 3: a chunk whose neighbouring cells never share a topology.
-  const MixedChunkRun mixed = run_mixed_chunk(nodes);
-  const bool bit_identical = mixed.mismatched_fields.empty();
-  std::printf("mixed chunk mva %zu cells: %8.4f s -> %8.4f s (%.1fx), "
-              "bit-identical: %s\n",
-              mixed.cells, mixed.scalar_seconds, mixed.batch_seconds,
+  // Part 3: a chunk whose neighbouring cells never share a topology,
+  // through the dispatched MVA kernel, then through every kernel this
+  // CPU supports.
+  const std::vector<analytic::SystemConfig> chunk =
+      mixed_chunk_configs(nodes, 256);
+  const MixedChunkRun mixed = run_mixed_chunk(chunk);
+  bool bit_identical = mixed.mismatched_fields.empty();
+  const analytic::detail::MvaKernel& dispatched =
+      analytic::detail::supported_mva_kernels().front();
+  std::printf("mixed chunk mva %zu cells (%s, %zu lanes): %8.4f s -> "
+              "%8.4f s (%.1fx), bit-identical: %s\n",
+              mixed.cells, std::string(dispatched.name).c_str(),
+              dispatched.lanes, mixed.scalar_seconds, mixed.batch_seconds,
               speedup(mixed.scalar_seconds, mixed.batch_seconds),
               bit_identical ? "yes" : "NO");
   for (const std::string& field : mixed.mismatched_fields) {
     std::printf("  field differs: %s\n", field.c_str());
+  }
+  std::vector<KernelRun> kernels;
+  for (const analytic::detail::MvaKernel& kernel :
+       analytic::detail::supported_mva_kernels()) {
+    kernels.push_back(run_kernel(kernel, chunk, mixed.scalar));
+    const KernelRun& run = kernels.back();
+    bit_identical = bit_identical && run.mismatched_fields.empty();
+    std::printf("  kernel %-8s %2zu lanes: %8.4f s (%.1fx), "
+                "bit-identical: %s\n",
+                run.kernel.c_str(), run.lanes, run.batch_seconds,
+                speedup(mixed.scalar_seconds, run.batch_seconds),
+                run.mismatched_fields.empty() ? "yes" : "NO");
+    for (const std::string& field : run.mismatched_fields) {
+      std::printf("    field differs: %s\n", field.c_str());
+    }
   }
 
   JsonWriter json;
@@ -448,10 +533,22 @@ int main(int argc, char** argv) try {
       .value(speedup(mixed.scalar_seconds, mixed.batch_seconds));
   json.key("hardware_concurrency")
       .value(static_cast<std::uint64_t>(std::thread::hardware_concurrency()));
-  json.key("bit_identical").value(bit_identical);
+  json.key("kernel").value(dispatched.name);
+  json.key("lanes").value(static_cast<std::uint64_t>(dispatched.lanes));
+  json.key("bit_identical").value(mixed.mismatched_fields.empty());
   json.key("mismatched_fields").begin_array();
   for (const std::string& field : mixed.mismatched_fields) {
     json.value(field);
+  }
+  json.end_array();
+  json.key("kernels").begin_array();
+  for (const KernelRun& run : kernels) {
+    json.begin_object();
+    json.key("kernel").value(run.kernel);
+    json.key("lanes").value(static_cast<std::uint64_t>(run.lanes));
+    json.key("batch_seconds").value(run.batch_seconds);
+    json.key("bit_identical").value(run.mismatched_fields.empty());
+    json.end_object();
   }
   json.end_array();
   json.end_object();
@@ -462,7 +559,9 @@ int main(int argc, char** argv) try {
   out << json.str() << "\n";
   std::printf("record written to %s\n", out_path.c_str());
   if (!bit_identical) {
-    std::fprintf(stderr, "error: mixed chunk batch differs from scalar\n");
+    std::fprintf(stderr,
+                 "error: a mixed chunk batch differs from the per-cell "
+                 "solve\n");
     return 1;
   }
   return 0;

@@ -19,8 +19,8 @@
 /// one is a one-cell solve, so heterogeneous grids are never penalised.
 /// Exact-MVA cells are not limited to such runs: the
 /// positive-rate cells of the whole list, of any topology, are bucketed
-/// by population and solved kMvaLanes at a time by the lane-parallel
-/// station-class recursion (mva.hpp).
+/// by population and solved mva_lane_width() at a time by the
+/// lane-parallel station-class recursion (mva.hpp).
 ///
 /// Numerical contract (docs/PERFORMANCE.md):
 ///  - warm_start = false: every cell's iterate sequence is the one it

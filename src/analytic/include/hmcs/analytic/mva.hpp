@@ -15,6 +15,7 @@
 
 #include <cstdint>
 #include <span>
+#include <string_view>
 #include <vector>
 
 namespace hmcs::util {
@@ -101,17 +102,21 @@ struct MvaClassNetwork {
 };
 
 /// Lanes the station-class recursion advances per population step when
-/// it solves two or more networks together. A group of one network (a
-/// lone network, or one left after full groups) runs a single lane; the
-/// width is chosen from the network count only.
-inline constexpr std::size_t kMvaLanes = 16;
+/// it solves two or more networks together: eight vectors of the
+/// widest kernel this CPU runs — 64 with AVX-512F, 32 with AVX2, 16 on
+/// baseline x86-64 and on other targets. The kernel is picked once per
+/// process from the CPU's features; nothing else selects it. A group of
+/// one network (a lone network, or one left after full groups) runs a
+/// single lane of the baseline build.
+std::size_t mva_lane_width();
 
 /// Solves independent station-class networks that share one population
-/// and one class count, kMvaLanes at a time: every population step
-/// advances all lanes of a group (state stored class-major x lane, so
-/// the per-step loops vectorise), and each lane performs exactly the
+/// and one class count, mva_lane_width() at a time: every population
+/// step advances all lanes of a group (state stored class-major x lane,
+/// so the per-step loops vectorise), and each lane performs exactly the
 /// operations of solve_closed_mva_classes on its network alone, in the
-/// same order — every result is bit-identical to that one-network call.
+/// same order — every result is bit-identical to that one-network call
+/// on every kernel, since the project builds with -ffp-contract=off.
 /// Each network is validated like solve_closed_mva_classes. `cancel` is
 /// polled every 4096 population steps; an overflow to a non-finite
 /// recursion state (which persists once reached) is checked at the same
@@ -119,6 +124,40 @@ inline constexpr std::size_t kMvaLanes = 16;
 std::vector<MvaClassResult> solve_closed_mva_classes_batch(
     std::span<const MvaClassNetwork> networks, std::uint64_t population,
     const util::CancelToken* cancel = nullptr);
+
+namespace detail {
+
+/// One build of the station-class lane loop: the same source compiled
+/// for one instruction set and run `lanes` networks per group.
+struct MvaKernel {
+  /// Solves one group of 2..lanes validated networks (spare lanes
+  /// repeat the last network and are discarded).
+  using GroupSolver = void (*)(const MvaClassNetwork* networks,
+                               std::size_t count, std::uint64_t population,
+                               const util::CancelToken* cancel,
+                               MvaClassResult* out);
+
+  /// "avx512f", "avx2", or the baseline build: "sse2" on x86-64 (built
+  /// for the project's own target flags, SSE2 unless -march adds more)
+  /// and "portable" elsewhere.
+  std::string_view name;
+  std::size_t lanes = 0;
+  GroupSolver hmcs_group = nullptr;  ///< the HMCS layout's 3 classes
+  GroupSolver any_group = nullptr;   ///< any other class count
+
+  /// solve_closed_mva_classes_batch through this kernel: same
+  /// validation, same results bit for bit.
+  std::vector<MvaClassResult> solve(
+      std::span<const MvaClassNetwork> networks, std::uint64_t population,
+      const util::CancelToken* cancel = nullptr) const;
+};
+
+/// The kernels this CPU runs, widest first: the first is the one
+/// solve_closed_mva_classes_batch uses, the last is the baseline build.
+/// Tests and bench/solver_batch run each of them.
+std::span<const MvaKernel> supported_mva_kernels();
+
+}  // namespace detail
 
 // --- Multi-class approximate MVA --------------------------------------------
 

@@ -89,18 +89,20 @@ void ensure_finite(const Classes& classes, const double (&x)[L]) {
 ///   W_k = (1 + L_k) * (1/mu_k);  cycle = Z + sum_k m_k v_k W_k;
 ///   X = n / cycle;  L_k = X v_k W_k
 /// — the same operations in the same order for every lane, so each lane
-/// is bit-identical to a one-lane solve of its network. Baseline x86-64
-/// builds vectorise the lane loops without contracting a*b+c into FMA,
-/// which that identity relies on.
+/// is bit-identical to a one-lane solve of its network on every
+/// instruction set, as long as no a*b+c is contracted into an FMA: the
+/// project builds with -ffp-contract=off.
 ///
 /// K is the class count when it is known at compile time (kHmcsClasses),
 /// or 0 for any other count. A fixed count keeps the state in a local
 /// array, which a single lane holds in registers: the step's dependency
-/// chain then never goes through memory.
+/// chain then never goes through memory. Always inlined, so each
+/// per-ISA wrapper below compiles the loop for its own instruction set.
 template <std::size_t L, std::size_t K>
-void solve_lanes(const MvaClassNetwork* networks, std::size_t count,
-                 std::uint64_t population, const util::CancelToken* cancel,
-                 MvaClassResult* out) {
+[[gnu::always_inline]] inline void solve_lanes(
+    const MvaClassNetwork* networks, std::size_t count,
+    std::uint64_t population, const util::CancelToken* cancel,
+    MvaClassResult* out) {
   const std::size_t k = K == 0 ? networks[0].classes.size() : K;
   std::conditional_t<K == 0, std::vector<LaneClass<L>>,
                      std::array<LaneClass<L>, K>>
@@ -163,7 +165,85 @@ void solve_lanes(const MvaClassNetwork* networks, std::size_t count,
   }
 }
 
+/// Each build runs 8 vectors per group (lanes = doubles per vector x 8),
+/// the fastest width of every build in the per-lane-step timings of
+/// docs/PERFORMANCE.md.
+constexpr std::size_t kVectorsPerGroup = 8;
+
+template <std::size_t K>
+void solve_lone(const MvaClassNetwork* networks, std::size_t count,
+                std::uint64_t population, const util::CancelToken* cancel,
+                MvaClassResult* out) {
+  solve_lanes<1, K>(networks, count, population, cancel, out);
+}
+
+/// The baseline build: SSE2 (2 doubles) on x86-64, and the portable
+/// loop at the same width elsewhere.
+constexpr std::size_t kBaselineLanes = 2 * kVectorsPerGroup;
+
+template <std::size_t K>
+void solve_baseline(const MvaClassNetwork* networks, std::size_t count,
+                    std::uint64_t population, const util::CancelToken* cancel,
+                    MvaClassResult* out) {
+  solve_lanes<kBaselineLanes, K>(networks, count, population, cancel, out);
+}
+
+#if defined(__x86_64__)
+constexpr std::size_t kAvx2Lanes = 4 * kVectorsPerGroup;
+constexpr std::size_t kAvx512Lanes = 8 * kVectorsPerGroup;
+
+template <std::size_t K>
+[[gnu::target("avx2")]] void solve_avx2(const MvaClassNetwork* networks,
+                                        std::size_t count,
+                                        std::uint64_t population,
+                                        const util::CancelToken* cancel,
+                                        MvaClassResult* out) {
+  solve_lanes<kAvx2Lanes, K>(networks, count, population, cancel, out);
+}
+
+template <std::size_t K>
+[[gnu::target("avx512f")]] void solve_avx512(
+    const MvaClassNetwork* networks, std::size_t count,
+    std::uint64_t population, const util::CancelToken* cancel,
+    MvaClassResult* out) {
+  solve_lanes<kAvx512Lanes, K>(networks, count, population, cancel, out);
+}
+#endif
+
+/// The kernels this CPU runs, widest first. Explicit dispatch rather
+/// than target_clones, which cannot give each clone its own lane width
+/// and would hide the narrower builds from the tests.
+std::vector<detail::MvaKernel> detect_mva_kernels() {
+  std::vector<detail::MvaKernel> kernels;
+#if defined(__x86_64__)
+  __builtin_cpu_init();
+  if (__builtin_cpu_supports("avx512f")) {
+    kernels.push_back({"avx512f", kAvx512Lanes, solve_avx512<kHmcsClasses>,
+                       solve_avx512<0>});
+  }
+  if (__builtin_cpu_supports("avx2")) {
+    kernels.push_back(
+        {"avx2", kAvx2Lanes, solve_avx2<kHmcsClasses>, solve_avx2<0>});
+  }
+  kernels.push_back({"sse2", kBaselineLanes, solve_baseline<kHmcsClasses>,
+                     solve_baseline<0>});
+#else
+  kernels.push_back({"portable", kBaselineLanes,
+                     solve_baseline<kHmcsClasses>, solve_baseline<0>});
+#endif
+  return kernels;
+}
+
 }  // namespace
+
+std::span<const detail::MvaKernel> detail::supported_mva_kernels() {
+  static const std::vector<MvaKernel> kernels = detect_mva_kernels();
+  return kernels;
+}
+
+std::size_t mva_lane_width() {
+  return detail::supported_mva_kernels().front().lanes;
+}
 
 MvaResult solve_closed_mva(const std::vector<MvaStation>& stations,
                            double think_time_us, std::uint64_t population,
@@ -225,6 +305,13 @@ MvaClassResult solve_closed_mva_classes(
 std::vector<MvaClassResult> solve_closed_mva_classes_batch(
     std::span<const MvaClassNetwork> networks, std::uint64_t population,
     const util::CancelToken* cancel) {
+  return detail::supported_mva_kernels().front().solve(networks, population,
+                                                       cancel);
+}
+
+std::vector<MvaClassResult> detail::MvaKernel::solve(
+    std::span<const MvaClassNetwork> networks, std::uint64_t population,
+    const util::CancelToken* cancel) const {
   require(population >= 1, "mva: population must be >= 1");
   for (const MvaClassNetwork& network : networks) {
     require(network.classes.size() == networks[0].classes.size(),
@@ -232,22 +319,17 @@ std::vector<MvaClassResult> solve_closed_mva_classes_batch(
     validate_class_network(network.classes, network.think_time_us);
   }
 
-  // A group of one network runs a single lane; spare lanes would only
-  // add work.
+  // A group of one network runs a single lane of the baseline build;
+  // spare lanes would only add work.
   std::vector<MvaClassResult> results(networks.size());
-  for (std::size_t first = 0; first < networks.size(); first += kMvaLanes) {
-    const std::size_t count = std::min(kMvaLanes, networks.size() - first);
+  for (std::size_t first = 0; first < networks.size(); first += lanes) {
+    const std::size_t count = std::min(lanes, networks.size() - first);
     const MvaClassNetwork* group = networks.data() + first;
-    MvaClassResult* group_out = results.data() + first;
     const bool hmcs = group->classes.size() == kHmcsClasses;
-    if (count == 1) {
-      (hmcs ? solve_lanes<1, kHmcsClasses> : solve_lanes<1, 0>)(
-          group, count, population, cancel, group_out);
-    } else {
-      (hmcs ? solve_lanes<kMvaLanes, kHmcsClasses>
-            : solve_lanes<kMvaLanes, 0>)(group, count, population, cancel,
-                                         group_out);
-    }
+    const GroupSolver solver =
+        count == 1 ? (hmcs ? solve_lone<kHmcsClasses> : solve_lone<0>)
+                   : (hmcs ? hmcs_group : any_group);
+    solver(group, count, population, cancel, results.data() + first);
   }
   return results;
 }

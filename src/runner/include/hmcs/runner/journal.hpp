@@ -58,8 +58,10 @@ struct SweepJournal {
 };
 
 /// Parses a journal file. Throws hmcs::ConfigError on unreadable paths,
-/// a missing/foreign header, or disagreeing headers; tolerates (and
-/// drops) one truncated trailing line.
+/// a missing/foreign header, disagreeing headers, or a header whose
+/// points x backends overflows; tolerates (and drops) one truncated
+/// trailing line. The cell table is sized from the header, so a journal
+/// of unknown origin is better loaded through the overload below.
 SweepJournal load_sweep_journal(const std::string& path);
 
 /// Thread-safe appending journal writer. Constructing it starts a new
@@ -100,5 +102,13 @@ class JournalWriter {
   std::ofstream out_;
   std::mutex mutex_;
 };
+
+/// load_sweep_journal for resuming the sweep of shape `expected`: the
+/// first header must match its id, point count and backends before the
+/// cell table is allocated, so a header claiming any other sweep — a
+/// billion points, say — is a ConfigError rather than an allocation of
+/// its size.
+SweepJournal load_sweep_journal(const std::string& path,
+                                const JournalWriter::Shape& expected);
 
 }  // namespace hmcs::runner

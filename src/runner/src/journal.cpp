@@ -2,6 +2,7 @@
 
 #include <filesystem>
 #include <iterator>
+#include <limits>
 #include <sstream>
 
 #include "hmcs/util/error.hpp"
@@ -47,7 +48,8 @@ void append_cell_line(std::string& block, const JournalWriter::Record& record) {
   block += '\n';
 }
 
-void apply_header(SweepJournal& journal, const JsonValue& doc, bool& seen) {
+void apply_header(SweepJournal& journal, const JsonValue& doc, bool& seen,
+                  const JournalWriter::Shape* expected) {
   require(doc.at("journal").as_string() == "hmcs-sweep",
           "journal: not an hmcs sweep journal");
   require(doc.at("version").as_number() == 1.0,
@@ -60,6 +62,21 @@ void apply_header(SweepJournal& journal, const JsonValue& doc, bool& seen) {
   }
   require(header.points > 0 && !header.backend_names.empty(),
           "journal: degenerate header");
+  require(header.points <= std::numeric_limits<std::size_t>::max() /
+                               header.backend_names.size(),
+          "journal: header's points x backends overflows");
+  if (expected != nullptr) {
+    require(header.id == expected->id,
+            "journal: header is for sweep '" + header.id +
+                "'; the resumed sweep is '" + expected->id + "'");
+    require(header.points == expected->points,
+            "journal: header has " + std::to_string(header.points) +
+                " points; the resumed sweep has " +
+                std::to_string(expected->points));
+    require(header.backend_names == expected->backend_names,
+            "journal: header has a different backend set than the resumed "
+            "sweep");
+  }
   if (!seen) {
     journal.id = header.id;
     journal.points = header.points;
@@ -92,15 +109,8 @@ void apply_cell(SweepJournal& journal, const JsonValue& doc) {
   journal.cells[cell] = std::move(result);
 }
 
-}  // namespace
-
-std::size_t SweepJournal::completed() const {
-  std::size_t count = 0;
-  for (const auto& cell : cells) count += cell.has_value() ? 1 : 0;
-  return count;
-}
-
-SweepJournal load_sweep_journal(const std::string& path) {
+SweepJournal load_journal(const std::string& path,
+                          const JournalWriter::Shape* expected) {
   std::ifstream in(path);
   require(in.good(), "journal: cannot open '" + path + "'");
 
@@ -121,18 +131,31 @@ SweepJournal load_sweep_journal(const std::string& path) {
               "journal: corrupt record mid-file in '" + path + "'");
       break;
     }
-    if (!seen_header) {
-      apply_header(journal, doc, seen_header);
-      continue;
-    }
-    if (doc.find("journal") != nullptr) {
-      apply_header(journal, doc, seen_header);
+    if (!seen_header || doc.find("journal") != nullptr) {
+      apply_header(journal, doc, seen_header, expected);
       continue;
     }
     apply_cell(journal, doc);
   }
   require(seen_header, "journal: '" + path + "' has no hmcs-sweep header");
   return journal;
+}
+
+}  // namespace
+
+std::size_t SweepJournal::completed() const {
+  std::size_t count = 0;
+  for (const auto& cell : cells) count += cell.has_value() ? 1 : 0;
+  return count;
+}
+
+SweepJournal load_sweep_journal(const std::string& path) {
+  return load_journal(path, nullptr);
+}
+
+SweepJournal load_sweep_journal(const std::string& path,
+                                const JournalWriter::Shape& expected) {
+  return load_journal(path, &expected);
 }
 
 JournalWriter::JournalWriter(const std::string& path, const Shape& shape,

@@ -24,10 +24,15 @@ namespace hmcs::serve {
 class WorkStealingPool {
  public:
   using Task = std::function<void()>;
+  /// Called by a worker that found every lane empty, just before it
+  /// waits for a submission. A test seam: it opens the window between
+  /// the empty search and the wait, where a submission must not be lost.
+  using IdleHook = std::function<void(std::uint32_t worker)>;
 
   /// `threads` 0 means hardware concurrency; `queue_limit` bounds the
   /// number of accepted-but-unstarted tasks across all lanes.
-  WorkStealingPool(std::uint32_t threads, std::size_t queue_limit);
+  WorkStealingPool(std::uint32_t threads, std::size_t queue_limit,
+                   IdleHook on_idle = {});
 
   /// Drains (runs every accepted task) and joins the workers.
   ~WorkStealingPool();
@@ -60,15 +65,20 @@ class WorkStealingPool {
   Task take(std::uint32_t self);
 
   std::size_t queue_limit_;
+  IdleHook on_idle_;
   std::vector<std::unique_ptr<Lane>> lanes_;
   std::vector<std::thread> workers_;
   std::atomic<std::size_t> queued_{0};
   std::atomic<std::uint64_t> round_robin_{0};
   std::atomic<bool> accepting_{true};
-  std::atomic<bool> draining_{false};
   bool drained_ = false;
   std::mutex wake_mutex_;
   std::condition_variable wake_cv_;
+  /// What an idle worker's wait predicate reads; both change only under
+  /// wake_mutex_, so no submission or drain slips past a worker between
+  /// its empty search and its wait.
+  std::uint64_t submissions_ = 0;
+  bool draining_ = false;
 };
 
 }  // namespace hmcs::serve

@@ -1,14 +1,14 @@
 #include "hmcs/serve/thread_pool.hpp"
 
-#include <chrono>
+#include <utility>
 
 #include "hmcs/util/error.hpp"
 
 namespace hmcs::serve {
 
 WorkStealingPool::WorkStealingPool(std::uint32_t threads,
-                                   std::size_t queue_limit)
-    : queue_limit_(queue_limit) {
+                                   std::size_t queue_limit, IdleHook on_idle)
+    : queue_limit_(queue_limit), on_idle_(std::move(on_idle)) {
   require(queue_limit >= 1, "serve pool: queue limit must be >= 1");
   if (threads == 0) {
     threads = std::max(1u, std::thread::hardware_concurrency());
@@ -40,6 +40,10 @@ bool WorkStealingPool::try_submit(Task task) {
     const std::scoped_lock lock(lane.mutex);
     lane.tasks.push_back(std::move(task));
   }
+  {
+    const std::scoped_lock lock(wake_mutex_);
+    ++submissions_;
+  }
   wake_cv_.notify_one();
   return true;
 }
@@ -66,18 +70,22 @@ WorkStealingPool::Task WorkStealingPool::take(std::uint32_t self) {
 
 void WorkStealingPool::worker_loop(std::uint32_t self) {
   for (;;) {
+    // Read the submission count before searching the lanes: a task the
+    // search misses was counted after this read, so the wait below
+    // returns at once instead of sleeping through that task's notify.
+    std::uint64_t seen = 0;
+    {
+      const std::scoped_lock lock(wake_mutex_);
+      seen = submissions_;
+    }
     if (Task task = take(self)) {
       task();
       continue;
     }
+    if (on_idle_) on_idle_(self);
     std::unique_lock lock(wake_mutex_);
-    if (draining_.load(std::memory_order_relaxed) &&
-        queued_.load(std::memory_order_relaxed) == 0) {
-      return;
-    }
-    // The timeout is a missed-wakeup safety net (submit can slip
-    // between the take() above and this wait), not the wake path.
-    wake_cv_.wait_for(lock, std::chrono::milliseconds(20));
+    wake_cv_.wait(lock, [&] { return submissions_ != seen || draining_; });
+    if (draining_ && queued_.load(std::memory_order_relaxed) == 0) return;
   }
 }
 
@@ -85,7 +93,10 @@ void WorkStealingPool::drain() {
   if (drained_) return;
   drained_ = true;
   accepting_.store(false, std::memory_order_relaxed);
-  draining_.store(true, std::memory_order_relaxed);
+  {
+    const std::scoped_lock lock(wake_mutex_);
+    draining_ = true;
+  }
   wake_cv_.notify_all();
   for (std::thread& worker : workers_) {
     if (worker.joinable()) worker.join();

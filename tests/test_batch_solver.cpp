@@ -17,7 +17,7 @@
 #include "hmcs/analytic/batch_solver.hpp"
 #include "hmcs/analytic/fixed_point.hpp"
 #include "hmcs/analytic/latency_model.hpp"
-#include "hmcs/analytic/mva.hpp"  // kMvaLanes
+#include "hmcs/analytic/mva.hpp"  // mva_lane_width
 #include "hmcs/analytic/network_tech.hpp"
 #include "hmcs/analytic/scenario.hpp"
 #include "hmcs/analytic/service_time.hpp"
@@ -472,9 +472,9 @@ SystemConfig random_cell(std::mt19937_64& rng) {
 
 TEST(BatchSolver, RandomChunksMatchScalarBitwiseForEveryMethod) {
   std::mt19937_64 rng(20261017);
+  const std::size_t lanes = mva_lane_width();
   for (const std::size_t length :
-       {std::size_t{1}, kMvaLanes - 1, kMvaLanes, kMvaLanes + 1,
-        std::size_t{256}}) {
+       {std::size_t{1}, lanes - 1, lanes, lanes + 1, std::size_t{256}}) {
     std::vector<SystemConfig> chunk;
     for (std::size_t i = 0; i < length; ++i) chunk.push_back(random_cell(rng));
 

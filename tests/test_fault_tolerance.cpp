@@ -459,4 +459,55 @@ TEST(FaultTolerance, ResumeRejectsMismatchedJournals) {
                ConfigError);
 }
 
+TEST(FaultTolerance, OversizedJournalHeadersAreRejectedBeforeAllocation) {
+  // A header sizes the cell table (points x backends cells). Checked
+  // against the resumed sweep's shape, a header claiming 2^40 points is
+  // refused before that table exists; unchecked it could only end in
+  // std::bad_alloc. A product that overflows is refused by both loaders.
+  const std::string path = temp_path("hmcs_journal_oversized.jsonl");
+  runner::JournalWriter::Shape shape;
+  shape.id = "ft";
+  shape.points = 8;
+  shape.backend_names = {"faulty"};
+  const auto write_header = [&](const std::string& points,
+                                const std::string& backends) {
+    std::ofstream(path, std::ios::trunc)
+        << R"({"journal":"hmcs-sweep","version":1,"id":"ft","points":)"
+        << points << R"(,"backends":)" << backends << "}\n";
+  };
+
+  // Whether loading (against `expected` when given) throws a ConfigError
+  // that names `reason`.
+  const auto refuses = [&](const runner::JournalWriter::Shape* expected,
+                           const std::string& reason) {
+    try {
+      if (expected != nullptr) {
+        runner::load_sweep_journal(path, *expected);
+      } else {
+        runner::load_sweep_journal(path);
+      }
+    } catch (const ConfigError& error) {
+      const std::string message = error.what();
+      if (message.find(reason) != std::string::npos) {
+        return ::testing::AssertionSuccess();
+      }
+      return ::testing::AssertionFailure() << message;
+    }
+    return ::testing::AssertionFailure() << "no ConfigError";
+  };
+
+  write_header("8", R"(["faulty"])");
+  EXPECT_EQ(runner::load_sweep_journal(path, shape).cells.size(), 8u);
+
+  write_header("1099511627776", R"(["faulty"])");  // 2^40 points
+  EXPECT_TRUE(refuses(&shape, "header has 1099511627776 points"));
+  write_header("8", R"(["faulty","other"])");
+  EXPECT_TRUE(refuses(&shape, "different backend set"));
+
+  // 2^63 points x 2 backends wraps to 0 in 64 bits.
+  write_header(R"("9223372036854775808")", R"(["faulty","other"])");
+  EXPECT_TRUE(refuses(nullptr, "overflows"));
+  EXPECT_TRUE(refuses(&shape, "overflows"));
+}
+
 }  // namespace

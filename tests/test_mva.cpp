@@ -7,6 +7,9 @@
 #include <bit>
 #include <cmath>
 #include <random>
+#include <span>
+#include <string>
+#include <vector>
 
 #include "hmcs/analytic/mva.hpp"
 #include "hmcs/analytic/scenario.hpp"
@@ -376,39 +379,94 @@ std::vector<MvaStationClass> random_classes(std::mt19937_64& rng,
   return classes;
 }
 
+/// `count` random networks of k classes, each with its own think time.
+struct RandomNetworks {
+  std::vector<std::vector<MvaStationClass>> layouts;
+  std::vector<MvaClassNetwork> networks;
+};
+
+RandomNetworks random_networks(std::mt19937_64& rng, std::size_t k,
+                               std::size_t count) {
+  std::uniform_real_distribution<double> think(0.5, 500.0);
+  RandomNetworks out;
+  for (std::size_t i = 0; i < count; ++i) {
+    out.layouts.push_back(random_classes(rng, k));
+  }
+  for (const std::vector<MvaStationClass>& layout : out.layouts) {
+    out.networks.push_back(MvaClassNetwork{layout, think(rng)});
+  }
+  return out;
+}
+
+/// Every result of `lanes` bit for bit against a one-network solve (the
+/// baseline one-lane path) of the same network.
+void expect_one_lane_bits(const RandomNetworks& input,
+                          const std::vector<MvaClassResult>& lanes,
+                          std::uint64_t population, const std::string& where) {
+  ASSERT_EQ(lanes.size(), input.networks.size()) << where;
+  for (std::size_t i = 0; i < lanes.size(); ++i) {
+    const MvaClassResult alone = solve_closed_mva_classes(
+        input.layouts[i], input.networks[i].think_time_us, population);
+    const std::string lane = where + " lane " + std::to_string(i);
+    EXPECT_TRUE(same_bits(lanes[i].throughput, alone.throughput)) << lane;
+    EXPECT_TRUE(
+        same_bits(lanes[i].total_residence_us, alone.total_residence_us))
+        << lane;
+    ASSERT_EQ(lanes[i].response_time_us.size(), alone.response_time_us.size())
+        << lane;
+    for (std::size_t c = 0; c < alone.response_time_us.size(); ++c) {
+      EXPECT_TRUE(same_bits(lanes[i].response_time_us[c],
+                            alone.response_time_us[c]))
+          << lane;
+      EXPECT_TRUE(same_bits(lanes[i].queue_length[c], alone.queue_length[c]))
+          << lane;
+    }
+  }
+}
+
 TEST(MvaLanes, EveryLaneIsBitIdenticalToItsOneNetworkSolve) {
-  // kMvaLanes + 3 networks: one full group of lanes and a padded one,
+  // Lane width + 3 networks: one full group of lanes and a padded one,
   // for the HMCS class count (compiled as a constant) and another.
   std::mt19937_64 rng(4242);
-  std::uniform_real_distribution<double> think(0.5, 500.0);
+  const std::uint64_t population = 5000;  // crosses a cancel poll
   for (const std::size_t k : {3u, 5u}) {
-    std::vector<std::vector<MvaStationClass>> layouts;
-    std::vector<MvaClassNetwork> networks;
-    for (std::size_t i = 0; i < kMvaLanes + 3; ++i) {
-      layouts.push_back(random_classes(rng, k));
-    }
-    for (const std::vector<MvaStationClass>& layout : layouts) {
-      networks.push_back(MvaClassNetwork{layout, think(rng)});
-    }
-    const std::uint64_t population = 5000;  // crosses a cancel poll
-    const std::vector<MvaClassResult> lanes =
-        solve_closed_mva_classes_batch(networks, population);
-    ASSERT_EQ(lanes.size(), networks.size());
-    for (std::size_t i = 0; i < networks.size(); ++i) {
-      const MvaClassResult alone = solve_closed_mva_classes(
-          layouts[i], networks[i].think_time_us, population);
-      EXPECT_TRUE(same_bits(lanes[i].throughput, alone.throughput))
-          << "k=" << k << " lane " << i;
-      EXPECT_TRUE(
-          same_bits(lanes[i].total_residence_us, alone.total_residence_us))
-          << "k=" << k << " lane " << i;
-      for (std::size_t c = 0; c < k; ++c) {
-        EXPECT_TRUE(same_bits(lanes[i].response_time_us[c],
-                              alone.response_time_us[c]))
-            << "k=" << k << " lane " << i;
-        EXPECT_TRUE(
-            same_bits(lanes[i].queue_length[c], alone.queue_length[c]))
-            << "k=" << k << " lane " << i;
+    const RandomNetworks input =
+        random_networks(rng, k, mva_lane_width() + 3);
+    expect_one_lane_bits(
+        input, solve_closed_mva_classes_batch(input.networks, population),
+        population, "k=" + std::to_string(k));
+  }
+}
+
+TEST(MvaLanes, KernelsRunWidestFirstDownToTheBaseline) {
+  const std::span<const detail::MvaKernel> kernels =
+      detail::supported_mva_kernels();
+  ASSERT_FALSE(kernels.empty());
+  EXPECT_EQ(mva_lane_width(), kernels.front().lanes);
+  for (std::size_t i = 1; i < kernels.size(); ++i) {
+    EXPECT_GT(kernels[i - 1].lanes, kernels[i].lanes) << kernels[i].name;
+  }
+  // Eight vectors of two doubles: SSE2 on x86-64, the portable loop
+  // elsewhere.
+  EXPECT_EQ(kernels.back().lanes, 16u);
+}
+
+TEST(MvaLanes, EverySupportedKernelIsBitIdenticalToTheOneLaneSolve) {
+  // Each build the CPU runs, not only the dispatched one: the HMCS
+  // class count and a run-time count, one lane short of a group, a full
+  // group, and a full group plus a lone network.
+  std::mt19937_64 rng(20261017);
+  const std::uint64_t population = 5000;  // crosses a cancel poll
+  for (const detail::MvaKernel& kernel : detail::supported_mva_kernels()) {
+    for (const std::size_t k : {3u, 5u}) {
+      for (const std::size_t count :
+           {kernel.lanes - 1, kernel.lanes, kernel.lanes + 1}) {
+        const RandomNetworks input = random_networks(rng, k, count);
+        expect_one_lane_bits(input, kernel.solve(input.networks, population),
+                             population,
+                             std::string(kernel.name) +
+                                 " k=" + std::to_string(k) +
+                                 " count=" + std::to_string(count));
       }
     }
   }
@@ -443,6 +501,10 @@ TEST(MvaLanes, OverflowToANonFiniteStateIsAnInvariantFailure) {
   const MvaClassNetwork lanes[] = {{healthy, 1.0}, {overflowing, 1.0}};
   EXPECT_THROW(solve_closed_mva_classes_batch(lanes, 10000),
                hmcs::LogicError);
+  for (const detail::MvaKernel& kernel : detail::supported_mva_kernels()) {
+    EXPECT_THROW(kernel.solve(lanes, 10000), hmcs::LogicError)
+        << kernel.name;
+  }
 }
 
 }  // namespace

@@ -12,6 +12,7 @@
 #include <chrono>
 #include <condition_variable>
 #include <cstring>
+#include <future>
 #include <mutex>
 #include <optional>
 #include <string>
@@ -433,6 +434,41 @@ TEST(ServePool, RunsEverythingAndBoundsTheQueue) {
   pool.drain();
   EXPECT_EQ(ran.load(), 2 + accepted);  // drain ran every accepted task
   EXPECT_FALSE(pool.try_submit([] {}));  // drained pool refuses work
+}
+
+TEST(ServePool, SubmissionBeforeAnIdleWorkerWaitsIsNotLost) {
+  // Forces the lost-wakeup interleaving: the lone worker has found every
+  // lane empty and is held just before its wait while a task is
+  // submitted and notified. Released, it must still run the task. The
+  // pool has no wait timeout, so a worker that only listened for the
+  // notify would sleep through it until drain.
+  std::mutex hook_mutex;
+  std::condition_variable hook_cv;
+  bool held = false;
+  bool released = false;
+  int idle_calls = 0;
+  serve::WorkStealingPool pool(1, 4, [&](std::uint32_t) {
+    std::unique_lock<std::mutex> lock(hook_mutex);
+    if (++idle_calls > 1) return;  // hold only the first idle window
+    held = true;
+    hook_cv.notify_all();
+    hook_cv.wait(lock, [&] { return released; });
+  });
+  {
+    std::unique_lock<std::mutex> lock(hook_mutex);
+    hook_cv.wait(lock, [&] { return held; });
+  }
+  std::promise<void> ran;
+  const std::future<void> done = ran.get_future();
+  ASSERT_TRUE(pool.try_submit([&] { ran.set_value(); }));
+  {
+    const std::scoped_lock lock(hook_mutex);
+    released = true;
+  }
+  hook_cv.notify_all();
+  EXPECT_EQ(done.wait_for(std::chrono::seconds(10)),
+            std::future_status::ready);
+  pool.drain();
 }
 
 // ---------------------------------------------------------------------------

@@ -132,23 +132,25 @@ int main(int argc, char** argv) {
     // file (append; later records win on load).
     std::string journal_path = cli.get_string("journal");
     const std::string resume_path = cli.get_string("resume");
+    if (journal_path.empty()) journal_path = resume_path;
+    runner::JournalWriter::Shape shape;
+    if (!journal_path.empty()) {
+      shape.id = run.spec.id;
+      shape.points = expand_sweep(run.spec).size();
+      for (const auto& backend : run.backends) {
+        shape.backend_names.push_back(backend->name());
+      }
+    }
     runner::SweepJournal resumed;
     if (!resume_path.empty()) {
-      resumed = runner::load_sweep_journal(resume_path);
+      // Checked against this sweep's shape before its cells are sized.
+      resumed = runner::load_sweep_journal(resume_path, shape);
       options.resume = &resumed;
-      if (journal_path.empty()) journal_path = resume_path;
       std::cerr << "resuming: " << resumed.completed() << " of "
                 << resumed.cells.size() << " cells already journaled\n";
     }
     std::unique_ptr<runner::JournalWriter> journal;
     if (!journal_path.empty()) {
-      const std::vector<runner::SweepPoint> points = expand_sweep(run.spec);
-      runner::JournalWriter::Shape shape;
-      shape.id = run.spec.id;
-      shape.points = points.size();
-      for (const auto& backend : run.backends) {
-        shape.backend_names.push_back(backend->name());
-      }
       journal = std::make_unique<runner::JournalWriter>(
           journal_path, shape, /*append=*/journal_path == resume_path);
       options.journal = journal.get();
