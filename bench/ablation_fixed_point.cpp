@@ -62,14 +62,10 @@ int main(int argc, char** argv) {
     runner::SweepSpec spec;
     spec.id = "ablation_fixed_point";
     spec.axes.lambda_per_us = {units::per_s_to_per_us(cli.get_double("lambda"))};
-    spec.seed_fn = [](const runner::SweepPoint& point) -> std::uint64_t {
-      return 7000 + point.clusters;
-    };
 
     runner::DesBackend::Options des;
     des.sim.measured_messages = messages;
     des.sim.warmup_messages = messages / 5;
-    des.direct_seed = true;
     const runner::SweepResult result = runner::run_sweep(
         spec, {analytic_backend(SourceThrottling::kNone, "none"),
                analytic_backend(SourceThrottling::kPicard, "picard"),

@@ -38,23 +38,19 @@ int main(int argc, char** argv) {
                  {1000.0, "deep saturation"}};
 
     // One declarative sweep over the rate axis; everything else is a
-    // singleton. The historical fixed seed is preserved through seed_fn.
+    // singleton, so every point shares one default_point_seed.
     runner::SweepSpec spec;
     spec.id = "ablation_lambda";
     spec.axes.clusters = {8};
     for (const auto& point : rates) {
       spec.axes.lambda_per_us.push_back(units::per_s_to_per_us(point.per_s));
     }
-    spec.seed_fn = [](const runner::SweepPoint&) -> std::uint64_t {
-      return 4242;
-    };
 
     ModelOptions mva;
     mva.fixed_point.method = SourceThrottling::kExactMva;
     runner::DesBackend::Options des;
     des.sim.measured_messages = messages;
     des.sim.warmup_messages = messages / 5;
-    des.direct_seed = true;
     const runner::SweepResult result = runner::run_sweep(
         spec, {std::make_shared<runner::AnalyticBackend>(mva),
                std::make_shared<runner::DesBackend>(des)});

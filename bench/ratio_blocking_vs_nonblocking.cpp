@@ -37,13 +37,12 @@ int main(int argc, char** argv) {
     runner::DesBackend::Options des;
     des.sim.measured_messages = messages;
     des.sim.warmup_messages = messages / 5;
-    des.direct_seed = true;
 
     for (const auto hetero :
          {HeterogeneityCase::kCase1, HeterogeneityCase::kCase2}) {
       // One sweep per scenario: paper cluster sweep × both architectures
-      // (architecture innermost). The original study used different seed
-      // bases per architecture, preserved through seed_fn.
+      // (architecture innermost); both architectures of one cluster
+      // count share its default_point_seed.
       runner::SweepSpec spec;
       spec.id = "ratio";
       spec.axes.technologies = {runner::technology_case(hetero)};
@@ -52,11 +51,6 @@ int main(int argc, char** argv) {
       spec.axes.message_bytes = {bytes};
       spec.axes.architectures = {NetworkArchitecture::kNonBlocking,
                                  NetworkArchitecture::kBlocking};
-      spec.seed_fn = [](const runner::SweepPoint& point) -> std::uint64_t {
-        return (point.architecture == NetworkArchitecture::kBlocking ? 31
-                                                                     : 47) +
-               point.clusters;
-      };
       const runner::SweepResult result = runner::run_sweep(
           spec, {std::make_shared<runner::AnalyticBackend>(mva, "analysis"),
                  std::make_shared<runner::DesBackend>(des, "simulation")});

@@ -9,28 +9,29 @@
 //
 //  2. Batch grid evaluation: predict_latency cell by cell vs
 //     predict_latency_batch over a dense generation-rate grid, for every
-//     SourceThrottling method, with warm starts on (the default). Both
-//     sides run the one fixed-point engine: predict_latency is a
-//     one-cell call of it, so the speedup is what one grouped call (the
-//     shared precomputation, the lockstep sweep and the warm starts)
-//     buys over one call per cell.
+//     SourceThrottling method. Both sides run the one fixed-point
+//     engine: predict_latency is a one-cell call of it, so the speedup
+//     is what one grouped call (the shared precomputation and the
+//     lockstep sweep) buys over one call per cell. Each side is timed
+//     as the median of kGridRepeats runs, since one run is tens to
+//     hundreds of microseconds.
 //
 //  3. Mixed chunk: the first 256 points of a cartesian technology x
 //     rate x clusters x message size x architecture sweep, in its
 //     expansion order (architecture innermost, so no two neighbouring
 //     points share a topology), through exact MVA: predict_latency
-//     cell by cell vs predict_latency_batch with warm starts off, on
-//     the MVA lane kernel the process dispatches to; then the chunk's
-//     networks once through each kernel the CPU supports (AVX-512F,
-//     AVX2, baseline). Every field of every cell must match the
-//     per-cell solve bit for bit, on every kernel; the program exits 1
-//     when one does not.
+//     cell by cell vs predict_latency_batch, on the MVA lane kernel the
+//     process dispatches to; then the chunk's networks once through
+//     each kernel the CPU supports (AVX-512F, AVX2, baseline).
 //
-// All three comparisons run on the same inputs in the same process,
-// cold each time; speedups are wall-clock ratios of the two sides
-// (station vs class recursion in 1, one call per cell vs one call per
-// grid or chunk in 2 and 3), nothing else.
+// In parts 2 and 3 every field of every cell must match the per-cell
+// solve bit for bit, for every method and on every kernel; the program
+// exits 1 when one does not. All three comparisons run on the same
+// inputs in the same process; speedups are wall-clock ratios of the two
+// sides (station vs class recursion in 1, one call per cell vs one call
+// per grid or chunk in 2 and 3), nothing else.
 
+#include <algorithm>
 #include <bit>
 #include <chrono>
 #include <cmath>
@@ -133,57 +134,6 @@ MvaCollapseRun run_mva_collapse(std::uint32_t clusters,
         run.max_rel_error,
         rel_error(by_station.queue_length[station_of_class[cls]],
                   by_class.queue_length[cls]));
-  }
-  return run;
-}
-
-struct GridRun {
-  std::string method;
-  double scalar_seconds = 0.0;
-  double batch_seconds = 0.0;
-  /// Over cells where both sides converged — the numerical contract;
-  /// non-converged (saturated, oscillating Picard) cells' final iterate
-  /// is trajectory-dependent under warm starts, by design.
-  double max_rel_error = 0.0;
-  std::uint64_t converged_cells = 0;
-  std::uint64_t converged_flag_mismatches = 0;
-};
-
-/// Part 2: one throttling method over the shared rate grid.
-GridRun run_grid(const std::vector<analytic::SystemConfig>& configs,
-                 SourceThrottling method, const char* name) {
-  analytic::ModelOptions options;
-  options.fixed_point.method = method;
-
-  GridRun run;
-  run.method = name;
-
-  std::vector<analytic::LatencyPrediction> scalar;
-  scalar.reserve(configs.size());
-  auto start = std::chrono::steady_clock::now();
-  for (const analytic::SystemConfig& config : configs) {
-    scalar.push_back(analytic::predict_latency(config, options));
-  }
-  run.scalar_seconds = seconds_since(start);
-
-  start = std::chrono::steady_clock::now();
-  const std::vector<analytic::LatencyPrediction> batch =
-      analytic::predict_latency_batch(configs, options);
-  run.batch_seconds = seconds_since(start);
-
-  for (std::size_t i = 0; i < configs.size(); ++i) {
-    if (scalar[i].fixed_point_converged != batch[i].fixed_point_converged) {
-      ++run.converged_flag_mismatches;
-      continue;
-    }
-    if (!scalar[i].fixed_point_converged) continue;
-    ++run.converged_cells;
-    run.max_rel_error =
-        std::max(run.max_rel_error, rel_error(scalar[i].mean_latency_us,
-                                              batch[i].mean_latency_us));
-    run.max_rel_error =
-        std::max(run.max_rel_error, rel_error(scalar[i].lambda_effective,
-                                              batch[i].lambda_effective));
   }
   return run;
 }
@@ -300,6 +250,55 @@ Mismatches compare_predictions(
   return mismatched;
 }
 
+/// Timed runs per side of part 2; each side reports its median.
+constexpr std::size_t kGridRepeats = 9;
+
+double median_seconds(std::vector<double> seconds) {
+  std::sort(seconds.begin(), seconds.end());
+  return seconds[seconds.size() / 2];
+}
+
+struct GridRun {
+  std::string method;
+  double scalar_seconds = 0.0;
+  double batch_seconds = 0.0;
+  std::uint64_t converged_cells = 0;
+  Mismatches mismatched_fields;
+};
+
+/// Part 2: one throttling method over the shared rate grid.
+GridRun run_grid(const std::vector<analytic::SystemConfig>& configs,
+                 SourceThrottling method, const char* name) {
+  analytic::ModelOptions options;
+  options.fixed_point.method = method;
+
+  GridRun run;
+  run.method = name;
+  std::vector<double> scalar_seconds;
+  std::vector<double> batch_seconds;
+  std::vector<analytic::LatencyPrediction> scalar;
+  std::vector<analytic::LatencyPrediction> batch;
+  for (std::size_t repeat = 0; repeat < kGridRepeats; ++repeat) {
+    scalar.clear();
+    auto start = std::chrono::steady_clock::now();
+    for (const analytic::SystemConfig& config : configs) {
+      scalar.push_back(analytic::predict_latency(config, options));
+    }
+    scalar_seconds.push_back(seconds_since(start));
+
+    start = std::chrono::steady_clock::now();
+    batch = analytic::predict_latency_batch(configs, options);
+    batch_seconds.push_back(seconds_since(start));
+  }
+  run.scalar_seconds = median_seconds(scalar_seconds);
+  run.batch_seconds = median_seconds(batch_seconds);
+  for (const analytic::LatencyPrediction& cell : batch) {
+    run.converged_cells += cell.fixed_point_converged ? 1 : 0;
+  }
+  run.mismatched_fields = compare_predictions(scalar, batch);
+  return run;
+}
+
 struct MixedChunkRun {
   std::size_t cells = 0;
   double scalar_seconds = 0.0;
@@ -325,8 +324,7 @@ MixedChunkRun run_mixed_chunk(
 
   start = std::chrono::steady_clock::now();
   const std::vector<analytic::LatencyPrediction> batch =
-      analytic::predict_latency_batch(configs, options,
-                                      analytic::BatchOptions{false});
+      analytic::predict_latency_batch(configs, options);
   run.batch_seconds = seconds_since(start);
   run.mismatched_fields = compare_predictions(run.scalar, batch);
   return run;
@@ -436,17 +434,20 @@ int main(int argc, char** argv) try {
       run_grid(grid, SourceThrottling::kBisection, "bisection"),
       run_grid(grid, SourceThrottling::kExactMva, "mva"),
   };
+  bool bit_identical = true;
   for (const GridRun& run : grid_runs) {
-    std::printf("grid %-9s %llu cells (%llu converged): %8.4f s -> %8.4f s "
-                "(%.1fx), max rel err %.2e, %llu flag mismatches\n",
+    bit_identical = bit_identical && run.mismatched_fields.empty();
+    std::printf("grid %-9s %llu cells (%llu converged): %8.6f s -> %8.6f s "
+                "(%.1fx), bit-identical: %s\n",
                 run.method.c_str(),
                 static_cast<unsigned long long>(grid_cells),
                 static_cast<unsigned long long>(run.converged_cells),
                 run.scalar_seconds, run.batch_seconds,
                 speedup(run.scalar_seconds, run.batch_seconds),
-                run.max_rel_error,
-                static_cast<unsigned long long>(
-                    run.converged_flag_mismatches));
+                run.mismatched_fields.empty() ? "yes" : "NO");
+    for (const std::string& field : run.mismatched_fields) {
+      std::printf("  field differs: %s\n", field.c_str());
+    }
   }
 
   // Part 3: a chunk whose neighbouring cells never share a topology,
@@ -455,7 +456,7 @@ int main(int argc, char** argv) try {
   const std::vector<analytic::SystemConfig> chunk =
       mixed_chunk_configs(nodes, 256);
   const MixedChunkRun mixed = run_mixed_chunk(chunk);
-  bool bit_identical = mixed.mismatched_fields.empty();
+  bit_identical = bit_identical && mixed.mismatched_fields.empty();
   const analytic::detail::MvaKernel& dispatched =
       analytic::detail::supported_mva_kernels().front();
   std::printf("mixed chunk mva %zu cells (%s, %zu lanes): %8.4f s -> "
@@ -463,7 +464,7 @@ int main(int argc, char** argv) try {
               mixed.cells, std::string(dispatched.name).c_str(),
               dispatched.lanes, mixed.scalar_seconds, mixed.batch_seconds,
               speedup(mixed.scalar_seconds, mixed.batch_seconds),
-              bit_identical ? "yes" : "NO");
+              mixed.mismatched_fields.empty() ? "yes" : "NO");
   for (const std::string& field : mixed.mismatched_fields) {
     std::printf("  field differs: %s\n", field.c_str());
   }
@@ -507,7 +508,7 @@ int main(int argc, char** argv) try {
   json.key("clusters").value(static_cast<std::uint64_t>(base.clusters));
   json.key("nodes_per_cluster")
       .value(static_cast<std::uint64_t>(base.nodes_per_cluster));
-  json.key("warm_start").value(true);
+  json.key("repeats").value(static_cast<std::uint64_t>(kGridRepeats));
   json.key("methods").begin_array();
   for (const GridRun& run : grid_runs) {
     json.begin_object();
@@ -516,9 +517,12 @@ int main(int argc, char** argv) try {
     json.key("batch_seconds").value(run.batch_seconds);
     json.key("speedup").value(speedup(run.scalar_seconds, run.batch_seconds));
     json.key("converged_cells").value(run.converged_cells);
-    json.key("max_rel_error_converged").value(run.max_rel_error);
-    json.key("converged_flag_mismatches")
-        .value(run.converged_flag_mismatches);
+    json.key("bit_identical").value(run.mismatched_fields.empty());
+    json.key("mismatched_fields").begin_array();
+    for (const std::string& field : run.mismatched_fields) {
+      json.value(field);
+    }
+    json.end_array();
     json.end_object();
   }
   json.end_array();
@@ -526,7 +530,6 @@ int main(int argc, char** argv) try {
   json.key("mixed_chunk").begin_object();
   json.key("cells").value(static_cast<std::uint64_t>(mixed.cells));
   json.key("method").value("mva");
-  json.key("warm_start").value(false);
   json.key("scalar_seconds").value(mixed.scalar_seconds);
   json.key("batch_seconds").value(mixed.batch_seconds);
   json.key("speedup")
@@ -560,8 +563,7 @@ int main(int argc, char** argv) try {
   std::printf("record written to %s\n", out_path.c_str());
   if (!bit_identical) {
     std::fprintf(stderr,
-                 "error: a mixed chunk batch differs from the per-cell "
-                 "solve\n");
+                 "error: a batch differs from the per-cell solve\n");
     return 1;
   }
   return 0;

@@ -33,8 +33,8 @@ int main(int argc, char** argv) {
     const std::uint64_t messages = cli.get_uint("messages");
 
     // Message size × architecture grid (bytes-major — the cartesian
-    // nesting order puts the architecture axis innermost); the seed
-    // depends on the size only, as the original study seeded it.
+    // nesting order puts the architecture axis innermost); both
+    // architectures of one size share its default_point_seed.
     runner::SweepSpec spec;
     spec.id = "sweep_message_size";
     spec.axes.clusters = {clusters};
@@ -42,16 +42,12 @@ int main(int argc, char** argv) {
     spec.axes.message_bytes = {64.0, 256.0, 1024.0, 4096.0, 16384.0, 65536.0};
     spec.axes.architectures = {NetworkArchitecture::kNonBlocking,
                                NetworkArchitecture::kBlocking};
-    spec.seed_fn = [](const runner::SweepPoint& point) {
-      return 60'000 + static_cast<std::uint64_t>(point.message_bytes);
-    };
 
     ModelOptions mva;
     mva.fixed_point.method = SourceThrottling::kExactMva;
     runner::DesBackend::Options des;
     des.sim.measured_messages = messages;
     des.sim.warmup_messages = messages / 4;
-    des.direct_seed = true;
     const runner::SweepResult result = runner::run_sweep(
         spec, {std::make_shared<runner::AnalyticBackend>(mva, "model"),
                std::make_shared<runner::DesBackend>(des, "sim")});

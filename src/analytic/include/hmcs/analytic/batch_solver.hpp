@@ -22,17 +22,9 @@
 /// by population and solved mva_lane_width() at a time by the
 /// lane-parallel station-class recursion (mva.hpp).
 ///
-/// Numerical contract (docs/PERFORMANCE.md):
-///  - warm_start = false: every cell's iterate sequence is the one it
-///    has when solved alone, so any grouping — one-cell calls included —
-///    gives bit-identical results.
-///  - warm_start = true (default): anchor cells (every kWarmStride-th
-///    cell of a group) solve cold; the cells between them start from
-///    their anchor's solved fixed point (continuation along the grid
-///    axis). The iterate *trajectory* changes, the fixed point does not:
-///    converged cells agree with a one-cell solve within the solver
-///    tolerance. Non-converged cells are trajectory-dependent; studies
-///    that must reproduce them exactly disable warm starts.
+/// Numerical contract (docs/PERFORMANCE.md): every cell starts cold and
+/// its iterate sequence is the one it has when solved alone, so any
+/// grouping — one-cell calls included — gives bit-identical results.
 ///
 /// FixedPointOptions::residual_trace is honoured by one-cell calls and
 /// ignored by larger batches (one buffer cannot hold interleaved
@@ -48,34 +40,12 @@
 
 namespace hmcs::analytic {
 
+/// The value-vector overload's third parameter; perfbench/ spells its
+/// call `predict_latency_batch(configs, options, {false})`. Every solve
+/// starts cold, so only `false` is accepted.
 struct BatchOptions {
-  /// Continuation warm starts (see file comment). Disable for iterate
-  /// trajectories bit-identical to one-cell solves.
-  bool warm_start = true;
+  bool warm_start = false;
 };
-
-/// Anchor stride of the warm-start scheme: cells 0, 8, 16, ... of a
-/// group solve cold in lockstep, then the cells between them solve in a
-/// second lockstep pass started from their preceding anchor's solution.
-inline constexpr std::size_t kWarmStride = 8;
-
-/// A structure-of-arrays rate grid: cell i is `base` with
-/// generation_rate_per_us replaced by rates_per_us[i]. Everything else —
-/// topology, technologies, architecture, message size — is shared, so
-/// validation, eq. (8), service times, and the MVA class layout are
-/// computed once for the whole grid. base's own rate field is ignored.
-struct RateGrid {
-  SystemConfig base;
-  std::vector<double> rates_per_us;
-};
-
-/// Solves the blocked-source fixed point for every cell of the grid.
-/// Output order matches rates_per_us. Throws hmcs::ConfigError for an
-/// invalid base or a non-finite/negative cell rate, and Cancelled /
-/// DeadlineExceeded through FixedPointOptions::cancel.
-std::vector<FixedPointResult> solve_effective_rate_batch(
-    const RateGrid& grid, const FixedPointOptions& options = {},
-    const BatchOptions& batch = {});
 
 /// Batch predict_latency over an arbitrary config list: contiguous runs
 /// of configs sharing a topology are validated together and, for the
@@ -85,12 +55,13 @@ std::vector<FixedPointResult> solve_effective_rate_batch(
 /// solve_closed_mva_classes_batch, whatever their topology. Per-cell
 /// post-processing goes through the detail:: epilogues of
 /// latency_model.hpp. Output order matches input order. predict_latency
-/// is the one-cell call with warm starts off.
+/// is the one-cell call.
 std::vector<LatencyPrediction> predict_latency_batch(
     const SystemConfig* const* configs, std::size_t count,
-    const ModelOptions& options = {}, const BatchOptions& batch = {});
+    const ModelOptions& options = {});
 
-/// Convenience overload for value vectors (tests, bench drivers).
+/// Convenience overload for value vectors (tests, bench programs). Throws
+/// hmcs::ConfigError when `batch.warm_start` is set.
 std::vector<LatencyPrediction> predict_latency_batch(
     const std::vector<SystemConfig>& configs, const ModelOptions& options = {},
     const BatchOptions& batch = {});

@@ -182,9 +182,8 @@ void record_solves(const FixedPointResult* results, std::size_t count,
 }
 
 void solve_group(const SystemConfig& base, const CenterServiceTimes& service,
-                 FixedPointOptions options, bool warm_start,
-                 std::span<const double> rates, std::span<const double> ca2s,
-                 FixedPointResult* out) {
+                 FixedPointOptions options, std::span<const double> rates,
+                 std::span<const double> ca2s, FixedPointResult* out) {
   validate_group(options, ca2s);
   // One buffer cannot hold interleaved traces.
   if (options.residual_trace != nullptr) {
@@ -207,11 +206,10 @@ void solve_group(const SystemConfig& base, const CenterServiceTimes& service,
       }
       break;
     case SourceThrottling::kPicard:
-      solve_picard(queue, g.n, options, "fixed_point", warm_start, rates, out);
+      solve_picard(queue, g.n, options, "fixed_point", rates, out);
       break;
     case SourceThrottling::kBisection:
-      solve_bisection(queue, g.n, options, "fixed_point", warm_start, rates,
-                      out);
+      solve_bisection(queue, g.n, options, "fixed_point", rates, out);
       break;
     case SourceThrottling::kExactMva: {
       // The positive-rate cells, solved together by the lane-parallel
@@ -242,30 +240,9 @@ void solve_group(const SystemConfig& base, const CenterServiceTimes& service,
 
 }  // namespace detail
 
-std::vector<FixedPointResult> solve_effective_rate_batch(
-    const RateGrid& grid, const FixedPointOptions& options,
-    const BatchOptions& batch) {
-  SystemConfig base = grid.base;
-  base.generation_rate_per_us = 0.0;  // cell rates are validated below
-  base.validate();
-  // Fold the base config's workload scenario into the group's options;
-  // an MMPP resolves to one effective ca^2 per cell (rate-dependent).
-  const FixedPointOptions fp = fold_scenario(options, base.scenario);
-  std::vector<double> ca2s;
-  ca2s.reserve(grid.rates_per_us.size());
-  for (const double rate : grid.rates_per_us) {
-    require_cell_rate(rate);
-    ca2s.push_back(cell_arrival_ca2(fp, base.scenario, rate));
-  }
-  std::vector<FixedPointResult> results(grid.rates_per_us.size());
-  detail::solve_group(base, center_service_times(base), fp, batch.warm_start,
-                      grid.rates_per_us, ca2s, results.data());
-  return results;
-}
-
 std::vector<LatencyPrediction> predict_latency_batch(
     const SystemConfig* const* configs, std::size_t count,
-    const ModelOptions& options, const BatchOptions& batch) {
+    const ModelOptions& options) {
   std::vector<LatencyPrediction> out(count);
   // One buffer cannot hold interleaved traces: only a one-cell call
   // (predict_latency) records one.
@@ -327,8 +304,8 @@ std::vector<LatencyPrediction> predict_latency_batch(
       }
     } else {
       fixed_points.resize(rates.size());
-      detail::solve_group(base, service, group_fp, batch.warm_start, rates,
-                          ca2s, fixed_points.data());
+      detail::solve_group(base, service, group_fp, rates, ca2s,
+                          fixed_points.data());
       for (std::size_t k = 0; k < rates.size(); ++k) {
         out[i + k] = detail::finish_open_prediction(*configs[i + k], p,
                                                     service, fixed_points[k],
@@ -374,11 +351,12 @@ std::vector<LatencyPrediction> predict_latency_batch(
 std::vector<LatencyPrediction> predict_latency_batch(
     const std::vector<SystemConfig>& configs, const ModelOptions& options,
     const BatchOptions& batch) {
+  require(!batch.warm_start,
+          "predict_latency_batch: warm starts are not supported");
   std::vector<const SystemConfig*> pointers;
   pointers.reserve(configs.size());
   for (const SystemConfig& config : configs) pointers.push_back(&config);
-  return predict_latency_batch(pointers.data(), pointers.size(), options,
-                               batch);
+  return predict_latency_batch(pointers.data(), pointers.size(), options);
 }
 
 }  // namespace hmcs::analytic

@@ -123,7 +123,7 @@ FixedPointResult solve_effective_rate(const SystemConfig& config,
   config.validate();
   const double rate = config.generation_rate_per_us;
   FixedPointResult result;
-  detail::solve_group(config, service, options, false, {&rate, 1},
+  detail::solve_group(config, service, options, {&rate, 1},
                       {&options.arrival_ca2, 1}, &result);
   return result;
 }

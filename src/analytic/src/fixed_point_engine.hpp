@@ -5,8 +5,8 @@
 /// (6)-(7). Private to hmcs_analytic (not installed). Every solve runs
 /// through these templates:
 ///  - solve_effective_rate and predict_latency, as one-cell calls;
-///  - solve_effective_rate_batch and predict_latency_batch, over SoA
-///    groups of cells sharing a topology (batch_solver.cpp);
+///  - predict_latency_batch, over SoA groups of cells sharing a
+///    topology (batch_solver.cpp);
 ///  - the tree's throttle-factor solve (tree_model.cpp), as one cell at
 ///    rate 1 and start 1, where every lambda factor and divisor is
 ///    exactly 1.0 and the iterate is phi itself.
@@ -14,22 +14,20 @@
 /// The solvers are templated on the queue-length evaluation:
 /// `queue(cell, x)` returns L of cell `cell` at iterate x, capped at n.
 /// The active cells advance in lockstep, one iteration per sweep, and
-/// retire in place as they converge. Every cell performs exactly the
-/// operations of a plain scalar loop on its own, in the same order, so
-/// the grouping never changes a result.
+/// retire in place as they converge. Every cell starts cold and performs
+/// exactly the operations of a plain scalar loop on its own, in the same
+/// order, so the grouping never changes a result.
 ///
 /// FixedPointOptions::residual_trace is appended to by every cell that
 /// iterates: callers pass it only to one-cell solves (one buffer cannot
 /// hold interleaved traces) and clear it first.
 
-#include <algorithm>
 #include <cmath>
 #include <cstdint>
 #include <span>
 #include <utility>
 #include <vector>
 
-#include "hmcs/analytic/batch_solver.hpp"
 #include "hmcs/analytic/fixed_point.hpp"
 #include "hmcs/util/cancel.hpp"
 
@@ -53,9 +51,8 @@ void require_product_form(const FixedPointOptions& options,
 /// the call (record_solves), and honours options.residual_trace only
 /// when the group has one cell. Defined in batch_solver.cpp.
 void solve_group(const SystemConfig& base, const CenterServiceTimes& service,
-                 FixedPointOptions options, bool warm_start,
-                 std::span<const double> rates, std::span<const double> ca2s,
-                 FixedPointResult* out);
+                 FixedPointOptions options, std::span<const double> rates,
+                 std::span<const double> ca2s, FixedPointResult* out);
 
 /// Records one engine call of `count` cells: analytic.batch.groups and
 /// .cells, and analytic.fixed_point.solves, .iterations, .nonconverged,
@@ -119,64 +116,25 @@ void picard_lockstep(const Queue& queue, double n,
   }
 }
 
-/// Picard over every cell of a group, started at the offered rate. With
-/// warm starts, anchor cells (every kWarmStride-th active cell) solve
-/// first and the cells between them start from their preceding anchor's
-/// fixed point.
+/// Picard over every cell of a group, started at the offered rate.
 template <class Queue>
 void solve_picard(const Queue& queue, double n,
                   const FixedPointOptions& options, const char* where,
-                  bool warm_start, std::span<const double> rates,
-                  FixedPointResult* out) {
-  // Cells that iterate (rate > 0), in grid order.
-  std::vector<std::size_t> active;
-  active.reserve(rates.size());
+                  std::span<const double> rates, FixedPointResult* out) {
+  std::vector<PicardSlot> slots;
+  slots.reserve(rates.size());
   for (std::size_t i = 0; i < rates.size(); ++i) {
     if (rates[i] == 0.0) {
       out[i] = zero_rate_result();
-    } else {
-      active.push_back(i);
+      continue;
     }
-  }
-  if (active.empty()) return;
-
-  const auto make_slot = [&](std::size_t cell, double start) {
     PicardSlot slot;
-    slot.cell = cell;
-    slot.lambda = rates[cell];
-    slot.current = start;
-    return slot;
-  };
-
-  if (!warm_start) {
-    std::vector<PicardSlot> slots;
-    slots.reserve(active.size());
-    for (const std::size_t cell : active) {
-      slots.push_back(make_slot(cell, rates[cell]));
-    }
-    picard_lockstep(queue, n, options, where, std::move(slots), out);
-    return;
+    slot.cell = i;
+    slot.lambda = rates[i];
+    slot.current = rates[i];
+    slots.push_back(slot);
   }
-
-  std::vector<PicardSlot> anchors;
-  for (std::size_t pos = 0; pos < active.size(); pos += kWarmStride) {
-    anchors.push_back(make_slot(active[pos], rates[active[pos]]));
-  }
-  picard_lockstep(queue, n, options, where, std::move(anchors), out);
-
-  // The fixed point never exceeds the offered rate: clamp the warm start
-  // into (0, lambda].
-  std::vector<PicardSlot> followers;
-  for (std::size_t pos = 0; pos < active.size(); ++pos) {
-    if (pos % kWarmStride == 0) continue;
-    const std::size_t cell = active[pos];
-    const std::size_t anchor = active[pos - pos % kWarmStride];
-    const double warm = out[anchor].lambda_effective;
-    const double start =
-        (warm > 0.0 && warm < rates[cell]) ? warm : rates[cell];
-    followers.push_back(make_slot(cell, start));
-  }
-  picard_lockstep(queue, n, options, where, std::move(followers), out);
+  picard_lockstep(queue, n, options, where, std::move(slots), out);
 }
 
 // --- Bisection --------------------------------------------------------------
@@ -232,15 +190,13 @@ void bisection_lockstep(const Queue& queue, double n,
 }
 
 /// Bisection of g on [0, lambda] over every cell of a group: g(0+) =
-/// lambda > 0 and g(lambda) <= 0 always. With warm starts, followers
-/// shrink the initial bracket around their anchor's root.
+/// lambda > 0 and g(lambda) <= 0 always.
 template <class Queue>
 void solve_bisection(const Queue& queue, double n,
                      const FixedPointOptions& options, const char* where,
-                     bool warm_start, std::span<const double> rates,
-                     FixedPointResult* out) {
-  std::vector<std::size_t> active;
-  active.reserve(rates.size());
+                     std::span<const double> rates, FixedPointResult* out) {
+  std::vector<BisectionSlot> slots;
+  slots.reserve(rates.size());
   for (std::size_t i = 0; i < rates.size(); ++i) {
     const double lambda = rates[i];
     if (lambda == 0.0) {
@@ -252,60 +208,13 @@ void solve_bisection(const Queue& queue, double n,
       out[i] = FixedPointResult{lambda, queue(i, lambda), 1, true};
       continue;
     }
-    active.push_back(i);
-  }
-  if (active.empty()) return;
-
-  const auto cold_slot = [&](std::size_t cell) {
     BisectionSlot slot;
-    slot.cell = cell;
-    slot.lambda = rates[cell];
-    slot.lo = 0.0;
-    slot.hi = rates[cell];
-    return slot;
-  };
-
-  if (!warm_start) {
-    std::vector<BisectionSlot> slots;
-    slots.reserve(active.size());
-    for (const std::size_t cell : active) slots.push_back(cold_slot(cell));
-    bisection_lockstep(queue, n, options, where, std::move(slots), out);
-    return;
+    slot.cell = i;
+    slot.lambda = lambda;
+    slot.hi = lambda;
+    slots.push_back(slot);
   }
-
-  std::vector<BisectionSlot> anchors;
-  for (std::size_t pos = 0; pos < active.size(); pos += kWarmStride) {
-    anchors.push_back(cold_slot(active[pos]));
-  }
-  bisection_lockstep(queue, n, options, where, std::move(anchors), out);
-
-  // A probe pair at anchor*(1 ± 1e-3) usually straddles the neighbouring
-  // cell's root, replacing ~10 halvings of [0, lambda] with 2 evals.
-  // When it does not straddle, the probe signs still cut the bracket on
-  // the correct side, so the result stays a valid bisection from a
-  // narrower start — never an approximation.
-  std::vector<BisectionSlot> followers;
-  for (std::size_t pos = 0; pos < active.size(); ++pos) {
-    if (pos % kWarmStride == 0) continue;
-    BisectionSlot slot = cold_slot(active[pos]);
-    const std::size_t anchor = active[pos - pos % kWarmStride];
-    const double warm = out[anchor].lambda_effective;
-    if (warm > 0.0 && warm < slot.lambda) {
-      const double probe_lo = warm * (1.0 - 1e-3);
-      const double probe_hi = std::min(slot.lambda, warm * (1.0 + 1e-3));
-      if (probe_lo > 0.0 &&
-          root_fn(queue, n, slot.cell, slot.lambda, probe_lo) > 0.0) {
-        slot.lo = probe_lo;
-        if (root_fn(queue, n, slot.cell, slot.lambda, probe_hi) <= 0.0) {
-          slot.hi = probe_hi;
-        }
-      } else if (probe_lo > 0.0) {
-        slot.hi = probe_lo;
-      }
-    }
-    followers.push_back(slot);
-  }
-  bisection_lockstep(queue, n, options, where, std::move(followers), out);
+  bisection_lockstep(queue, n, options, where, std::move(slots), out);
 }
 
 }  // namespace hmcs::analytic::detail

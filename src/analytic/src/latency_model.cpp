@@ -107,8 +107,7 @@ LatencyPrediction finish_mva_prediction(const SystemConfig& config, double p,
 LatencyPrediction predict_latency(const SystemConfig& config,
                                   const ModelOptions& options) {
   const SystemConfig* const cell = &config;
-  return predict_latency_batch(&cell, 1, options, BatchOptions{false})
-      .front();
+  return predict_latency_batch(&cell, 1, options).front();
 }
 
 }  // namespace hmcs::analytic

@@ -119,10 +119,9 @@ FixedPointResult solve_throttle(const FlatTreeView& view,
   };
   const double rate = 1.0;
   if (fp.method == SourceThrottling::kPicard) {
-    detail::solve_picard(queue, n, fp, "tree_model", false, {&rate, 1}, &phi);
+    detail::solve_picard(queue, n, fp, "tree_model", {&rate, 1}, &phi);
   } else {
-    detail::solve_bisection(queue, n, fp, "tree_model", false, {&rate, 1},
-                            &phi);
+    detail::solve_bisection(queue, n, fp, "tree_model", {&rate, 1}, &phi);
   }
   detail::record_solves(&phi, 1, fp);
   return phi;

@@ -18,11 +18,9 @@
 #include <memory>
 #include <string>
 
-#include "hmcs/analytic/batch_solver.hpp"
 #include "hmcs/analytic/latency_model.hpp"
 #include "hmcs/analytic/model_tree.hpp"
 #include "hmcs/analytic/system_config.hpp"
-#include "hmcs/netsim/switch_fabric_sim.hpp"
 #include "hmcs/obs/trace.hpp"
 #include "hmcs/sim/tree_sim.hpp"
 #include "hmcs/util/cancel.hpp"
@@ -166,19 +164,14 @@ class Backend {
 /// Wraps analytic::predict_latency. Deterministic; ignores ctx.seed.
 /// Threads the runner's per-cell cancel token into the solver so
 /// deadlines bound even MVA-backed cells, and implements the batched
-/// path through analytic::predict_latency_batch.
-///
-/// The default batch options disable warm starts: a batched sweep is
-/// then bit-identical to the per-cell path cell for cell (values and
-/// statuses), which keeps `hmcs_run --batch` interchangeable with the
-/// scalar run. Pass BatchOptions{true} to trade that for the
-/// continuation warm starts (tolerance-level agreement on converged
-/// cells; see batch_solver.hpp).
+/// path through analytic::predict_latency_batch. Every solve starts
+/// cold, so a batched sweep is bit-identical to the per-cell path cell
+/// for cell (values and statuses), which keeps `hmcs_run --batch`
+/// interchangeable with the scalar run.
 class AnalyticBackend : public Backend {
  public:
   explicit AnalyticBackend(analytic::ModelOptions options = {},
-                           std::string name = "analytic",
-                           analytic::BatchOptions batch = {false});
+                           std::string name = "analytic");
 
   const std::string& name() const override { return name_; }
   PointResult predict(const analytic::SystemConfig& config,
@@ -195,27 +188,21 @@ class AnalyticBackend : public Backend {
  private:
   analytic::ModelOptions options_;
   std::string name_;
-  analytic::BatchOptions batch_;
 };
 
 /// Wraps the validation simulator sim::TreeSim: flat configs run on
 /// their depth-2 lowering, nested trees as they are, both through the
-/// same options, seeding protocol and replication harness
-/// (run_replications). The point's seed comes from ctx.seed; with a
-/// trace attached to the context, each point records its sim-time
-/// phase spans and sampler counter tracks under pid 2 + ctx.index.
+/// same options and the one seeding protocol of the Figure 4-7 configs:
+/// the replication harness (run_replications) derives every
+/// replication's seed from ctx.seed, even for R = 1. With a trace
+/// attached to the context, each point records its sim-time phase spans
+/// and sampler counter tracks under pid 2 + ctx.index.
 class DesBackend : public Backend {
  public:
   struct Options {
     /// Base options; seed is overwritten with ctx.seed per point.
     sim::SimOptions sim;
     std::uint32_t replications = 1;
-    /// Historical seeding protocols, preserved so ported studies stay
-    /// bit-identical: false (figure protocol) derives per-replication
-    /// seeds from ctx.seed via the replication harness even for R=1;
-    /// true (bench-driver protocol) hands ctx.seed straight to a single
-    /// simulator (requires replications == 1).
-    bool direct_seed = false;
   };
 
   explicit DesBackend(Options options, std::string name = "des");
@@ -235,14 +222,14 @@ class DesBackend : public Backend {
 };
 
 /// Wraps the switch-granularity rendering: builds an netsim::HmcsFabric
-/// for the configuration and runs netsim::SwitchFabricSim on it.
+/// for the configuration and runs netsim::SwitchFabricSim on it, with
+/// store-and-forward switching and closed-loop sources (the fabric's
+/// defaults).
 class FabricBackend : public Backend {
  public:
   struct Options {
     std::uint64_t measured_messages = 10000;
     std::uint64_t warmup_messages = 2000;
-    netsim::SwitchingMode mode = netsim::SwitchingMode::kStoreAndForward;
-    bool closed_loop = true;
   };
 
   FabricBackend() : FabricBackend(Options{}) {}

@@ -5,14 +5,14 @@
 /// decorrelated seeds and build the confidence interval across the
 /// replication means. This is the statistically sound way to interval a
 /// steady-state simulation (batch means within one run being the cheap
-/// approximation); the DES backend uses it when replications > 1, as
-/// the Figure 4-7 configs do (configs/sweeps/fig{4,5,6,7}.json).
+/// approximation). It is the DES backend's one seeding protocol, at any
+/// R, as the Figure 4-7 configs use it
+/// (configs/sweeps/fig{4,5,6,7}.json).
 
 #include <cstdint>
 #include <vector>
 
 #include "hmcs/analytic/model_tree.hpp"
-#include "hmcs/analytic/system_config.hpp"
 #include "hmcs/sim/tree_sim.hpp"
 #include "hmcs/simcore/tally.hpp"
 
@@ -28,21 +28,14 @@ struct ReplicationResult {
   std::vector<sim::SimResult> replications;
 };
 
-/// Runs `replications` >= 1 independent simulations; seeds are derived
-/// from base_options.seed via splitmix so runs are decorrelated yet the
-/// whole experiment reproduces from one seed. Replications execute on
-/// up to `parallelism` threads (0 = hardware concurrency); each
-/// simulator instance is thread-confined, so results are bit-identical
-/// to a serial run regardless of the thread count.
+/// Runs `replications` >= 1 independent simulations of `tree`, one
+/// after another; seeds are derived from base_options.seed via
+/// splitmix so runs are decorrelated yet the whole experiment
+/// reproduces from one seed. Flat configs pass their depth-2 lowering
+/// (ModelTree::from_system). Replications run serially: the sweep's
+/// points already use the machine.
 ReplicationResult run_replications(const analytic::ModelTree& tree,
                                    const sim::SimOptions& base_options,
-                                   std::uint32_t replications,
-                                   std::uint32_t parallelism = 0);
-
-/// The same on the config's depth-2 lowering (ModelTree::from_system).
-ReplicationResult run_replications(const analytic::SystemConfig& config,
-                                   const sim::SimOptions& base_options,
-                                   std::uint32_t replications,
-                                   std::uint32_t parallelism = 0);
+                                   std::uint32_t replications);
 
 }  // namespace hmcs::runner

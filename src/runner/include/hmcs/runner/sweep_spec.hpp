@@ -4,7 +4,8 @@
 /// The declarative sweep description: axes over cluster count, message
 /// size, generation rate, network-technology case, and architecture,
 /// expanded cartesian or zipped into a flat list of fully built
-/// SystemConfigs with deterministic per-point seeds. Every study in the
+/// SystemConfigs with deterministic per-point seeds (default_point_seed:
+/// every study is seeded one way). Every study in the
 /// repo — the paper's Figures 4-7, the ablations, and any config-file
 /// sweep run through hmcs_run — is one SweepSpec handed to run_sweep().
 ///
@@ -21,7 +22,6 @@
 /// singleton axes broadcast).
 
 #include <cstdint>
-#include <functional>
 #include <memory>
 #include <string>
 #include <vector>
@@ -86,9 +86,10 @@ struct SweepPoint {
       analytic::NetworkArchitecture::kNonBlocking;
   std::size_t technology_index = 0;
   std::string technology_label;
-  /// Deterministic per-point seed (seed_fn or the default SplitMix64
-  /// chain over base_seed/clusters/bytes); fixed at expansion time so
-  /// results never depend on execution scheduling.
+  /// Deterministic per-point seed (default_point_seed over
+  /// base_seed/clusters/bytes; tree points fold the point index in place
+  /// of clusters); fixed at expansion time so results never depend on
+  /// execution scheduling.
   std::uint64_t seed = 1;
   /// Human-readable coordinates, e.g. "fig6 C=8 M=1024"; names trace
   /// tracks and error messages.
@@ -125,14 +126,11 @@ struct SweepSpec {
   /// architectures still apply (they are ModelTree fields).
   /// total_nodes/switch_params are ignored; the tree carries its own.
   std::shared_ptr<const analytic::ModelTree> base_tree;
-  /// Per-point seed override for studies with historical hand-rolled
-  /// seeding (the point's seed field is unset when called); null = the
-  /// default_point_seed chain, the Figure 4-7 protocol.
-  std::function<std::uint64_t(const SweepPoint&)> seed_fn;
 };
 
-/// The Figure 4-7 seed derivation: decorrelates runs across sweep
-/// points while keeping the whole sweep reproducible from one base seed.
+/// Every sweep point's seed (the Figure 4-7 derivation): decorrelates
+/// runs across sweep points while keeping the whole sweep reproducible
+/// from one base seed.
 /// Each coordinate is folded in through a full SplitMix64 finalizer: an
 /// affine mix of (seed, clusters, bytes) collides for nearby sweep
 /// points and hands highly correlated seeds to adjacent runs.

@@ -4,6 +4,7 @@
 #include <cmath>
 #include <limits>
 
+#include "hmcs/analytic/batch_solver.hpp"
 #include "hmcs/analytic/tree_model.hpp"
 #include "hmcs/netsim/hmcs_fabric.hpp"
 #include "hmcs/runner/replication.hpp"
@@ -127,8 +128,8 @@ PointResult from_prediction(const analytic::LatencyPrediction& prediction) {
 }  // namespace
 
 AnalyticBackend::AnalyticBackend(analytic::ModelOptions options,
-                                 std::string name, analytic::BatchOptions batch)
-    : options_(options), name_(std::move(name)), batch_(batch) {}
+                                 std::string name)
+    : options_(options), name_(std::move(name)) {}
 
 PointResult AnalyticBackend::predict(const analytic::SystemConfig& config,
                                      const PointContext& ctx) const {
@@ -164,7 +165,7 @@ void AnalyticBackend::evaluate_batch(
   options.fixed_point.cancel = ctx.cancel;
   options.fixed_point.residual_trace = nullptr;  // one buffer, many cells
   const std::vector<analytic::LatencyPrediction> predictions =
-      analytic::predict_latency_batch(configs, count, options, batch_);
+      analytic::predict_latency_batch(configs, count, options);
   for (std::size_t i = 0; i < count; ++i) {
     results[i] = from_prediction(predictions[i]);
   }
@@ -173,8 +174,6 @@ void AnalyticBackend::evaluate_batch(
 DesBackend::DesBackend(Options options, std::string name)
     : options_(std::move(options)), name_(std::move(name)) {
   require(options_.replications >= 1, "DesBackend: needs >= 1 replication");
-  require(!options_.direct_seed || options_.replications == 1,
-          "DesBackend: direct_seed requires replications == 1");
 }
 
 namespace {
@@ -204,21 +203,9 @@ PointResult simulate(const DesBackend::Options& options,
                                 ctx.label + " (sim us)");
   }
 
-  PointResult result;
-  if (options.direct_seed) {
-    const sim::SimResult run = sim::TreeSim(tree, sim_options).run();
-    result.mean_latency_us = run.mean_latency_us;
-    result.ci_half_us = run.latency_ci.half_width;
-    result.effective_rate_per_us = run.effective_rate_per_us;
-    result.messages_measured = run.messages_measured;
-    result.max_center_utilization = utilization(run);
-    return result;
-  }
-
-  // Replications stay serial inside a point: the sweep's points already
-  // use the machine.
   const ReplicationResult run =
-      run_replications(tree, sim_options, options.replications, 1);
+      run_replications(tree, sim_options, options.replications);
+  PointResult result;
   result.mean_latency_us = run.mean_latency_us;
   result.ci_half_us = run.latency_ci.half_width;
   result.effective_rate_per_us = run.effective_rate_per_us;
@@ -252,8 +239,6 @@ PointResult FabricBackend::predict(const analytic::SystemConfig& config,
   netsim::FabricSimOptions fabric_options = fabric.make_sim_options();
   fabric_options.measured_messages = options_.measured_messages;
   fabric_options.warmup_messages = options_.warmup_messages;
-  fabric_options.mode = options_.mode;
-  fabric_options.closed_loop = options_.closed_loop;
   fabric_options.seed = ctx.seed;
   fabric_options.cancel = ctx.cancel;
   netsim::SwitchFabricSim simulator(fabric.graph(), fabric_options);

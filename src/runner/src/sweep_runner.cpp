@@ -258,11 +258,10 @@ SweepResult run_sweep(const SweepSpec& spec,
 
   /// One contiguous point-chunk through a backend's batch path. A chunk
   /// whose cells are all done (resumed) is skipped outright; a chunk
-  /// with any pending cell re-evaluates *every* cell — warm-start
-  /// composition inside the chunk must not depend on journal state —
-  /// but writes only the pending ones, so merged resume output stays
-  /// byte-identical to an uninterrupted run. Returns false when the
-  /// sweep was cancelled mid-chunk.
+  /// with any pending cell re-evaluates *every* cell — the same call an
+  /// uninterrupted run makes — but writes only the pending ones, so
+  /// merged resume output stays byte-identical to an uninterrupted run.
+  /// Returns false when the sweep was cancelled mid-chunk.
   auto run_batch_task = [&](const Task& task, std::uint32_t worker,
                             std::exception_ptr& fail_fast_error) -> bool {
     bool any_pending = false;

@@ -151,10 +151,8 @@ SweepPoint make_point(const SweepSpec& spec, const ResolvedAxes& axes,
     point.label += format_compact(axes.arrival_ca2[ca2], 6);
   }
 
-  point.seed = spec.seed_fn
-                   ? spec.seed_fn(point)
-                   : default_point_seed(spec.base_seed, point.clusters,
-                                        point.message_bytes);
+  point.seed = default_point_seed(spec.base_seed, point.clusters,
+                                  point.message_bytes);
   return point;
 }
 
@@ -209,11 +207,8 @@ SweepPoint make_tree_point(
     point.tree = std::make_shared<const analytic::ModelTree>(std::move(tree));
   }
 
-  point.seed = spec.seed_fn ? spec.seed_fn(point)
-                            : default_point_seed(
-                                  spec.base_seed,
-                                  static_cast<std::uint32_t>(index),
-                                  point.message_bytes);
+  point.seed = default_point_seed(
+      spec.base_seed, static_cast<std::uint32_t>(index), point.message_bytes);
   return point;
 }
 

@@ -41,17 +41,24 @@ class CancelToken {
   }
 
   /// Arms the wall-clock deadline `budget_ms` milliseconds from now;
-  /// <= 0 disarms it. Not thread-safe against concurrent check() — arm
-  /// the token before handing it to the worker.
+  /// <= 0 disarms it, and so does a budget that ends past the clock's
+  /// range (int64 nanoseconds: about 292 years), which no run reaches.
+  /// Not thread-safe against concurrent check() — arm the token before
+  /// handing it to the worker.
   void set_deadline_after_ms(double budget_ms) {
-    if (budget_ms <= 0.0) {
-      has_deadline_ = false;
+    using Clock = std::chrono::steady_clock;
+    using Millis = std::chrono::duration<double, std::milli>;
+    has_deadline_ = false;
+    if (!(budget_ms > 0.0)) return;
+    const Clock::time_point now = Clock::now();
+    // The 1 ms margin covers the rounding of the double comparison, so
+    // the cast below never leaves the clock's range.
+    if (budget_ms >= Millis(Clock::time_point::max() - now).count() - 1.0) {
       return;
     }
     has_deadline_ = true;
-    deadline_ = std::chrono::steady_clock::now() +
-                std::chrono::duration_cast<std::chrono::steady_clock::duration>(
-                    std::chrono::duration<double, std::milli>(budget_ms));
+    deadline_ = now + std::chrono::duration_cast<Clock::duration>(
+                          Millis(budget_ms));
   }
 
   bool deadline_passed() const {

@@ -1,19 +1,24 @@
 // The batched Backend path (Backend::evaluate_batch + RunnerOptions::
 // batch_cells): a batched analytic sweep is bit-identical to the
-// per-cell run — values, statuses, attempts — at any chunk size and
-// thread count; chunks containing resumed cells write only the pending
-// ones; a journaled chunk is one block, whole or absent; a failing
-// chunk falls back to per-cell predict() with full error isolation; and
-// chunk deadlines bound batched exact-MVA cells.
+// per-cell run — values, statuses, attempts, errors — at any chunk size
+// and thread count, on fixed and seeded random sweeps; chunks
+// containing resumed cells write only the pending ones; a journaled
+// chunk is one block, whole or absent; a failing chunk falls back to
+// per-cell predict() with full error isolation; chunk deadlines bound
+// batched exact-MVA cells; and deadlines too long for the clock never
+// expire.
 
 #include <gtest/gtest.h>
 
 #include <algorithm>
 #include <atomic>
+#include <bit>
 #include <cmath>
+#include <cstdint>
 #include <fstream>
 #include <memory>
 #include <numeric>
+#include <random>
 #include <string>
 #include <vector>
 
@@ -69,19 +74,112 @@ SweepSpec mixed_topology_spec() {
   return spec;
 }
 
+/// A seeded random flat sweep: 1-3 cluster counts dividing N = 256 or
+/// 96, 1-2 message sizes, 1-4 rates (zero one time in five, otherwise
+/// log-uniform from idle through deep saturation), one or both
+/// architectures and technology cases, and on about half the specs a
+/// service cv² and an arrival ca² axis. One spec in five carries an
+/// MMPP workload and one in five failure/repair; exact MVA refuses
+/// those and every non-unit cv² or ca² point (product form only).
+SweepSpec random_spec(std::mt19937_64& rng, std::size_t index) {
+  const auto pick = [&rng](std::size_t n) {
+    return std::uniform_int_distribution<std::size_t>(0, n - 1)(rng);
+  };
+  const auto coin = [&rng](double p) {
+    return std::bernoulli_distribution(p)(rng);
+  };
+  static constexpr std::uint32_t kDivisors256[] = {1,  2,  4,   8,  16,
+                                                   32, 64, 128, 256};
+  static constexpr std::uint32_t kDivisors96[] = {1,  2,  3,  4,  6,  8,
+                                                  12, 16, 24, 32, 48, 96};
+  static constexpr double kVariability[] = {0.0, 0.5, 1.0, 4.0};
+
+  SweepSpec spec;
+  spec.id = "random" + std::to_string(index);
+  spec.base_seed = rng();
+  const bool large = coin(0.5);
+  spec.total_nodes = large ? 256 : 96;
+  for (std::size_t k = 1 + pick(3); k > 0; --k) {
+    spec.axes.clusters.push_back(large ? kDivisors256[pick(9)]
+                                       : kDivisors96[pick(12)]);
+  }
+  for (std::size_t k = 1 + pick(2); k > 0; --k) {
+    spec.axes.message_bytes.push_back(
+        std::uniform_real_distribution<double>(64.0, 8192.0)(rng));
+  }
+  for (std::size_t k = 1 + pick(4); k > 0; --k) {
+    // Log-uniform in [1e-6, 5e-3] msg/us.
+    spec.axes.lambda_per_us.push_back(
+        coin(0.2) ? 0.0
+                  : 1e-6 * std::pow(5e3, std::uniform_real_distribution<double>(
+                                             0.0, 1.0)(rng)));
+  }
+  const analytic::NetworkArchitecture architectures[] = {
+      analytic::NetworkArchitecture::kNonBlocking,
+      analytic::NetworkArchitecture::kBlocking};
+  if (coin(0.5)) {
+    spec.axes.architectures.assign(std::begin(architectures),
+                                   std::end(architectures));
+  } else {
+    spec.axes.architectures = {architectures[pick(2)]};
+  }
+  const analytic::HeterogeneityCase cases[] = {
+      analytic::HeterogeneityCase::kCase1,
+      analytic::HeterogeneityCase::kCase2};
+  for (const analytic::HeterogeneityCase hetero : cases) {
+    if (coin(0.6)) {
+      spec.axes.technologies.push_back(runner::technology_case(hetero));
+    }
+  }
+  const double workload = std::uniform_real_distribution<double>(0.0, 1.0)(rng);
+  if (workload < 0.2) {
+    spec.workload.mmpp = analytic::MmppArrivals{6.0, 0.15, 5e3};
+  } else if (workload < 0.4) {
+    spec.workload.failure = analytic::FailureRepair{5e5, 2e3};
+  }
+  if (coin(0.5)) {
+    for (std::size_t k = 1 + pick(2); k > 0; --k) {
+      spec.axes.service_cv2.push_back(kVariability[pick(4)]);
+    }
+  }
+  // An MMPP fixes the arrival ca²; the axis would contradict it.
+  if (!spec.workload.mmpp.has_value() && coin(0.5)) {
+    for (std::size_t k = 1 + pick(2); k > 0; --k) {
+      spec.axes.arrival_ca2.push_back(kVariability[pick(4)]);
+    }
+  }
+  return spec;
+}
+
+/// Bitwise equality, so -0.0 vs 0.0 and NaN payloads count too.
+bool same_bits(double a, double b) {
+  return std::bit_cast<std::uint64_t>(a) == std::bit_cast<std::uint64_t>(b);
+}
+
 void expect_identical_cells(const SweepResult& a, const SweepResult& b,
                             const char* what) {
   ASSERT_EQ(a.cells.size(), b.cells.size()) << what;
   for (std::size_t i = 0; i < a.cells.size(); ++i) {
     const PointResult& x = a.cells[i];
     const PointResult& y = b.cells[i];
-    EXPECT_EQ(x.mean_latency_us, y.mean_latency_us) << what << " cell " << i;
-    EXPECT_EQ(x.ci_half_us, y.ci_half_us) << what << " cell " << i;
-    EXPECT_EQ(x.lambda_offered, y.lambda_offered) << what << " cell " << i;
-    EXPECT_EQ(x.lambda_effective, y.lambda_effective)
+    EXPECT_TRUE(same_bits(x.mean_latency_us, y.mean_latency_us))
+        << what << " cell " << i;
+    EXPECT_TRUE(same_bits(x.ci_half_us, y.ci_half_us))
+        << what << " cell " << i;
+    EXPECT_TRUE(same_bits(x.lambda_offered, y.lambda_offered))
+        << what << " cell " << i;
+    EXPECT_TRUE(same_bits(x.lambda_effective, y.lambda_effective))
         << what << " cell " << i;
     EXPECT_EQ(x.converged, y.converged) << what << " cell " << i;
-    EXPECT_EQ(x.max_center_utilization, y.max_center_utilization)
+    EXPECT_TRUE(same_bits(x.effective_rate_per_us, y.effective_rate_per_us))
+        << what << " cell " << i;
+    EXPECT_EQ(x.messages_measured, y.messages_measured)
+        << what << " cell " << i;
+    EXPECT_TRUE(same_bits(x.mean_switch_hops, y.mean_switch_hops))
+        << what << " cell " << i;
+    EXPECT_TRUE(same_bits(x.max_switch_utilization, y.max_switch_utilization))
+        << what << " cell " << i;
+    EXPECT_TRUE(same_bits(x.max_center_utilization, y.max_center_utilization))
         << what << " cell " << i;
     EXPECT_EQ(x.status, y.status) << what << " cell " << i;
     EXPECT_EQ(x.attempts, y.attempts) << what << " cell " << i;
@@ -91,11 +189,12 @@ void expect_identical_cells(const SweepResult& a, const SweepResult& b,
 
 // ---------------------------------------------------------------------
 // Bit-identity: batching is an execution detail, not a model change.
-// The default AnalyticBackend runs the batch path with warm starts off,
-// so every chunk size reproduces the per-cell sweep exactly — including
-// the kDegraded statuses of the non-converged saturated cells — both on
-// a rate axis (one long same-topology run) and on a mixed-topology grid
-// (runs of one cell; exact MVA solves its whole chunk together).
+// Every solve starts cold, so every chunk size and thread count
+// reproduces the per-cell sweep exactly — including the kDegraded
+// statuses of the non-converged saturated cells and the kFailed cells
+// of exact MVA on non-product-form workloads — on a rate axis (one long
+// same-topology run), on a mixed-topology grid (runs of one cell; exact
+// MVA solves its whole chunk together), and on seeded random sweeps.
 
 TEST(BatchBackend, BatchedSweepIsBitIdenticalToScalarForEveryMethod) {
   const analytic::SourceThrottling methods[] = {
@@ -123,6 +222,51 @@ TEST(BatchBackend, BatchedSweepIsBitIdenticalToScalarForEveryMethod) {
       }
     }
   }
+
+  std::mt19937_64 rng(20261017);
+  const auto draw = [&rng](std::uint32_t lo, std::uint32_t hi) {
+    return std::uniform_int_distribution<std::uint32_t>(lo, hi)(rng);
+  };
+  std::size_t zero_rate_points = 0;
+  std::size_t ok = 0;
+  std::size_t degraded = 0;
+  std::size_t failed = 0;
+  for (std::size_t index = 0; index < 16; ++index) {
+    const SweepSpec spec = random_spec(rng, index);
+    for (const analytic::SourceThrottling method : methods) {
+      analytic::ModelOptions model;
+      model.fixed_point.method = method;
+      const auto backend = std::make_shared<AnalyticBackend>(model);
+
+      RunnerOptions scalar;
+      scalar.threads = draw(1, 4);
+      scalar.on_error = FailurePolicy::kCollectAll;
+      const SweepResult reference = run_sweep(spec, {backend}, scalar);
+
+      RunnerOptions batched = scalar;
+      batched.threads = draw(1, 4);
+      batched.batch_cells = draw(2, 64);
+      const SweepResult result = run_sweep(spec, {backend}, batched);
+      const std::string what = spec.id + " method " +
+                               std::to_string(static_cast<int>(method)) +
+                               " batch " +
+                               std::to_string(batched.batch_cells);
+      expect_identical_cells(reference, result, what.c_str());
+      ok += reference.count_status(CellStatus::kOk);
+      degraded += reference.count_status(CellStatus::kDegraded);
+      failed += reference.count_status(CellStatus::kFailed);
+      if (method == analytic::SourceThrottling::kNone) {
+        for (const runner::SweepPoint& point : reference.points) {
+          zero_rate_points += point.lambda_per_us == 0.0 ? 1 : 0;
+        }
+      }
+    }
+  }
+  // The random specs reach idle cells, saturation and MVA's refusals.
+  EXPECT_GT(zero_rate_points, 0u);
+  EXPECT_GT(ok, 0u);
+  EXPECT_GT(degraded, 0u);
+  EXPECT_GT(failed, 0u);
 }
 
 TEST(BatchBackend, BatchedSweepIsThreadCountInvariant) {
@@ -420,6 +564,59 @@ TEST(BatchBackend, DefaultEvaluateBatchIsALogicError) {
 // Deadlines: the chunk token (cell budget × chunk size) is threaded
 // into the solver, so even population-2^20 exact-MVA cells unwind as
 // kTimedOut — on the batched path and the per-cell path alike.
+
+/// The default analytic backend, counting the calls the runner makes.
+class CountingBackend : public Backend {
+ public:
+  const std::string& name() const override { return inner_.name(); }
+  PointResult predict(const analytic::SystemConfig& config,
+                      const PointContext& ctx) const override {
+    predict_calls.fetch_add(1);
+    return inner_.predict(config, ctx);
+  }
+  std::size_t batch_capacity() const override {
+    return inner_.batch_capacity();
+  }
+  void evaluate_batch(const analytic::SystemConfig* const* configs,
+                      std::size_t count, const BatchPointContext& ctx,
+                      PointResult* results) const override {
+    batch_calls.fetch_add(1);
+    inner_.evaluate_batch(configs, count, ctx, results);
+  }
+
+  mutable std::atomic<std::size_t> predict_calls{0};
+  mutable std::atomic<std::size_t> batch_calls{0};
+
+ private:
+  AnalyticBackend inner_;
+};
+
+TEST(BatchBackend, DeadlinesBeyondTheClockNeverExpire) {
+  // A budget whose end the steady clock cannot represent (int64 ns,
+  // ~9.2e12 ms) arms no deadline: per cell (1e13, 1e300) and per chunk
+  // (5e11 ms x 8 cells) alike, so no cell times out and no chunk falls
+  // back to per-cell evaluation.
+  for (const double deadline_ms : {5e11, 1e13, 1e300}) {
+    RunnerOptions per_cell;
+    per_cell.threads = 1;
+    per_cell.cell_deadline_ms = deadline_ms;
+    per_cell.on_error = FailurePolicy::kCollectAll;
+    const SweepResult cells =
+        run_sweep(rate_spec(), {std::make_shared<AnalyticBackend>()}, per_cell);
+    EXPECT_EQ(cells.count_status(CellStatus::kOk), cells.cells.size())
+        << deadline_ms;
+
+    RunnerOptions batched = per_cell;
+    batched.batch_cells = 8;
+    const auto counting = std::make_shared<CountingBackend>();
+    const SweepResult chunks = run_sweep(rate_spec(), {counting}, batched);
+    EXPECT_EQ(chunks.count_status(CellStatus::kOk), chunks.cells.size())
+        << deadline_ms;
+    EXPECT_EQ(counting->batch_calls.load(), 2u) << deadline_ms;
+    EXPECT_EQ(counting->predict_calls.load(), 0u) << deadline_ms;
+    expect_identical_cells(cells, chunks, "deadline");
+  }
+}
 
 TEST(BatchBackend, DeadlineBoundsExactMvaCellsOnBothPaths) {
   SweepSpec spec;

@@ -1,10 +1,9 @@
-// Structure-of-arrays batch solver (batch_solver.hpp): cold-path
-// bit-identity with the plain scalar loops of the test-only reference
-// (reference_fixed_point.hpp) for every SourceThrottling method over a
-// dense rate grid (idle, light, saturated cells), the warm-start
-// tolerance contract, topology grouping in predict_latency_batch, seeded
-// randomized reference-vs-batch differential chunks, and
-// cancellation/deadline unwinding.
+// Structure-of-arrays batch solver (batch_solver.hpp): bit-identity of
+// predict_latency_batch's fixed points with the plain scalar loops of
+// the test-only reference (reference_fixed_point.hpp) for every
+// SourceThrottling method over a dense rate grid (idle, light, saturated
+// cells), topology grouping, seeded randomized reference-vs-batch
+// differential chunks, and cancellation/deadline unwinding.
 
 #include <gtest/gtest.h>
 
@@ -66,51 +65,59 @@ const char* method_name(SourceThrottling method) {
   return "?";
 }
 
-double rel_error(double a, double b) {
-  const double denom = std::max(std::fabs(a), std::fabs(b));
-  return denom > 0.0 ? std::fabs(a - b) / denom : 0.0;
+/// `base` at each of `rates`, in order: one same-topology group.
+std::vector<SystemConfig> rate_grid(const SystemConfig& base,
+                                    const std::vector<double>& rates) {
+  std::vector<SystemConfig> grid(rates.size(), base);
+  for (std::size_t i = 0; i < rates.size(); ++i) {
+    grid[i].generation_rate_per_us = rates[i];
+  }
+  return grid;
+}
+
+ModelOptions with_fixed_point(const FixedPointOptions& fixed_point) {
+  ModelOptions options;
+  options.fixed_point = fixed_point;
+  return options;
 }
 
 // ---------------------------------------------------------------------
-// Cold path: with warm starts off the batch solver's per-cell iterate
-// sequence is arithmetic-identical to the reference's plain scalar
-// loops, so every field matches bitwise — converged or not.
+// Cold path: every cell of a group starts cold, so the batch solver's
+// per-cell iterate sequence is arithmetic-identical to the reference's
+// plain scalar loops, and all four fixed-point fields of each
+// prediction match bitwise — converged or not.
 
 TEST(BatchSolver, ColdPathIsBitIdenticalForEveryMethod) {
-  RateGrid grid;
-  grid.base = make_config(16, 8);
-  grid.rates_per_us = dense_rates();
-  const CenterServiceTimes service = center_service_times(grid.base);
+  const SystemConfig base = make_config(16, 8);
+  const std::vector<SystemConfig> grid = rate_grid(base, dense_rates());
+  const CenterServiceTimes service = center_service_times(base);
 
   for (const SourceThrottling method : kAllMethods) {
     FixedPointOptions options;
     options.method = method;
-    const std::vector<FixedPointResult> batch =
-        solve_effective_rate_batch(grid, options, BatchOptions{false});
-    ASSERT_EQ(batch.size(), grid.rates_per_us.size());
+    const std::vector<LatencyPrediction> batch =
+        predict_latency_batch(grid, with_fixed_point(options));
+    ASSERT_EQ(batch.size(), grid.size());
 
-    for (std::size_t i = 0; i < grid.rates_per_us.size(); ++i) {
-      SystemConfig cell = grid.base;
-      cell.generation_rate_per_us = grid.rates_per_us[i];
+    for (std::size_t i = 0; i < grid.size(); ++i) {
       const FixedPointResult scalar =
-          reference::solve_effective_rate(cell, service, options);
+          reference::solve_effective_rate(grid[i], service, options);
       EXPECT_EQ(batch[i].lambda_effective, scalar.lambda_effective)
           << method_name(method) << " cell " << i;
       EXPECT_EQ(batch[i].total_queue_length, scalar.total_queue_length)
           << method_name(method) << " cell " << i;
-      EXPECT_EQ(batch[i].iterations, scalar.iterations)
+      EXPECT_EQ(batch[i].fixed_point_iterations, scalar.iterations)
           << method_name(method) << " cell " << i;
-      EXPECT_EQ(batch[i].converged, scalar.converged)
+      EXPECT_EQ(batch[i].fixed_point_converged, scalar.converged)
           << method_name(method) << " cell " << i;
     }
   }
 }
 
 TEST(BatchSolver, ColdPathHonoursNonDefaultSolverKnobs) {
-  RateGrid grid;
-  grid.base = make_config(8, 4);
-  grid.rates_per_us = dense_rates();
-  const CenterServiceTimes service = center_service_times(grid.base);
+  const SystemConfig base = make_config(8, 4);
+  const std::vector<SystemConfig> grid = rate_grid(base, dense_rates());
+  const CenterServiceTimes service = center_service_times(base);
 
   FixedPointOptions options;
   options.method = SourceThrottling::kPicard;
@@ -120,50 +127,14 @@ TEST(BatchSolver, ColdPathHonoursNonDefaultSolverKnobs) {
   options.tolerance = 1e-9;
   options.max_iterations = 50;
 
-  const std::vector<FixedPointResult> batch =
-      solve_effective_rate_batch(grid, options, BatchOptions{false});
-  for (std::size_t i = 0; i < grid.rates_per_us.size(); ++i) {
-    SystemConfig cell = grid.base;
-    cell.generation_rate_per_us = grid.rates_per_us[i];
+  const std::vector<LatencyPrediction> batch =
+      predict_latency_batch(grid, with_fixed_point(options));
+  for (std::size_t i = 0; i < grid.size(); ++i) {
     const FixedPointResult scalar =
-        reference::solve_effective_rate(cell, service, options);
+        reference::solve_effective_rate(grid[i], service, options);
     EXPECT_EQ(batch[i].lambda_effective, scalar.lambda_effective) << i;
-    EXPECT_EQ(batch[i].iterations, scalar.iterations) << i;
-    EXPECT_EQ(batch[i].converged, scalar.converged) << i;
-  }
-}
-
-// ---------------------------------------------------------------------
-// Warm starts change the iterate trajectory, not the fixed point:
-// converged cells agree with the scalar solver within the solver
-// tolerance. (Non-converged cells are trajectory-dependent, by design.)
-
-TEST(BatchSolver, WarmStartAgreesOnConvergedCells) {
-  RateGrid grid;
-  grid.base = make_config(16, 8);
-  grid.rates_per_us = dense_rates();
-  const CenterServiceTimes service = center_service_times(grid.base);
-
-  for (const SourceThrottling method : kAllMethods) {
-    FixedPointOptions options;
-    options.method = method;
-    const std::vector<FixedPointResult> batch =
-        solve_effective_rate_batch(grid, options, BatchOptions{true});
-
-    std::size_t compared = 0;
-    for (std::size_t i = 0; i < grid.rates_per_us.size(); ++i) {
-      SystemConfig cell = grid.base;
-      cell.generation_rate_per_us = grid.rates_per_us[i];
-      const FixedPointResult scalar =
-          reference::solve_effective_rate(cell, service, options);
-      if (!scalar.converged || !batch[i].converged) continue;
-      ++compared;
-      EXPECT_LE(rel_error(batch[i].lambda_effective, scalar.lambda_effective),
-                1e-8)
-          << method_name(method) << " cell " << i;
-    }
-    // Every method converges at least on the idle and light-load cells.
-    EXPECT_GE(compared, 2u) << method_name(method);
+    EXPECT_EQ(batch[i].fixed_point_iterations, scalar.iterations) << i;
+    EXPECT_EQ(batch[i].fixed_point_converged, scalar.converged) << i;
   }
 }
 
@@ -171,52 +142,64 @@ TEST(BatchSolver, WarmStartAgreesOnConvergedCells) {
 // Structural cases.
 
 TEST(BatchSolver, ZeroRateCellsShortCircuit) {
-  RateGrid grid;
-  grid.base = make_config(4, 4);
-  grid.rates_per_us = {0.0, 0.0, 1e-4, 0.0};
+  const std::vector<SystemConfig> grid =
+      rate_grid(make_config(4, 4), {0.0, 0.0, 1e-4, 0.0});
   for (const SourceThrottling method : kAllMethods) {
-    FixedPointOptions options;
-    options.method = method;
-    const std::vector<FixedPointResult> batch =
-        solve_effective_rate_batch(grid, options);
+    ModelOptions options;
+    options.fixed_point.method = method;
+    const std::vector<LatencyPrediction> batch =
+        predict_latency_batch(grid, options);
     for (const std::size_t i : {0u, 1u, 3u}) {
       EXPECT_EQ(batch[i].lambda_effective, 0.0) << method_name(method);
       EXPECT_EQ(batch[i].total_queue_length, 0.0) << method_name(method);
-      EXPECT_EQ(batch[i].iterations, 0u) << method_name(method);
-      EXPECT_TRUE(batch[i].converged) << method_name(method);
+      EXPECT_EQ(batch[i].fixed_point_iterations, 0u) << method_name(method);
+      EXPECT_TRUE(batch[i].fixed_point_converged) << method_name(method);
     }
     EXPECT_GT(batch[2].lambda_effective, 0.0) << method_name(method);
   }
 }
 
 TEST(BatchSolver, EmptyGridReturnsEmpty) {
-  RateGrid grid;
-  grid.base = make_config(4, 4);
-  EXPECT_TRUE(solve_effective_rate_batch(grid).empty());
+  EXPECT_TRUE(predict_latency_batch(std::vector<SystemConfig>{}).empty());
 }
 
 TEST(BatchSolver, RejectsInvalidCellRates) {
-  RateGrid grid;
-  grid.base = make_config(4, 4);
-  grid.rates_per_us = {1e-4, -1e-4};
-  EXPECT_THROW(solve_effective_rate_batch(grid), hmcs::ConfigError);
-  grid.rates_per_us = {std::nan("")};
-  EXPECT_THROW(solve_effective_rate_batch(grid), hmcs::ConfigError);
+  const SystemConfig base = make_config(4, 4);
+  EXPECT_THROW(predict_latency_batch(rate_grid(base, {1e-4, -1e-4})),
+               hmcs::ConfigError);
+  EXPECT_THROW(predict_latency_batch(rate_grid(base, {std::nan("")})),
+               hmcs::ConfigError);
+}
+
+TEST(BatchSolver, RejectsWarmStarts) {
+  // Every solve starts cold; BatchOptions keeps only the spelling of a
+  // cold call, {false}, which behaves like the two-argument call.
+  const std::vector<SystemConfig> grid =
+      rate_grid(make_config(4, 4), {1e-4, 2e-4});
+  EXPECT_THROW(predict_latency_batch(grid, ModelOptions{}, BatchOptions{true}),
+               hmcs::ConfigError);
+  const std::vector<LatencyPrediction> cold =
+      predict_latency_batch(grid, ModelOptions{}, BatchOptions{false});
+  const std::vector<LatencyPrediction> plain = predict_latency_batch(grid);
+  ASSERT_EQ(cold.size(), plain.size());
+  for (std::size_t i = 0; i < cold.size(); ++i) {
+    EXPECT_EQ(cold[i].mean_latency_us, plain[i].mean_latency_us) << i;
+  }
 }
 
 TEST(BatchSolver, MvaIterationsReportPopulationSteps) {
   // The exact-MVA path reports one recursion step per customer; the
   // field is 64-bit so total_nodes >= 2^32 cannot truncate.
   static_assert(sizeof(FixedPointResult{}.iterations) == 8);
-  RateGrid grid;
-  grid.base = make_config(4, 8);  // 32 nodes
-  grid.rates_per_us = {1e-4, 2e-4};
-  FixedPointOptions options;
-  options.method = SourceThrottling::kExactMva;
-  const std::vector<FixedPointResult> batch =
-      solve_effective_rate_batch(grid, options);
-  EXPECT_EQ(batch[0].iterations, 32u);
-  EXPECT_EQ(batch[1].iterations, 32u);
+  static_assert(sizeof(LatencyPrediction{}.fixed_point_iterations) == 8);
+  const std::vector<SystemConfig> grid =
+      rate_grid(make_config(4, 8), {1e-4, 2e-4});  // 32 nodes
+  ModelOptions options;
+  options.fixed_point.method = SourceThrottling::kExactMva;
+  const std::vector<LatencyPrediction> batch =
+      predict_latency_batch(grid, options);
+  EXPECT_EQ(batch[0].fixed_point_iterations, 32u);
+  EXPECT_EQ(batch[1].fixed_point_iterations, 32u);
 }
 
 // ---------------------------------------------------------------------
@@ -232,7 +215,7 @@ TEST(BatchSolver, PredictBatchMatchesScalarAcrossMixedTopologies) {
   big_message.message_bytes = 4096.0;
 
   std::vector<SystemConfig> configs;
-  for (int i = 0; i < 10; ++i) {  // group longer than kWarmStride
+  for (int i = 0; i < 10; ++i) {  // a ten-cell group
     SystemConfig cell = small;
     cell.generation_rate_per_us = 1e-4 * static_cast<double>(i);
     configs.push_back(cell);
@@ -249,7 +232,7 @@ TEST(BatchSolver, PredictBatchMatchesScalarAcrossMixedTopologies) {
     ModelOptions options;
     options.fixed_point.method = method;
     const std::vector<LatencyPrediction> batch =
-        predict_latency_batch(configs, options, BatchOptions{false});
+        predict_latency_batch(configs, options);
     ASSERT_EQ(batch.size(), configs.size());
     for (std::size_t i = 0; i < configs.size(); ++i) {
       const LatencyPrediction scalar =
@@ -293,7 +276,7 @@ TEST(BatchSolver, ScenarioCellsMatchScalarBitwise) {
     ModelOptions options;
     options.fixed_point.method = method;
     const std::vector<LatencyPrediction> batch =
-        predict_latency_batch(configs, options, BatchOptions{false});
+        predict_latency_batch(configs, options);
     ASSERT_EQ(batch.size(), configs.size());
     for (std::size_t i = 0; i < configs.size(); ++i) {
       const LatencyPrediction scalar =
@@ -322,7 +305,7 @@ TEST(BatchSolver, MmppCellsResolvePerCellArrivalScv) {
   }
 
   const std::vector<LatencyPrediction> batch =
-      predict_latency_batch(configs, ModelOptions{}, BatchOptions{false});
+      predict_latency_batch(configs);
   ASSERT_EQ(batch.size(), configs.size());
   double previous_scv = 0.0;
   for (std::size_t i = 0; i < configs.size(); ++i) {
@@ -376,8 +359,7 @@ TEST(BatchSolver, ResidualTraceIsRecordedByOneCellCallsOnly) {
   EXPECT_EQ(residuals.size(), one.fixed_point_iterations);
 
   residuals.assign(1, -1.0);
-  predict_latency_batch(std::vector<SystemConfig>{cell, cell}, options,
-                        BatchOptions{false});
+  predict_latency_batch(std::vector<SystemConfig>{cell, cell}, options);
   ASSERT_EQ(residuals.size(), 1u);
   EXPECT_EQ(residuals[0], -1.0);
 }
@@ -386,7 +368,7 @@ TEST(BatchSolver, ResidualTraceIsRecordedByOneCellCallsOnly) {
 // Differential: seeded random chunks — clusters, nodes per cluster, both
 // technology cases, both architectures, message sizes and rates, with
 // zero-rate cells and two populations interleaved — must come out of the
-// cold batch path bit for bit as from the reference predict_latency, for
+// batch path bit for bit as from the reference predict_latency, for
 // every method.
 // The chunk lengths straddle the MVA lane width.
 
@@ -482,7 +464,7 @@ TEST(BatchSolver, RandomChunksMatchScalarBitwiseForEveryMethod) {
       ModelOptions options;
       options.fixed_point.method = method;
       const std::vector<LatencyPrediction> batch =
-          predict_latency_batch(chunk, options, BatchOptions{false});
+          predict_latency_batch(chunk, options);
       ASSERT_EQ(batch.size(), chunk.size());
       for (std::size_t i = 0; i < chunk.size(); ++i) {
         expect_same_prediction(batch[i],
@@ -501,33 +483,31 @@ TEST(BatchSolver, RandomChunksMatchScalarBitwiseForEveryMethod) {
 // population-2^20 MVA batches.
 
 TEST(BatchSolver, CancelledTokenUnwindsTheLockstepSolvers) {
-  RateGrid grid;
-  grid.base = make_config(16, 8);
-  grid.rates_per_us = dense_rates();
+  const std::vector<SystemConfig> grid =
+      rate_grid(make_config(16, 8), dense_rates());
   hmcs::util::CancelToken token;
   token.cancel();
   for (const SourceThrottling method :
        {SourceThrottling::kPicard, SourceThrottling::kBisection,
         SourceThrottling::kExactMva}) {
-    FixedPointOptions options;
-    options.method = method;
-    options.cancel = &token;
-    EXPECT_THROW(solve_effective_rate_batch(grid, options), hmcs::Cancelled)
+    ModelOptions options;
+    options.fixed_point.method = method;
+    options.fixed_point.cancel = &token;
+    EXPECT_THROW(predict_latency_batch(grid, options), hmcs::Cancelled)
         << method_name(method);
   }
 }
 
 TEST(BatchSolver, DeadlineBoundsTheMvaBatch) {
-  RateGrid grid;
-  grid.base = make_config(1024, 1024);  // total_nodes = 2^20
-  grid.rates_per_us = {1e-4, 2e-4, 3e-4};
+  // total_nodes = 2^20
+  const std::vector<SystemConfig> grid =
+      rate_grid(make_config(1024, 1024), {1e-4, 2e-4, 3e-4});
   hmcs::util::CancelToken token;
   token.set_deadline_after_ms(1e-6);
-  FixedPointOptions options;
-  options.method = SourceThrottling::kExactMva;
-  options.cancel = &token;
-  EXPECT_THROW(solve_effective_rate_batch(grid, options),
-               hmcs::DeadlineExceeded);
+  ModelOptions options;
+  options.fixed_point.method = SourceThrottling::kExactMva;
+  options.fixed_point.cancel = &token;
+  EXPECT_THROW(predict_latency_batch(grid, options), hmcs::DeadlineExceeded);
 }
 
 }  // namespace

@@ -12,10 +12,10 @@ using namespace hmcs;
 using runner::ReplicationResult;
 using runner::run_replications;
 
-analytic::SystemConfig small_config() {
-  return analytic::paper_scenario(analytic::HeterogeneityCase::kCase1, 4,
-                                  analytic::NetworkArchitecture::kNonBlocking,
-                                  1024.0, 32, 1e-4);
+analytic::ModelTree small_tree() {
+  return analytic::ModelTree::from_system(analytic::paper_scenario(
+      analytic::HeterogeneityCase::kCase1, 4,
+      analytic::NetworkArchitecture::kNonBlocking, 1024.0, 32, 1e-4));
 }
 
 sim::SimOptions fast_options() {
@@ -28,7 +28,7 @@ sim::SimOptions fast_options() {
 
 TEST(Replication, RunsRequestedCount) {
   const ReplicationResult result =
-      run_replications(small_config(), fast_options(), 4);
+      run_replications(small_tree(), fast_options(), 4);
   ASSERT_EQ(result.replications.size(), 4u);
   for (const auto& run : result.replications) {
     EXPECT_EQ(run.messages_measured, 2000u);
@@ -37,7 +37,7 @@ TEST(Replication, RunsRequestedCount) {
 
 TEST(Replication, ReplicationsAreDecorrelated) {
   const ReplicationResult result =
-      run_replications(small_config(), fast_options(), 3);
+      run_replications(small_tree(), fast_options(), 3);
   EXPECT_NE(result.replications[0].mean_latency_us,
             result.replications[1].mean_latency_us);
   EXPECT_NE(result.replications[1].mean_latency_us,
@@ -46,7 +46,7 @@ TEST(Replication, ReplicationsAreDecorrelated) {
 
 TEST(Replication, GrandMeanIsMeanOfMeans) {
   const ReplicationResult result =
-      run_replications(small_config(), fast_options(), 3);
+      run_replications(small_tree(), fast_options(), 3);
   double sum = 0.0;
   for (const auto& run : result.replications) sum += run.mean_latency_us;
   EXPECT_NEAR(result.mean_latency_us, sum / 3.0, 1e-9);
@@ -54,16 +54,16 @@ TEST(Replication, GrandMeanIsMeanOfMeans) {
 
 TEST(Replication, ReproducibleFromBaseSeed) {
   const ReplicationResult a =
-      run_replications(small_config(), fast_options(), 3);
+      run_replications(small_tree(), fast_options(), 3);
   const ReplicationResult b =
-      run_replications(small_config(), fast_options(), 3);
+      run_replications(small_tree(), fast_options(), 3);
   EXPECT_DOUBLE_EQ(a.mean_latency_us, b.mean_latency_us);
   EXPECT_DOUBLE_EQ(a.latency_ci.half_width, b.latency_ci.half_width);
 }
 
 TEST(Replication, IntervalCoversReplicationSpread) {
   const ReplicationResult result =
-      run_replications(small_config(), fast_options(), 5);
+      run_replications(small_tree(), fast_options(), 5);
   EXPECT_GT(result.latency_ci.half_width, 0.0);
   EXPECT_LE(result.latency_ci.lower, result.mean_latency_us);
   EXPECT_GE(result.latency_ci.upper, result.mean_latency_us);
@@ -71,36 +71,19 @@ TEST(Replication, IntervalCoversReplicationSpread) {
 
 TEST(Replication, SingleReplicationFallsBackToWithinRunCi) {
   const ReplicationResult result =
-      run_replications(small_config(), fast_options(), 1);
+      run_replications(small_tree(), fast_options(), 1);
   EXPECT_DOUBLE_EQ(result.latency_ci.half_width,
                    result.replications[0].latency_ci.half_width);
 }
 
-TEST(Replication, ParallelExecutionBitIdenticalToSerial) {
-  // Seeds are pre-derived and every simulator instance is
-  // thread-confined, so any worker count gives the same numbers.
-  const ReplicationResult serial =
-      run_replications(small_config(), fast_options(), 4, 1);
-  const ReplicationResult parallel =
-      run_replications(small_config(), fast_options(), 4, 4);
-  ASSERT_EQ(serial.replications.size(), parallel.replications.size());
-  for (std::size_t r = 0; r < serial.replications.size(); ++r) {
-    EXPECT_DOUBLE_EQ(serial.replications[r].mean_latency_us,
-                     parallel.replications[r].mean_latency_us);
-    EXPECT_EQ(serial.replications[r].events_executed,
-              parallel.replications[r].events_executed);
-  }
-  EXPECT_DOUBLE_EQ(serial.mean_latency_us, parallel.mean_latency_us);
-}
-
 TEST(Replication, RejectsZeroReplications) {
-  EXPECT_THROW(run_replications(small_config(), fast_options(), 0),
+  EXPECT_THROW(run_replications(small_tree(), fast_options(), 0),
                ConfigError);
 }
 
 TEST(Replication, PercentilesOrdered) {
   const ReplicationResult result =
-      run_replications(small_config(), fast_options(), 1);
+      run_replications(small_tree(), fast_options(), 1);
   const auto& run = result.replications[0];
   EXPECT_LE(run.min_latency_us, run.p50_latency_us);
   EXPECT_LE(run.p50_latency_us, run.p95_latency_us);

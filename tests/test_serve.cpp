@@ -330,6 +330,21 @@ TEST(ServeService, ExpiredDeadlineYieldsTimedOutReply) {
   EXPECT_NE(retry.find("\"status\":\"ok\""), std::string::npos);
 }
 
+TEST(ServeService, DeadlineBeyondTheClockIsNoDeadline) {
+  // The steady clock ends ~9.2e12 ms out (int64 ns); a longer budget
+  // arms no deadline instead of overflowing into one already passed.
+  for (const char* deadline : {"1e13", "1e300"}) {
+    serve::ServeService service({});
+    const std::string reply = service.handle_line(
+        std::string(R"({"id":"d","backend":{"type":"analytic","model":"mva"},
+            "config":{"clusters":2,"total_nodes":32},"deadline_ms":)") +
+        deadline + "}");
+    EXPECT_NE(reply.find("\"status\":\"ok\""), std::string::npos)
+        << deadline << ": " << reply;
+    EXPECT_EQ(service.counters().timed_out, 0u) << deadline;
+  }
+}
+
 TEST(ServeService, MalformedLineGetsErrorReplyWithId) {
   serve::ServeService service({});
   const std::string garbage = service.handle_line("not json at all");

@@ -23,12 +23,14 @@
 #include <sstream>
 #include <string>
 #include <string_view>
+#include <utility>
 #include <vector>
 
 #include "hmcs/analytic/model_tree.hpp"
 #include "hmcs/analytic/network_tech.hpp"
 #include "hmcs/analytic/scenario.hpp"
 #include "hmcs/runner/replication.hpp"
+#include "hmcs/runner/sweep_config.hpp"
 #include "hmcs/sim/multicluster_sim.hpp"
 #include "hmcs/sim/trace.hpp"
 #include "hmcs/sim/tree_sim.hpp"
@@ -346,7 +348,8 @@ TEST(SimGolden, LifecycleTrace) {
 
 TEST(SimGolden, Replications) {
   const runner::ReplicationResult result =
-      runner::run_replications(light_config(), short_run(213), 3);
+      runner::run_replications(analytic::ModelTree::from_system(light_config()),
+                               short_run(213), 3);
   Digest digest;
   digest.add(result.mean_latency_us);
   digest.add(result.latency_ci.lower);
@@ -389,6 +392,44 @@ TEST(SimGolden, NestedTree) {
   digest.add(options.trace->to_csv());
   expect_pin(Pin{digest.value(), run.mean_latency_us},
              {0x26888f7013b70eafull, 419.95625031625013});
+}
+
+/// The switch-level backend through the sweep front end: a JSON config
+/// with a fabric backend, loaded and run like hmcs_run does. Pins the
+/// five PointResult fields FabricBackend fills, per cell, so the
+/// backend's fixed rendering (store-and-forward switching, closed-loop
+/// sources) cannot drift.
+TEST(SimGolden, FabricSweep) {
+  const runner::SweepRunConfig run = runner::sweep_config_from_json(R"({
+    "id": "fabric_pin",
+    "total_nodes": 64,
+    "seed": 5,
+    "axes": {"clusters": [2, 4], "lambda_per_s": [250]},
+    "backends": [{"type": "fabric", "messages": 2000, "warmup": 400}]
+  })");
+  runner::RunnerOptions options;
+  options.threads = 2;
+  const runner::SweepResult result =
+      runner::run_sweep(run.spec, run.backends, options);
+  // C = 4 saturates its busiest switch, which the guardrail flags.
+  const std::vector<std::pair<Pin, runner::CellStatus>> expected = {
+      {{0xd1a622a18aef8f26ull, 640.65842010654046}, runner::CellStatus::kOk},
+      {{0x36602e0dceb5d92eull, 1381.9330351718456},
+       runner::CellStatus::kDegraded},
+  };
+  ASSERT_EQ(result.cells.size(), expected.size());
+  for (std::size_t i = 0; i < expected.size(); ++i) {
+    const runner::PointResult& cell = result.cells[i];
+    EXPECT_EQ(cell.status, expected[i].second) << i << ": " << cell.error;
+    Digest digest;
+    digest.add(cell.mean_latency_us);
+    digest.add(cell.ci_half_us);
+    digest.add(cell.messages_measured);
+    digest.add(cell.mean_switch_hops);
+    digest.add(cell.max_switch_utilization);
+    SCOPED_TRACE("cell " + std::to_string(i));
+    expect_pin(Pin{digest.value(), cell.mean_latency_us}, expected[i].first);
+  }
 }
 
 }  // namespace

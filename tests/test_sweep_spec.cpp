@@ -109,17 +109,6 @@ TEST(SweepSpec, DefaultSeedMatchesSplitMixChain) {
   EXPECT_EQ(expand_sweep(spec)[0].seed, expected);
 }
 
-TEST(SweepSpec, SeedFnOverridesDefault) {
-  SweepSpec spec;
-  spec.axes.clusters = {2, 4};
-  spec.seed_fn = [](const SweepPoint& point) {
-    return 7000 + point.clusters;
-  };
-  const std::vector<SweepPoint> points = expand_sweep(spec);
-  EXPECT_EQ(points[0].seed, 7002u);
-  EXPECT_EQ(points[1].seed, 7004u);
-}
-
 TEST(SweepSpec, ZippedWalksAxesInLockstep) {
   SweepSpec spec;
   spec.mode = AxisMode::kZipped;
