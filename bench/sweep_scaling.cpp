@@ -10,11 +10,12 @@
 // (G/G/1 cv^2 = 4 service, MMPP bursty arrivals) once per backend, so
 // the analytic-vs-DES cell-cost gap for non-exponential scenarios is
 // tracked alongside the exponential baseline. A third ("output_layers")
-// times what follows the solve on a fixed 8,640-cell analytic grid: the
-// table, CSV, sweep-JSON and journal formatting per cell, and the wall
-// time to write one sweep's outputs into a fresh directory and to
-// rewrite them into a directory that already holds them (under the
-// system temporary directory).
+// times what precedes and follows the solve on a fixed 8,640-cell
+// analytic grid: expanding its 2,880 points, the table, CSV, sweep-JSON
+// and journal formatting per cell, the wall time to write one sweep's
+// outputs into a fresh directory and to rewrite them into a directory
+// that already holds them (under the system temporary directory), and
+// loading the journal written there back for a resume.
 
 #include <algorithm>
 #include <chrono>
@@ -201,6 +202,7 @@ void journal_grid(const std::string& path, const runner::SweepResult& result) {
 struct OutputLayers {
   std::size_t cells = 0;
   int repetitions = 0;
+  double expand_us_per_point = 0.0;
   double table_us_per_cell = 0.0;
   double csv_us_per_cell = 0.0;
   double json_us_per_cell = 0.0;
@@ -208,14 +210,16 @@ struct OutputLayers {
   std::uintmax_t output_bytes = 0;
   double fresh_write_ms = 0.0;
   double rewrite_ms = 0.0;
+  double journal_load_us_per_cell = 0.0;
 };
 
 OutputLayers time_output_layers() {
   runner::RunnerOptions options;
   options.batch_cells = 256;
   options.on_error = runner::FailurePolicy::kCollectAll;
+  const runner::SweepSpec spec = output_grid_spec();
   const runner::SweepResult result =
-      runner::run_sweep(output_grid_spec(), output_grid_backends(), options);
+      runner::run_sweep(spec, output_grid_backends(), options);
 
   OutputLayers layers;
   layers.cells = result.cells.size();
@@ -225,6 +229,10 @@ OutputLayers time_output_layers() {
   const auto us_per_cell = [&](auto&& body) {
     return median_seconds(layers.repetitions, body) * per_cell_us;
   };
+  layers.expand_us_per_point =
+      median_seconds(layers.repetitions,
+                     [&] { sink += runner::expand_sweep(spec).size(); }) *
+      1e6 / static_cast<double>(result.points.size());
   layers.table_us_per_cell = us_per_cell(
       [&] { sink += runner::render_sweep_table(result).size(); });
   layers.csv_us_per_cell = us_per_cell(
@@ -241,8 +249,9 @@ OutputLayers time_output_layers() {
   const fs::path dir = fs::temp_directory_path() / "hmcs_sweep_scaling_outputs";
   fs::remove_all(dir);
   fs::create_directories(dir);
+  const std::string journal_path = (dir / (result.id + ".jsonl")).string();
   const auto write_outputs = [&] {
-    journal_grid((dir / (result.id + ".jsonl")).string(), result);
+    journal_grid(journal_path, result);
     std::ostringstream table;
     runner::print_sweep_report(table, result, dir.string(), dir.string());
     sink += table.str().size();
@@ -252,6 +261,12 @@ OutputLayers time_output_layers() {
   for (const auto& entry : fs::directory_iterator(dir)) {
     layers.output_bytes += entry.file_size();
   }
+  // What hmcs_run --resume reads before its first cell.
+  const runner::JournalWriter::Shape shape{result.id, result.points.size(),
+                                           result.backend_names};
+  layers.journal_load_us_per_cell = us_per_cell([&] {
+    sink += runner::load_sweep_journal(journal_path, shape).completed();
+  });
   fs::remove_all(dir);
   require(sink > 0, "sweep_scaling: the output layers wrote nothing");
   return layers;
@@ -362,6 +377,7 @@ int main(int argc, char** argv) try {
       "N = 65536, bisection + picard + mva");
   json.key("cells").value(static_cast<std::uint64_t>(layers.cells));
   json.key("repetitions").value(static_cast<std::uint64_t>(layers.repetitions));
+  json.key("expand_us_per_point").value(layers.expand_us_per_point);
   json.key("table_us_per_cell").value(layers.table_us_per_cell);
   json.key("csv_us_per_cell").value(layers.csv_us_per_cell);
   json.key("sweep_json_us_per_cell").value(layers.json_us_per_cell);
@@ -370,6 +386,7 @@ int main(int argc, char** argv) try {
       .value(static_cast<std::uint64_t>(layers.output_bytes));
   json.key("fresh_write_ms").value(layers.fresh_write_ms);
   json.key("rewrite_ms").value(layers.rewrite_ms);
+  json.key("journal_load_us_per_cell").value(layers.journal_load_us_per_cell);
   json.end_object();
   json.end_object();
 
@@ -396,13 +413,16 @@ int main(int argc, char** argv) try {
               "des %.3e s/cell\n",
               analytic_cost.points, analytic_cost.cell_seconds,
               des_cost.cell_seconds);
-  std::printf("output layers (%zu cells): table %.2f, csv %.2f, json %.2f, "
-              "journal %.2f us/cell; outputs %.1f MB written in %.1f ms "
-              "fresh, %.1f ms over themselves\n",
-              layers.cells, layers.table_us_per_cell, layers.csv_us_per_cell,
+  std::printf("output layers (%zu cells): expand %.2f us/point; table %.2f, "
+              "csv %.2f, json %.2f, journal %.2f us/cell; outputs %.1f MB "
+              "written in %.1f ms fresh, %.1f ms over themselves; journal "
+              "load %.2f us/cell\n",
+              layers.cells, layers.expand_us_per_point,
+              layers.table_us_per_cell, layers.csv_us_per_cell,
               layers.json_us_per_cell, layers.journal_us_per_cell,
               static_cast<double>(layers.output_bytes) / 1e6,
-              layers.fresh_write_ms, layers.rewrite_ms);
+              layers.fresh_write_ms, layers.rewrite_ms,
+              layers.journal_load_us_per_cell);
   std::printf("hardware_concurrency=%u\nrecord written to %s\n", cores,
               out_path.c_str());
   return all_identical ? 0 : 1;

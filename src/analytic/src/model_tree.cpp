@@ -63,22 +63,37 @@ std::uint32_t node_depth(const ModelNode& node) {
   return deepest + 1;
 }
 
-void validate_node(const ModelNode& node, bool root, const std::string& path) {
+/// A node's position as a chain of child indices up to the root, spelt
+/// "root.children[i]..." only when a message names the node.
+struct NodePath {
+  const NodePath* parent = nullptr;
+  std::size_t index = 0;
+
+  std::string str() const {
+    if (parent == nullptr) return "root";
+    return parent->str() + ".children[" + std::to_string(index) + "]";
+  }
+};
+
+void validate_node(const ModelNode& node, const NodePath& path) {
+  const bool root = path.parent == nullptr;
   if (node.is_leaf()) {
     require(!root, "ModelTree: the root must be an internal (network) node");
-    require(node.processors >= 1,
-            "ModelTree: leaf '" + path + "' needs >= 1 processors");
+    require(node.processors >= 1, [&] {
+      return "ModelTree: leaf '" + path.str() + "' needs >= 1 processors";
+    });
     require(std::isfinite(node.generation_rate_per_us) &&
                 node.generation_rate_per_us >= 0.0,
-            "ModelTree: leaf '" + path +
-                "' needs a finite generation rate >= 0");
+            [&] {
+              return "ModelTree: leaf '" + path.str() +
+                     "' needs a finite generation rate >= 0";
+            });
     return;
   }
   analytic::validate(node.network);
   if (!root) analytic::validate(node.egress);
   for (std::size_t i = 0; i < node.children.size(); ++i) {
-    validate_node(node.children[i], false,
-                  path + ".children[" + std::to_string(i) + "]");
+    validate_node(node.children[i], NodePath{&path, i});
   }
 }
 
@@ -136,7 +151,7 @@ std::uint64_t ModelTree::total_processors() const {
 std::uint32_t ModelTree::depth() const { return node_depth(root); }
 
 void ModelTree::validate() const {
-  validate_node(root, /*root=*/true, "root");
+  validate_node(root, NodePath{});
   require(switch_params.ports >= 4 && switch_params.ports % 2 == 0,
           "ModelTree: switch ports must be even and >= 4");
   require(switch_params.latency_us >= 0.0,
@@ -285,11 +300,19 @@ bool is_uniform_tree(const ModelTree& tree) {
 
 namespace {
 
+/// "tree path '<path>'<rest>": built only when a path check fails.
+std::string path_message(std::string_view path, std::string_view rest) {
+  std::string message = "tree path '";
+  message += path;
+  message += '\'';
+  message += rest;
+  return message;
+}
+
 const ModelNode* resolve_path(const ModelNode& root, std::string_view path,
                               std::string_view& field, bool& is_root) {
-  const std::string shown(path);
   require(path.substr(0, 4) == "root",
-          "tree path '" + shown + "' must start with 'root'");
+          [&] { return path_message(path, " must start with 'root'"); });
   const ModelNode* node = &root;
   is_root = true;
   std::size_t pos = 4;
@@ -297,57 +320,75 @@ const ModelNode* resolve_path(const ModelNode& root, std::string_view path,
     pos += 10;
     const std::size_t end = path.find(']', pos);
     require(end != std::string_view::npos && end > pos,
-            "tree path '" + shown + "': malformed child index");
+            [&] { return path_message(path, ": malformed child index"); });
     std::uint64_t index = 0;
     for (std::size_t d = pos; d < end; ++d) {
       const char c = path[d];
       require(c >= '0' && c <= '9',
-              "tree path '" + shown + "': malformed child index");
+              [&] { return path_message(path, ": malformed child index"); });
       index = index * 10 + static_cast<std::uint64_t>(c - '0');
-      require(index <= std::numeric_limits<std::uint32_t>::max(),
-              "tree path '" + shown + "': child index out of range");
+      require(index <= std::numeric_limits<std::uint32_t>::max(), [&] {
+        return path_message(path, ": child index out of range");
+      });
     }
-    require(index < node->children.size(),
-            "tree path '" + shown + "': child index " +
-                std::to_string(index) + " out of range (node has " +
-                std::to_string(node->children.size()) + " children)");
+    require(index < node->children.size(), [&] {
+      return path_message(path, ": child index " + std::to_string(index) +
+                                    " out of range (node has " +
+                                    std::to_string(node->children.size()) +
+                                    " children)");
+    });
     node = &node->children[index];
     is_root = false;
     pos = end + 1;
   }
-  require(pos < path.size() && path[pos] == '.',
-          "tree path '" + shown + "' needs a field (e.g. .icn.latency_us)");
+  require(pos < path.size() && path[pos] == '.', [&] {
+    return path_message(path, " needs a field (e.g. .icn.latency_us)");
+  });
   field = path.substr(pos + 1);
-  require(!field.empty(), "tree path '" + shown + "' needs a field");
+  require(!field.empty(),
+          [&] { return path_message(path, " needs a field"); });
   return node;
 }
 
 /// Maps a field name onto the addressed technology member; nullptr when
 /// the field is not a technology field.
 double* technology_field(ModelNode& node, bool is_root, std::string_view field,
-                         const std::string& shown) {
+                         std::string_view path) {
   const bool egress = field.starts_with("egress.");
   const bool icn = field.starts_with("icn.");
   if (!egress && !icn) return nullptr;
-  require(!node.is_leaf(), "tree path '" + shown + "': leaf nodes have no '" +
-                               std::string(egress ? "egress" : "icn") + "'");
+  require(!node.is_leaf(), [&] {
+    return path_message(path, std::string(": leaf nodes have no '") +
+                                  (egress ? "egress" : "icn") + "'");
+  });
   require(!(egress && is_root),
-          "tree path '" + shown + "': the root has no egress");
+          [&] { return path_message(path, ": the root has no egress"); });
   NetworkTechnology& tech = egress ? node.egress : node.network;
   const std::string_view member = field.substr(egress ? 7 : 4);
   if (member == "latency_us") return &tech.latency_us;
   if (member == "bandwidth_mb_per_s" || member == "bandwidth") {
     return &tech.bandwidth_bytes_per_us;
   }
-  require(false, "tree path '" + shown + "': unknown technology field '" +
-                     std::string(member) + "'");
+  require(false, [&] {
+    return path_message(path, ": unknown technology field '" +
+                                  std::string(member) + "'");
+  });
   return nullptr;
+}
+
+/// The addressed field's member, or a ConfigError naming `path`.
+double* path_member(ModelNode& node, bool is_root, std::string_view field,
+                    std::string_view path) {
+  double* member = technology_field(node, is_root, field, path);
+  require(member != nullptr, [&] {
+    return path_message(path, ": unknown field '" + std::string(field) + "'");
+  });
+  return member;
 }
 
 }  // namespace
 
 double tree_path_value(const ModelTree& tree, std::string_view path) {
-  const std::string shown(path);
   std::string_view field;
   bool is_root = false;
   // resolve_path only reads; the const_cast lets one technology_field
@@ -356,56 +397,52 @@ double tree_path_value(const ModelTree& tree, std::string_view path) {
       resolve_path(tree.root, path, field, is_root));
   if (field == "processors") {
     require(node->is_leaf(),
-            "tree path '" + shown + "': 'processors' needs a leaf");
+            [&] { return path_message(path, ": 'processors' needs a leaf"); });
     return static_cast<double>(node->processors);
   }
   if (field == "generation_rate_per_us" || field == "lambda_per_s") {
-    require(node->is_leaf(),
-            "tree path '" + shown + "': generation rate needs a leaf");
+    require(node->is_leaf(), [&] {
+      return path_message(path, ": generation rate needs a leaf");
+    });
     return field == "lambda_per_s"
                ? units::per_us_to_per_s(node->generation_rate_per_us)
                : node->generation_rate_per_us;
   }
-  const double* member = technology_field(*node, is_root, field, shown);
-  require(member != nullptr,
-          "tree path '" + shown + "': unknown field '" + std::string(field) +
-              "'");
-  return *member;
+  return *path_member(*node, is_root, field, path);
 }
 
 void set_tree_path(ModelTree& tree, std::string_view path, double value) {
-  const std::string shown(path);
   require(std::isfinite(value),
-          "tree path '" + shown + "': value must be finite");
+          [&] { return path_message(path, ": value must be finite"); });
   std::string_view field;
   bool is_root = false;
   ModelNode* node = const_cast<ModelNode*>(
       resolve_path(tree.root, path, field, is_root));
   if (field == "processors") {
     require(node->is_leaf(),
-            "tree path '" + shown + "': 'processors' needs a leaf");
+            [&] { return path_message(path, ": 'processors' needs a leaf"); });
     require(value >= 1.0 && value == std::floor(value) &&
                 value <= static_cast<double>(
                              std::numeric_limits<std::uint32_t>::max()),
-            "tree path '" + shown +
-                "': 'processors' needs a positive integer");
+            [&] {
+              return path_message(path,
+                                  ": 'processors' needs a positive integer");
+            });
     node->processors = static_cast<std::uint32_t>(value);
     return;
   }
   if (field == "generation_rate_per_us" || field == "lambda_per_s") {
-    require(node->is_leaf(),
-            "tree path '" + shown + "': generation rate needs a leaf");
-    require(value >= 0.0,
-            "tree path '" + shown + "': generation rate must be >= 0");
+    require(node->is_leaf(), [&] {
+      return path_message(path, ": generation rate needs a leaf");
+    });
+    require(value >= 0.0, [&] {
+      return path_message(path, ": generation rate must be >= 0");
+    });
     node->generation_rate_per_us =
         field == "lambda_per_s" ? units::per_s_to_per_us(value) : value;
     return;
   }
-  double* member = technology_field(*node, is_root, field, shown);
-  require(member != nullptr,
-          "tree path '" + shown + "': unknown field '" + std::string(field) +
-              "'");
-  *member = value;
+  *path_member(*node, is_root, field, path) = value;
 }
 
 }  // namespace hmcs::analytic

@@ -18,9 +18,10 @@ constexpr std::string_view kPrefix = "tree config";
 NetworkTechnology technology_entry(const JsonValue& entry,
                                    const std::string& where) {
   if (entry.is_string()) return parse_technology(entry.as_string());
-  require(entry.is_object(),
-          "tree config: a technology at " + where +
-              " must be a preset/custom string or an object");
+  require(entry.is_object(), [&] {
+    return "tree config: a technology at " + where +
+           " must be a preset/custom string or an object";
+  });
   reject_unknown_members(entry, {"name", "latency_us", "bandwidth_mb_per_s"},
                          kPrefix, where);
   NetworkTechnology tech;
@@ -32,8 +33,9 @@ NetworkTechnology technology_entry(const JsonValue& entry,
 
 ModelNode node_from_json(const JsonValue& entry, bool root,
                          const std::string& path) {
-  require(entry.is_object(),
-          "tree config: node at " + path + " must be an object");
+  require(entry.is_object(), [&] {
+    return "tree config: node at " + path + " must be an object";
+  });
   const bool internal = entry.find("network") != nullptr ||
                         entry.find("egress") != nullptr ||
                         entry.find("children") != nullptr;
@@ -45,8 +47,9 @@ ModelNode node_from_json(const JsonValue& entry, bool root,
                            kPrefix, path);
     node.processors = uint_member(entry, "processors", std::uint32_t{0},
                                   std::string(kPrefix) + ": " + path);
-    require(node.processors >= 1,
-            "tree config: leaf at " + path + " needs 'processors' >= 1");
+    require(node.processors >= 1, [&] {
+      return "tree config: leaf at " + path + " needs 'processors' >= 1";
+    });
     node.generation_rate_per_us = units::per_s_to_per_us(
         number_member(entry, "lambda_per_s",
                       units::per_us_to_per_s(kPaperRatePerUs), kPrefix));
@@ -56,8 +59,9 @@ ModelNode node_from_json(const JsonValue& entry, bool root,
   reject_unknown_members(entry, {"name", "network", "egress", "children"},
                          kPrefix, path);
   const JsonValue* network = entry.find("network");
-  require(network != nullptr,
-          "tree config: internal node at " + path + " needs a 'network'");
+  require(network != nullptr, [&] {
+    return "tree config: internal node at " + path + " needs a 'network'";
+  });
   node.network = technology_entry(*network, path + ".network");
 
   const JsonValue* egress = entry.find("egress");
@@ -65,16 +69,19 @@ ModelNode node_from_json(const JsonValue& entry, bool root,
     require(egress == nullptr,
             "tree config: the root has no parent, so no 'egress'");
   } else {
-    require(egress != nullptr,
-            "tree config: internal node at " + path + " needs an 'egress'");
+    require(egress != nullptr, [&] {
+      return "tree config: internal node at " + path + " needs an 'egress'";
+    });
     node.egress = technology_entry(*egress, path + ".egress");
   }
 
   const JsonValue* children = entry.find("children");
-  require(children != nullptr && children->is_array() &&
-              children->size() >= 1,
-          "tree config: internal node at " + path +
-              " needs a non-empty 'children' array");
+  require(
+      children != nullptr && children->is_array() && children->size() >= 1,
+      [&] {
+        return "tree config: internal node at " + path +
+               " needs a non-empty 'children' array";
+      });
   node.children.reserve(children->size());
   for (std::size_t i = 0; i < children->size(); ++i) {
     node.children.push_back(
@@ -88,13 +95,15 @@ ModelNode node_from_json(const JsonValue& entry, bool root,
 
 ModelTree model_tree_from_json(const JsonValue& config,
                                const std::string& where) {
-  require(config.is_object(), "tree config: " + where + " must be an object");
+  require(config.is_object(),
+          [&] { return "tree config: " + where + " must be an object"; });
   reject_unknown_members(config,
                          {"tree", "architecture", "message_bytes",
                           "switch_ports", "switch_latency_us", "workload"},
                          kPrefix, where);
   const JsonValue* root = config.find("tree");
-  require(root != nullptr, "tree config: " + where + " needs a 'tree'");
+  require(root != nullptr,
+          [&] { return "tree config: " + where + " needs a 'tree'"; });
 
   ModelTree tree;
   tree.root = node_from_json(*root, /*root=*/true, "root");

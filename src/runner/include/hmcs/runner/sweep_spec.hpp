@@ -133,7 +133,9 @@ struct SweepSpec {
 /// from one base seed.
 /// Each coordinate is folded in through a full SplitMix64 finalizer: an
 /// affine mix of (seed, clusters, bytes) collides for nearby sweep
-/// points and hands highly correlated seeds to adjacent runs.
+/// points and hands highly correlated seeds to adjacent runs. A size
+/// below 2^64 folds in truncated to an integer; a larger one (and NaN)
+/// folds in its bit pattern.
 std::uint64_t default_point_seed(std::uint64_t base_seed,
                                  std::uint32_t clusters,
                                  double message_bytes);
@@ -149,8 +151,9 @@ std::uint64_t retry_point_seed(std::uint64_t point_seed,
 
 /// Expands the spec into its flat point list (cartesian or zipped),
 /// building and validating every SystemConfig. Throws hmcs::ConfigError
-/// on empty expansions, zip length mismatches, or invalid
-/// configurations (e.g. a cluster count that does not divide
+/// on empty expansions, zip length mismatches, a cartesian point count
+/// that overflows size_t (checked before any point is built), or
+/// invalid configurations (e.g. a cluster count that does not divide
 /// total_nodes).
 std::vector<SweepPoint> expand_sweep(const SweepSpec& spec);
 

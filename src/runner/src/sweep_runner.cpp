@@ -124,8 +124,11 @@ void merge_resumed_cells(const SweepJournal& journal, SweepResult& result,
     // anything else means the journal belongs to a different spec and
     // merging would mix incompatible runs.
     require(journal.seeds[cell] == result.points[cell / n_backends].seed,
-            "run_sweep: resume journal seed mismatch at cell " +
-                std::to_string(cell) + " (journal from a different spec?)");
+            [&] {
+              return "run_sweep: resume journal seed mismatch at cell " +
+                     std::to_string(cell) +
+                     " (journal from a different spec?)";
+            });
     result.cells[cell] = *journal.cells[cell];
     done[cell] = 1;
     ++resumed;

@@ -11,10 +11,12 @@
 /// modelling tool where a silently wrong configuration is worse than an
 /// exception.
 
+#include <concepts>
 #include <source_location>
 #include <stdexcept>
 #include <string>
 #include <string_view>
+#include <utility>
 
 namespace hmcs {
 
@@ -77,11 +79,33 @@ inline void require(bool condition, std::string_view message,
   if (!condition) detail::throw_config_error(message, loc);
 }
 
+/// require with a message callable, called only on failure. A check that
+/// runs per sweep point, per solve or per JSON lookup uses this form,
+/// so a passing check builds no message string.
+template <std::invocable Message>
+void require(bool condition, Message&& message,
+             const std::source_location& loc =
+                 std::source_location::current()) {
+  if (!condition) [[unlikely]] {
+    detail::throw_config_error(std::forward<Message>(message)(), loc);
+  }
+}
+
 /// Checks an internal invariant; throws LogicError on failure.
 inline void ensure(bool condition, std::string_view message,
                    const std::source_location& loc =
                        std::source_location::current()) {
   if (!condition) detail::throw_logic_error(message, loc);
+}
+
+/// ensure with a message callable, called only on failure.
+template <std::invocable Message>
+void ensure(bool condition, Message&& message,
+            const std::source_location& loc =
+                std::source_location::current()) {
+  if (!condition) [[unlikely]] {
+    detail::throw_logic_error(std::forward<Message>(message)(), loc);
+  }
 }
 
 }  // namespace hmcs

@@ -201,8 +201,9 @@ const JsonValue* JsonValue::find(std::string_view key) const {
 
 const JsonValue& JsonValue::at(std::string_view key) const {
   const JsonValue* value = find(key);
-  require(value != nullptr,
-          "JsonValue: missing object member '" + std::string(key) + "'");
+  require(value != nullptr, [&] {
+    return "JsonValue: missing object member '" + std::string(key) + "'";
+  });
   return *value;
 }
 

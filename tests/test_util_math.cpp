@@ -2,7 +2,9 @@
 
 #include <cstdint>
 #include <limits>
+#include <string>
 
+#include "hmcs/util/error.hpp"
 #include "hmcs/util/math_util.hpp"
 
 namespace {
@@ -77,6 +79,31 @@ TEST(RelativeError, Basics) {
   EXPECT_DOUBLE_EQ(relative_error(9.0, 10.0), 0.1);
   EXPECT_DOUBLE_EQ(relative_error(0.0, 0.0), 0.0);
   EXPECT_TRUE(std::isinf(relative_error(1.0, 0.0)));
+}
+
+TEST(Error, MessageCallableRunsOnlyOnFailure) {
+  int built = 0;
+  const auto message = [&] {
+    ++built;
+    return std::string("built ") + std::to_string(built);
+  };
+  require(true, message);
+  ensure(true, message);
+  EXPECT_EQ(built, 0);
+
+  try {
+    require(false, message);
+    FAIL() << "require(false, ...) returned";
+  } catch (const ConfigError& error) {
+    EXPECT_TRUE(std::string(error.what()).ends_with(": built 1"));
+  }
+  try {
+    ensure(false, message);
+    FAIL() << "ensure(false, ...) returned";
+  } catch (const LogicError& error) {
+    EXPECT_TRUE(std::string(error.what()).ends_with(": built 2"));
+  }
+  EXPECT_EQ(built, 2);
 }
 
 }  // namespace
