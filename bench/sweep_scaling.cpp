@@ -1,6 +1,6 @@
 // Thread-scaling of the sweep runner, reported as a machine-readable
 // JSON record (BENCH_sweep.json) so CI and the performance docs can
-// track the work-stealing pool across runner changes. Runs one
+// track the runner's worker threads across runner changes. Runs one
 // Figure-6-style DES sweep (blocking Case 1, cluster axis x two message
 // sizes) at a ladder of thread counts, checks every parallel grid is
 // bitwise identical to the serial one, and records wall time + speedup

@@ -2,14 +2,14 @@
 
 /// \file batch_solver.hpp
 /// Structure-of-arrays batch evaluation of the analytic model, and the
-/// library's one fixed-point engine: solve_effective_rate and
-/// predict_latency are one-cell calls of it, and the tree's
-/// throttle-factor solve runs the same lockstep iteration as one cell
-/// (tree_model.hpp). Sweeps and the serving tier evaluate dense grids of
-/// configurations that share almost everything — the fixed-point solver
-/// is the hot path (BENCH_serve.json / BENCH_sweep.json), and solving
-/// the grid one cell at a time repeats validation, eq. (8), Section 5
-/// service times, and the MVA layout for every cell.
+/// library's one fixed-point engine: predict_latency is a one-cell call
+/// of it, and the tree's throttle-factor solve runs the same lockstep
+/// iteration as one cell (tree_model.hpp). Sweeps and the serving tier
+/// evaluate dense grids of configurations that share almost everything
+/// — the fixed-point solver is the hot path (BENCH_serve.json /
+/// BENCH_sweep.json), and solving the grid one cell at a time repeats
+/// validation, eq. (8), Section 5 service times, and the MVA layout for
+/// every cell.
 ///
 /// The batch solvers hoist that shared precomputation out of the
 /// per-cell loop and advance *all* active cells one solver iteration per

@@ -21,10 +21,9 @@
 /// optional damping); kBisection is the library default; kNone disables
 /// the correction entirely (for the ablation bench).
 ///
-/// One engine iterates it: solve_effective_rate below is a one-cell
-/// call of the batch solver's lockstep core (batch_solver.hpp), which
-/// also serves predict_latency, every grid, and the tree's
-/// throttle-factor solve (tree_model.hpp).
+/// One engine iterates it: the batch solver's lockstep core
+/// (batch_solver.hpp), which serves predict_latency (a one-cell call),
+/// every grid, and the tree's throttle-factor solve (tree_model.hpp).
 
 #include <cstdint>
 #include <vector>
@@ -88,8 +87,8 @@ struct FixedPointOptions {
   /// bracket width (hi - lo) / lambda for bisection (which therefore
   /// halves every entry). kNone/kExactMva record nothing. The vector is
   /// cleared first, so one buffer can be reused across solves. Honoured
-  /// by one-cell solves (solve_effective_rate, predict_latency, a
-  /// one-cell batch, a tree's throttle factor); larger batches ignore it.
+  /// by one-cell solves (predict_latency, a one-cell batch, a tree's
+  /// throttle factor); larger batches ignore it.
   std::vector<double>* residual_trace = nullptr;
   /// Cooperative cancellation/deadline token, polled by the iterative
   /// solvers once per iteration and by the exact-MVA recursion every
@@ -127,15 +126,6 @@ double total_queue_length(const SystemConfig& config,
                           double lambda_effective,
                           const FixedPointOptions& options);
 
-/// Solves eqs. (6)-(7) for one configuration, with `service` and
-/// `options` used as given: config.scenario is not folded in (see
-/// with_scenario; predict_latency does fold it). Throws hmcs::ConfigError
-/// for an invalid config or options — kExactMva needs a product-form
-/// network. A one-cell call of the batch engine (batch_solver.hpp).
-FixedPointResult solve_effective_rate(const SystemConfig& config,
-                                      const CenterServiceTimes& service,
-                                      const FixedPointOptions& options = {});
-
 struct HmcsMvaClassLayout;  // mva.hpp
 struct MvaClassResult;      // mva.hpp
 
@@ -143,8 +133,8 @@ namespace detail {
 
 /// The kExactMva fixed point of a solved station-class recursion over
 /// `layout`: lambda_eff = X/N, total queue sum_k m_k L_k, and one
-/// iteration per customer. The one epilogue of the engine's kExactMva
-/// case and of the kExactMva latency prediction.
+/// iteration per customer. The fixed-point part of the kExactMva
+/// latency prediction.
 FixedPointResult mva_fixed_point(const HmcsMvaClassLayout& layout,
                                  const MvaClassResult& mva,
                                  std::uint64_t total_nodes);

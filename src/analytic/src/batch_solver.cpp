@@ -211,29 +211,12 @@ void solve_group(const SystemConfig& base, const CenterServiceTimes& service,
     case SourceThrottling::kBisection:
       solve_bisection(queue, g.n, options, "fixed_point", rates, out);
       break;
-    case SourceThrottling::kExactMva: {
-      // The positive-rate cells, solved together by the lane-parallel
-      // station-class recursion (mva.hpp).
-      const HmcsMvaClassLayout layout =
-          build_hmcs_mva_class_layout(base, service);
-      std::vector<std::size_t> cells;
-      std::vector<MvaClassNetwork> networks;
-      for (std::size_t i = 0; i < rates.size(); ++i) {
-        if (rates[i] == 0.0) {
-          out[i] = zero_rate_result();
-        } else {
-          cells.push_back(i);
-          networks.push_back(MvaClassNetwork{layout.classes, 1.0 / rates[i]});
-        }
-      }
-      const std::vector<MvaClassResult> solved =
-          solve_closed_mva_classes_batch(networks, base.total_nodes(),
-                                         options.cancel);
-      for (std::size_t k = 0; k < cells.size(); ++k) {
-        out[cells[k]] = mva_fixed_point(layout, solved[k], base.total_nodes());
-      }
-      break;
-    }
+    case SourceThrottling::kExactMva:
+      // predict_latency_batch solves exact-MVA cells by population
+      // bucket and never sends them here.
+      hmcs::detail::throw_logic_error(
+          "solve_group: kExactMva cells take the population-bucketed path",
+          std::source_location::current());
   }
   record_solves(out, rates.size(), options);
 }

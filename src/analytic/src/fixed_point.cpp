@@ -117,15 +117,4 @@ void require_product_form(const FixedPointOptions& options,
 
 }  // namespace detail
 
-FixedPointResult solve_effective_rate(const SystemConfig& config,
-                                      const CenterServiceTimes& service,
-                                      const FixedPointOptions& options) {
-  config.validate();
-  const double rate = config.generation_rate_per_us;
-  FixedPointResult result;
-  detail::solve_group(config, service, options, {&rate, 1},
-                      {&options.arrival_ca2, 1}, &result);
-  return result;
-}
-
 }  // namespace hmcs::analytic

@@ -4,7 +4,7 @@
 /// The one implementation of the blocked-source fixed point, eqs.
 /// (6)-(7). Private to hmcs_analytic (not installed). Every solve runs
 /// through these templates:
-///  - solve_effective_rate and predict_latency, as one-cell calls;
+///  - predict_latency, as a one-cell call;
 ///  - predict_latency_batch, over SoA groups of cells sharing a
 ///    topology (batch_solver.cpp);
 ///  - the tree's throttle-factor solve (tree_model.cpp), as one cell at
@@ -49,7 +49,9 @@ void require_product_form(const FixedPointOptions& options,
 /// own rate is ignored). `service` and `options` are used as given, any
 /// workload scenario already folded in. Validates the options, records
 /// the call (record_solves), and honours options.residual_trace only
-/// when the group has one cell. Defined in batch_solver.cpp.
+/// when the group has one cell. kNone, kPicard and kBisection only:
+/// exact-MVA cells take predict_latency_batch's population buckets.
+/// Defined in batch_solver.cpp.
 void solve_group(const SystemConfig& base, const CenterServiceTimes& service,
                  FixedPointOptions options, std::span<const double> rates,
                  std::span<const double> ca2s, FixedPointResult* out);

@@ -37,7 +37,7 @@ enum class CellStatus : std::uint8_t {
   kTimedOut,  ///< the per-cell wall-clock deadline expired
   kDegraded,  ///< evaluated, but the result is suspect: non-converged
               ///< fixed point, saturated centre, or non-finite mean
-  kSkipped,   ///< never evaluated (cancelled sweep / abandoned lane)
+  kSkipped,   ///< never evaluated (cancelled sweep / abandoned task)
 };
 
 /// Stable wire/report names: ok|failed|timed_out|degraded|skipped.
@@ -97,7 +97,7 @@ PointResult point_result_from_json(const JsonValue& object,
 
 /// Per-point execution context handed to a backend: the point's
 /// deterministic seed, its flat index and label (used for trace track
-/// naming), the worker lane executing it, and the sweep's optional trace
+/// naming), the worker executing it, and the sweep's optional trace
 /// session for simulated-time spans.
 struct PointContext {
   std::size_t index = 0;
@@ -106,6 +106,8 @@ struct PointContext {
   /// 1-based attempt number; retries re-derive seed via
   /// retry_point_seed so attempt k is deterministic at any thread count.
   std::uint32_t attempt = 1;
+  /// Names the point's trace tracks. The runner and the serving tier
+  /// fill it only when `trace` is set and leave it empty otherwise.
   std::string label;
   std::shared_ptr<obs::TraceSession> trace;
   /// Per-cell cancellation/deadline token (valid for the duration of

@@ -1,12 +1,12 @@
 #pragma once
 
 /// \file sweep_runner.hpp
-/// Executes the point×backend grid of a SweepSpec on a work-stealing
-/// thread pool. Every cell (one backend evaluating one point) is an
-/// independent task writing to its own preallocated slot, and every
-/// point's seed is fixed at expansion time, so the result is
-/// bit-identical to a serial run for any thread count — the repo-wide
-/// determinism contract (CONTRIBUTING.md).
+/// Executes the point×backend grid of a SweepSpec on a pool of worker
+/// threads that claim tasks in index order from one shared counter.
+/// Every cell (one backend evaluating one point) writes only its own
+/// preallocated slot, and every point's seed is fixed at expansion
+/// time, so the result is bit-identical to a serial run for any thread
+/// count — the repo-wide determinism contract (CONTRIBUTING.md).
 ///
 /// Fault tolerance (docs/ROBUSTNESS.md): each cell carries a terminal
 /// CellStatus instead of poisoning the sweep. Under kFailFast (the
@@ -21,7 +21,7 @@
 /// resumable with bit-identical merged output.
 ///
 /// Observability: with a trace session attached, the sweep records one
-/// wall-clock span per cell under pid 1 (tid = worker lane), and each
+/// wall-clock span per cell under pid 1 (tid = worker), and each
 /// DES-backed point's simulator inherits the session with a distinct
 /// pid (2 + point index) so simulated-time phase spans land in their
 /// own Perfetto process group. The sweep's total wall time feeds the

@@ -49,15 +49,6 @@ bool SweepResult::all_evaluated() const {
 
 namespace {
 
-/// Per-worker task range claimed through an atomic cursor; exhausted
-/// workers steal from the other lanes' remainders. fetch_add past `end`
-/// is harmless (the claim is discarded), and every task index writes to
-/// its own result slot, so scheduling never affects the output.
-struct Lane {
-  std::atomic<std::size_t> next{0};
-  std::size_t end = 0;
-};
-
 /// One schedulable unit: a contiguous run of points through one
 /// backend. count == 1 is the per-cell path (the historical execution);
 /// count > 1 is a batch chunk for a capacity-advertising backend.
@@ -200,14 +191,17 @@ SweepResult run_sweep(const SweepSpec& spec,
       ctx.worker = worker;
       ctx.seed = retry_point_seed(point.seed, attempt);
       ctx.attempt = attempt;
-      ctx.label = point.label;
       ctx.trace = options.trace;
       ctx.cancel = &cell_token;
+      // Labels only name trace tracks: without a session none is built.
+      if (options.trace) ctx.label = point.label;
       // Wall-clock span per cell: pid 1 is the sweep's wall-clock
-      // domain, tid separates concurrent worker lanes.
+      // domain, tid separates concurrent workers.
       obs::WallClockSpan cell_span(
           options.trace.get(),
-          point.label + " [" + result.backend_names[backend] + "]",
+          options.trace
+              ? point.label + " [" + result.backend_names[backend] + "]"
+              : std::string(),
           "runner.point", 1, worker + 1);
       try {
         out = point.tree != nullptr
@@ -289,9 +283,10 @@ SweepResult run_sweep(const SweepSpec& spec,
 
     obs::WallClockSpan chunk_span(
         options.trace.get(),
-        result.points[task.first_point].label + " +" +
-            std::to_string(task.count - 1) + " [" +
-            result.backend_names[task.backend] + "]",
+        options.trace ? result.points[task.first_point].label + " +" +
+                            std::to_string(task.count - 1) + " [" +
+                            result.backend_names[task.backend] + "]"
+                      : std::string(),
         "runner.batch", 1, worker + 1);
     bool evaluated = false;
     try {
@@ -346,11 +341,11 @@ SweepResult run_sweep(const SweepSpec& spec,
 
   // The schedulable task list. With batching off (or for backends with
   // no batch path) every task is one cell in point-major order, so the
-  // task indices, lane boundaries, and claim order reproduce the
-  // historical per-cell execution exactly. With batching on, a
-  // capacity-advertising backend's points are chunked on fixed
-  // point-aligned boundaries — independent of thread count and resume
-  // state, which keeps results deterministic.
+  // task indices and claim order reproduce the historical per-cell
+  // execution exactly. With batching on, a capacity-advertising
+  // backend's points are chunked on fixed point-aligned boundaries —
+  // independent of thread count and resume state, which keeps results
+  // deterministic.
   const std::size_t n_points = result.points.size();
   // Nested tree points cannot ride the batched path: evaluate_batch
   // takes SystemConfig pointers, and a nested point's config is a
@@ -399,37 +394,27 @@ SweepResult run_sweep(const SweepSpec& spec,
   threads = static_cast<std::uint32_t>(
       std::min<std::size_t>(threads, tasks.size()));
 
-  // Static block partition into per-worker lanes; finished workers
-  // steal from the tail of the busiest survivors. The cheap analytic
-  // cells drain instantly, so stealing is what keeps every core on the
-  // expensive DES/fabric cells.
-  std::vector<Lane> lanes(threads);
-  for (std::uint32_t w = 0; w < threads; ++w) {
-    lanes[w].next.store(tasks.size() * w / threads, std::memory_order_relaxed);
-    lanes[w].end = tasks.size() * (w + 1) / threads;
-  }
-
+  // Workers claim tasks in index order from one shared counter. A
+  // claim past the end is discarded, and every task writes only its own
+  // result slots, so which worker runs a task never affects the output.
+  std::atomic<std::size_t> next_task{0};
   std::atomic<bool> failed{false};
   std::exception_ptr first_error;
   std::mutex error_mutex;
 
   auto worker_body = [&](std::uint32_t w) {
     std::exception_ptr fail_fast_error;
-    for (std::uint32_t victim = 0; victim < threads; ++victim) {
-      Lane& lane = lanes[(w + victim) % threads];
-      while (!failed.load(std::memory_order_relaxed) && !sweep_cancelled()) {
-        const std::size_t task =
-            lane.next.fetch_add(1, std::memory_order_relaxed);
-        if (task >= lane.end) break;
-        if (!run_task(tasks[task], w, fail_fast_error)) return;  // cancelled
-        if (fail_fast_error) {
-          const std::scoped_lock lock(error_mutex);
-          if (!first_error) first_error = fail_fast_error;
-          failed.store(true, std::memory_order_relaxed);
-          return;
-        }
+    while (!failed.load(std::memory_order_relaxed) && !sweep_cancelled()) {
+      const std::size_t task =
+          next_task.fetch_add(1, std::memory_order_relaxed);
+      if (task >= tasks.size()) return;
+      if (!run_task(tasks[task], w, fail_fast_error)) return;  // cancelled
+      if (fail_fast_error) {
+        const std::scoped_lock lock(error_mutex);
+        if (!first_error) first_error = fail_fast_error;
+        failed.store(true, std::memory_order_relaxed);
+        return;
       }
-      if (failed.load(std::memory_order_relaxed) || sweep_cancelled()) break;
     }
   };
 

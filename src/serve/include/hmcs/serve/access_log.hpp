@@ -2,13 +2,11 @@
 
 /// \file access_log.hpp
 /// Structured JSON-lines access log for hmcs_serve: one line per
-/// finished request, written by a dedicated consumer thread behind a
-/// lock-free bounded MPMC ring (Vyukov's algorithm — per-cell sequence
-/// numbers, a CAS to claim a slot, no mutex anywhere on the producer
-/// side). When the ring is full the line is *shed* and counted, never
-/// blocking the request path: the log is an observability aid, and an
-/// observability aid that can stall the service under load would be
-/// worse than none.
+/// finished request, written by a dedicated writer thread behind a
+/// bounded FIFO queue (bounded_queue.hpp). When the queue is full the
+/// line is *shed* and counted, never blocking the request path: the
+/// log is an observability aid, and an observability aid that can
+/// stall the service under load would be worse than none.
 ///
 /// Line schema (docs/SERVING.md):
 ///
@@ -21,13 +19,12 @@
 /// The service composes the line; this class only moves bytes.
 
 #include <atomic>
-#include <condition_variable>
 #include <cstdint>
 #include <fstream>
-#include <mutex>
 #include <string>
 #include <thread>
-#include <vector>
+
+#include "hmcs/serve/bounded_queue.hpp"
 
 namespace hmcs::serve {
 
@@ -35,31 +32,31 @@ class AccessLog {
  public:
   struct Options {
     std::string path;
-    /// Ring capacity in lines; rounded up to a power of two, min 8.
+    /// Queue capacity in lines, min 8.
     std::size_t capacity = 4096;
-    /// How long the writer sleeps when the ring drains empty.
+    /// How often the writer takes the queued lines and writes them.
     unsigned flush_interval_ms = 50;
   };
 
   struct Stats {
-    std::uint64_t appended = 0;  ///< lines accepted into the ring
+    std::uint64_t appended = 0;  ///< lines accepted into the queue
     std::uint64_t written = 0;   ///< lines flushed to the file
-    std::uint64_t shed = 0;      ///< lines dropped on a full ring
+    std::uint64_t shed = 0;      ///< lines dropped on a full queue
   };
 
   /// Opens `path` for append and starts the writer thread. Throws
   /// hmcs::ConfigError when the file cannot be opened.
   explicit AccessLog(const Options& options);
 
-  /// Drains the ring, flushes, and joins the writer.
+  /// Writes every queued line, flushes, and joins the writer.
   ~AccessLog();
 
   AccessLog(const AccessLog&) = delete;
   AccessLog& operator=(const AccessLog&) = delete;
 
-  /// Lock-free from any thread: enqueues one line (no trailing
-  /// newline). Returns false — and counts a shed — when the ring is
-  /// full. Never blocks.
+  /// From any thread: enqueues one line (no trailing newline). Returns
+  /// false — and counts a shed — when the queue is full. Never waits
+  /// for the writer.
   bool try_append(std::string line);
 
   /// Blocks until every line appended before the call is on disk.
@@ -69,25 +66,11 @@ class AccessLog {
   Stats stats() const;
 
  private:
-  struct Cell {
-    std::atomic<std::size_t> sequence{0};
-    std::string line;
-  };
-
-  void writer_loop();
-
-  std::vector<Cell> ring_;
-  std::size_t mask_ = 0;
-  alignas(64) std::atomic<std::size_t> enqueue_pos_{0};
-  alignas(64) std::atomic<std::size_t> dequeue_pos_{0};
-  alignas(64) std::atomic<std::uint64_t> appended_{0};
+  BoundedQueue<std::string> lines_;
+  std::atomic<std::uint64_t> appended_{0};
   std::atomic<std::uint64_t> written_{0};
   std::atomic<std::uint64_t> shed_{0};
-  std::atomic<bool> stopping_{false};
-
-  std::ofstream out_;
-  std::mutex wake_mutex_;
-  std::condition_variable wake_cv_;
+  std::ofstream out_;  ///< touched only by writer_
   std::thread writer_;
 };
 

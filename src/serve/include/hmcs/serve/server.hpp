@@ -3,7 +3,7 @@
 /// \file server.hpp
 /// The TCP front-end of hmcs_serve: JSON-lines over a plain socket.
 /// One reader thread per connection splits the byte stream into lines
-/// and submits each to the work-stealing pool; replies are written back
+/// and submits each to the worker pool; replies are written back
 /// on the same socket under a per-connection write mutex (replies may
 /// be reordered relative to requests — correlate with "id").
 ///
@@ -135,7 +135,7 @@ class ServeServer {
 
   Options options_;
   ServeService service_;
-  WorkStealingPool pool_;
+  ThreadPool pool_;
   int listen_fd_ = -1;
   std::uint16_t port_ = 0;
   std::atomic<bool> stopping_{false};

@@ -114,8 +114,8 @@ class SnapshotWriter {
   Options options_;
   std::atomic<std::uint64_t> saves_{0};
   std::atomic<std::uint64_t> failures_{0};
-  std::atomic<bool> stopping_{false};
   std::mutex wake_mutex_;
+  bool stopping_ = false;  ///< guarded by wake_mutex_
   std::condition_variable wake_cv_;
   std::thread writer_;
 };

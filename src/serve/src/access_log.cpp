@@ -1,103 +1,52 @@
 #include "hmcs/serve/access_log.hpp"
 
-#include <bit>
+#include <algorithm>
 #include <chrono>
+#include <deque>
 #include <utility>
 
 #include "hmcs/util/error.hpp"
 
 namespace hmcs::serve {
 
-AccessLog::AccessLog(const Options& options) {
-  std::size_t capacity = options.capacity < 8 ? 8 : options.capacity;
-  capacity = std::bit_ceil(capacity);
-  ring_ = std::vector<Cell>(capacity);
-  mask_ = capacity - 1;
-  for (std::size_t i = 0; i < capacity; ++i) {
-    ring_[i].sequence.store(i, std::memory_order_relaxed);
-  }
-
+AccessLog::AccessLog(const Options& options)
+    : lines_(std::max<std::size_t>(options.capacity, 8)) {
   out_.open(options.path, std::ios::out | std::ios::app);
   require(out_.is_open(),
           "serve access log: cannot open '" + options.path + "'");
 
-  const unsigned interval =
-      options.flush_interval_ms == 0 ? 1 : options.flush_interval_ms;
+  const std::chrono::milliseconds interval(
+      std::max(options.flush_interval_ms, 1u));
   writer_ = std::thread([this, interval] {
-    while (true) {
-      {
-        std::unique_lock lock(wake_mutex_);
-        wake_cv_.wait_for(lock, std::chrono::milliseconds(interval), [this] {
-          return stopping_.load(std::memory_order_acquire);
-        });
-      }
-      writer_loop();
-      if (stopping_.load(std::memory_order_acquire)) {
-        writer_loop();  // final drain: appends racing stop are rare, small
-        return;
-      }
+    std::deque<std::string> batch;
+    for (bool open = true; open;) {
+      // Take the lines under the queue's lock, write them outside it.
+      open = lines_.pop_all_after(interval, batch);
+      if (batch.empty()) continue;
+      for (const std::string& line : batch) out_ << line << '\n';
+      out_.flush();
+      written_.fetch_add(batch.size(), std::memory_order_release);
     }
   });
 }
 
 AccessLog::~AccessLog() {
-  stopping_.store(true, std::memory_order_release);
-  wake_cv_.notify_all();
+  lines_.close();
   if (writer_.joinable()) writer_.join();
 }
 
 bool AccessLog::try_append(std::string line) {
-  std::size_t pos = enqueue_pos_.load(std::memory_order_relaxed);
-  for (;;) {
-    Cell& cell = ring_[pos & mask_];
-    const std::size_t seq = cell.sequence.load(std::memory_order_acquire);
-    const std::intptr_t diff = static_cast<std::intptr_t>(seq) -
-                               static_cast<std::intptr_t>(pos);
-    if (diff == 0) {
-      if (enqueue_pos_.compare_exchange_weak(pos, pos + 1,
-                                             std::memory_order_relaxed)) {
-        cell.line = std::move(line);
-        cell.sequence.store(pos + 1, std::memory_order_release);
-        appended_.fetch_add(1, std::memory_order_release);
-        return true;
-      }
-    } else if (diff < 0) {
-      // The consumer has not freed this slot yet: ring full. Shed.
-      shed_.fetch_add(1, std::memory_order_relaxed);
-      return false;
-    } else {
-      pos = enqueue_pos_.load(std::memory_order_relaxed);
-    }
+  if (!lines_.try_push(std::move(line))) {
+    shed_.fetch_add(1, std::memory_order_relaxed);
+    return false;
   }
-}
-
-void AccessLog::writer_loop() {
-  bool wrote = false;
-  for (;;) {
-    const std::size_t pos = dequeue_pos_.load(std::memory_order_relaxed);
-    Cell& cell = ring_[pos & mask_];
-    const std::size_t seq = cell.sequence.load(std::memory_order_acquire);
-    if (static_cast<std::intptr_t>(seq) !=
-        static_cast<std::intptr_t>(pos) + 1) {
-      break;  // ring empty (or producer mid-publish; next tick gets it)
-    }
-    out_ << cell.line << '\n';
-    cell.line.clear();
-    cell.line.shrink_to_fit();
-    // Free the slot for the producer one lap ahead.
-    cell.sequence.store(pos + mask_ + 1, std::memory_order_release);
-    dequeue_pos_.store(pos + 1, std::memory_order_relaxed);
-    wrote = true;
-    written_.fetch_add(1, std::memory_order_release);
-  }
-  if (wrote) out_.flush();
+  appended_.fetch_add(1, std::memory_order_release);
+  return true;
 }
 
 void AccessLog::flush() {
   const std::uint64_t target = appended_.load(std::memory_order_acquire);
-  wake_cv_.notify_all();
-  while (written_.load(std::memory_order_acquire) < target &&
-         !stopping_.load(std::memory_order_acquire)) {
+  while (written_.load(std::memory_order_acquire) < target) {
     std::this_thread::sleep_for(std::chrono::milliseconds(1));
   }
 }

@@ -369,14 +369,15 @@ ServeService::EvalOutcome ServeService::evaluate(const ServeRequest& request,
                             : options_.default_deadline_ms;
   token.set_deadline_after_ms(budget);
 
-  // The request number rides along in the point label, so backend spans
-  // and journal labels correlate with the access log and reply timing.
-  const std::string label =
-      "serve " + request.backend_kind + " " + trace_tag(trace.seq);
   runner::PointContext ctx;
   ctx.index = static_cast<std::size_t>(trace.seq);
   ctx.seed = request.seed;
-  ctx.label = label;
+  // The request number rides along in the point label, so backend spans
+  // correlate with the access log and reply timing. Labels only name
+  // trace tracks: without a session none is built.
+  if (options_.trace) {
+    ctx.label = "serve " + request.backend_kind + " " + trace_tag(trace.seq);
+  }
   ctx.trace = options_.trace;
   ctx.cancel = &token;
 

@@ -209,19 +209,20 @@ SnapshotSaveReport SnapshotWriter::save_now() {
 }
 
 void SnapshotWriter::stop() {
-  stopping_.store(true, std::memory_order_relaxed);
+  {
+    const std::scoped_lock lock(wake_mutex_);
+    stopping_ = true;
+  }
   wake_cv_.notify_all();
   if (writer_.joinable()) writer_.join();
 }
 
 void SnapshotWriter::writer_loop() {
   std::unique_lock lock(wake_mutex_);
-  while (!stopping_.load(std::memory_order_relaxed)) {
+  while (!stopping_) {
     wake_cv_.wait_for(lock, std::chrono::milliseconds(options_.interval_ms),
-                      [this] {
-                        return stopping_.load(std::memory_order_relaxed);
-                      });
-    if (stopping_.load(std::memory_order_relaxed)) return;
+                      [this] { return stopping_; });
+    if (stopping_) return;
     lock.unlock();
     save_now();
     lock.lock();

@@ -77,7 +77,8 @@ inline FixedPointResult solve_bisection(const SystemConfig& config,
                           iterations, (hi - lo) <= options.tolerance * lambda};
 }
 
-/// solve_effective_rate's contract: `service` and `options` as given.
+/// The fixed point of one configuration at its own rate, with `service`
+/// and `options` used as given (no workload scenario folded in).
 inline FixedPointResult solve_effective_rate(
     const SystemConfig& config, const CenterServiceTimes& service,
     const FixedPointOptions& options = {}) {

@@ -6,6 +6,7 @@
 #include <cmath>
 
 #include "hmcs/analytic/fixed_point.hpp"
+#include "hmcs/analytic/latency_model.hpp"
 #include "hmcs/analytic/scenario.hpp"
 #include "hmcs/util/error.hpp"
 
@@ -27,11 +28,18 @@ SystemConfig heavy_config() {
                         kPaperRatePerUs);  // 0.25 msg/ms
 }
 
+/// The fixed point as predict_latency reports it, under `options`.
+LatencyPrediction solve(const SystemConfig& config,
+                        const FixedPointOptions& options = {}) {
+  ModelOptions model;
+  model.fixed_point = options;
+  return predict_latency(config, model);
+}
+
 TEST(FixedPoint, LightLoadKeepsOfferedRate) {
   const SystemConfig config = light_config();
-  const CenterServiceTimes service = center_service_times(config);
-  const FixedPointResult result = solve_effective_rate(config, service);
-  EXPECT_TRUE(result.converged);
+  const LatencyPrediction result = solve(config);
+  EXPECT_TRUE(result.fixed_point_converged);
   EXPECT_NEAR(result.lambda_effective, config.generation_rate_per_us,
               1e-3 * config.generation_rate_per_us);
   // At 0.25 msg/s total offered work is ~0.06% of capacity; only a few
@@ -41,9 +49,8 @@ TEST(FixedPoint, LightLoadKeepsOfferedRate) {
 
 TEST(FixedPoint, HeavyLoadThrottles) {
   const SystemConfig config = heavy_config();
-  const CenterServiceTimes service = center_service_times(config);
-  const FixedPointResult result = solve_effective_rate(config, service);
-  EXPECT_TRUE(result.converged);
+  const LatencyPrediction result = solve(config);
+  EXPECT_TRUE(result.fixed_point_converged);
   EXPECT_LT(result.lambda_effective, 0.5 * config.generation_rate_per_us);
   EXPECT_GT(result.total_queue_length, 10.0);
   EXPECT_LE(result.total_queue_length,
@@ -56,8 +63,7 @@ TEST(FixedPoint, SolutionIsSelfConsistent) {
     for (const std::uint32_t clusters : {1u, 2u, 16u, 256u}) {
       const SystemConfig config = paper_scenario(
           hetero, clusters, NetworkArchitecture::kNonBlocking, 1024.0);
-      const CenterServiceTimes service = center_service_times(config);
-      const FixedPointResult result = solve_effective_rate(config, service);
+      const LatencyPrediction result = solve(config);
       const double n = static_cast<double>(config.total_nodes());
       const double recomputed =
           config.generation_rate_per_us * (n - result.total_queue_length) / n;
@@ -70,14 +76,13 @@ TEST(FixedPoint, SolutionIsSelfConsistent) {
 
 TEST(FixedPoint, PicardAgreesWithBisectionWhenItConverges) {
   const SystemConfig config = light_config();
-  const CenterServiceTimes service = center_service_times(config);
   FixedPointOptions picard;
   picard.method = SourceThrottling::kPicard;
   FixedPointOptions bisect;
   bisect.method = SourceThrottling::kBisection;
-  const FixedPointResult a = solve_effective_rate(config, service, picard);
-  const FixedPointResult b = solve_effective_rate(config, service, bisect);
-  ASSERT_TRUE(a.converged);
+  const LatencyPrediction a = solve(config, picard);
+  const LatencyPrediction b = solve(config, bisect);
+  ASSERT_TRUE(a.fixed_point_converged);
   EXPECT_NEAR(a.lambda_effective, b.lambda_effective,
               1e-6 * config.generation_rate_per_us);
 }
@@ -85,15 +90,14 @@ TEST(FixedPoint, PicardAgreesWithBisectionWhenItConverges) {
 TEST(FixedPoint, DampedPicardHandlesModerateLoad) {
   SystemConfig config = heavy_config();
   config.generation_rate_per_us = 0.4e-4;  // rho just under saturation
-  const CenterServiceTimes service = center_service_times(config);
   FixedPointOptions picard;
   picard.method = SourceThrottling::kPicard;
   picard.picard_damping = 0.3;
   picard.max_iterations = 5000;
   picard.tolerance = 1e-10;
-  const FixedPointResult a = solve_effective_rate(config, service, picard);
-  const FixedPointResult b = solve_effective_rate(config, service);
-  if (a.converged) {
+  const LatencyPrediction a = solve(config, picard);
+  const LatencyPrediction b = solve(config);
+  if (a.fixed_point_converged) {
     EXPECT_NEAR(a.lambda_effective, b.lambda_effective,
                 0.02 * config.generation_rate_per_us);
   }
@@ -101,10 +105,9 @@ TEST(FixedPoint, DampedPicardHandlesModerateLoad) {
 
 TEST(FixedPoint, NoneReturnsOfferedRate) {
   const SystemConfig config = heavy_config();
-  const CenterServiceTimes service = center_service_times(config);
   FixedPointOptions none;
   none.method = SourceThrottling::kNone;
-  const FixedPointResult result = solve_effective_rate(config, service, none);
+  const LatencyPrediction result = solve(config, none);
   EXPECT_DOUBLE_EQ(result.lambda_effective, config.generation_rate_per_us);
   // At the raw rate the FE path is saturated: L snaps to N.
   EXPECT_DOUBLE_EQ(result.total_queue_length,
@@ -113,11 +116,10 @@ TEST(FixedPoint, NoneReturnsOfferedRate) {
 
 TEST(FixedPoint, MvaAgreesWithBisectionAtLightLoad) {
   const SystemConfig config = light_config();
-  const CenterServiceTimes service = center_service_times(config);
   FixedPointOptions mva;
   mva.method = SourceThrottling::kExactMva;
-  const FixedPointResult a = solve_effective_rate(config, service, mva);
-  const FixedPointResult b = solve_effective_rate(config, service);
+  const LatencyPrediction a = solve(config, mva);
+  const LatencyPrediction b = solve(config);
   EXPECT_NEAR(a.lambda_effective, b.lambda_effective,
               1e-3 * config.generation_rate_per_us);
 }
@@ -138,9 +140,7 @@ TEST(FixedPoint, EffectiveRateMonotoneInOfferedRate) {
   for (const double rate : {0.5e-4, 1e-4, 2e-4, 4e-4, 8e-4}) {
     SystemConfig config = heavy_config();
     config.generation_rate_per_us = rate;
-    const CenterServiceTimes service = center_service_times(config);
-    const double eff =
-        solve_effective_rate(config, service).lambda_effective;
+    const double eff = solve(config).lambda_effective;
     EXPECT_GE(eff, previous - 1e-12);
     EXPECT_LE(eff, rate);
     previous = eff;
@@ -155,7 +155,6 @@ TEST(FixedPoint, ZeroGenerationRateConvergesAtZero) {
   SystemConfig config = light_config();
   config.generation_rate_per_us = 0.0;
   config.validate();  // zero load is a valid configuration
-  const CenterServiceTimes service = center_service_times(config);
 
   for (const SourceThrottling method :
        {SourceThrottling::kPicard, SourceThrottling::kBisection,
@@ -164,12 +163,11 @@ TEST(FixedPoint, ZeroGenerationRateConvergesAtZero) {
     options.method = method;
     std::vector<double> residuals;
     options.residual_trace = &residuals;
-    const FixedPointResult result =
-        solve_effective_rate(config, service, options);
-    EXPECT_TRUE(result.converged) << static_cast<int>(method);
+    const LatencyPrediction result = solve(config, options);
+    EXPECT_TRUE(result.fixed_point_converged) << static_cast<int>(method);
     EXPECT_DOUBLE_EQ(result.lambda_effective, 0.0);
     EXPECT_DOUBLE_EQ(result.total_queue_length, 0.0);
-    EXPECT_EQ(result.iterations, 0u);
+    EXPECT_EQ(result.fixed_point_iterations, 0u);
     for (const double r : residuals) EXPECT_FALSE(std::isnan(r));
   }
 }
@@ -179,13 +177,13 @@ TEST(FixedPoint, Validation) {
   const CenterServiceTimes service = center_service_times(config);
   FixedPointOptions bad;
   bad.tolerance = 0.0;
-  EXPECT_THROW(solve_effective_rate(config, service, bad), hmcs::ConfigError);
+  EXPECT_THROW(solve(config, bad), hmcs::ConfigError);
   bad = {};
   bad.max_iterations = 0;
-  EXPECT_THROW(solve_effective_rate(config, service, bad), hmcs::ConfigError);
+  EXPECT_THROW(solve(config, bad), hmcs::ConfigError);
   bad = {};
   bad.picard_damping = 1.5;
-  EXPECT_THROW(solve_effective_rate(config, service, bad), hmcs::ConfigError);
+  EXPECT_THROW(solve(config, bad), hmcs::ConfigError);
   EXPECT_THROW(total_queue_length(config, service, -1.0,
                                   QueueLengthRule::kPaperEq6),
                hmcs::ConfigError);

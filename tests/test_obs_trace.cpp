@@ -12,6 +12,7 @@
 #include <string>
 
 #include "hmcs/analytic/fixed_point.hpp"
+#include "hmcs/analytic/latency_model.hpp"
 #include "hmcs/analytic/scenario.hpp"
 #include "hmcs/analytic/tree_io.hpp"
 #include "hmcs/obs/sampler.hpp"
@@ -204,25 +205,23 @@ TEST(ObsTrace, BisectionResidualTraceDecaysMonotonically) {
       analytic::HeterogeneityCase::kCase1, 4,
       analytic::NetworkArchitecture::kNonBlocking, 1024.0, 256,
       analytic::kPaperRatePerUs);
-  const analytic::CenterServiceTimes service =
-      analytic::center_service_times(config);
   std::vector<double> residuals;
-  analytic::FixedPointOptions options;
-  options.method = analytic::SourceThrottling::kBisection;
-  options.tolerance = 1e-9;
-  options.residual_trace = &residuals;
-  const analytic::FixedPointResult result =
-      analytic::solve_effective_rate(config, service, options);
-  EXPECT_TRUE(result.converged);
+  analytic::ModelOptions options;
+  options.fixed_point.method = analytic::SourceThrottling::kBisection;
+  options.fixed_point.tolerance = 1e-9;
+  options.fixed_point.residual_trace = &residuals;
+  const analytic::LatencyPrediction result =
+      analytic::predict_latency(config, options);
+  EXPECT_TRUE(result.fixed_point_converged);
   ASSERT_GE(residuals.size(), 2u);
-  EXPECT_EQ(residuals.size(), result.iterations);
+  EXPECT_EQ(residuals.size(), result.fixed_point_iterations);
   for (std::size_t i = 1; i < residuals.size(); ++i) {
     EXPECT_LT(residuals[i], residuals[i - 1]);
   }
-  EXPECT_LE(residuals.back(), options.tolerance);
+  EXPECT_LE(residuals.back(), options.fixed_point.tolerance);
   // The same buffer is cleared and refilled on reuse.
-  analytic::solve_effective_rate(config, service, options);
-  EXPECT_EQ(residuals.size(), result.iterations);
+  analytic::predict_latency(config, options);
+  EXPECT_EQ(residuals.size(), result.fixed_point_iterations);
 }
 
 TEST(ObsTrace, WriteFileRejectsBadPath) {

@@ -1,7 +1,7 @@
 // Tests for the hmcs_serve layer: the sharded LRU cache, canonical
 // request keys, the service's cache/single-flight/deadline semantics,
-// the bounded work-stealing pool, and the TCP server's graceful drain
-// (every accepted request answered, over real sockets).
+// the bounded queue and the worker pool behind it, and the TCP server's
+// graceful drain (every accepted request answered, over real sockets).
 
 #include <arpa/inet.h>
 #include <netinet/in.h>
@@ -12,6 +12,7 @@
 #include <chrono>
 #include <condition_variable>
 #include <cstring>
+#include <deque>
 #include <future>
 #include <mutex>
 #include <optional>
@@ -21,6 +22,7 @@
 
 #include <gtest/gtest.h>
 
+#include "hmcs/serve/bounded_queue.hpp"
 #include "hmcs/serve/cache.hpp"
 #include "hmcs/serve/request.hpp"
 #include "hmcs/serve/server.hpp"
@@ -412,10 +414,70 @@ TEST(ServeService, EvaluatesNestedTreeRequests) {
 }
 
 // ---------------------------------------------------------------------------
-// WorkStealingPool
+// BoundedQueue
+
+TEST(ServeQueue, RefusesAtTheLimitAndAfterClose) {
+  serve::BoundedQueue<int> queue(2);
+  EXPECT_TRUE(queue.try_push(1));
+  EXPECT_TRUE(queue.try_push(2));
+  EXPECT_FALSE(queue.try_push(3));  // full
+  EXPECT_EQ(queue.size(), 2u);
+  EXPECT_EQ(queue.pop(), std::optional<int>(1));
+  EXPECT_TRUE(queue.try_push(3));  // room again
+  queue.close();
+  EXPECT_FALSE(queue.try_push(4));  // closed, though not full
+  // Items queued before the close are still handed out.
+  EXPECT_EQ(queue.pop(), std::optional<int>(2));
+  EXPECT_EQ(queue.pop(), std::optional<int>(3));
+  EXPECT_EQ(queue.pop(), std::nullopt);
+}
+
+TEST(ServeQueue, ReturnsItemsInFifoOrder) {
+  serve::BoundedQueue<int> queue(8);
+  for (int i = 0; i < 8; ++i) ASSERT_TRUE(queue.try_push(i));
+  for (int i = 0; i < 4; ++i) EXPECT_EQ(queue.pop(), std::optional<int>(i));
+  std::deque<int> batch;
+  EXPECT_TRUE(queue.pop_all_after(std::chrono::milliseconds(1), batch));
+  EXPECT_EQ(batch, (std::deque<int>{4, 5, 6, 7}));
+  EXPECT_EQ(queue.size(), 0u);
+  ASSERT_TRUE(queue.try_push(8));
+  queue.close();
+  // A closed queue returns its last items at once, without the timeout.
+  EXPECT_FALSE(queue.pop_all_after(std::chrono::hours(1), batch));
+  EXPECT_EQ(batch, std::deque<int>{8});
+}
+
+TEST(ServeQueue, CloseWakesEveryBlockedPop) {
+  serve::BoundedQueue<int> queue(4);
+  std::atomic<int> waiting{0};
+  std::vector<std::future<std::optional<int>>> pops;
+  for (int i = 0; i < 3; ++i) {
+    pops.push_back(std::async(std::launch::async, [&] {
+      waiting.fetch_add(1);
+      return queue.pop();
+    }));
+  }
+  std::future<bool> batch_pop = std::async(std::launch::async, [&] {
+    std::deque<int> batch;
+    return queue.pop_all_after(std::chrono::hours(1), batch);
+  });
+  while (waiting.load() != 3) std::this_thread::yield();
+  queue.close();
+  for (auto& pop : pops) {
+    ASSERT_EQ(pop.wait_for(std::chrono::seconds(10)),
+              std::future_status::ready);
+    EXPECT_EQ(pop.get(), std::nullopt);
+  }
+  ASSERT_EQ(batch_pop.wait_for(std::chrono::seconds(10)),
+            std::future_status::ready);
+  EXPECT_FALSE(batch_pop.get());
+}
+
+// ---------------------------------------------------------------------------
+// ThreadPool
 
 TEST(ServePool, RunsEverythingAndBoundsTheQueue) {
-  serve::WorkStealingPool pool(2, 4);
+  serve::ThreadPool pool(2, 4);
   std::atomic<int> ran{0};
   std::mutex gate_mutex;
   std::condition_variable gate_cv;
@@ -452,38 +514,58 @@ TEST(ServePool, RunsEverythingAndBoundsTheQueue) {
 }
 
 TEST(ServePool, SubmissionBeforeAnIdleWorkerWaitsIsNotLost) {
-  // Forces the lost-wakeup interleaving: the lone worker has found every
-  // lane empty and is held just before its wait while a task is
-  // submitted and notified. Released, it must still run the task. The
-  // pool has no wait timeout, so a worker that only listened for the
-  // notify would sleep through it until drain.
-  std::mutex hook_mutex;
-  std::condition_variable hook_cv;
-  bool held = false;
-  bool released = false;
-  int idle_calls = 0;
-  serve::WorkStealingPool pool(1, 4, [&](std::uint32_t) {
-    std::unique_lock<std::mutex> lock(hook_mutex);
-    if (++idle_calls > 1) return;  // hold only the first idle window
-    held = true;
-    hook_cv.notify_all();
-    hook_cv.wait(lock, [&] { return released; });
-  });
-  {
-    std::unique_lock<std::mutex> lock(hook_mutex);
-    hook_cv.wait(lock, [&] { return held; });
-  }
+  // The lone worker runs one task, goes back to the queue and waits;
+  // a task submitted then must wake it. The pool has no wait timeout,
+  // so a lost wake-up would leave the task unrun until drain.
+  serve::ThreadPool pool(1, 4);
+  std::promise<void> first_ran;
+  ASSERT_TRUE(pool.try_submit([&] { first_ran.set_value(); }));
+  first_ran.get_future().wait();
+  // Give the worker time to return to the queue and block in its wait.
+  std::this_thread::sleep_for(std::chrono::milliseconds(20));
   std::promise<void> ran;
   const std::future<void> done = ran.get_future();
   ASSERT_TRUE(pool.try_submit([&] { ran.set_value(); }));
-  {
-    const std::scoped_lock lock(hook_mutex);
-    released = true;
-  }
-  hook_cv.notify_all();
   EXPECT_EQ(done.wait_for(std::chrono::seconds(10)),
             std::future_status::ready);
   pool.drain();
+}
+
+TEST(ServePool, ContendedSubmissionsRunEachAcceptedTaskExactlyOnce) {
+  // Four producers race three workers over a short queue, so both
+  // acceptances and refusals happen. Every accepted task must run
+  // exactly once, every refused one never.
+  constexpr std::size_t kProducers = 4;
+  constexpr std::size_t kTasksEach = 2000;
+  constexpr std::size_t kTasks = kProducers * kTasksEach;
+  std::vector<std::atomic<int>> runs(kTasks);
+  std::vector<char> accepted(kTasks, 0);  // each producer writes its own
+  {
+    serve::ThreadPool pool(3, 8);
+    std::vector<std::thread> producers;
+    for (std::size_t p = 0; p < kProducers; ++p) {
+      producers.emplace_back([&, p] {
+        for (std::size_t id = p * kTasksEach; id < (p + 1) * kTasksEach;
+             ++id) {
+          accepted[id] = pool.try_submit([&runs, id] { runs[id]++; }) ? 1 : 0;
+        }
+      });
+    }
+    for (std::thread& producer : producers) producer.join();
+    pool.drain();
+  }
+  std::size_t total_accepted = 0;
+  std::size_t total_refused = 0;
+  for (std::size_t id = 0; id < kTasks; ++id) {
+    EXPECT_EQ(runs[id].load(), accepted[id]) << "task " << id;
+    if (accepted[id] != 0) {
+      ++total_accepted;
+    } else {
+      ++total_refused;
+    }
+  }
+  EXPECT_EQ(total_accepted + total_refused, kTasks);
+  EXPECT_GT(total_accepted, 0u);
 }
 
 // ---------------------------------------------------------------------------

@@ -1,5 +1,5 @@
 // hmcs_run — the config-driven sweep front-end: load a JSON sweep
-// config (runner/sweep_config.hpp), execute it on the work-stealing
+// config (runner/sweep_config.hpp), execute it on the multi-threaded
 // runner, and emit the standard artifact set. Any study expressible as
 // axes × backends runs from here without writing a new binary, the
 // paper's Figures 4-7 included (configs/sweeps/fig{4,5,6,7}.json); the

@@ -1,6 +1,6 @@
 // hmcs_serve — the model-as-a-service daemon: accepts JSON-lines
 // queries over TCP (one SystemConfig + backend per line, the sweep
-// vocabulary), evaluates them on a work-stealing pool, and answers from
+// vocabulary), evaluates them on a bounded worker pool, and answers from
 // a sharded LRU result cache with single-flight coalescing of duplicate
 // in-flight keys. See docs/SERVING.md for the protocol.
 //
