@@ -147,7 +147,7 @@ template <typename T>
 std::string document(const T& value) {
   JsonWriter json;
   write_json(json, value);
-  return json.str();
+  return std::move(json).str();
 }
 
 }  // namespace

@@ -30,19 +30,19 @@ CenterIndex index_centers(const FlatTreeView& view,
   return index;
 }
 
-/// Arrival rate of every centre at throttle factor `phi`, aligned with
-/// the tree_centers vector. A node's network carries the traffic its
-/// children send past each other (a leaf child excludes only the source
-/// processor — intra-group messages still cross the network; an internal
-/// child excludes its whole subtree, handled at a deeper LCA); an egress
-/// carries the subtree's exit plus entry traffic.
-std::vector<double> center_arrival_rates(const FlatTreeView& view,
-                                         const std::vector<TreeCenter>& centers,
-                                         double phi) {
+/// Arrival rate of every centre at throttle factor `phi` into `rates`,
+/// aligned with the tree_centers vector. A node's network carries the
+/// traffic its children send past each other (a leaf child excludes
+/// only the source processor — intra-group messages still cross the
+/// network; an internal child excludes its whole subtree, handled at a
+/// deeper LCA); an egress carries the subtree's exit plus entry traffic.
+void center_arrival_rates(const FlatTreeView& view,
+                          const std::vector<TreeCenter>& centers, double phi,
+                          std::vector<double>& rates) {
   const double n = static_cast<double>(view.total_processors);
   const double total_gen = view.total_generation_rate * phi;
-  std::vector<double> rates(centers.size(), 0.0);
-  if (n <= 1.0) return rates;  // no destinations: nothing ever routes
+  rates.assign(centers.size(), 0.0);
+  if (n <= 1.0) return;  // no destinations: nothing ever routes
   const double denom = n - 1.0;
   for (std::size_t c = 0; c < centers.size(); ++c) {
     const FlatNode& node = view.nodes[centers[c].node];
@@ -69,23 +69,44 @@ std::vector<double> center_arrival_rates(const FlatTreeView& view,
     }
     rates[c] = rate;
   }
-  return rates;
 }
+
+/// What every L(phi) evaluation of one open-tree solve shares: each
+/// centre's effective service, computed once, and the arrival-rate
+/// buffer each evaluation refills, so a phi evaluation allocates
+/// nothing.
+struct ThrottleCenters {
+  ThrottleCenters(const FlatTreeView& tree_view,
+                  const std::vector<TreeCenter>& tree_centers,
+                  const FixedPointOptions& fp)
+      : view(tree_view), centers(tree_centers) {
+    service.reserve(centers.size());
+    for (const TreeCenter& center : centers) {
+      service.push_back(effective_service(center.service.service_rate(),
+                                          fp.service_cv2, fp));
+    }
+    rates.reserve(centers.size());
+  }
+
+  const FlatTreeView& view;
+  const std::vector<TreeCenter>& centers;
+  std::vector<EffectiveService> service;
+  std::vector<double> rates;  ///< at the phi of the last evaluation
+};
 
 /// L(phi) per the chosen queue rule, capped at N; N when any centre is
 /// saturated (mirrors analytic::total_queue_length).
-double queue_length_at(const FlatTreeView& view,
-                       const std::vector<TreeCenter>& centers,
-                       const FixedPointOptions& fp, double phi) {
-  const std::vector<double> rates = center_arrival_rates(view, centers, phi);
-  const double n = static_cast<double>(view.total_processors);
+double queue_length_at(ThrottleCenters& state, const FixedPointOptions& fp,
+                       double phi) {
+  const std::vector<TreeCenter>& centers = state.centers;
+  center_arrival_rates(state.view, centers, phi, state.rates);
+  const double n = static_cast<double>(state.view.total_processors);
   double total = 0.0;
   bool saturated = false;
   for (std::size_t c = 0; c < centers.size(); ++c) {
-    const EffectiveService eff = effective_service(
-        centers[c].service.service_rate(), fp.service_cv2, fp);
-    const double l =
-        gg1::number_in_system(rates[c], eff.mu, fp.arrival_ca2, eff.cs2);
+    const EffectiveService& eff = state.service[c];
+    const double l = gg1::number_in_system(state.rates[c], eff.mu,
+                                           fp.arrival_ca2, eff.cs2);
     if (std::isinf(l)) {
       saturated = true;
     } else {
@@ -104,18 +125,17 @@ double queue_length_at(const FlatTreeView& view,
 /// rate 1 and start 1, so its root function is g(phi) = (N - L(phi))/N -
 /// phi — decreasing, with g(0+) > 0. An idle tree, or kNone, keeps
 /// phi = 1 without iterating.
-FixedPointResult solve_throttle(const FlatTreeView& view,
-                                const std::vector<TreeCenter>& centers,
+FixedPointResult solve_throttle(ThrottleCenters& state,
                                 const FixedPointOptions& fp) {
   if (fp.residual_trace != nullptr) fp.residual_trace->clear();
   FixedPointResult phi{1.0, 0.0, 0, true};
-  if (view.total_generation_rate <= 0.0 ||
+  if (state.view.total_generation_rate <= 0.0 ||
       fp.method == SourceThrottling::kNone) {
     return phi;
   }
-  const double n = static_cast<double>(view.total_processors);
+  const double n = static_cast<double>(state.view.total_processors);
   const auto queue = [&](std::size_t, double x) {
-    return queue_length_at(view, centers, fp, x);
+    return queue_length_at(state, fp, x);
   };
   const double rate = 1.0;
   if (fp.method == SourceThrottling::kPicard) {
@@ -208,18 +228,20 @@ TreeLatencyPrediction predict_open(const FlatTreeView& view,
                                    const std::vector<TreeCenter>& centers,
                                    const CenterIndex& index,
                                    const FixedPointOptions& fp) {
-  const FixedPointResult solved = solve_throttle(view, centers, fp);
+  ThrottleCenters state(view, centers, fp);
+  const FixedPointResult solved = solve_throttle(state, fp);
   const double phi = solved.lambda_effective;
-  const std::vector<double> rates = center_arrival_rates(view, centers, phi);
 
   TreeLatencyPrediction out{};
   out.lambda_offered_total = view.total_generation_rate;
   out.effective_rate_scale = phi;
-  // Evaluated at the final phi, also where Picard ran out of iterations.
-  out.total_queue_length = queue_length_at(view, centers, fp, phi);
+  // Evaluated at the final phi, also where Picard ran out of iterations;
+  // leaves state.rates at that phi for the per-centre view below.
+  out.total_queue_length = queue_length_at(state, fp, phi);
   out.fixed_point_converged = solved.converged;
   out.fixed_point_iterations = solved.iterations;
 
+  const std::vector<double>& rates = state.rates;
   std::vector<double> response(centers.size());
   out.centers.reserve(centers.size());
   for (std::size_t c = 0; c < centers.size(); ++c) {
@@ -227,8 +249,7 @@ TreeLatencyPrediction predict_open(const FlatTreeView& view,
     center.path = centers[c].path;
     center.egress = centers[c].egress;
     center.arrival_rate = rates[c];
-    const EffectiveService eff = effective_service(
-        centers[c].service.service_rate(), fp.service_cv2, fp);
+    const EffectiveService& eff = state.service[c];
     center.service_rate = eff.mu;
     center.utilization = mm1::utilization(rates[c], eff.mu);
     center.response_time_us =
@@ -255,7 +276,8 @@ TreeLatencyPrediction predict_uniform_mva(const FlatTreeView& view,
                                           const CenterIndex& index,
                                           const FixedPointOptions& fp) {
   const double total_gen = view.total_generation_rate;
-  const std::vector<double> offered = center_arrival_rates(view, centers, 1.0);
+  std::vector<double> offered;
+  center_arrival_rates(view, centers, 1.0, offered);
 
   std::vector<MvaStationClass> classes;
   std::vector<std::size_t> class_of(centers.size());

@@ -96,7 +96,7 @@ std::string metrics_json(const MetricsSnapshot& snapshot,
   }
 
   json.end_object();
-  return json.str();
+  return std::move(json).str();
 }
 
 CsvWriter metrics_csv(const MetricsSnapshot& snapshot) {

@@ -154,7 +154,7 @@ std::string TraceSession::to_chrome_json() const {
   }
   json.end_array();
   json.end_object();
-  return json.str();
+  return std::move(json).str();
 }
 
 void TraceSession::write_file(const std::string& path) const {

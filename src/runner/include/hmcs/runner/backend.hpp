@@ -182,7 +182,11 @@ class AnalyticBackend : public Backend {
   PointResult predict_tree(const analytic::ModelTree& tree,
                            const PointContext& ctx) const override;
 
-  std::size_t batch_capacity() const override { return 4096; }
+  /// 4096 cells, but mva_lane_width() under exact MVA: a chunk solves
+  /// its lane groups one after another on one worker, so a chunk of
+  /// one group lets the workers share the groups. Cells are
+  /// bit-identical at any grouping; only the scheduling moves.
+  std::size_t batch_capacity() const override;
   void evaluate_batch(const analytic::SystemConfig* const* configs,
                       std::size_t count, const BatchPointContext& ctx,
                       PointResult* results) const override;

@@ -40,7 +40,11 @@ CsvWriter sweep_csv(const SweepResult& result);
 std::string sweep_json(const SweepResult& result);
 
 /// Renders the table plus, when the directories are non-empty,
-/// `<csv_dir>/<id>.csv` and `<json_dir>/<id>.json`.
+/// `<csv_dir>/<id>.csv` and `<json_dir>/<id>.json`, byte-identical to
+/// sweep_csv and sweep_json + "\n". The two files are written on
+/// threads of their own through bounded buffers while the table
+/// renders; after both finish, a failed write throws (the CSV's error
+/// first) and otherwise the "written to" lines follow the table.
 void print_sweep_report(std::ostream& os, const SweepResult& result,
                         const std::string& csv_dir = "",
                         const std::string& json_dir = "");

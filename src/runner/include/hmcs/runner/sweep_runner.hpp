@@ -59,9 +59,11 @@ struct RunnerOptions {
   /// Cells per evaluate_batch call for backends advertising a batch
   /// path (batch_capacity() > 1); 0 (the default) evaluates every cell
   /// through predict(), preserving the historical execution exactly.
-  /// Chunk boundaries are fixed in point-index space (independent of
-  /// thread count and resume state), chunks containing resumed cells
-  /// re-evaluate the whole chunk but only write the pending cells, and
+  /// A backend's chunks are capped at its batch_capacity() (for exact
+  /// MVA, the CPU's MVA lane width). Chunk boundaries are fixed in
+  /// point-index space (independent of thread count and resume state),
+  /// chunks containing resumed cells re-evaluate the whole chunk but
+  /// only write the pending cells, and
   /// a failing chunk falls back to per-cell predict() with the full
   /// retry/deadline machinery — so statuses, journals, and resume
   /// byte-identity are preserved. The chunk deadline is

@@ -1,10 +1,12 @@
 #include "hmcs/runner/backend.hpp"
 
 #include <algorithm>
+#include <charconv>
 #include <cmath>
 #include <limits>
 
 #include "hmcs/analytic/batch_solver.hpp"
+#include "hmcs/analytic/mva.hpp"
 #include "hmcs/analytic/tree_model.hpp"
 #include "hmcs/netsim/hmcs_fabric.hpp"
 #include "hmcs/runner/replication.hpp"
@@ -86,8 +88,12 @@ void write_json(JsonWriter& json, const PointResult& result) {
   write_number(json, "lambda_effective", result.lambda_effective);
   json.key("converged").value(result.converged);
   write_number(json, "effective_rate_per_us", result.effective_rate_per_us);
+  char digits[20];
+  const auto end = std::to_chars(digits, digits + sizeof(digits),
+                                 result.messages_measured);
   json.key("messages_measured")
-      .value(std::to_string(result.messages_measured));
+      .value(std::string_view(digits,
+                              static_cast<std::size_t>(end.ptr - digits)));
   write_number(json, "mean_switch_hops", result.mean_switch_hops);
   write_number(json, "max_switch_utilization", result.max_switch_utilization);
   write_number(json, "max_center_utilization", result.max_center_utilization);
@@ -156,6 +162,12 @@ PointResult AnalyticBackend::predict_tree(const analytic::ModelTree& tree,
       result.lambda_offered * prediction.effective_rate_scale;
   result.converged = prediction.fixed_point_converged;
   return result;
+}
+
+std::size_t AnalyticBackend::batch_capacity() const {
+  return options_.fixed_point.method == analytic::SourceThrottling::kExactMva
+             ? analytic::mva_lane_width()
+             : 4096;
 }
 
 void AnalyticBackend::evaluate_batch(

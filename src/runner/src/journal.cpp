@@ -1,5 +1,6 @@
 #include "hmcs/runner/journal.hpp"
 
+#include <charconv>
 #include <filesystem>
 #include <iterator>
 #include <limits>
@@ -26,16 +27,19 @@ std::string header_line(const JournalWriter::Shape& shape) {
   for (const std::string& name : shape.backend_names) json.value(name);
   json.end_array();
   json.end_object();
-  return json.str();
+  json.end_line();
+  return std::move(json).str();
 }
 
-/// Appends one cell's record line, newline included.
-void append_cell_line(std::string& block, const JournalWriter::Record& record) {
+/// Writes one cell's record line, newline included.
+void write_cell_line(JsonWriter& json, const JournalWriter::Record& record) {
   const PointResult& result = *record.result;
-  JsonWriter json;
+  char seed[20];
+  const auto digits = std::to_chars(seed, seed + sizeof(seed), record.seed);
   json.begin_object();
   json.key("cell").value(static_cast<std::uint64_t>(record.cell));
-  json.key("seed").value(std::to_string(record.seed));
+  json.key("seed").value(
+      std::string_view(seed, static_cast<std::size_t>(digits.ptr - seed)));
   json.key("status").value(to_string(result.status));
   json.key("attempts").value(result.attempts);
   json.key("error").value(result.error);
@@ -44,8 +48,7 @@ void append_cell_line(std::string& block, const JournalWriter::Record& record) {
   json.key("result");
   write_json(json, result);
   json.end_object();
-  block += json.str();
-  block += '\n';
+  json.end_line();
 }
 
 void apply_header(SweepJournal& journal, const JsonValue& doc, bool& seen,
@@ -183,15 +186,16 @@ JournalWriter::JournalWriter(const std::string& path, const Shape& shape,
   require(out_.good(), "journal: cannot write '" + path + "'");
   // Always restate the header: a fresh file needs one, and an appended
   // header re-validates shape agreement on the next load.
-  out_ << header_line(shape) << "\n";
+  out_ << header_line(shape);
   out_.flush();
   require(out_.good(), "journal: write to '" + path + "' failed");
 }
 
 void JournalWriter::record(std::span<const Record> records) {
   if (records.empty()) return;
-  std::string block;
-  for (const Record& record : records) append_cell_line(block, record);
+  JsonWriter json;
+  for (const Record& record : records) write_cell_line(json, record);
+  const std::string block = std::move(json).str();
   const std::scoped_lock lock(mutex_);
   out_.write(block.data(), static_cast<std::streamsize>(block.size()));
   out_.flush();

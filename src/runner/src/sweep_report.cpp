@@ -3,6 +3,8 @@
 #include <cmath>
 #include <filesystem>
 #include <fstream>
+#include <functional>
+#include <future>
 #include <ostream>
 
 #include "hmcs/util/error.hpp"
@@ -168,7 +170,9 @@ std::string render_sweep_table(const SweepResult& result) {
   return table.render();
 }
 
-CsvWriter sweep_csv(const SweepResult& result) {
+namespace {
+
+std::vector<std::string> csv_headers(const SweepResult& result) {
   std::vector<std::string> headers{"clusters",     "message_bytes",
                                    "lambda_per_s", "architecture",
                                    "technology",   "seed"};
@@ -179,29 +183,30 @@ CsvWriter sweep_csv(const SweepResult& result) {
     headers.push_back(name + "_status");
     headers.push_back(name + "_attempts");
   }
-  CsvWriter csv(headers);
-  for (const SweepPoint& point : result.points) {
-    csv.cell(std::to_string(point.clusters))
-        .cell(point.message_bytes, 17)
-        .cell(units::per_us_to_per_s(point.lambda_per_us), 17)
-        .cell(analytic::to_string(point.architecture))
-        .cell(point.technology_label)
-        .cell(std::to_string(point.seed));
-    for (std::size_t b = 0; b < result.backend_names.size(); ++b) {
-      const PointResult& cell = result.at(point.index, b);
-      csv.cell(units::us_to_ms(cell.mean_latency_us), 17)
-          .cell(units::us_to_ms(cell.ci_half_us), 17)
-          .cell(cell.converged ? "1" : "0")
-          .cell(to_string(cell.status))
-          .cell(std::to_string(cell.attempts));
-    }
-    csv.end_row();
-  }
-  return csv;
+  return headers;
 }
 
-std::string sweep_json(const SweepResult& result) {
-  JsonWriter json;
+void append_csv_row(CsvWriter& csv, const SweepResult& result,
+                    const SweepPoint& point) {
+  csv.cell(std::to_string(point.clusters))
+      .cell(point.message_bytes, 17)
+      .cell(units::per_us_to_per_s(point.lambda_per_us), 17)
+      .cell(analytic::to_string(point.architecture))
+      .cell(point.technology_label)
+      .cell(std::to_string(point.seed));
+  for (std::size_t b = 0; b < result.backend_names.size(); ++b) {
+    const PointResult& cell = result.at(point.index, b);
+    csv.cell(units::us_to_ms(cell.mean_latency_us), 17)
+        .cell(units::us_to_ms(cell.ci_half_us), 17)
+        .cell(cell.converged ? "1" : "0")
+        .cell(to_string(cell.status))
+        .cell(std::to_string(cell.attempts));
+  }
+  csv.end_row();
+}
+
+/// The record's members before its points, up to the open points array.
+void begin_record(JsonWriter& json, const SweepResult& result) {
   json.begin_object();
   json.key("id").value(result.id);
   json.key("title").value(result.title);
@@ -209,55 +214,134 @@ std::string sweep_json(const SweepResult& result) {
   for (const std::string& name : result.backend_names) json.value(name);
   json.end_array();
   json.key("points").begin_array();
-  for (const SweepPoint& point : result.points) {
-    json.begin_object();
-    json.key("clusters").value(point.clusters);
-    json.key("message_bytes").value(point.message_bytes);
-    json.key("lambda_per_s")
-        .value(units::per_us_to_per_s(point.lambda_per_us));
-    json.key("architecture").value(analytic::to_string(point.architecture));
-    json.key("technology").value(point.technology_label);
-    json.key("seed").value(point.seed);
-    json.key("results").begin_object();
-    for (std::size_t b = 0; b < result.backend_names.size(); ++b) {
-      const PointResult& cell = result.at(point.index, b);
-      json.key(result.backend_names[b]).begin_object();
-      json.key("status").value(to_string(cell.status));
-      json.key("attempts").value(cell.attempts);
-      if (!cell.error.empty()) json.key("error").value(cell.error);
-      json.key("mean_latency_us").value(cell.mean_latency_us);
-      json.key("ci_half_us").value(cell.ci_half_us);
-      json.key("converged").value(cell.converged);
-      if (cell.lambda_offered > 0.0) {
-        json.key("lambda_offered").value(cell.lambda_offered);
-        json.key("lambda_effective").value(cell.lambda_effective);
-      }
-      if (cell.messages_measured > 0) {
-        json.key("messages_measured").value(cell.messages_measured);
-        json.key("effective_rate_per_us").value(cell.effective_rate_per_us);
-      }
-      if (cell.mean_switch_hops > 0.0) {
-        json.key("mean_switch_hops").value(cell.mean_switch_hops);
-        json.key("max_switch_utilization")
-            .value(cell.max_switch_utilization);
-      }
-      if (cell.max_center_utilization > 0.0) {
-        json.key("max_center_utilization")
-            .value(cell.max_center_utilization);
-      }
-      json.end_object();
+}
+
+void write_record_point(JsonWriter& json, const SweepResult& result,
+                        const SweepPoint& point) {
+  json.begin_object();
+  json.key("clusters").value(point.clusters);
+  json.key("message_bytes").value(point.message_bytes);
+  json.key("lambda_per_s").value(units::per_us_to_per_s(point.lambda_per_us));
+  json.key("architecture").value(analytic::to_string(point.architecture));
+  json.key("technology").value(point.technology_label);
+  json.key("seed").value(point.seed);
+  json.key("results").begin_object();
+  for (std::size_t b = 0; b < result.backend_names.size(); ++b) {
+    const PointResult& cell = result.at(point.index, b);
+    json.key(result.backend_names[b]).begin_object();
+    json.key("status").value(to_string(cell.status));
+    json.key("attempts").value(cell.attempts);
+    if (!cell.error.empty()) json.key("error").value(cell.error);
+    json.key("mean_latency_us").value(cell.mean_latency_us);
+    json.key("ci_half_us").value(cell.ci_half_us);
+    json.key("converged").value(cell.converged);
+    if (cell.lambda_offered > 0.0) {
+      json.key("lambda_offered").value(cell.lambda_offered);
+      json.key("lambda_effective").value(cell.lambda_effective);
+    }
+    if (cell.messages_measured > 0) {
+      json.key("messages_measured").value(cell.messages_measured);
+      json.key("effective_rate_per_us").value(cell.effective_rate_per_us);
+    }
+    if (cell.mean_switch_hops > 0.0) {
+      json.key("mean_switch_hops").value(cell.mean_switch_hops);
+      json.key("max_switch_utilization").value(cell.max_switch_utilization);
+    }
+    if (cell.max_center_utilization > 0.0) {
+      json.key("max_center_utilization").value(cell.max_center_utilization);
     }
     json.end_object();
-    json.end_object();
   }
+  json.end_object();
+  json.end_object();
+}
+
+void end_record(JsonWriter& json) {
   json.end_array();
   json.end_object();
-  return json.str();
+}
+
+// The two file writers run on threads of their own, each through a
+// buffer of kOutputChunkBytes, so neither document is ever held whole.
+
+void write_csv_file(const SweepResult& result, const std::string& path) {
+  std::ofstream out = open_output_file(path);
+  require(out.good(), [&] {
+    return "CsvWriter: cannot open '" + path + "' for writing";
+  });
+  CsvWriter csv(csv_headers(result));
+  for (const SweepPoint& point : result.points) {
+    append_csv_row(csv, result, point);
+    if (csv.buffered() >= kOutputChunkBytes) csv.flush_to(out);
+  }
+  csv.flush_to(out);
+  require(out.good(),
+          [&] { return "CsvWriter: failed writing '" + path + "'"; });
+}
+
+void write_record_file(const SweepResult& result, const std::string& path) {
+  std::ofstream out = open_output_file(path);
+  const auto cannot_write = [&] {
+    return "print_sweep_report: cannot write '" + path + "'";
+  };
+  require(out.good(), cannot_write);
+  JsonWriter json;
+  begin_record(json, result);
+  for (const SweepPoint& point : result.points) {
+    write_record_point(json, result, point);
+    if (json.buffered() >= kOutputChunkBytes) json.flush_to(out);
+  }
+  end_record(json);
+  out << std::move(json).str() << '\n';
+  require(out.good(), cannot_write);
+}
+
+}  // namespace
+
+CsvWriter sweep_csv(const SweepResult& result) {
+  CsvWriter csv(csv_headers(result));
+  for (const SweepPoint& point : result.points) {
+    append_csv_row(csv, result, point);
+  }
+  return csv;
+}
+
+std::string sweep_json(const SweepResult& result) {
+  JsonWriter json;
+  begin_record(json, result);
+  for (const SweepPoint& point : result.points) {
+    write_record_point(json, result, point);
+  }
+  end_record(json);
+  return std::move(json).str();
 }
 
 void print_sweep_report(std::ostream& os, const SweepResult& result,
                         const std::string& csv_dir,
                         const std::string& json_dir) {
+  // The files are written while this thread renders the table: the
+  // default launch policy runs each on a thread of its own (libstdc++
+  // runs it at get() instead when no thread can be started).
+  // Best-effort directories like obs::write_run_artifacts: a failure
+  // surfaces as the write error, with the path in the message.
+  std::error_code ec;
+  std::string csv_path;
+  std::string json_path;
+  std::future<void> csv_written;
+  std::future<void> json_written;
+  if (!csv_dir.empty()) {
+    std::filesystem::create_directories(csv_dir, ec);
+    csv_path = csv_dir + "/" + result.id + ".csv";
+    csv_written =
+        std::async(write_csv_file, std::cref(result), std::cref(csv_path));
+  }
+  if (!json_dir.empty()) {
+    std::filesystem::create_directories(json_dir, ec);
+    json_path = json_dir + "/" + result.id + ".json";
+    json_written =
+        std::async(write_record_file, std::cref(result), std::cref(json_path));
+  }
+
   os << "== " << (result.title.empty() ? result.id : result.title) << " ==\n";
   os << render_sweep_table(result);
   // One-line disposition summary, only when something needs attention.
@@ -273,22 +357,13 @@ void print_sweep_report(std::ostream& os, const SweepResult& result,
     if (skipped != 0) os << ", " << skipped << " skipped";
     os << " (of " << result.cells.size() << ")\n";
   }
-  // Best-effort like obs::write_run_artifacts: a failure surfaces as
-  // the write error below, with the path in the message.
-  std::error_code ec;
-  if (!csv_dir.empty()) {
-    std::filesystem::create_directories(csv_dir, ec);
-    const std::string path = csv_dir + "/" + result.id + ".csv";
-    sweep_csv(result).write_file(path);
-    os << "series written to " << path << "\n";
+  if (csv_written.valid()) {
+    csv_written.get();
+    os << "series written to " << csv_path << "\n";
   }
-  if (!json_dir.empty()) {
-    std::filesystem::create_directories(json_dir, ec);
-    const std::string path = json_dir + "/" + result.id + ".json";
-    std::ofstream out = open_output_file(path);
-    require(out.good(), "print_sweep_report: cannot write '" + path + "'");
-    out << sweep_json(result) << "\n";
-    os << "record written to " << path << "\n";
+  if (json_written.valid()) {
+    json_written.get();
+    os << "record written to " << json_path << "\n";
   }
 }
 

@@ -115,7 +115,7 @@ std::string render_id(const JsonValue& id) {
     detail::throw_config_error("serve: 'id' must be a string or number",
                                std::source_location::current());
   }
-  return json.str();
+  return std::move(json).str();
 }
 
 }  // namespace
@@ -197,7 +197,7 @@ ServeRequest parse_request(const JsonValue& doc,
     json.key("seed").value(std::to_string(request.seed));
   }
   json.end_object();
-  request.canonical_key = json.str();
+  request.canonical_key = std::move(json).str();
   request.key_hash = fnv1a64(request.canonical_key);
   return request;
 }

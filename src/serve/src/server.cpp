@@ -40,7 +40,7 @@ std::string error_line(const std::string& message) {
   json.key("status").value("error");
   json.key("error").value(message);
   json.end_object();
-  return json.str();
+  return std::move(json).str();
 }
 
 }  // namespace

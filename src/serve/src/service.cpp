@@ -31,7 +31,7 @@ std::string ok_body(const ServeRequest& request,
   json.key("result");
   write_json(json, result);
   json.end_object();
-  return json.str();
+  return std::move(json).str();
 }
 
 std::string status_body(const char* status, const std::string& message,
@@ -45,7 +45,7 @@ std::string status_body(const char* status, const std::string& message,
   }
   json.key("error").value(message);
   json.end_object();
-  return json.str();
+  return std::move(json).str();
 }
 
 /// "r<seq>": the process-unique request tag shared by the reply
@@ -113,10 +113,10 @@ std::string ServeService::handle_line(std::string_view line) {
         JsonWriter json;
         if (id->is_string()) {
           json.value(id->as_string());
-          id_json = json.str();
+          id_json = std::move(json).str();
         } else if (id->is_number()) {
           json.value(id->as_number());
-          id_json = json.str();
+          id_json = std::move(json).str();
         }
       }
       if (const JsonValue* op = doc.find("op")) {
@@ -160,7 +160,7 @@ std::string ServeService::handle_op(const std::string& op,
     json.key("status").value("ok");
     json.key("op").value("ping");
     json.end_object();
-    return with_id(id_json, json.str());
+    return with_id(id_json, std::move(json).str());
   }
   if (op == "stats") return stats_reply(id_json);
   if (op == "metrics") return metrics_reply(id_json);
@@ -192,7 +192,7 @@ std::string ServeService::chaos_reply(const std::string& id_json) const {
   json.key("snapshot_failures").value(counters.snapshot_failures);
   json.end_object();
   json.end_object();
-  return with_id(id_json, json.str());
+  return with_id(id_json, std::move(json).str());
 }
 
 std::string ServeService::metrics_reply(const std::string& id_json) const {
@@ -204,7 +204,7 @@ std::string ServeService::metrics_reply(const std::string& id_json) const {
   json.key("body").value(
       obs::render_prometheus(obs::Registry::global()));
   json.end_object();
-  return with_id(id_json, json.str());
+  return with_id(id_json, std::move(json).str());
 }
 
 std::string ServeService::stats_reply(const std::string& id_json) const {
@@ -284,7 +284,7 @@ std::string ServeService::stats_reply(const std::string& id_json) const {
           std::chrono::steady_clock::now() - started_)
           .count());
   json.end_object();
-  return with_id(id_json, json.str());
+  return with_id(id_json, std::move(json).str());
 }
 
 std::string ServeService::handle_request_body(const ServeRequest& request,
@@ -451,7 +451,7 @@ std::string ServeService::compose_reply(const ServeRequest& request,
   json.end_object();
   std::string prefix = "{";
   if (!trace.id_json.empty()) prefix += "\"id\":" + trace.id_json + ",";
-  prefix += "\"timing\":" + json.str() + ",";
+  prefix += "\"timing\":" + std::move(json).str() + ",";
   return prefix + body.substr(1);
 }
 

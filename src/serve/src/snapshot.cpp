@@ -6,11 +6,13 @@
 #include <cstring>
 #include <fstream>
 #include <sstream>
+#include <utility>
 
 #include "hmcs/obs/metrics.hpp"
 #include "hmcs/serve/request.hpp"
 #include "hmcs/util/error.hpp"
 #include "hmcs/util/json.hpp"
+#include "hmcs/util/output_file.hpp"
 
 namespace hmcs::serve {
 
@@ -49,26 +51,28 @@ SnapshotSaveReport save_cache_snapshot(const ShardedResultCache& cache,
       HMCS_OBS_COUNTER_INC("serve.snapshot.save_failures");
       return report;
     }
-    JsonWriter header;
-    header.begin_object();
-    header.key("hmcs_cache_snapshot").value(kSnapshotVersion);
-    header.key("ts_ms").value(static_cast<std::uint64_t>(
+    JsonWriter lines;
+    lines.begin_object();
+    lines.key("hmcs_cache_snapshot").value(kSnapshotVersion);
+    lines.key("ts_ms").value(static_cast<std::uint64_t>(
         std::chrono::duration_cast<std::chrono::milliseconds>(
             std::chrono::system_clock::now().time_since_epoch())
             .count()));
-    header.end_object();
-    out << header.str() << '\n';
+    lines.end_object();
+    lines.end_line();
     cache.for_each_lru_to_mru(
-        [&out, &report](const std::string& key, const std::string& value) {
-          JsonWriter line;
-          line.begin_object();
-          line.key("key").value(key);
-          line.key("value").value(value);
-          line.key("check").value(key_hash_hex(entry_check(key, value)));
-          line.end_object();
-          out << line.str() << '\n';
+        [&out, &lines, &report](const std::string& key,
+                                const std::string& value) {
+          lines.begin_object();
+          lines.key("key").value(key);
+          lines.key("value").value(value);
+          lines.key("check").value(key_hash_hex(entry_check(key, value)));
+          lines.end_object();
+          lines.end_line();
+          if (lines.buffered() >= kOutputChunkBytes) lines.flush_to(out);
           ++report.entries;
         });
+    out << std::move(lines).str();
     out.flush();
     if (!out.good()) {
       out.close();

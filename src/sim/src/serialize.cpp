@@ -42,7 +42,7 @@ void write_json(JsonWriter& json, const SimResult& result) {
 std::string to_json(const SimResult& result) {
   JsonWriter json;
   write_json(json, result);
-  return json.str();
+  return std::move(json).str();
 }
 
 }  // namespace hmcs::sim

@@ -5,13 +5,15 @@
 /// can be re-plotted outside the repo (the paper's figures are line
 /// charts; we emit the points as CSV alongside the ASCII table). Rows
 /// are serialised into one buffer as they are added, with RFC-4180-style
-/// quoting of cells containing commas/quotes/newlines.
+/// quoting of cells containing commas, quotes, line feeds or carriage
+/// returns.
 ///
 ///   CsvWriter csv({"clusters", "latency_ms"});
 ///   csv.add_row({"4", "1.25"});
 ///   csv.cell("8").cell(2.5, 9).end_row();   // no string per value
 
 #include <cstddef>
+#include <iosfwd>
 #include <string>
 #include <string_view>
 #include <vector>
@@ -34,7 +36,14 @@ class CsvWriter {
   /// its width does not match the header width.
   void end_row();
 
+  /// Every complete row not yet flushed.
   std::string to_string() const;
+
+  /// Writes the complete rows to `out` and drops them from the buffer,
+  /// so a series of any length reaches a file through a bounded buffer.
+  void flush_to(std::ostream& out);
+  /// Bytes buffered since construction or the last flush_to().
+  std::size_t buffered() const { return text_.size(); }
 
   /// Writes to `path` (open_output_file), throwing hmcs::Error if the
   /// file cannot be written.

@@ -16,11 +16,12 @@
 ///   json.key("latency_ms").value(31.4);
 ///   json.key("series").begin_array().value(1.0).value(2.0).end_array();
 ///   json.end_object();
-///   std::string text = json.str();
+///   std::string text = std::move(json).str();  // no copy
 
 #include <concepts>
 #include <cstdint>
 #include <initializer_list>
+#include <iosfwd>
 #include <limits>
 #include <string>
 #include <string_view>
@@ -50,21 +51,42 @@ class JsonWriter {
   JsonWriter& value(bool flag);
   JsonWriter& null();
 
-  /// Finished document. Throws LogicError if containers are unbalanced.
-  std::string str() const;
+  /// Ends a complete root value with '\n', after which the next value
+  /// starts a new document in the same buffer: JSON lines without one
+  /// writer or one copy per line. Throws LogicError inside a container.
+  JsonWriter& end_line();
+
+  /// Finished text: one document, or the lines ended by end_line().
+  /// Throws LogicError if containers are unbalanced or nothing was
+  /// written.
+  std::string str() const&;
+  /// The same text moved out without a copy; the writer is left empty.
+  std::string str() &&;
+
+  /// Writes the buffered text to `out` and drops it from the buffer,
+  /// all but its last byte, which decides the next separator: a
+  /// document of any size reaches a file through a bounded buffer.
+  /// str() then returns only the text not yet flushed.
+  void flush_to(std::ostream& out);
+  /// Bytes buffered since construction or the last flush_to().
+  std::size_t buffered() const { return size_; }
 
  private:
-  enum class Frame : std::uint8_t { kObject, kArray };
+  /// Room for `bytes` more bytes of text; returns where they go.
+  char* room(std::size_t bytes);
+  /// Checks that a value may come next and writes its separator;
+  /// returns where the value's at most `bytes` bytes go.
+  char* value_room(std::size_t bytes);
+  JsonWriter& put_value(std::string_view text);
 
-  void before_value();
-  JsonWriter& after_value();
-  JsonWriter& emit(std::string_view text);
-
-  std::string out_;
-  std::vector<Frame> stack_;
-  std::vector<bool> has_items_;
-  bool expecting_value_ = false;  // a key was just written
-  bool complete_ = false;
+  // No per-value state: the last byte of the text tells the next token
+  // what it needs ('{' or '[': an empty container, ':': a key awaiting
+  // its value, '\n' or nothing: a fresh document, anything else: a
+  // value).
+  std::string buf_;        ///< the text, then spare room
+  std::size_t size_ = 0;   ///< bytes of text in buf_
+  /// The closing byte of every open container, innermost last.
+  std::string stack_;
 };
 
 /// A parsed JSON value. Deliberately a plain open struct (no variant

@@ -4,10 +4,15 @@
 /// The one way the program opens an output file it writes from empty:
 /// CSV series, sweep records, fresh journals, metrics and traces.
 
+#include <cstddef>
 #include <fstream>
 #include <string>
 
 namespace hmcs {
+
+/// What a writer that streams a file in pieces buffers before each
+/// write: few writes, and no document held whole in memory.
+inline constexpr std::size_t kOutputChunkBytes = std::size_t{1} << 16;
 
 /// Opens `path` for writing from empty. An existing regular file is
 /// removed and a new one created rather than truncated in place: ext4's

@@ -3,6 +3,7 @@
 /// \file string_util.hpp
 /// String formatting helpers for the reporting layer (tables, CSV, CLI).
 
+#include <cstddef>
 #include <string>
 #include <string_view>
 #include <vector>
@@ -23,6 +24,18 @@ std::string format_compact(double value, int significant_digits = 6);
 void append_fixed(std::string& out, double value, int precision);
 void append_compact(std::string& out, double value,
                     int significant_digits = 6);
+
+/// Room put_g17 needs at its `at`: its text is at most 24 bytes (17
+/// digits, a sign, a point and "e-308"), and its fixed-size copies may
+/// write scratch bytes past the end it returns.
+inline constexpr std::size_t kG17Bytes = 40;
+
+/// Writes the bytes of printf's "%.17g" for a finite `value` — the 17
+/// significant digits that round-trip every double — at `at`, which has
+/// room for kG17Bytes bytes; returns the end. From about 1e-11 to 1e17
+/// the digits come from exact 128-bit integer arithmetic, elsewhere (and
+/// for exact ties) from std::to_chars.
+char* put_g17(char* at, double value);
 
 /// Left/right pads `s` with spaces to `width` characters. Strings that
 /// are already wider are returned unchanged.

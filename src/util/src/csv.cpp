@@ -1,5 +1,7 @@
 #include "hmcs/util/csv.hpp"
 
+#include <ostream>
+
 #include "hmcs/util/error.hpp"
 #include "hmcs/util/output_file.hpp"
 #include "hmcs/util/string_util.hpp"
@@ -20,7 +22,7 @@ void CsvWriter::begin_cell() {
 
 CsvWriter& CsvWriter::cell(std::string_view text) {
   begin_cell();
-  if (text.find_first_of(",\"\n") == std::string_view::npos) {
+  if (text.find_first_of(",\"\n\r") == std::string_view::npos) {
     text_ += text;
     return *this;
   }
@@ -35,7 +37,7 @@ CsvWriter& CsvWriter::cell(std::string_view text) {
 
 CsvWriter& CsvWriter::cell(double value, int significant_digits) {
   begin_cell();
-  // %g output holds no comma, quote or newline: never quoted.
+  // %g output holds no comma, quote or line break: never quoted.
   append_compact(text_, value, significant_digits);
   return *this;
 }
@@ -63,6 +65,12 @@ void CsvWriter::add_numeric_row(const std::vector<double>& cells) {
 
 std::string CsvWriter::to_string() const {
   return text_.substr(0, row_start_);
+}
+
+void CsvWriter::flush_to(std::ostream& out) {
+  out.write(text_.data(), static_cast<std::streamsize>(row_start_));
+  text_.erase(0, row_start_);
+  row_start_ = 0;
 }
 
 void CsvWriter::write_file(const std::string& path) const {

@@ -5,135 +5,174 @@
 #include <charconv>
 #include <cmath>
 #include <cstdlib>
+#include <cstring>
+#include <ostream>
 #include <utility>
 
 #include "hmcs/util/error.hpp"
+#include "hmcs/util/string_util.hpp"
 
 namespace hmcs {
 
 namespace {
 
-/// Appends `text` to `out` escaped per RFC 8259, copying the runs that
-/// need no escape in one piece.
-void append_escaped(std::string& out, std::string_view text) {
-  static constexpr char kHex[] = "0123456789abcdef";
-  std::size_t run = 0;
-  for (std::size_t i = 0; i < text.size(); ++i) {
-    const auto ch = static_cast<unsigned char>(text[i]);
-    if (ch >= 0x20 && ch != '"' && ch != '\\') continue;
-    out.append(text.data() + run, i - run);
-    run = i + 1;
-    switch (ch) {
-      case '"': out += "\\\""; break;
-      case '\\': out += "\\\\"; break;
-      case '\b': out += "\\b"; break;
-      case '\f': out += "\\f"; break;
-      case '\n': out += "\\n"; break;
-      case '\r': out += "\\r"; break;
-      case '\t': out += "\\t"; break;
-      default:
-        out += "\\u00";
-        out += kHex[ch >> 4];
-        out += kHex[ch & 0xf];
-    }
-  }
-  out.append(text.data() + run, text.size() - run);
+bool needs_escape(unsigned char ch) {
+  return ch < 0x20 || ch == '"' || ch == '\\';
 }
 
-/// Appends an integer's decimal digits.
-template <typename Integer>
-void append_integer(std::string& out, Integer number) {
-  char buf[24];
-  const auto [end, error] = std::to_chars(buf, buf + sizeof(buf), number);
-  (void)error;  // 24 bytes hold every 64-bit integer
-  out.append(buf, end);
+/// True when a byte of `word` needs an escape: the bit tricks "has a
+/// byte below n" and "has a zero byte" (of word ^ the byte), exact as
+/// tests for any byte; bytes from 0x80 never match.
+bool word_needs_escape(std::uint64_t word) {
+  constexpr std::uint64_t kOnes = 0x0101010101010101ull;
+  constexpr std::uint64_t kHighs = 0x8080808080808080ull;
+  const auto has_zero = [](std::uint64_t x) {
+    return (x - kOnes) & ~x & kHighs;
+  };
+  return (((word - kOnes * 0x20) & ~word & kHighs) |
+          has_zero(word ^ (kOnes * '"')) | has_zero(word ^ (kOnes * '\\'))) !=
+         0;
+}
+
+/// Whether any byte of `text` needs an escape, eight at a time.
+bool needs_escape(std::string_view text) {
+  std::size_t i = 0;
+  for (; i + 8 <= text.size(); i += 8) {
+    std::uint64_t word = 0;
+    std::memcpy(&word, text.data() + i, 8);
+    if (word_needs_escape(word)) return true;
+  }
+  for (; i < text.size(); ++i) {
+    if (needs_escape(static_cast<unsigned char>(text[i]))) return true;
+  }
+  return false;
+}
+
+/// put_quoted's room for `text`, given `escapes` = needs_escape(text):
+/// exact when nothing needs an escape, else the worst case.
+std::size_t quoted_size(std::string_view text, bool escapes) {
+  return (escapes ? 6 * text.size() : text.size()) + 2;
+}
+
+/// Writes `text` quoted, and escaped per RFC 8259, at `at`, which has
+/// room for quoted_size(text, escapes) bytes; returns the end.
+char* put_quoted(char* at, std::string_view text, bool escapes) {
+  static constexpr char kHex[] = "0123456789abcdef";
+  *at++ = '"';
+  if (!escapes) {
+    std::memcpy(at, text.data(), text.size());
+    at += text.size();
+    *at++ = '"';
+    return at;
+  }
+  for (const char c : text) {
+    const auto ch = static_cast<unsigned char>(c);
+    if (!needs_escape(ch)) {
+      *at++ = c;
+      continue;
+    }
+    *at++ = '\\';
+    switch (ch) {
+      case '"': *at++ = '"'; break;
+      case '\\': *at++ = '\\'; break;
+      case '\b': *at++ = 'b'; break;
+      case '\f': *at++ = 'f'; break;
+      case '\n': *at++ = 'n'; break;
+      case '\r': *at++ = 'r'; break;
+      case '\t': *at++ = 't'; break;
+      default:
+        *at++ = 'u';
+        *at++ = '0';
+        *at++ = '0';
+        *at++ = kHex[ch >> 4];
+        *at++ = kHex[ch & 0xf];
+    }
+  }
+  *at++ = '"';
+  return at;
 }
 
 }  // namespace
 
-void JsonWriter::before_value() {
-  ensure(!complete_, "JsonWriter: document already complete");
-  if (stack_.empty()) return;  // root value
-  if (stack_.back() == Frame::kObject) {
-    ensure(expecting_value_, "JsonWriter: object value requires key() first");
-    expecting_value_ = false;
-    return;
+char* JsonWriter::room(std::size_t bytes) {
+  if (buf_.size() - size_ < bytes) {
+    buf_.resize(std::max({2 * buf_.size(), size_ + bytes, std::size_t{256}}));
   }
-  if (has_items_.back()) out_ += ',';
+  return buf_.data() + size_;
 }
 
-JsonWriter& JsonWriter::after_value() {
+char* JsonWriter::value_room(std::size_t bytes) {
+  const char last = size_ == 0 ? '\n' : buf_[size_ - 1];
+  bool comma = false;
   if (stack_.empty()) {
-    complete_ = true;
+    ensure(last == '\n', "JsonWriter: document already complete");
+  } else if (stack_.back() == '}') {
+    ensure(last == ':', "JsonWriter: object value requires key() first");
   } else {
-    has_items_.back() = true;
+    comma = last != '[';
   }
+  char* at = room(bytes + 1);
+  if (comma) *at++ = ',';
+  return at;
+}
+
+JsonWriter& JsonWriter::put_value(std::string_view text) {
+  char* at = value_room(text.size());
+  text.copy(at, text.size());
+  size_ = static_cast<std::size_t>(at + text.size() - buf_.data());
   return *this;
 }
 
-JsonWriter& JsonWriter::emit(std::string_view text) {
-  before_value();
-  out_ += text;
-  return after_value();
-}
-
 JsonWriter& JsonWriter::begin_object() {
-  before_value();
-  out_ += '{';
-  if (!stack_.empty()) has_items_.back() = true;
-  stack_.push_back(Frame::kObject);
-  has_items_.push_back(false);
+  put_value("{");
+  stack_ += '}';
   return *this;
 }
 
 JsonWriter& JsonWriter::begin_array() {
-  before_value();
-  out_ += '[';
-  if (!stack_.empty()) has_items_.back() = true;
-  stack_.push_back(Frame::kArray);
-  has_items_.push_back(false);
+  put_value("[");
+  stack_ += ']';
   return *this;
 }
 
 JsonWriter& JsonWriter::end_object() {
-  ensure(!stack_.empty() && stack_.back() == Frame::kObject,
+  ensure(!stack_.empty() && stack_.back() == '}',
          "JsonWriter: end_object without open object");
-  ensure(!expecting_value_, "JsonWriter: dangling key");
-  out_ += '}';
+  ensure(buf_[size_ - 1] != ':', "JsonWriter: dangling key");
+  *room(1) = '}';
+  ++size_;
   stack_.pop_back();
-  has_items_.pop_back();
-  if (stack_.empty()) complete_ = true;
   return *this;
 }
 
 JsonWriter& JsonWriter::end_array() {
-  ensure(!stack_.empty() && stack_.back() == Frame::kArray,
+  ensure(!stack_.empty() && stack_.back() == ']',
          "JsonWriter: end_array without open array");
-  out_ += ']';
+  *room(1) = ']';
+  ++size_;
   stack_.pop_back();
-  has_items_.pop_back();
-  if (stack_.empty()) complete_ = true;
   return *this;
 }
 
 JsonWriter& JsonWriter::key(std::string_view name) {
-  ensure(!stack_.empty() && stack_.back() == Frame::kObject,
+  ensure(!stack_.empty() && stack_.back() == '}',
          "JsonWriter: key() outside an object");
-  ensure(!expecting_value_, "JsonWriter: two keys in a row");
-  if (has_items_.back()) out_ += ',';
-  out_ += '"';
-  append_escaped(out_, name);
-  out_ += "\":";
-  expecting_value_ = true;
+  const char last = buf_[size_ - 1];
+  ensure(last != ':', "JsonWriter: two keys in a row");
+  const bool escapes = needs_escape(name);
+  char* at = room(quoted_size(name, escapes) + 2);
+  if (last != '{') *at++ = ',';
+  at = put_quoted(at, name, escapes);
+  *at++ = ':';
+  size_ = static_cast<std::size_t>(at - buf_.data());
   return *this;
 }
 
 JsonWriter& JsonWriter::value(std::string_view text) {
-  before_value();
-  out_ += '"';
-  append_escaped(out_, text);
-  out_ += '"';
-  return after_value();
+  const bool escapes = needs_escape(text);
+  char* at = put_quoted(value_room(quoted_size(text, escapes)), text, escapes);
+  size_ = static_cast<std::size_t>(at - buf_.data());
+  return *this;
 }
 
 JsonWriter& JsonWriter::value(const char* text) {
@@ -143,33 +182,60 @@ JsonWriter& JsonWriter::value(const char* text) {
 JsonWriter& JsonWriter::value(double number) {
   if (!std::isfinite(number)) return null();
   // The bytes of "%.17g": enough digits to round-trip every double.
-  char buf[32];
-  const auto [end, error] = std::to_chars(buf, buf + sizeof(buf), number,
-                                          std::chars_format::general, 17);
-  (void)error;  // 17 digits, a sign, a point and "e-308" fit in 32
-  return emit(std::string_view(buf, static_cast<std::size_t>(end - buf)));
+  char* at = put_g17(value_room(kG17Bytes), number);
+  size_ = static_cast<std::size_t>(at - buf_.data());
+  return *this;
 }
 
 JsonWriter& JsonWriter::value(std::int64_t number) {
-  before_value();
-  append_integer(out_, number);
-  return after_value();
+  char* at = value_room(20);  // every 64-bit integer
+  at = std::to_chars(at, at + 20, number).ptr;
+  size_ = static_cast<std::size_t>(at - buf_.data());
+  return *this;
 }
 
 JsonWriter& JsonWriter::value(std::uint64_t number) {
-  before_value();
-  append_integer(out_, number);
-  return after_value();
+  char* at = value_room(20);
+  at = std::to_chars(at, at + 20, number).ptr;
+  size_ = static_cast<std::size_t>(at - buf_.data());
+  return *this;
 }
 
-JsonWriter& JsonWriter::value(bool flag) { return emit(flag ? "true" : "false"); }
+JsonWriter& JsonWriter::value(bool flag) {
+  return put_value(flag ? "true" : "false");
+}
 
-JsonWriter& JsonWriter::null() { return emit("null"); }
+JsonWriter& JsonWriter::null() { return put_value("null"); }
 
-std::string JsonWriter::str() const {
-  ensure(stack_.empty() && complete_,
+JsonWriter& JsonWriter::end_line() {
+  ensure(stack_.empty() && size_ != 0 && buf_[size_ - 1] != '\n',
+         "JsonWriter: end_line without a complete value");
+  *room(1) = '\n';
+  ++size_;
+  return *this;
+}
+
+std::string JsonWriter::str() const& {
+  ensure(stack_.empty() && size_ != 0,
          "JsonWriter: document incomplete (unbalanced containers)");
-  return out_;
+  return buf_.substr(0, size_);
+}
+
+std::string JsonWriter::str() && {
+  ensure(stack_.empty() && size_ != 0,
+         "JsonWriter: document incomplete (unbalanced containers)");
+  buf_.resize(size_);
+  std::string text = std::move(buf_);
+  buf_.clear();
+  size_ = 0;
+  return text;
+}
+
+void JsonWriter::flush_to(std::ostream& out) {
+  if (size_ <= 1) return;
+  out.write(buf_.data(), static_cast<std::streamsize>(size_ - 1));
+  buf_[0] = buf_[size_ - 1];
+  size_ = 1;
 }
 
 // ---------------------------------------------------------------------------

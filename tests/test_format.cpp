@@ -1,7 +1,8 @@
 // Differential check of the number formatters against printf: JsonWriter
 // prints doubles as "%.17g", format_fixed as "%.*f" and format_compact
 // as "%.*g", byte for byte, over seeded random bit patterns (every
-// exponent, subnormals, NaN payloads) and the edge values.
+// exponent, subnormals, NaN payloads), the range where put_g17 computes
+// its digits in integers, and the edge values.
 
 #include <gtest/gtest.h>
 
@@ -63,6 +64,27 @@ std::vector<double> inputs() {
     double value = 0.0;
     std::memcpy(&value, &bits, sizeof(value));
     values.push_back(value);
+  }
+  // Where "%.17g" is computed in integers (about 1e-11 to 1e17), which
+  // random bit patterns rarely reach: log-uniform magnitudes of either
+  // sign, the powers of ten at and around its edges with their
+  // neighbours, and exact ties at the 17th digit (multiples of 1/8
+  // from 1e15 to 1e16).
+  for (int i = 0; i < (1 << 15); ++i) {
+    const double unit = static_cast<double>(rng() >> 11) * 0x1.0p-53;
+    const double magnitude = std::pow(10.0, -13.0 + 31.0 * unit);
+    values.push_back(i % 2 == 0 ? magnitude : -magnitude);
+  }
+  for (int e = -13; e <= 18; ++e) {
+    const double power = std::pow(10.0, e);
+    values.push_back(power);
+    values.push_back(std::nextafter(power, 0.0));
+    values.push_back(std::nextafter(power, 2.0 * power));
+  }
+  for (int i = 0; i < 1024; ++i) {
+    values.push_back(
+        std::floor(1e15 + static_cast<double>(rng() % 9000000000000000ull)) +
+        static_cast<double>(i % 8) / 8.0);
   }
   return values;
 }

@@ -2,6 +2,11 @@
 
 #include <gtest/gtest.h>
 
+#include <cstdint>
+#include <sstream>
+#include <string>
+#include <utility>
+
 #include "hmcs/analytic/latency_model.hpp"
 #include "hmcs/analytic/scenario.hpp"
 #include "hmcs/analytic/serialize.hpp"
@@ -93,6 +98,69 @@ TEST(Json, MisuseIsCaught) {
     JsonWriter json;
     EXPECT_THROW(json.key("a"), LogicError);  // key at root
   }
+}
+
+TEST(Json, EndLineWritesJsonLinesInOneBuffer) {
+  JsonWriter json;
+  json.begin_object().key("a").value(std::uint64_t{1}).end_object().end_line();
+  json.value("two").end_line();
+  json.begin_array().value(3.5).end_array().end_line();
+  EXPECT_EQ(json.str(), "{\"a\":1}\n\"two\"\n[3.5]\n");
+  json.value(true);
+  EXPECT_THROW(json.value(false), LogicError);  // two roots on one line
+  JsonWriter open;
+  EXPECT_THROW(open.end_line(), LogicError);  // nothing to end
+  open.begin_array();
+  EXPECT_THROW(open.end_line(), LogicError);  // inside a container
+}
+
+TEST(Json, MovedOutTextLeavesAnEmptyWriter) {
+  JsonWriter json;
+  json.begin_object().key("k").value("v").end_object();
+  const std::string copy = json.str();
+  const std::string moved = std::move(json).str();
+  EXPECT_EQ(moved, copy);
+  EXPECT_EQ(json.buffered(), 0u);
+  EXPECT_THROW(json.str(), LogicError);
+  json.value(1.0);  // a fresh document
+  EXPECT_EQ(json.str(), "1");
+}
+
+TEST(Json, FlushedPiecesConcatenateToTheWholeDocument) {
+  // Flushing at every step, including straight after an opening
+  // bracket, a key and a value, must not change a separator.
+  const auto build = [](JsonWriter& json, std::ostringstream* out) {
+    const auto step = [&] {
+      if (out != nullptr) json.flush_to(*out);
+    };
+    json.begin_object();
+    step();
+    for (int i = 0; i < 4; ++i) {
+      std::string name = "k";  // gcc 12's -Wrestrict misfires on "k" + ...
+      name += std::to_string(i);
+      json.key(name);
+      step();
+      json.begin_array();
+      step();
+      for (int j = 0; j < i; ++j) {
+        json.value(static_cast<std::int64_t>(j));
+        step();
+      }
+      json.end_array();
+      step();
+    }
+    json.key("empty").begin_object().end_object();
+    step();
+    json.end_object();
+  };
+  JsonWriter whole;
+  build(whole, nullptr);
+  JsonWriter streamed;
+  std::ostringstream out;
+  build(streamed, &out);
+  EXPECT_EQ(streamed.buffered(), 2u);  // the kept byte and the last brace
+  out << std::move(streamed).str();
+  EXPECT_EQ(out.str(), whole.str());
 }
 
 TEST(Serialize, SystemConfigDocument) {

@@ -8,12 +8,14 @@
 #include <cmath>
 #include <fstream>
 #include <memory>
+#include <random>
 #include <sstream>
 #include <string>
 #include <vector>
 
 #include "hmcs/analytic/latency_model.hpp"
 #include "hmcs/analytic/model_tree.hpp"
+#include "hmcs/analytic/network_tech.hpp"
 #include "hmcs/analytic/scenario.hpp"
 #include "hmcs/analytic/serialize.hpp"
 #include "hmcs/analytic/tree_io.hpp"
@@ -232,6 +234,93 @@ TEST(ModelTree, GenericRecursionMatchesScalarToRounding) {
     EXPECT_NEAR(actual.effective_rate_scale,
                 expected.lambda_effective / expected.lambda_offered, 1e-6);
   }
+}
+
+TEST(ModelTree, FlatShapedTreesMatchPredictLatencyOnRandomConfigs) {
+  // The differential pair behind the generic recursion: seeded random
+  // flat-shaped trees (C, N0, the three technologies, architecture, M
+  // and a rate from idle through deep saturation) through
+  // predict_model_tree and predict_latency, under every method the two
+  // share and the queue rule under which they agree. Both solve one
+  // fixed point to the same tolerance, on phi and on lambda, so the
+  // answers agree to rounding, not bit for bit.
+  constexpr double kRelTolerance = 1e-9;
+  const NetworkTechnology technologies[] = {gigabit_ethernet(),
+                                            fast_ethernet(), myrinet(),
+                                            infiniband()};
+  const std::uint32_t cluster_counts[] = {1, 2, 3, 4, 6, 8, 16, 32, 64};
+  const SourceThrottling methods[] = {
+      SourceThrottling::kNone, SourceThrottling::kBisection,
+      SourceThrottling::kPicard, SourceThrottling::kExactMva};
+  std::mt19937_64 rng(2026);
+  // Raw draws only: the standard fixes mt19937_64's sequence but not
+  // its distributions'.
+  const auto uniform = [&rng] {
+    return static_cast<double>(rng() >> 11) * 0x1.0p-53;
+  };
+  const auto pick = [&rng](std::size_t n) {
+    return static_cast<std::size_t>(rng() % n);
+  };
+  int saturated = 0;
+  for (int trial = 0; trial < 150; ++trial) {
+    const std::uint32_t clusters = cluster_counts[pick(9)];
+    const auto per_cluster = static_cast<std::uint32_t>(1 + pick(64));
+    SystemConfig config = paper_scenario(
+        HeterogeneityCase::kCase1, clusters,
+        pick(2) == 0 ? NetworkArchitecture::kNonBlocking
+                     : NetworkArchitecture::kBlocking,
+        std::round(std::exp2(6.0 + 10.0 * uniform())),
+        clusters * per_cluster,
+        trial % 10 == 0 ? 0.0 : std::exp2(-20.0 + 17.0 * uniform()));
+    config.icn1 = technologies[pick(4)];
+    config.ecn1 = technologies[pick(4)];
+    config.icn2 = technologies[pick(4)];
+    const SourceThrottling method = methods[pick(4)];
+    const std::string what = "trial " + std::to_string(trial) + " C=" +
+                             std::to_string(clusters) + " N0=" +
+                             std::to_string(per_cluster) + " M=" +
+                             std::to_string(config.message_bytes) +
+                             " rate=" +
+                             std::to_string(config.generation_rate_per_us) +
+                             " method=" +
+                             std::to_string(static_cast<int>(method));
+
+    if (config.total_nodes() == 1) {
+      // A lone processor has no destination: the tree path routes
+      // nothing and predicts 0, while predict_latency still sends its
+      // messages through its cluster's ICN1. The paths disagree there,
+      // so the pair is compared from N = 2 on.
+      continue;
+    }
+
+    ModelOptions scalar;
+    scalar.fixed_point.method = method;
+    scalar.fixed_point.queue_rule = QueueLengthRule::kConsistent;
+    const LatencyPrediction expected = predict_latency(config, scalar);
+    TreeModelOptions options;
+    options.fixed_point = scalar.fixed_point;
+    const TreeLatencyPrediction actual =
+        predict_model_tree(ModelTree::from_system(config), options);
+
+    EXPECT_EQ(actual.fixed_point_converged, expected.fixed_point_converged)
+        << what;
+    if (!std::isfinite(expected.mean_latency_us)) {
+      ++saturated;
+      EXPECT_EQ(actual.mean_latency_us, expected.mean_latency_us) << what;
+      continue;
+    }
+    EXPECT_NEAR(actual.mean_latency_us, expected.mean_latency_us,
+                kRelTolerance * expected.mean_latency_us)
+        << what;
+    if (expected.lambda_offered > 0.0) {
+      EXPECT_NEAR(actual.effective_rate_scale,
+                  expected.lambda_effective / expected.lambda_offered,
+                  kRelTolerance)
+          << what;
+    }
+  }
+  // Without throttling, the grid's fast rates saturate a centre.
+  EXPECT_GT(saturated, 0);
 }
 
 TEST(ModelTree, UniformMvaMatchesScalarExactMva) {

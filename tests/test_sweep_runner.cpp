@@ -6,12 +6,18 @@
 
 #include <atomic>
 #include <cstring>
+#include <filesystem>
+#include <fstream>
+#include <iterator>
 #include <memory>
+#include <sstream>
 #include <stdexcept>
+#include <string>
 
 #include "hmcs/runner/sweep_report.hpp"
 #include "hmcs/runner/sweep_runner.hpp"
 #include "hmcs/util/error.hpp"
+#include "hmcs/util/output_file.hpp"
 
 namespace {
 
@@ -153,6 +159,86 @@ TEST(SweepRunner, DesSweepCsvIsByteIdenticalAcrossThreadCounts) {
       runner::sweep_csv(run_sweep(spec, backends, wide)).to_string();
   EXPECT_EQ(csv_serial, csv_wide);
   EXPECT_FALSE(csv_serial.empty());
+}
+
+std::string read_file(const std::string& path) {
+  std::ifstream in(path, std::ios::binary);
+  return {std::istreambuf_iterator<char>(in), std::istreambuf_iterator<char>()};
+}
+
+TEST(SweepReport, StreamedFilesMatchTheInMemoryRendering) {
+  // Large enough that both files cross several output chunks.
+  SweepSpec spec;
+  spec.id = "report";
+  spec.axes.clusters = {1, 2, 4, 8, 16, 32, 64, 128, 256};
+  for (int i = 0; i < 120; ++i) {
+    spec.axes.message_bytes.push_back(64.0 + 17.25 * i);
+  }
+  spec.base_seed = 5;
+  RunnerOptions options;
+  options.threads = 2;
+  const SweepResult result =
+      run_sweep(spec,
+                {std::make_shared<StubBackend>("a, \"quoted\""),
+                 std::make_shared<StubBackend>("b")},
+                options);
+
+  const std::string dir = ::testing::TempDir() + "hmcs_report_stream";
+  std::filesystem::remove_all(dir);
+  std::ostringstream os;
+  runner::print_sweep_report(os, result, dir + "/csv", dir + "/json");
+  const std::string csv = read_file(dir + "/csv/report.csv");
+  const std::string json = read_file(dir + "/json/report.json");
+  EXPECT_GT(csv.size(), 2 * kOutputChunkBytes);
+  EXPECT_GT(json.size(), 2 * kOutputChunkBytes);
+  EXPECT_EQ(csv, runner::sweep_csv(result).to_string());
+  EXPECT_EQ(json, runner::sweep_json(result) + "\n");
+
+  // The table, then the two lines in their fixed order.
+  const std::string tail = "series written to " + dir +
+                           "/csv/report.csv\nrecord written to " + dir +
+                           "/json/report.json\n";
+  EXPECT_EQ(os.str(),
+            "== report ==\n" + runner::render_sweep_table(result) + tail);
+  std::filesystem::remove_all(dir);
+}
+
+TEST(SweepReport, FailedWritesRaiseTheirErrorsCsvFirst) {
+  RunnerOptions options;
+  options.threads = 1;
+  const SweepResult result =
+      run_sweep(small_spec(), {std::make_shared<StubBackend>("a")}, options);
+  // A regular file where a directory should be: nothing can be written
+  // below it.
+  const std::string blocked = ::testing::TempDir() + "hmcs_report_blocked";
+  std::ofstream(blocked) << "x";
+  const std::string writable = ::testing::TempDir() + "hmcs_report_ok";
+
+  const struct {
+    std::string csv_dir;
+    std::string json_dir;
+    std::string error;
+  } cases[] = {
+      {blocked, "", "CsvWriter: cannot open '" + blocked + "/t.csv'"},
+      {"", blocked,
+       "print_sweep_report: cannot write '" + blocked + "/t.json'"},
+      {blocked, blocked, "CsvWriter: cannot open '" + blocked + "/t.csv'"},
+      {writable, blocked,
+       "print_sweep_report: cannot write '" + blocked + "/t.json'"},
+  };
+  for (const auto& c : cases) {
+    std::ostringstream os;
+    try {
+      runner::print_sweep_report(os, result, c.csv_dir, c.json_dir);
+      ADD_FAILURE() << "no error for " << c.error;
+    } catch (const ConfigError& error) {
+      EXPECT_NE(std::string(error.what()).find(c.error), std::string::npos)
+          << error.what();
+    }
+    EXPECT_EQ(os.str().find("written to " + blocked), std::string::npos);
+  }
+  std::filesystem::remove(blocked);
+  std::filesystem::remove_all(writable);
 }
 
 }  // namespace

@@ -59,6 +59,29 @@ TEST(Csv, QuotesSpecialCharacters) {
   EXPECT_EQ(csv.to_string(), "name,note\n\"a,b\",\"say \"\"hi\"\"\nbye\"\n");
 }
 
+TEST(Csv, QuotesCarriageReturns) {
+  // A bare CR ends a record for RFC 4180 readers (Python's csv among
+  // them), so an unquoted one splits the row.
+  CsvWriter csv({"technology", "n"});
+  csv.add_row({"GE\rFE", "1"});
+  EXPECT_EQ(csv.to_string(), "technology,n\n\"GE\rFE\",1\n");
+}
+
+TEST(Csv, FlushedPiecesConcatenateToTheWholeSeries) {
+  CsvWriter whole({"i", "label"});
+  CsvWriter streamed({"i", "label"});
+  std::ostringstream out;
+  for (int i = 0; i < 50; ++i) {
+    whole.cell(std::to_string(i)).cell("a,\"b\"").end_row();
+    streamed.cell(std::to_string(i)).cell("a,\"b\"").end_row();
+    if (i % 7 == 0) streamed.flush_to(out);
+  }
+  streamed.cell("half a row");  // an open row stays buffered
+  streamed.flush_to(out);
+  EXPECT_EQ(out.str(), whole.to_string());
+  EXPECT_EQ(streamed.buffered(), std::string("half a row").size());
+}
+
 TEST(Csv, RejectsMismatchedRow) {
   CsvWriter csv({"a"});
   EXPECT_THROW(csv.add_row({"1", "2"}), ConfigError);

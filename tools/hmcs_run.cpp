@@ -70,8 +70,9 @@ int main(int argc, char** argv) {
                             "config when given)", "");
   cli.add_option("deadline-ms", "per-cell wall-clock budget in ms, 0 = "
                                 "none (overrides the config when given)", "");
-  cli.add_option("batch", "cells per batched backend call, 0 = per-cell "
-                          "(overrides the config when given)", "");
+  cli.add_option("batch", "cells per batched backend call, 0 = per-cell; "
+                          "exact-MVA calls are capped at the CPU's MVA lane "
+                          "width (overrides the config when given)", "");
   cli.add_option("obs-out", "directory for observability artifacts "
                             "(metrics.json, metrics.csv, trace.json)", "");
   cli.add_option("obs-sample-us",
