@@ -334,6 +334,8 @@ struct KernelRun {
   std::string kernel;
   std::size_t lanes = 0;
   double batch_seconds = 0.0;
+  /// batch_seconds per network and population step.
+  double ns_per_lane_step = 0.0;
   Mismatches mismatched_fields;
 };
 
@@ -372,8 +374,26 @@ KernelRun run_kernel(const analytic::detail::MvaKernel& kernel,
         services[i], layouts[i], solved[i]));
   }
   run.batch_seconds = seconds_since(start);
+  run.ns_per_lane_step =
+      run.batch_seconds * 1e9 /
+      (static_cast<double>(configs.size()) *
+       static_cast<double>(configs.front().total_nodes()));
   run.mismatched_fields = compare_predictions(scalar, batch);
   return run;
+}
+
+/// The CPU's model name as /proc/cpuinfo gives it, so the record names
+/// the host it was taken on; "unknown" where there is no such file.
+std::string cpu_model() {
+  std::ifstream cpuinfo("/proc/cpuinfo");
+  std::string line;
+  while (std::getline(cpuinfo, line)) {
+    const std::size_t colon = line.find(':');
+    if (line.rfind("model name", 0) == 0 && colon != std::string::npos) {
+      return trim(line.substr(colon + 1));
+    }
+  }
+  return "unknown";
 }
 
 double speedup(double slow_seconds, double fast_seconds) {
@@ -474,10 +494,11 @@ int main(int argc, char** argv) try {
     kernels.push_back(run_kernel(kernel, chunk, mixed.scalar));
     const KernelRun& run = kernels.back();
     bit_identical = bit_identical && run.mismatched_fields.empty();
-    std::printf("  kernel %-8s %2zu lanes: %8.4f s (%.1fx), "
-                "bit-identical: %s\n",
+    std::printf("  kernel %-8s %2zu lanes: %8.4f s (%.1fx, %.3f ns per "
+                "lane-step), bit-identical: %s\n",
                 run.kernel.c_str(), run.lanes, run.batch_seconds,
                 speedup(mixed.scalar_seconds, run.batch_seconds),
+                run.ns_per_lane_step,
                 run.mismatched_fields.empty() ? "yes" : "NO");
     for (const std::string& field : run.mismatched_fields) {
       std::printf("    field differs: %s\n", field.c_str());
@@ -490,6 +511,7 @@ int main(int argc, char** argv) try {
   json.key("total_nodes").value(nodes);
   json.key("hardware_concurrency")
       .value(static_cast<std::uint64_t>(std::thread::hardware_concurrency()));
+  json.key("cpu").value(cpu_model());
   json.key("mva_class_collapse").begin_array();
   for (const MvaCollapseRun& run : collapse) {
     json.begin_object();
@@ -550,6 +572,7 @@ int main(int argc, char** argv) try {
     json.key("kernel").value(run.kernel);
     json.key("lanes").value(static_cast<std::uint64_t>(run.lanes));
     json.key("batch_seconds").value(run.batch_seconds);
+    json.key("ns_per_lane_step").value(run.ns_per_lane_step);
     json.key("bit_identical").value(run.mismatched_fields.empty());
     json.end_object();
   }

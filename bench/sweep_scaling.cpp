@@ -11,11 +11,12 @@
 // the analytic-vs-DES cell-cost gap for non-exponential scenarios is
 // tracked alongside the exponential baseline. A third ("output_layers")
 // times what precedes and follows the solve on a fixed 8,640-cell
-// analytic grid: expanding its 2,880 points, the table, CSV, sweep-JSON
-// and journal formatting per cell, the wall time to write one sweep's
-// outputs into a fresh directory and to rewrite them into a directory
-// that already holds them (under the system temporary directory), and
-// loading the journal written there back for a resume.
+// analytic grid: expanding its 2,880 points, the table and journal
+// formatting per cell, print_sweep_report streaming the CSV only, the
+// JSON record only and both beside the table, the wall time to write
+// one sweep's outputs into a fresh directory and to rewrite them into a
+// directory that already holds them (under the system temporary
+// directory), and loading the journal written there back for a resume.
 
 #include <algorithm>
 #include <chrono>
@@ -204,9 +205,10 @@ struct OutputLayers {
   int repetitions = 0;
   double expand_us_per_point = 0.0;
   double table_us_per_cell = 0.0;
-  double csv_us_per_cell = 0.0;
-  double json_us_per_cell = 0.0;
   double journal_us_per_cell = 0.0;
+  double report_csv_us_per_cell = 0.0;
+  double report_json_us_per_cell = 0.0;
+  double report_us_per_cell = 0.0;
   std::uintmax_t output_bytes = 0;
   double fresh_write_ms = 0.0;
   double rewrite_ms = 0.0;
@@ -235,10 +237,6 @@ OutputLayers time_output_layers() {
       1e6 / static_cast<double>(result.points.size());
   layers.table_us_per_cell = us_per_cell(
       [&] { sink += runner::render_sweep_table(result).size(); });
-  layers.csv_us_per_cell = us_per_cell(
-      [&] { sink += runner::sweep_csv(result).to_string().size(); });
-  layers.json_us_per_cell =
-      us_per_cell([&] { sink += runner::sweep_json(result).size(); });
   // A character device is written through, so this is the formatting
   // plus one write per block.
   layers.journal_us_per_cell =
@@ -261,6 +259,20 @@ OutputLayers time_output_layers() {
   for (const auto& entry : fs::directory_iterator(dir)) {
     layers.output_bytes += entry.file_size();
   }
+  // print_sweep_report alone, streaming the CSV only, the JSON record
+  // only, and both (what hmcs_run --csv-dir --json-dir waits for) while
+  // it renders the table; each replaces the file written before it.
+  const auto report_us_per_cell = [&](const std::string& csv_dir,
+                                      const std::string& json_dir) {
+    return us_per_cell([&] {
+      std::ostringstream table;
+      runner::print_sweep_report(table, result, csv_dir, json_dir);
+      sink += table.str().size();
+    });
+  };
+  layers.report_csv_us_per_cell = report_us_per_cell(dir.string(), "");
+  layers.report_json_us_per_cell = report_us_per_cell("", dir.string());
+  layers.report_us_per_cell = report_us_per_cell(dir.string(), dir.string());
   // What hmcs_run --resume reads before its first cell.
   const runner::JournalWriter::Shape shape{result.id, result.points.size(),
                                            result.backend_names};
@@ -379,9 +391,10 @@ int main(int argc, char** argv) try {
   json.key("repetitions").value(static_cast<std::uint64_t>(layers.repetitions));
   json.key("expand_us_per_point").value(layers.expand_us_per_point);
   json.key("table_us_per_cell").value(layers.table_us_per_cell);
-  json.key("csv_us_per_cell").value(layers.csv_us_per_cell);
-  json.key("sweep_json_us_per_cell").value(layers.json_us_per_cell);
   json.key("journal_us_per_cell").value(layers.journal_us_per_cell);
+  json.key("report_csv_us_per_cell").value(layers.report_csv_us_per_cell);
+  json.key("report_json_us_per_cell").value(layers.report_json_us_per_cell);
+  json.key("report_us_per_cell").value(layers.report_us_per_cell);
   json.key("output_bytes")
       .value(static_cast<std::uint64_t>(layers.output_bytes));
   json.key("fresh_write_ms").value(layers.fresh_write_ms);
@@ -414,12 +427,13 @@ int main(int argc, char** argv) try {
               analytic_cost.points, analytic_cost.cell_seconds,
               des_cost.cell_seconds);
   std::printf("output layers (%zu cells): expand %.2f us/point; table %.2f, "
-              "csv %.2f, json %.2f, journal %.2f us/cell; outputs %.1f MB "
-              "written in %.1f ms fresh, %.1f ms over themselves; journal "
-              "load %.2f us/cell\n",
+              "journal %.2f us/cell; report with csv %.2f, json %.2f, both "
+              "%.2f us/cell; outputs %.1f MB written in %.1f ms fresh, "
+              "%.1f ms over themselves; journal load %.2f us/cell\n",
               layers.cells, layers.expand_us_per_point,
-              layers.table_us_per_cell, layers.csv_us_per_cell,
-              layers.json_us_per_cell, layers.journal_us_per_cell,
+              layers.table_us_per_cell, layers.journal_us_per_cell,
+              layers.report_csv_us_per_cell, layers.report_json_us_per_cell,
+              layers.report_us_per_cell,
               static_cast<double>(layers.output_bytes) / 1e6,
               layers.fresh_write_ms, layers.rewrite_ms,
               layers.journal_load_us_per_cell);

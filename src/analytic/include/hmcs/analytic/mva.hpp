@@ -2,10 +2,11 @@
 
 /// \file mva.hpp
 /// Exact Mean Value Analysis for single-class closed product-form
-/// queueing networks (Reiser & Lavenberg). The simulated system *is*
-/// such a network: N processors cycle through an exponential think stage
-/// (mean 1/lambda) and FCFS exponential service centres, so MVA computes
-/// its exact steady-state means.
+/// queueing networks (Reiser & Lavenberg). The simulated system is close
+/// to such a network but not exactly one: each processor's messages
+/// leave from its own cluster, so the DES has one customer class per
+/// cluster, which MVA's single class averages (a scratch bias of at most
+/// 1.5% on Figures 4-7, not a checked-in record: docs/MODEL.md §7).
 ///
 /// The paper instead approximates the closed behaviour with the
 /// open-network eqs. (6)-(7); SourceThrottling::kExactMva lets the
@@ -102,25 +103,25 @@ struct MvaClassNetwork {
 };
 
 /// Lanes the station-class recursion advances per population step when
-/// it solves two or more networks together: eight vectors of the
-/// widest kernel this CPU runs — 64 with AVX-512F, 32 with AVX2, 16 on
-/// baseline x86-64 and on other targets. The kernel is picked once per
-/// process from the CPU's features; nothing else selects it. A group of
-/// one network (a lone network, or one left after full groups) runs a
-/// single lane of the baseline build.
+/// it solves two or more 3-class (HMCS layout) networks: eight vectors
+/// of the widest kernel this CPU runs — 64 with AVX-512F, 32 with AVX2,
+/// 16 on baseline x86-64 and elsewhere. The kernel is picked once per
+/// process from the CPU's features; nothing else selects it. A lone or
+/// left-over network, and any other class count, runs one baseline lane.
 std::size_t mva_lane_width();
 
 /// Solves independent station-class networks that share one population
-/// and one class count, mva_lane_width() at a time: every population
-/// step advances all lanes of a group (state stored class-major x lane,
-/// so the per-step loops vectorise), and each lane performs exactly the
-/// operations of solve_closed_mva_classes on its network alone, in the
-/// same order — every result is bit-identical to that one-network call
-/// on every kernel, since the project builds with -ffp-contract=off.
-/// Each network is validated like solve_closed_mva_classes. `cancel` is
-/// polled every 4096 population steps; an overflow to a non-finite
-/// recursion state (which persists once reached) is checked at the same
-/// polls and at the end. Output order matches `networks`.
+/// and one class count, mva_lane_width() at a time (3 classes) or one
+/// at a time: every population step is one loop over a group's lanes
+/// (state stored class-major x lane, so it vectorises), and each lane
+/// performs exactly the operations of solve_closed_mva_classes on its
+/// network alone, in the same order — every result is bit-identical to
+/// that one-network call on every kernel, since the project builds with
+/// -ffp-contract=off. Each network is validated like
+/// solve_closed_mva_classes. `cancel` is polled every 4096 population
+/// steps; an overflow to a non-finite recursion state (which persists
+/// once reached) is checked at the same polls and at the end. Output
+/// order matches `networks`.
 std::vector<MvaClassResult> solve_closed_mva_classes_batch(
     std::span<const MvaClassNetwork> networks, std::uint64_t population,
     const util::CancelToken* cancel = nullptr);
@@ -130,8 +131,8 @@ namespace detail {
 /// One build of the station-class lane loop: the same source compiled
 /// for one instruction set and run `lanes` networks per group.
 struct MvaKernel {
-  /// Solves one group of 2..lanes validated networks (spare lanes
-  /// repeat the last network and are discarded).
+  /// Solves one group of 2..lanes validated 3-class networks (spare
+  /// lanes repeat the last network and are discarded).
   using GroupSolver = void (*)(const MvaClassNetwork* networks,
                                std::size_t count, std::uint64_t population,
                                const util::CancelToken* cancel,
@@ -142,8 +143,7 @@ struct MvaKernel {
   /// and "portable" elsewhere.
   std::string_view name;
   std::size_t lanes = 0;
-  GroupSolver hmcs_group = nullptr;  ///< the HMCS layout's 3 classes
-  GroupSolver any_group = nullptr;   ///< any other class count
+  GroupSolver hmcs_group = nullptr;
 
   /// solve_closed_mva_classes_batch through this kernel: same
   /// validation, same results bit for bit.

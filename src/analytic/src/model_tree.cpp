@@ -152,6 +152,7 @@ std::uint32_t ModelTree::depth() const { return node_depth(root); }
 
 void ModelTree::validate() const {
   validate_node(root, NodePath{});
+  require(total_processors() >= 2, "ModelTree: needs >= 2 processors");
   require(switch_params.ports >= 4 && switch_params.ports % 2 == 0,
           "ModelTree: switch ports must be even and >= 4");
   require(switch_params.latency_us >= 0.0,

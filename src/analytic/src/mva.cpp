@@ -49,8 +49,8 @@ void validate_class_network(std::span<const MvaStationClass> classes,
 }
 
 /// One station class across the L lanes of a solve, class-major x lane:
-/// the lanes' constants and recursion state sit in contiguous arrays, so
-/// every per-step loop over the lanes vectorises.
+/// lane j's constants and recursion state sit at index j of contiguous
+/// arrays, so the step's loop over the lanes vectorises.
 template <std::size_t L>
 struct LaneClass {
   /// 1/mu, hoisted: the step then carries one division (n / cycle)
@@ -85,24 +85,27 @@ void ensure_finite(const Classes& classes, const double (&x)[L]) {
 /// spare lanes repeat the last network and are discarded). The station
 /// recursion keeps identical stations equal (they start at L = 0 and
 /// receive identical updates), so one update per class is exact, with
-/// the class's cycle contribution m_k v_k W_k. Per lane:
+/// the class's cycle contribution m_k v_k W_k. Each population step is
+/// one loop over the lanes, each running its whole step:
 ///   W_k = (1 + L_k) * (1/mu_k);  cycle = Z + sum_k m_k v_k W_k;
 ///   X = n / cycle;  L_k = X v_k W_k
 /// — the same operations in the same order for every lane, so each lane
 /// is bit-identical to a one-lane solve of its network on every
 /// instruction set, as long as no a*b+c is contracted into an FMA: the
-/// project builds with -ffp-contract=off.
+/// project builds with -ffp-contract=off. The class loops unroll and
+/// the lane loop vectorises with cycle and X in registers.
 ///
 /// K is the class count when it is known at compile time (kHmcsClasses),
-/// or 0 for any other count. A fixed count keeps the state in a local
-/// array, which a single lane holds in registers: the step's dependency
-/// chain then never goes through memory. Always inlined, so each
-/// per-ISA wrapper below compiles the loop for its own instruction set.
+/// or 0 for any other count, which runs one lane only: a run-time class
+/// loop inside the lane loop does not vectorise. A fixed count keeps a
+/// single lane's state in registers. Always inlined, so each per-ISA
+/// wrapper below compiles the loop for its own instruction set.
 template <std::size_t L, std::size_t K>
 [[gnu::always_inline]] inline void solve_lanes(
     const MvaClassNetwork* networks, std::size_t count,
     std::uint64_t population, const util::CancelToken* cancel,
     MvaClassResult* out) {
+  static_assert(K != 0 || L == 1, "a run-time class count runs one lane");
   const std::size_t k = K == 0 ? networks[0].classes.size() : K;
   std::conditional_t<K == 0, std::vector<LaneClass<L>>,
                      std::array<LaneClass<L>, K>>
@@ -131,17 +134,14 @@ template <std::size_t L, std::size_t K>
     const std::uint64_t steps = std::min(population - done, kMvaPollSteps);
     for (std::uint64_t n = done + 1; n <= done + steps; ++n) {
       const double customers = static_cast<double>(n);
-      double cycle[L];
-      for (std::size_t j = 0; j < L; ++j) cycle[j] = think[j];
-      for (LaneClass<L>& cls : classes) {
-        for (std::size_t j = 0; j < L; ++j) {
+      for (std::size_t j = 0; j < L; ++j) {
+        double cycle = think[j];
+        for (LaneClass<L>& cls : classes) {
           cls.w[j] = (1.0 + cls.l[j]) * cls.inv_rate[j];
-          cycle[j] += cls.class_visits[j] * cls.w[j];
+          cycle += cls.class_visits[j] * cls.w[j];
         }
-      }
-      for (std::size_t j = 0; j < L; ++j) x[j] = customers / cycle[j];
-      for (LaneClass<L>& cls : classes) {
-        for (std::size_t j = 0; j < L; ++j) {
+        x[j] = customers / cycle;
+        for (LaneClass<L>& cls : classes) {
           cls.l[j] = x[j] * cls.visit_ratio[j] * cls.w[j];
         }
       }
@@ -165,9 +165,9 @@ template <std::size_t L, std::size_t K>
   }
 }
 
-/// Each build runs 8 vectors per group (lanes = doubles per vector x 8),
-/// the fastest width of every build in the per-lane-step timings of
-/// docs/PERFORMANCE.md.
+/// Each build runs 8 vectors per group (lanes = doubles per vector x 8):
+/// in the per-lane-step timings of docs/PERFORMANCE.md fewer wait on the
+/// division, and more gain nothing with AVX2 and AVX-512.
 constexpr std::size_t kVectorsPerGroup = 8;
 
 template <std::size_t K>
@@ -181,32 +181,32 @@ void solve_lone(const MvaClassNetwork* networks, std::size_t count,
 /// loop at the same width elsewhere.
 constexpr std::size_t kBaselineLanes = 2 * kVectorsPerGroup;
 
-template <std::size_t K>
 void solve_baseline(const MvaClassNetwork* networks, std::size_t count,
                     std::uint64_t population, const util::CancelToken* cancel,
                     MvaClassResult* out) {
-  solve_lanes<kBaselineLanes, K>(networks, count, population, cancel, out);
+  solve_lanes<kBaselineLanes, kHmcsClasses>(networks, count, population,
+                                            cancel, out);
 }
 
 #if defined(__x86_64__)
 constexpr std::size_t kAvx2Lanes = 4 * kVectorsPerGroup;
 constexpr std::size_t kAvx512Lanes = 8 * kVectorsPerGroup;
 
-template <std::size_t K>
 [[gnu::target("avx2")]] void solve_avx2(const MvaClassNetwork* networks,
                                         std::size_t count,
                                         std::uint64_t population,
                                         const util::CancelToken* cancel,
                                         MvaClassResult* out) {
-  solve_lanes<kAvx2Lanes, K>(networks, count, population, cancel, out);
+  solve_lanes<kAvx2Lanes, kHmcsClasses>(networks, count, population, cancel,
+                                        out);
 }
 
-template <std::size_t K>
 [[gnu::target("avx512f")]] void solve_avx512(
     const MvaClassNetwork* networks, std::size_t count,
     std::uint64_t population, const util::CancelToken* cancel,
     MvaClassResult* out) {
-  solve_lanes<kAvx512Lanes, K>(networks, count, population, cancel, out);
+  solve_lanes<kAvx512Lanes, kHmcsClasses>(networks, count, population,
+                                          cancel, out);
 }
 #endif
 
@@ -218,18 +218,14 @@ std::vector<detail::MvaKernel> detect_mva_kernels() {
 #if defined(__x86_64__)
   __builtin_cpu_init();
   if (__builtin_cpu_supports("avx512f")) {
-    kernels.push_back({"avx512f", kAvx512Lanes, solve_avx512<kHmcsClasses>,
-                       solve_avx512<0>});
+    kernels.push_back({"avx512f", kAvx512Lanes, solve_avx512});
   }
   if (__builtin_cpu_supports("avx2")) {
-    kernels.push_back(
-        {"avx2", kAvx2Lanes, solve_avx2<kHmcsClasses>, solve_avx2<0>});
+    kernels.push_back({"avx2", kAvx2Lanes, solve_avx2});
   }
-  kernels.push_back({"sse2", kBaselineLanes, solve_baseline<kHmcsClasses>,
-                     solve_baseline<0>});
+  kernels.push_back({"sse2", kBaselineLanes, solve_baseline});
 #else
-  kernels.push_back({"portable", kBaselineLanes,
-                     solve_baseline<kHmcsClasses>, solve_baseline<0>});
+  kernels.push_back({"portable", kBaselineLanes, solve_baseline});
 #endif
   return kernels;
 }
@@ -319,17 +315,19 @@ std::vector<MvaClassResult> detail::MvaKernel::solve(
     validate_class_network(network.classes, network.think_time_us);
   }
 
-  // A group of one network runs a single lane of the baseline build;
-  // spare lanes would only add work.
+  // Wide groups exist for the HMCS layout only. A group of one network
+  // runs a single lane of the baseline build; spare lanes add work.
+  const bool hmcs =
+      !networks.empty() && networks[0].classes.size() == kHmcsClasses;
+  const std::size_t width = hmcs ? lanes : 1;
   std::vector<MvaClassResult> results(networks.size());
-  for (std::size_t first = 0; first < networks.size(); first += lanes) {
-    const std::size_t count = std::min(lanes, networks.size() - first);
-    const MvaClassNetwork* group = networks.data() + first;
-    const bool hmcs = group->classes.size() == kHmcsClasses;
+  for (std::size_t first = 0; first < networks.size(); first += width) {
+    const std::size_t count = std::min(width, networks.size() - first);
     const GroupSolver solver =
-        count == 1 ? (hmcs ? solve_lone<kHmcsClasses> : solve_lone<0>)
-                   : (hmcs ? hmcs_group : any_group);
-    solver(group, count, population, cancel, results.data() + first);
+        count > 1 ? hmcs_group
+                  : (hmcs ? solve_lone<kHmcsClasses> : solve_lone<0>);
+    solver(networks.data() + first, count, population, cancel,
+           results.data() + first);
   }
   return results;
 }

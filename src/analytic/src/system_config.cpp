@@ -19,7 +19,8 @@ const char* to_string(NetworkArchitecture arch) {
 void SystemConfig::validate() const {
   require(clusters >= 1, "SystemConfig: clusters must be >= 1");
   require(nodes_per_cluster >= 1, "SystemConfig: nodes_per_cluster must be >= 1");
-  require(total_nodes() >= 1, "SystemConfig: system must have nodes");
+  // A lone processor's messages have no destination (as in the DES).
+  require(total_nodes() >= 2, "SystemConfig: needs >= 2 processors");
   analytic::validate(icn1);
   analytic::validate(ecn1);
   analytic::validate(icn2);

@@ -262,16 +262,19 @@ TEST(ModelTree, FlatShapedTreesMatchPredictLatencyOnRandomConfigs) {
     return static_cast<std::size_t>(rng() % n);
   };
   int saturated = 0;
+  int lone = 0;
   for (int trial = 0; trial < 150; ++trial) {
     const std::uint32_t clusters = cluster_counts[pick(9)];
     const auto per_cluster = static_cast<std::uint32_t>(1 + pick(64));
+    // Built at two processors per cluster and then resized, since
+    // paper_scenario already refuses N = 1, which both paths must refuse.
     SystemConfig config = paper_scenario(
         HeterogeneityCase::kCase1, clusters,
         pick(2) == 0 ? NetworkArchitecture::kNonBlocking
                      : NetworkArchitecture::kBlocking,
-        std::round(std::exp2(6.0 + 10.0 * uniform())),
-        clusters * per_cluster,
+        std::round(std::exp2(6.0 + 10.0 * uniform())), clusters * 2,
         trial % 10 == 0 ? 0.0 : std::exp2(-20.0 + 17.0 * uniform()));
+    config.nodes_per_cluster = per_cluster;
     config.icn1 = technologies[pick(4)];
     config.ecn1 = technologies[pick(4)];
     config.icn2 = technologies[pick(4)];
@@ -285,20 +288,27 @@ TEST(ModelTree, FlatShapedTreesMatchPredictLatencyOnRandomConfigs) {
                              " method=" +
                              std::to_string(static_cast<int>(method));
 
-    if (config.total_nodes() == 1) {
-      // A lone processor has no destination: the tree path routes
-      // nothing and predicts 0, while predict_latency still sends its
-      // messages through its cluster's ICN1. The paths disagree there,
-      // so the pair is compared from N = 2 on.
-      continue;
-    }
-
     ModelOptions scalar;
     scalar.fixed_point.method = method;
     scalar.fixed_point.queue_rule = QueueLengthRule::kConsistent;
-    const LatencyPrediction expected = predict_latency(config, scalar);
     TreeModelOptions options;
     options.fixed_point = scalar.fixed_point;
+    if (config.total_nodes() == 1) {
+      // A lone processor's messages have no destination: both paths
+      // refuse it.
+      ++lone;
+      EXPECT_THROW(predict_latency(config, scalar), hmcs::ConfigError)
+          << what;
+      SystemConfig pair = config;
+      pair.nodes_per_cluster = 2;
+      ModelTree tree = ModelTree::from_system(pair);
+      tree.root.children[0].children[0].processors = 1;
+      EXPECT_THROW(predict_model_tree(tree, options), hmcs::ConfigError)
+          << what;
+      continue;
+    }
+
+    const LatencyPrediction expected = predict_latency(config, scalar);
     const TreeLatencyPrediction actual =
         predict_model_tree(ModelTree::from_system(config), options);
 
@@ -321,6 +331,7 @@ TEST(ModelTree, FlatShapedTreesMatchPredictLatencyOnRandomConfigs) {
   }
   // Without throttling, the grid's fast rates saturate a centre.
   EXPECT_GT(saturated, 0);
+  EXPECT_GT(lone, 0);
 }
 
 TEST(ModelTree, UniformMvaMatchesScalarExactMva) {
@@ -491,6 +502,12 @@ TEST(ModelTree, Validation) {
   tree = nested_tree();
   tree.message_bytes = 0.0;
   EXPECT_THROW(predict_model_tree(tree), hmcs::ConfigError);
+
+  // One processor in the whole tree: its messages have no destination.
+  tree = uniform_depth3_tree(1, 1, 1);
+  EXPECT_THROW(tree.validate(), hmcs::ConfigError);
+  tree.root.children[0].children[0].processors = 2;
+  tree.validate();
 }
 
 TEST(ModelTree, TreeIoParsesNestedSchema) {

@@ -229,10 +229,16 @@ TEST(MultiClusterSim, HeterogeneousConfigRuns) {
 }
 
 TEST(MultiClusterSim, RejectsDegenerateRuns) {
-  const auto one_node = paper_scenario(HeterogeneityCase::kCase1, 1,
-                                       NetworkArchitecture::kNonBlocking,
-                                       1024.0, 1, 1e-4);
-  // A one-node system has no possible destinations.
+  // A one-node system has no possible destinations: its configuration
+  // is refused, and so is a simulator built from it unvalidated.
+  EXPECT_THROW(paper_scenario(HeterogeneityCase::kCase1, 1,
+                              NetworkArchitecture::kNonBlocking, 1024.0, 1,
+                              1e-4),
+               hmcs::ConfigError);
+  auto one_node = paper_scenario(HeterogeneityCase::kCase1, 1,
+                                 NetworkArchitecture::kNonBlocking, 1024.0, 2,
+                                 1e-4);
+  one_node.nodes_per_cluster = 1;
   EXPECT_THROW(MultiClusterSim(one_node, fast_options()), hmcs::ConfigError);
 }
 

@@ -379,16 +379,16 @@ std::vector<MvaStationClass> random_classes(std::mt19937_64& rng,
   return classes;
 }
 
-/// `count` random networks of k classes, each with its own think time.
-struct RandomNetworks {
+/// Networks of a lane-parallel solve with the layouts they point into.
+struct Networks {
   std::vector<std::vector<MvaStationClass>> layouts;
   std::vector<MvaClassNetwork> networks;
 };
 
-RandomNetworks random_networks(std::mt19937_64& rng, std::size_t k,
+Networks random_networks(std::mt19937_64& rng, std::size_t k,
                                std::size_t count) {
   std::uniform_real_distribution<double> think(0.5, 500.0);
-  RandomNetworks out;
+  Networks out;
   for (std::size_t i = 0; i < count; ++i) {
     out.layouts.push_back(random_classes(rng, k));
   }
@@ -400,7 +400,7 @@ RandomNetworks random_networks(std::mt19937_64& rng, std::size_t k,
 
 /// Every result of `lanes` bit for bit against a one-network solve (the
 /// baseline one-lane path) of the same network.
-void expect_one_lane_bits(const RandomNetworks& input,
+void expect_one_lane_bits(const Networks& input,
                           const std::vector<MvaClassResult>& lanes,
                           std::uint64_t population, const std::string& where) {
   ASSERT_EQ(lanes.size(), input.networks.size()) << where;
@@ -430,7 +430,7 @@ TEST(MvaLanes, EveryLaneIsBitIdenticalToItsOneNetworkSolve) {
   std::mt19937_64 rng(4242);
   const std::uint64_t population = 5000;  // crosses a cancel poll
   for (const std::size_t k : {3u, 5u}) {
-    const RandomNetworks input =
+    const Networks input =
         random_networks(rng, k, mva_lane_width() + 3);
     expect_one_lane_bits(
         input, solve_closed_mva_classes_batch(input.networks, population),
@@ -461,7 +461,7 @@ TEST(MvaLanes, EverySupportedKernelIsBitIdenticalToTheOneLaneSolve) {
     for (const std::size_t k : {3u, 5u}) {
       for (const std::size_t count :
            {kernel.lanes - 1, kernel.lanes, kernel.lanes + 1}) {
-        const RandomNetworks input = random_networks(rng, k, count);
+        const Networks input = random_networks(rng, k, count);
         expect_one_lane_bits(input, kernel.solve(input.networks, population),
                              population,
                              std::string(kernel.name) +
@@ -469,6 +469,53 @@ TEST(MvaLanes, EverySupportedKernelIsBitIdenticalToTheOneLaneSolve) {
                                  " count=" + std::to_string(count));
       }
     }
+  }
+}
+
+TEST(MvaLanes, HmcsGridLayoutsAreBitIdenticalOnEveryKernel) {
+  // The networks an analytic grid's exact-MVA cells solve: the HMCS
+  // class layout at every cluster count of the paper's sweep (C = 1
+  // visits neither ECN1 nor ICN2), both architectures and both cases,
+  // at four think times, at the grid's population (16 cancel polls),
+  // through every kernel the CPU runs.
+  const std::uint64_t population = 65536;
+  std::size_t cluster_counts = 0;
+  const std::uint32_t* clusters = paper_cluster_sweep(&cluster_counts);
+  Networks grid;
+  std::vector<double> think_times;
+  for (std::size_t i = 0; i < cluster_counts; ++i) {
+    for (const NetworkArchitecture architecture :
+         {NetworkArchitecture::kNonBlocking, NetworkArchitecture::kBlocking}) {
+      for (const HeterogeneityCase hetero :
+           {HeterogeneityCase::kCase1, HeterogeneityCase::kCase2}) {
+        for (const double rate_per_s : {25.0, 120.0, 480.0, 880.0}) {
+          const SystemConfig config =
+              paper_scenario(hetero, clusters[i], architecture, 1024.0,
+                             static_cast<std::uint32_t>(population),
+                             rate_per_s * 1e-6);
+          grid.layouts.push_back(
+              build_hmcs_mva_class_layout(config,
+                                          center_service_times(config))
+                  .classes);
+          think_times.push_back(1.0 / config.generation_rate_per_us);
+        }
+      }
+    }
+  }
+  for (std::size_t i = 0; i < grid.layouts.size(); ++i) {
+    grid.networks.push_back(MvaClassNetwork{grid.layouts[i], think_times[i]});
+  }
+  ASSERT_EQ(grid.networks.size(), 144u);
+
+  // Another class count runs one lane at a time on every kernel.
+  std::mt19937_64 rng(65536);
+  for (const detail::MvaKernel& kernel : detail::supported_mva_kernels()) {
+    const std::string name(kernel.name);
+    expect_one_lane_bits(grid, kernel.solve(grid.networks, population),
+                         population, name + " grid");
+    const Networks five = random_networks(rng, 5, kernel.lanes + 1);
+    expect_one_lane_bits(five, kernel.solve(five.networks, population),
+                         population, name + " k=5");
   }
 }
 

@@ -359,6 +359,21 @@ TEST(ServeService, MalformedLineGetsErrorReplyWithId) {
   EXPECT_EQ(service.counters().bad_requests, 2u);
 }
 
+TEST(ServeService, OneNodeRequestsAreBadRequests) {
+  // A lone processor's messages have no destination, flat or nested.
+  serve::ServeService service({});
+  const std::string flat = service.handle_line(
+      R"({"id":"f","config":{"clusters":1,"total_nodes":1}})");
+  EXPECT_NE(flat.find("\"status\":\"error\""), std::string::npos) << flat;
+  const std::string nested = service.handle_line(
+      R"({"id":"n","config":{"tree":{"network":"fast-ethernet",
+          "children":[{"network":"gigabit-ethernet","egress":"fast-ethernet",
+                       "children":[{"processors":1}]}]}}})");
+  EXPECT_NE(nested.find("\"status\":\"error\""), std::string::npos)
+      << nested;
+  EXPECT_EQ(service.counters().bad_requests, 2u);
+}
+
 TEST(ServeService, PingAndStatsOps) {
   serve::ServeService service({});
   const std::string pong = service.handle_line(R"({"op":"ping","id":"p"})");
