@@ -42,6 +42,7 @@
 #include <thread>
 #include <vector>
 
+#include "bench_host.hpp"
 #include "hmcs/analytic/batch_solver.hpp"
 #include "hmcs/analytic/latency_model.hpp"
 #include "hmcs/analytic/mva.hpp"
@@ -382,20 +383,6 @@ KernelRun run_kernel(const analytic::detail::MvaKernel& kernel,
   return run;
 }
 
-/// The CPU's model name as /proc/cpuinfo gives it, so the record names
-/// the host it was taken on; "unknown" where there is no such file.
-std::string cpu_model() {
-  std::ifstream cpuinfo("/proc/cpuinfo");
-  std::string line;
-  while (std::getline(cpuinfo, line)) {
-    const std::size_t colon = line.find(':');
-    if (line.rfind("model name", 0) == 0 && colon != std::string::npos) {
-      return trim(line.substr(colon + 1));
-    }
-  }
-  return "unknown";
-}
-
 double speedup(double slow_seconds, double fast_seconds) {
   return fast_seconds > 0.0 ? slow_seconds / fast_seconds : 0.0;
 }
@@ -511,7 +498,7 @@ int main(int argc, char** argv) try {
   json.key("total_nodes").value(nodes);
   json.key("hardware_concurrency")
       .value(static_cast<std::uint64_t>(std::thread::hardware_concurrency()));
-  json.key("cpu").value(cpu_model());
+  json.key("cpu").value(bench::cpu_model());
   json.key("mva_class_collapse").begin_array();
   for (const MvaCollapseRun& run : collapse) {
     json.begin_object();

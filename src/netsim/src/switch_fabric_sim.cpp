@@ -1,7 +1,6 @@
 #include "hmcs/netsim/switch_fabric_sim.hpp"
 
 #include <algorithm>
-#include <deque>
 #include <optional>
 
 #include "hmcs/simcore/batch_means.hpp"
@@ -38,7 +37,7 @@ struct SwitchFabricSim::Impl {
 
   std::optional<RoutingTable> routes;
   simcore::Simulator simulator;
-  std::deque<simcore::FifoStation> switches;
+  std::vector<simcore::FifoStation> switches;
   simcore::Rng think_rng{0};
   simcore::Rng dest_rng{0};
   simcore::Rng route_rng{0};
@@ -75,7 +74,8 @@ struct SwitchFabricSim::Impl {
   }
 
   /// Service demanded at the switch a job is entering.
-  double service_for(const MessageState& msg) const {
+  double service_for(std::uint64_t id) const {
+    const MessageState& msg = messages[static_cast<std::size_t>(id)];
     const NodeId current = msg.path[msg.hop];
     const bool first_hop = msg.hop == 0;
     if (options.mode == SwitchingMode::kStoreAndForward || first_hop) {
@@ -125,15 +125,7 @@ struct SwitchFabricSim::Impl {
         switch_index_of_node[id] = switch_nodes.size();
         switch_nodes.push_back(id);
         switch_stage.push_back(graph.node(id).stage);
-        switches.emplace_back(
-            simulator, "SW" + std::to_string(id),
-            [this](const simcore::FifoStation::Job& job) {
-              return service_for(messages[static_cast<std::size_t>(job.id)]);
-            });
-        switches.back().set_departure_callback(
-            [this](const simcore::FifoStation::Departure& d) {
-              advance(d.job.id);
-            });
+        switches.emplace_back("SW" + std::to_string(id));
       }
     }
     require(!switches.empty(), "SwitchFabricSim: graph has no switches");
@@ -190,8 +182,27 @@ struct SwitchFabricSim::Impl {
     msg.generated_at = simulator.now();
     msg.in_use = true;
 
-    switches[switch_index_of_node[msg.path[0]]].arrive(slot);
+    enter(slot, switch_index_of_node[msg.path[0]]);
     if (!options.closed_loop) schedule_injection(endpoint_index);
+  }
+
+  void enter(std::uint64_t id, std::size_t s) {
+    if (switches[s].arrive(id, simulator.now())) start_service(s);
+  }
+
+  void start_service(std::size_t s) {
+    const double service = service_for(switches[s].next_job().id);
+    switches[s].begin_service(service, simulator.now());
+    simulator.schedule_after(service, [this, s] { depart(s); });
+  }
+
+  /// Starts the next queued job before the departed message moves on
+  /// (the order fifo_station.hpp fixes).
+  void depart(std::size_t s) {
+    const std::uint64_t id =
+        switches[s].complete_service(simulator.now()).job.id;
+    if (switches[s].has_waiting()) start_service(s);
+    advance(id);
   }
 
   void advance(std::uint64_t id) {
@@ -199,7 +210,7 @@ struct SwitchFabricSim::Impl {
     ensure(msg.in_use, "SwitchFabricSim: departure for free slot");
     ++msg.hop;
     if (msg.hop < msg.path.size()) {
-      switches[switch_index_of_node[msg.path[msg.hop]]].arrive(id);
+      enter(id, switch_index_of_node[msg.path[msg.hop]]);
       return;
     }
     deliver(id);
@@ -229,7 +240,7 @@ struct SwitchFabricSim::Impl {
     } else if (delivered_total >= options.warmup_messages) {
       measuring = true;
       window_start = simulator.now();
-      for (auto& station : switches) station.reset_statistics();
+      for (auto& station : switches) station.reset_statistics(window_start);
     }
     if (options.closed_loop) schedule_injection(source);
   }
@@ -282,7 +293,7 @@ struct SwitchFabricSim::Impl {
 
     result.switch_utilization.reserve(switches.size());
     for (std::size_t i = 0; i < switches.size(); ++i) {
-      const double utilization = switches[i].utilization();
+      const double utilization = switches[i].utilization(simulator.now());
       result.switch_utilization.push_back(utilization);
       if (utilization > result.max_switch_utilization) {
         result.max_switch_utilization = utilization;

@@ -24,6 +24,16 @@
 /// measures a fixed number of post-warm-up deliveries (the paper
 /// gathers 10,000 messages).
 ///
+/// The run is TreeSim's own event loop on simcore's calendar queue. An
+/// event is a plain 8-byte value — a processor's think completion, a
+/// centre's departure or a sampler tick — dispatched with a branch, not
+/// a type-erased call. The stations are passive: the loop draws each
+/// service time and schedules each departure itself, and a departure
+/// starts the next queued job before the departed message moves on.
+/// Streams that make only exponential draws (Poisson think times;
+/// service times at cv^2 = 1 without failures) are drawn 64 ahead
+/// (simcore::ExponentialStream), with the same values in the same order.
+///
 /// Role naming, one rule for every tree: the root's network is ICN2,
 /// every other network ICN1[k] and every egress ECN1[k], with k the
 /// centre's rank among its kind in tree_centers order (the cluster
@@ -207,7 +217,8 @@ class TreeSim {
   /// Executes one complete run. May be called once per instance.
   SimResult run();
 
-  /// Latency histogram over the measured window (valid after run()).
+  /// Latency histogram over the measured window (valid after run()),
+  /// built on the first call.
   const simcore::Histogram& latency_histogram() const;
 
   /// Raw measured latencies in delivery order (valid after run()) — the

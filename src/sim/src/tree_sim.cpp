@@ -1,17 +1,17 @@
 #include "hmcs/sim/tree_sim.hpp"
 
 #include <algorithm>
+#include <cmath>
 #include <cstddef>
-#include <deque>
 #include <optional>
 #include <utility>
 
 #include "hmcs/obs/metrics.hpp"
 #include "hmcs/simcore/batch_means.hpp"
 #include "hmcs/simcore/distributions.hpp"
+#include "hmcs/simcore/event_queue.hpp"
 #include "hmcs/simcore/fifo_station.hpp"
 #include "hmcs/simcore/rng.hpp"
-#include "hmcs/simcore/simulation.hpp"
 #include "hmcs/util/error.hpp"
 
 namespace hmcs::sim {
@@ -56,6 +56,14 @@ constexpr std::size_t kNoCenter = analytic::FlatNode::npos;
 /// tree_centers lists the root's network first.
 constexpr std::size_t kRootNetwork = 0;
 
+/// An event in 8 bytes: its kind in the low two bits, above them the
+/// processor whose think time ended or the centre whose job departs.
+enum EventKind : std::uint64_t { kThinkDone, kDeparture, kSampleTick };
+
+constexpr std::uint64_t make_event(EventKind kind, std::uint64_t index) {
+  return index << 2 | kind;
+}
+
 }  // namespace
 
 struct TreeSim::Impl {
@@ -74,10 +82,21 @@ struct TreeSim::Impl {
   std::vector<std::size_t> ecn1_centers;
 
   // --- engine ---------------------------------------------------------------
-  simcore::Simulator simulator;
-  std::deque<simcore::FifoStation> stations;  ///< one per centre, same order
-  std::vector<simcore::Rng> service_rngs;     ///< one per centre, same order
+  // TreeSim's own loop (run()) over plain 8-byte events: the clock, the
+  // executed-event count and its batched flush, as in simcore::Simulator.
+  simcore::BasicEventQueue<std::uint64_t> queue;
+  simcore::SimTime now = 0.0;
+  std::uint64_t executed = 0;
+  std::uint64_t obs_flushed = 0;
+  std::vector<simcore::FifoStation> stations;  ///< one per centre, same order
+  std::vector<CenterModel> service_models;    ///< one per centre, same order
+  /// Streams that draw only exponentials are read in blocks: the service
+  /// streams under cv^2 = 1 without failures, the think stream of
+  /// Poisson sources. Otherwise service_blocks is empty.
+  std::vector<simcore::Rng> service_rngs;
+  std::vector<simcore::ExponentialStream> service_blocks;
   simcore::Rng think_rng{0};
+  simcore::ExponentialStream think_block{simcore::Rng{0}};
   simcore::Rng traffic_rng{0};
   simcore::Rng size_rng{0};
   /// Per-processor MMPP modulators; empty when sources are Poisson.
@@ -102,7 +121,10 @@ struct TreeSim::Impl {
   simcore::Tally local_latency;
   simcore::Tally remote_latency;
   std::vector<double> measured_samples;
+  /// Built on the first latency_histogram() call.
   std::optional<simcore::Histogram> histogram;
+
+  ~Impl() { flush_events_dispatched(); }
 
   std::uint64_t total_processors() const { return view.total_processors; }
 
@@ -153,17 +175,16 @@ struct TreeSim::Impl {
     };
     split_post_order(split_post_order, 0);
 
+    stations.reserve(centers.size());
     for (std::size_t c = 0; c < centers.size(); ++c) {
-      stations.emplace_back(
-          simulator, role_label(c),
-          make_sampler(CenterModel::from_breakdown(centers[c].service,
-                                                   tree.message_bytes),
-                       service_rngs[c]));
-      stations.back().set_departure_callback(
-          [this, c](const simcore::FifoStation::Departure& d) {
-            trace(TraceEventKind::kDeparted, d.job.id, c);
-            advance(d.job.id);
-          });
+      stations.emplace_back(role_label(c));
+      service_models.push_back(CenterModel::from_breakdown(
+          centers[c].service, tree.message_bytes));
+    }
+    if (tree.scenario.service_cv2 == 1.0 &&
+        !tree.scenario.failure.has_value()) {
+      service_blocks = std::vector<simcore::ExponentialStream>(
+          service_rngs.begin(), service_rngs.end());
     }
 
     const std::uint64_t n = total_processors();
@@ -187,36 +208,60 @@ struct TreeSim::Impl {
         modulators.push_back(modulator);
       }
     }
+    think_block = simcore::ExponentialStream(think_rng);
 
     if (options.warmup_messages == 0) measuring = true;
 
     init_observability();
   }
 
-  simcore::FifoStation::ServiceSampler make_sampler(CenterModel model,
-                                                    simcore::Rng& rng) {
-    // The default scenario (cv^2 = 1, no failures) makes exactly one
-    // rng.exponential draw per service; cv^2 = 0 draws nothing.
-    return [this, model, &rng](const simcore::FifoStation::Job& job) {
-      const MessageState& msg = messages[static_cast<std::size_t>(job.id)];
-      const double mean = model.mean_service_us(msg.bytes);
-      if (mean <= 0.0) return 0.0;
-      double service =
-          simcore::variate_cv2(rng, mean, tree.scenario.service_cv2);
-      if (tree.scenario.failure.has_value()) {
-        // Preemptive-resume breakdowns: failures arrive Poisson over the
-        // work requirement and each adds an exponential repair.
-        const analytic::FailureRepair& f = *tree.scenario.failure;
-        if (f.mttr_us > 0.0) {
-          const std::uint64_t failures =
-              simcore::poisson(rng, service / f.mtbf_us);
-          for (std::uint64_t i = 0; i < failures; ++i) {
-            service += rng.exponential(f.mttr_us);
-          }
+  /// Service time of message `id` at centre `c`. The default scenario
+  /// (cv^2 = 1, no failures) makes exactly one exponential draw per
+  /// service; cv^2 = 0 draws nothing.
+  double draw_service(std::size_t c, std::uint64_t id) {
+    const MessageState& msg = messages[static_cast<std::size_t>(id)];
+    const double mean = service_models[c].mean_service_us(msg.bytes);
+    if (mean <= 0.0) return 0.0;
+    if (!service_blocks.empty()) return service_blocks[c].exponential(mean);
+    simcore::Rng& rng = service_rngs[c];
+    double service =
+        simcore::variate_cv2(rng, mean, tree.scenario.service_cv2);
+    if (tree.scenario.failure.has_value()) {
+      // Preemptive-resume breakdowns: failures arrive Poisson over the
+      // work requirement and each adds an exponential repair.
+      const analytic::FailureRepair& f = *tree.scenario.failure;
+      if (f.mttr_us > 0.0) {
+        const std::uint64_t failures =
+            simcore::poisson(rng, service / f.mtbf_us);
+        for (std::uint64_t i = 0; i < failures; ++i) {
+          service += rng.exponential(f.mttr_us);
         }
       }
-      return service;
-    };
+    }
+    return service;
+  }
+
+  void schedule(double delay, EventKind kind, std::uint64_t index) {
+    require(std::isfinite(delay) && delay >= 0.0,
+            "TreeSim: delay must be finite and non-negative");
+    queue.push(now + delay, make_event(kind, index));
+  }
+
+  /// Puts the head of centre c's line into service: draw, then push.
+  void start_service(std::size_t c) {
+    simcore::FifoStation& station = stations[c];
+    const double service = draw_service(c, station.next_job().id);
+    station.begin_service(service, now);
+    schedule(service, kDeparture, c);
+  }
+
+  /// A departure starts the next queued job before the departed message
+  /// moves on: ties between same-time events depend on this order.
+  void depart(std::size_t c) {
+    const std::uint64_t id = stations[c].complete_service(now).job.id;
+    if (stations[c].has_waiting()) start_service(c);
+    trace(TraceEventKind::kDeparted, id, c);
+    advance(id);
   }
 
   /// Records a trace event; the centre label is copied only when a
@@ -225,7 +270,7 @@ struct TreeSim::Impl {
     if (!options.trace) return;
     const MessageState& msg = messages[static_cast<std::size_t>(id)];
     options.trace->record(
-        TraceEvent{simulator.now(), kind, id, msg.src, msg.dst,
+        TraceEvent{now, kind, id, msg.src, msg.dst,
                    center == kNoCenter ? std::string()
                                        : stations[center].name()});
   }
@@ -237,7 +282,7 @@ struct TreeSim::Impl {
       sampler->attach_trace(options.obs.trace.get(), options.obs.trace_pid);
     }
     sampler->add_probe("sim.event_queue.pending", [this] {
-      return static_cast<double>(simulator.pending_events());
+      return static_cast<double>(queue.size());
     });
     sampler->add_probe("sim.icn1.queue_total",
                        [this] { return queue_total(icn1_centers); });
@@ -264,11 +309,8 @@ struct TreeSim::Impl {
   /// time axis is simulated µs — but the probes draw no random numbers,
   /// so the stochastic trajectory is identical to an unsampled run.
   void sample_tick() {
-    sampler->sample(simulator.now());
-    if (!done) {
-      simulator.schedule_after(options.obs.sample_interval_us,
-                               [this] { sample_tick(); });
-    }
+    sampler->sample(now);
+    if (!done) schedule(options.obs.sample_interval_us, kSampleTick, 0);
   }
 
   double proc_rate(std::uint64_t proc) const {
@@ -278,9 +320,9 @@ struct TreeSim::Impl {
   void schedule_think(std::uint64_t proc) {
     const double wait =
         modulators.empty()
-            ? think_rng.exponential(1.0 / proc_rate(proc))
+            ? think_block.exponential(1.0 / proc_rate(proc))
             : modulators[proc].next_interarrival_us(think_rng);
-    simulator.schedule_after(wait, [this, proc] { generate(proc); });
+    schedule(wait, kThinkDone, proc);
   }
 
   std::uint64_t pick_destination(std::uint64_t src) {
@@ -350,7 +392,7 @@ struct TreeSim::Impl {
     MessageState& msg = messages[slot];
     msg.src = proc;
     msg.dst = pick_destination(proc);
-    msg.generated_at = simulator.now();
+    msg.generated_at = now;
     msg.bytes = options.message_size
                     ? options.message_size->sample_bytes(size_rng)
                     : tree.message_bytes;
@@ -362,7 +404,7 @@ struct TreeSim::Impl {
 
   void enter(std::uint64_t id, std::size_t center) {
     trace(TraceEventKind::kEnqueued, id, center);
-    stations[center].arrive(id);
+    if (stations[center].arrive(id, now)) start_service(center);
   }
 
   void advance(std::uint64_t id) {
@@ -377,7 +419,7 @@ struct TreeSim::Impl {
   void deliver(std::uint64_t id) {
     trace(TraceEventKind::kDelivered, id, kNoCenter);
     const MessageState& msg = messages[static_cast<std::size_t>(id)];
-    const double elapsed = simulator.now() - msg.generated_at;
+    const double elapsed = now - msg.generated_at;
     const bool remote = msg.route.size() > 1;
     const std::uint64_t src = msg.src;
     free_slots.push_back(static_cast<std::uint32_t>(id));
@@ -405,8 +447,8 @@ struct TreeSim::Impl {
 
   void begin_measurement() {
     measuring = true;
-    window_start = simulator.now();
-    for (auto& station : stations) station.reset_statistics();
+    window_start = now;
+    for (auto& station : stations) station.reset_statistics(now);
     if (options.obs.trace) {
       options.obs.trace->complete("warmup", "sim.phase", 0.0, window_start,
                                   options.obs.trace_pid);
@@ -428,8 +470,8 @@ struct TreeSim::Impl {
       waits.merge(station.wait_times());
       services.merge(station.service_times());
       responses.merge(station.response_times());
-      utilization_sum += station.utilization();
-      queue_sum += station.average_number_in_system();
+      utilization_sum += station.utilization(now);
+      queue_sum += station.average_number_in_system(now);
       out.departures += station.departures();
     }
     const double count = static_cast<double>(role.size());
@@ -450,13 +492,16 @@ struct TreeSim::Impl {
     result.min_latency_us = latency.min();
     result.max_latency_us = latency.max();
 
-    // Exact percentiles via selection on a scratch copy.
+    // Exact percentiles via selection on one scratch copy; ranks rise, so
+    // each selection searches above the previous rank.
     std::vector<double> scratch = measured_samples;
-    auto percentile = [&scratch](double q) {
-      const auto rank = static_cast<std::ptrdiff_t>(
+    auto searched_from = scratch.begin();
+    auto percentile = [&scratch, &searched_from](double q) {
+      const auto rank = scratch.begin() + static_cast<std::ptrdiff_t>(
           q * static_cast<double>(scratch.size() - 1));
-      std::nth_element(scratch.begin(), scratch.begin() + rank, scratch.end());
-      return scratch[static_cast<std::size_t>(rank)];
+      std::nth_element(searched_from, rank, scratch.end());
+      searched_from = rank;
+      return *rank;
     };
     result.p50_latency_us = percentile(0.50);
     result.p95_latency_us = percentile(0.95);
@@ -485,7 +530,7 @@ struct TreeSim::Impl {
     result.remote_fraction = static_cast<double>(remote_latency.count()) /
                              static_cast<double>(latency.count());
 
-    result.window_duration_us = simulator.now() - window_start;
+    result.window_duration_us = now - window_start;
     if (result.window_duration_us > 0.0) {
       result.effective_rate_per_us =
           static_cast<double>(measured_deliveries) /
@@ -498,13 +543,15 @@ struct TreeSim::Impl {
     // Summed by role (ICN1s, ECN1s, then ICN2): the flat order, which
     // the reproducibility contract fixes.
     for (const std::size_t c : icn1_centers) {
-      result.total_avg_queue_length += stations[c].average_number_in_system();
+      result.total_avg_queue_length +=
+          stations[c].average_number_in_system(now);
     }
     for (const std::size_t c : ecn1_centers) {
-      result.total_avg_queue_length += stations[c].average_number_in_system();
+      result.total_avg_queue_length +=
+          stations[c].average_number_in_system(now);
     }
     result.total_avg_queue_length +=
-        stations[kRootNetwork].average_number_in_system();
+        stations[kRootNetwork].average_number_in_system(now);
 
     result.centers.reserve(centers.size());
     for (std::size_t c = 0; c < centers.size(); ++c) {
@@ -512,8 +559,8 @@ struct TreeSim::Impl {
       TreeCenterStats stats;
       stats.path = centers[c].path;
       stats.egress = centers[c].egress;
-      stats.utilization = station.utilization();
-      stats.avg_queue_length = station.average_number_in_system();
+      stats.utilization = station.utilization(now);
+      stats.avg_queue_length = station.average_number_in_system(now);
       if (station.response_times().count() > 0) {
         stats.mean_response_us = station.response_times().mean();
       }
@@ -523,14 +570,19 @@ struct TreeSim::Impl {
       result.centers.push_back(std::move(stats));
     }
 
-    result.events_executed = simulator.executed_events();
+    result.events_executed = executed;
 
     finish_observability(result);
-
-    const double hi = std::max(result.max_latency_us * 1.001, 1.0);
-    histogram.emplace(0.0, hi, 64);
-    for (const double sample : measured_samples) histogram->add(sample);
     return result;
+  }
+
+  const simcore::Histogram& latency_histogram() {
+    if (!histogram) {
+      const double hi = std::max(latency.max() * 1.001, 1.0);
+      histogram.emplace(0.0, hi, 64);
+      for (const double sample : measured_samples) histogram->add(sample);
+    }
+    return *histogram;
   }
 
   /// End-of-run observability: fills SimResult::ObsStats from the engine
@@ -543,7 +595,6 @@ struct TreeSim::Impl {
     result.obs.trace_dropped =
         options.trace ? options.trace->dropped_count() : 0;
     result.obs.samples_taken = sampler ? sampler->samples_taken() : 0;
-    const simcore::EventQueue& queue = simulator.queue();
     result.obs.events_pushed = queue.total_pushed();
     result.obs.calendar_resizes = queue.calendar_resizes();
     result.obs.calendar_purges = queue.calendar_purges();
@@ -552,7 +603,7 @@ struct TreeSim::Impl {
 
     if (options.obs.trace) {
       options.obs.trace->complete("measurement", "sim.phase", window_start,
-                                  simulator.now() - window_start,
+                                  now - window_start,
                                   options.obs.trace_pid);
     }
 
@@ -587,20 +638,42 @@ struct TreeSim::Impl {
     // CancelToken::check stays off the per-event hot path.
     constexpr std::uint64_t kCancelPollMask = 4095;
     while (!done) {
-      ensure(simulator.step(),
+      auto event = queue.pop_next();
+      ensure(event.has_value(),
              "TreeSim: event queue drained before completion");
-      if (options.max_events != 0 &&
-          simulator.executed_events() > options.max_events) {
+      ensure(event->time >= now, "TreeSim: time went backwards");
+      now = event->time;
+      if (++executed - obs_flushed >= kObsFlushBatch) {
+        flush_events_dispatched();
+      }
+      const std::uint64_t kind = event->payload & 3;
+      if (kind == kDeparture) {
+        depart(static_cast<std::size_t>(event->payload >> 2));
+      } else if (kind == kThinkDone) {
+        generate(event->payload >> 2);
+      } else {
+        sample_tick();
+      }
+      if (options.max_events != 0 && executed > options.max_events) {
         detail::throw_config_error(
             "TreeSim: exceeded max_events safety limit",
             std::source_location::current());
       }
-      if (options.cancel != nullptr &&
-          (simulator.executed_events() & kCancelPollMask) == 0) {
+      if (options.cancel != nullptr && (executed & kCancelPollMask) == 0) {
         options.cancel->check("TreeSim");
       }
     }
     return collect();
+  }
+
+  /// Publishes executed events to the global metrics registry in
+  /// batches, one relaxed atomic add per kObsFlushBatch events.
+  static constexpr std::uint64_t kObsFlushBatch = 4096;
+  void flush_events_dispatched() {
+    if (executed == obs_flushed) return;
+    HMCS_OBS_COUNTER_ADD("simcore.engine.events_dispatched",
+                         executed - obs_flushed);
+    obs_flushed = executed;
   }
 };
 
@@ -624,9 +697,9 @@ TreeSim::~TreeSim() = default;
 SimResult TreeSim::run() { return impl_->run(); }
 
 const simcore::Histogram& TreeSim::latency_histogram() const {
-  require(impl_->histogram.has_value(),
+  require(impl_->has_run && impl_->done,
           "TreeSim: histogram available only after run()");
-  return *impl_->histogram;
+  return impl_->latency_histogram();
 }
 
 const std::vector<double>& TreeSim::measured_latencies() const {

@@ -29,12 +29,13 @@
 ///    boundary drift can never reorder two events: the pop order is the
 ///    exact total order (time, then push sequence), bit-for-bit
 ///    reproducible. Same-time events fire in scheduling order.
-///  * The payload is an InlineFunction (fn-ptr dispatch, inline capture
-///    storage) instead of std::function, so scheduling a lambda never
-///    touches the heap either.
+///  * The payload is a template parameter. `EventQueue` carries an
+///    InlineFunction (fn-ptr dispatch, inline capture storage), so
+///    scheduling a lambda never touches the heap; TreeSim's events are
+///    a plain 8-byte value it dispatches with a branch.
 ///
 /// Cancellation is lazy in the calendar but eager for resources:
-/// cancel(id) destroys the action immediately and marks the slot dead; the
+/// cancel(id) destroys the payload immediately and marks the slot dead; the
 /// dead entry is unlinked when the dequeue scan reaches it, which is when
 /// the slot returns to the free list and its generation advances.
 ///
@@ -47,6 +48,7 @@
 #include <cstddef>
 #include <cstdint>
 #include <optional>
+#include <type_traits>
 #include <utility>
 #include <vector>
 
@@ -58,21 +60,27 @@ namespace hmcs::simcore {
 
 /// Generation-tagged slot reference: (generation << 32) | slot.
 using EventId = std::uint64_t;
-using EventAction = InlineFunction<void()>;
 
-class EventQueue {
+/// The calendar's rare paths (rebuild, width checks, the full sweep) are
+/// compiled in event_queue.cpp for the two payloads the repo uses:
+/// EventAction and TreeSim's std::uint64_t events.
+template <typename Payload>
+class BasicEventQueue {
  public:
-  EventQueue() = default;
+  BasicEventQueue() = default;
 
-  /// Not copyable (actions may own resources); movable.
-  EventQueue(const EventQueue&) = delete;
-  EventQueue& operator=(const EventQueue&) = delete;
-  EventQueue(EventQueue&&) = default;
-  EventQueue& operator=(EventQueue&&) = default;
+  /// Not copyable (payloads may own resources); movable.
+  BasicEventQueue(const BasicEventQueue&) = delete;
+  BasicEventQueue& operator=(const BasicEventQueue&) = delete;
+  BasicEventQueue(BasicEventQueue&&) = default;
+  BasicEventQueue& operator=(BasicEventQueue&&) = default;
 
   /// Inserts an event; returns an id usable with cancel().
-  EventId push(SimTime time, EventAction action) {
-    require(static_cast<bool>(action), "EventQueue: action must be callable");
+  EventId push(SimTime time, Payload payload) {
+    if constexpr (std::is_invocable_v<Payload&>) {
+      require(static_cast<bool>(payload),
+              "EventQueue: action must be callable");
+    }
     if (buckets_.empty()) {
       buckets_.assign(kInitialBuckets, kNoSlot);
       bucket_mask_ = kInitialBuckets - 1;
@@ -80,7 +88,7 @@ class EventQueue {
 
     const std::uint32_t slot = acquire_slot();
     SlotKey& s = slots_[slot];
-    actions_[slot] = std::move(action);
+    payloads_[slot] = std::move(payload);
     s.time = time;
     s.seq = next_seq_++;
     s.virtual_bucket = virtual_bucket(time);
@@ -115,7 +123,7 @@ class EventQueue {
     // Release resources immediately; the calendar entry is unlinked
     // lazily when the dequeue scan reaches it (that is when the slot is
     // recycled).
-    actions_[slot].reset();
+    if constexpr (std::is_invocable_v<Payload&>) payloads_[slot].reset();
     s.gen_live &= ~1u;
     --live_count_;
     return true;
@@ -132,7 +140,7 @@ class EventQueue {
   struct Event {
     SimTime time;
     EventId id;
-    EventAction action;
+    Payload payload;
   };
 
   /// Removes and returns the earliest live event; nullopt if empty.
@@ -148,7 +156,7 @@ class EventQueue {
     --chained_count_;
 
     Event event{s.time, make_id(generation(s), slot),
-                std::move(actions_[slot])};
+                std::move(payloads_[slot])};
 
     // Width calibration: the mean gap between consecutive dequeues tracks
     // the head-of-queue event density. Only positive gaps carry a density
@@ -209,8 +217,8 @@ class EventQueue {
   static constexpr std::uint64_t kWidthCheckInterval = 4096;
 
   /// Hot per-slot state, exactly 32 bytes: everything chain walks and
-  /// dequeue scans touch. The action payloads live in a parallel cold
-  /// array (`actions_`) that is only accessed once per push and once per
+  /// dequeue scans touch. The payloads live in a parallel cold array
+  /// (`payloads_`) that is only accessed once per push and once per
   /// pop/cancel, so walking a chain streams two keys per cache line
   /// instead of dragging 48-byte capture buffers through the cache.
   struct SlotKey {
@@ -263,14 +271,15 @@ class EventQueue {
     const std::uint32_t slot = static_cast<std::uint32_t>(slots_.size());
     ensure(slot != kNoSlot, "EventQueue: slot pool exhausted");
     slots_.emplace_back();
-    actions_.emplace_back();
+    payloads_.emplace_back();
     return slot;
   }
 
   /// Returns the slot to the free list and invalidates outstanding ids.
   void retire_slot(std::uint32_t slot) {
+    // The payload is already empty: moved out by pop_next() or reset by
+    // cancel().
     SlotKey& s = slots_[slot];
-    actions_[slot].reset();
     // Drop the live bit and advance the generation so stale ids fail the
     // generation probe.
     s.gen_live = (generation(s) + 1) << 1;
@@ -332,7 +341,7 @@ class EventQueue {
   void rebuild(std::size_t new_bucket_count, double new_width);
 
   std::vector<SlotKey> slots_;
-  std::vector<EventAction> actions_;  // parallel to slots_
+  std::vector<Payload> payloads_;  // parallel to slots_
   std::vector<std::uint32_t> buckets_;
   std::size_t bucket_mask_ = 0;
   double width_ = 1.0;
@@ -359,5 +368,9 @@ class EventQueue {
   bool has_gap_ema_ = false;
   std::uint64_t pops_since_width_check_ = 0;
 };
+
+/// The Simulator's queue: type-erased callables as payloads.
+using EventAction = InlineFunction<void()>;
+using EventQueue = BasicEventQueue<EventAction>;
 
 }  // namespace hmcs::simcore

@@ -1,24 +1,25 @@
 #pragma once
 
 /// \file fifo_station.hpp
-/// A FIFO single-server service station living inside a Simulator — the
-/// building block for the paper's queueing-network simulators, where each
-/// communication network (ICN1, ECN1, ICN2) is one such centre.
+/// A FIFO single-server service station — the building block for the
+/// paper's queueing-network simulators, where each communication network
+/// (ICN1, ECN1, ICN2) is one such centre.
 ///
-/// Jobs carry an opaque payload (std::uint64_t id chosen by the client);
-/// when a job finishes service the station invokes the departure callback
-/// with the job and its measured waiting/service times. Service times are
-/// drawn per job from a caller-supplied sampler so exponential
-/// (paper assumption), deterministic, or arbitrary distributions plug in
-/// without the station knowing.
+/// The station is passive: it holds the waiting line, the busy flag, the
+/// job in service and the statistics, and schedules nothing. Its owner
+/// (TreeSim, SwitchFabricSim) draws each service time for next_job(),
+/// calls begin_service and schedules the departure; on that departure it
+/// calls complete_service and, if a job waits, starts it (draw, then
+/// push) before it moves the departed job on. Ties between same-time
+/// events depend on that order. Job ids are the owner's (message slots),
+/// so it can look up per-message attributes such as the size.
 
 #include <cstdint>
 #include <string>
 
-#include "hmcs/simcore/inline_function.hpp"
 #include "hmcs/simcore/ring_buffer.hpp"
-#include "hmcs/simcore/simulation.hpp"
 #include "hmcs/simcore/tally.hpp"
+#include "hmcs/simcore/time.hpp"
 #include "hmcs/simcore/time_weighted.hpp"
 
 namespace hmcs::simcore {
@@ -33,29 +34,32 @@ class FifoStation {
   struct Departure {
     Job job;
     SimTime wait_time;     ///< time spent queued before service
-    SimTime service_time;  ///< sampled service duration
+    SimTime service_time;  ///< drawn service duration
     SimTime response_time; ///< wait + service
   };
 
-  /// Draws the service duration for a job about to enter service; the
-  /// job is passed so samplers can depend on per-message attributes
-  /// (e.g. message size looked up by id). Both hooks are InlineFunctions:
-  /// fn-ptr dispatch with inline capture storage, so the per-job sampler
-  /// call and departure notification never touch the heap.
-  using ServiceSampler = InlineFunction<SimTime(const Job&)>;
-  using DepartureCallback = InlineFunction<void(const Departure&)>;
-
   /// `name` labels the station in statistics reports.
-  FifoStation(Simulator& sim, std::string name, ServiceSampler sampler);
+  explicit FifoStation(std::string name);
 
-  void set_departure_callback(DepartureCallback cb) { on_departure_ = std::move(cb); }
+  /// Enqueues a job at time `now`. Returns true when the server was
+  /// idle: the owner then starts the job at once (begin_service).
+  bool arrive(std::uint64_t job_id, SimTime now);
 
-  /// Enqueues a job at the current simulation time.
-  void arrive(std::uint64_t job_id);
+  /// The job begin_service starts next: the head of the waiting line.
+  const Job& next_job() const { return queue_.front(); }
+
+  /// Puts the next job into service at `now` for `service` time units
+  /// (>= 0). The owner schedules complete_service at now + service.
+  void begin_service(SimTime service, SimTime now);
+
+  /// Ends the job in service at `now` and returns it with its times.
+  Departure complete_service(SimTime now);
 
   const std::string& name() const { return name_; }
   std::size_t queue_length() const { return queue_.size() + (busy_ ? 1u : 0u); }
   bool busy() const { return busy_; }
+  /// True when a job waits in line for the server.
+  bool has_waiting() const { return !queue_.empty(); }
 
   /// Observation statistics.
   const Tally& wait_times() const { return wait_times_; }
@@ -65,25 +69,25 @@ class FifoStation {
   std::uint64_t departures() const { return departures_; }
 
   /// Time-averaged number in system (queue + in service) and fraction of
-  /// time the server was busy, both over the observation window.
-  double average_number_in_system() const { return number_in_system_.average(sim_.now()); }
-  double utilization() const { return busy_signal_.average(sim_.now()); }
+  /// time the server was busy, both over the observation window up to
+  /// `now`.
+  double average_number_in_system(SimTime now) const {
+    return number_in_system_.average(now);
+  }
+  double utilization(SimTime now) const { return busy_signal_.average(now); }
 
-  /// Drops all accumulated statistics (warm-up handling); jobs in flight
-  /// are unaffected.
-  void reset_statistics();
+  /// Drops all accumulated statistics at `now` (warm-up handling); jobs
+  /// in flight are unaffected.
+  void reset_statistics(SimTime now);
 
  private:
-  void begin_service();
-  void complete_service(Job job, SimTime wait, SimTime service);
-
-  Simulator& sim_;
   std::string name_;
-  ServiceSampler sampler_;
-  DepartureCallback on_departure_;
 
   RingBuffer<Job> queue_;
   bool busy_ = false;
+  Job in_service_;
+  SimTime in_service_wait_ = 0.0;
+  SimTime in_service_time_ = 0.0;
 
   Tally wait_times_;
   Tally service_times_;

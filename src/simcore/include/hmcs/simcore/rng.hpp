@@ -13,8 +13,12 @@
 /// Rng satisfies std::uniform_random_bit_generator, so it can still be
 /// plugged into <random> utilities when bit-exactness is not needed.
 
+#include <array>
+#include <cstddef>
 #include <cstdint>
 #include <limits>
+
+#include "hmcs/util/error.hpp"
 
 namespace hmcs::simcore {
 
@@ -76,6 +80,31 @@ class Rng {
 
  private:
   std::uint64_t s_[4];
+};
+
+/// An Rng stream that only ever makes exponential draws, drawn 64 ahead:
+/// a refill computes -log(1 - u) for the next 64 uniforms at once, off
+/// the events' critical path. mean * -log(1 - u) equals
+/// Rng::exponential(mean) bit for bit (IEEE negation is exact), so the
+/// stream's values are the Rng's, draw for draw.
+class ExponentialStream {
+ public:
+  explicit ExponentialStream(Rng rng) : rng_(rng) {}
+
+  /// The stream's next Rng::exponential(mean). mean must be > 0.
+  double exponential(double mean) {
+    require(mean > 0.0, "ExponentialStream: mean must be > 0");
+    if (next_ == kBlock) refill();
+    return mean * unit_[next_++];
+  }
+
+ private:
+  static constexpr std::size_t kBlock = 64;
+  void refill();
+
+  Rng rng_;
+  std::size_t next_ = kBlock;
+  std::array<double, kBlock> unit_{};
 };
 
 }  // namespace hmcs::simcore

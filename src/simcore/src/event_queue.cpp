@@ -2,12 +2,14 @@
 
 #include <algorithm>
 #include <bit>
+#include <cstdint>
 
 #include "hmcs/obs/metrics.hpp"
 
 namespace hmcs::simcore {
 
-std::uint32_t EventQueue::sweep_min() {
+template <typename Payload>
+std::uint32_t BasicEventQueue<Payload>::sweep_min() {
   // Rare fallback path: structural counters only, never per-push/pop —
   // the hot path stays free of shared-cache-line traffic.
   ++sweep_fallbacks_;
@@ -28,11 +30,13 @@ std::uint32_t EventQueue::sweep_min() {
   return best;
 }
 
-double EventQueue::target_width() const {
+template <typename Payload>
+double BasicEventQueue<Payload>::target_width() const {
   return std::max(2.0 * gap_ema_, kMinWidth);
 }
 
-void EventQueue::maybe_check_width() {
+template <typename Payload>
+void BasicEventQueue<Payload>::maybe_check_width() {
   // Population collapsed well below the bucket count: shrink.
   if (buckets_.size() > kInitialBuckets &&
       chained_count_ * 4 < buckets_.size()) {
@@ -54,7 +58,9 @@ void EventQueue::maybe_check_width() {
   }
 }
 
-void EventQueue::rebuild(std::size_t new_bucket_count, double new_width) {
+template <typename Payload>
+void BasicEventQueue<Payload>::rebuild(std::size_t new_bucket_count,
+                                       double new_width) {
   if (new_bucket_count == buckets_.size() && new_width == width_) {
     ++calendar_purges_;
     HMCS_OBS_COUNTER_INC("simcore.event_queue.calendar_purges");
@@ -103,5 +109,8 @@ void EventQueue::rebuild(std::size_t new_bucket_count, double new_width) {
   }
   cursor_vb_ = any_live ? min_vb : 0;
 }
+
+template class BasicEventQueue<EventAction>;
+template class BasicEventQueue<std::uint64_t>;
 
 }  // namespace hmcs::simcore

@@ -6,58 +6,49 @@
 
 namespace hmcs::simcore {
 
-FifoStation::FifoStation(Simulator& sim, std::string name, ServiceSampler sampler)
-    : sim_(sim), name_(std::move(name)), sampler_(std::move(sampler)) {
-  require(static_cast<bool>(sampler_), "FifoStation: sampler must be callable");
-}
+FifoStation::FifoStation(std::string name) : name_(std::move(name)) {}
 
-void FifoStation::arrive(std::uint64_t job_id) {
+bool FifoStation::arrive(std::uint64_t job_id, SimTime now) {
   ++arrivals_;
-  number_in_system_.add(sim_.now(), 1.0);
-  queue_.push_back(Job{job_id, sim_.now()});
-  if (!busy_) begin_service();
+  number_in_system_.add(now, 1.0);
+  queue_.push_back(Job{job_id, now});
+  return !busy_;
 }
 
-void FifoStation::begin_service() {
+void FifoStation::begin_service(SimTime service, SimTime now) {
   ensure(!queue_.empty(), "FifoStation: begin_service with empty queue");
   ensure(!busy_, "FifoStation: begin_service while busy");
-  Job job = queue_.front();
+  require(service >= 0.0, "FifoStation: sampled negative service time");
+  in_service_ = queue_.front();
   queue_.pop_front();
   busy_ = true;
-  busy_signal_.update(sim_.now(), 1.0);
-
-  const SimTime wait = sim_.now() - job.arrival_time;
-  const SimTime service = sampler_(job);
-  require(service >= 0.0, "FifoStation: sampled negative service time");
-  sim_.schedule_after(service, [this, job, wait, service] {
-    complete_service(job, wait, service);
-  });
+  busy_signal_.update(now, 1.0);
+  in_service_wait_ = now - in_service_.arrival_time;
+  in_service_time_ = service;
 }
 
-void FifoStation::complete_service(Job job, SimTime wait, SimTime service) {
+FifoStation::Departure FifoStation::complete_service(SimTime now) {
+  ensure(busy_, "FifoStation: complete_service while idle");
   busy_ = false;
-  busy_signal_.update(sim_.now(), 0.0);
-  number_in_system_.add(sim_.now(), -1.0);
+  busy_signal_.update(now, 0.0);
+  number_in_system_.add(now, -1.0);
   ++departures_;
+  const SimTime wait = in_service_wait_;
+  const SimTime service = in_service_time_;
   wait_times_.add(wait);
   service_times_.add(service);
   response_times_.add(wait + service);
-
-  if (!queue_.empty()) begin_service();
-
-  if (on_departure_) {
-    on_departure_(Departure{job, wait, service, wait + service});
-  }
+  return Departure{in_service_, wait, service, wait + service};
 }
 
-void FifoStation::reset_statistics() {
+void FifoStation::reset_statistics(SimTime now) {
   wait_times_ = Tally{};
   service_times_ = Tally{};
   response_times_ = Tally{};
   arrivals_ = 0;
   departures_ = 0;
-  number_in_system_.reset_window(sim_.now());
-  busy_signal_.reset_window(sim_.now());
+  number_in_system_.reset_window(now);
+  busy_signal_.reset_window(now);
 }
 
 }  // namespace hmcs::simcore

@@ -87,4 +87,9 @@ Rng Rng::split() {
   return child;
 }
 
+void ExponentialStream::refill() {
+  for (double& unit : unit_) unit = -std::log(1.0 - rng_.uniform());
+  next_ = 0;
+}
+
 }  // namespace hmcs::simcore

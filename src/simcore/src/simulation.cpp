@@ -35,7 +35,7 @@ bool Simulator::step() {
   now_ = event->time;
   ++executed_;
   if (executed_ - obs_flushed_ >= kObsFlushBatch) flush_obs_counters();
-  event->action();
+  event->payload();
   return true;
 }
 

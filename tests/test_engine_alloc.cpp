@@ -62,7 +62,7 @@ TEST(EngineAllocation, SteadyStateChurnIsAllocationFree) {
   g_counting = true;
   for (int i = 0; i < 100000; ++i) {
     auto event = queue.pop_next();
-    event->action();
+    event->payload();
     now = event->time;
     queue.push(now + rng.uniform(0.0, 1000.0), [&sink] { sink += 1.0; });
   }
@@ -125,7 +125,7 @@ TEST(EngineAllocation, InlineCapturesDoNotAllocate) {
   g_counting = false;
 
   ASSERT_TRUE(event.has_value());
-  event->action();
+  event->payload();
   EXPECT_EQ(g_new_calls, 0u);
   EXPECT_EQ(out, 10.0);
 }

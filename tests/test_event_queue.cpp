@@ -20,7 +20,7 @@ TEST(EventQueue, PopsInTimeOrder) {
   q.push(3.0, [&] { fired.push_back(3); });
   q.push(1.0, [&] { fired.push_back(1); });
   q.push(2.0, [&] { fired.push_back(2); });
-  while (auto event = q.pop_next()) event->action();
+  while (auto event = q.pop_next()) event->payload();
   EXPECT_EQ(fired, (std::vector<int>{1, 2, 3}));
 }
 
@@ -30,7 +30,7 @@ TEST(EventQueue, TiesBreakFifo) {
   for (int i = 0; i < 10; ++i) {
     q.push(5.0, [&fired, i] { fired.push_back(i); });
   }
-  while (auto event = q.pop_next()) event->action();
+  while (auto event = q.pop_next()) event->payload();
   for (int i = 0; i < 10; ++i) EXPECT_EQ(fired[static_cast<std::size_t>(i)], i);
 }
 
@@ -50,7 +50,7 @@ TEST(EventQueue, CancelPreventsExecution) {
   (void)keep;
   EXPECT_TRUE(q.cancel(drop));
   EXPECT_EQ(q.size(), 1u);
-  while (auto event = q.pop_next()) event->action();
+  while (auto event = q.pop_next()) event->payload();
   EXPECT_EQ(fired, 1);
 }
 
@@ -74,7 +74,7 @@ TEST(EventQueue, CancelledHeadIsSkipped) {
   EXPECT_DOUBLE_EQ(*q.peek_time(), 2.0);
   auto event = q.pop_next();
   ASSERT_TRUE(event.has_value());
-  event->action();
+  event->payload();
   EXPECT_EQ(fired, 2);
 }
 
@@ -171,7 +171,7 @@ TEST(EventQueue, StaleIdAfterPopIsRejected) {
   EXPECT_EQ(q.size(), 1u);
   auto next = q.pop_next();
   ASSERT_TRUE(next.has_value());
-  next->action();
+  next->payload();
   EXPECT_EQ(fired, 1);
 }
 
@@ -196,10 +196,10 @@ TEST(EventQueue, SameTimeFifoSurvivesChurn) {
       ASSERT_TRUE(q.cancel(cancellable[i]));
     }
     if (round % 3 == 0) {
-      if (auto event = q.pop_next()) event->action();
+      if (auto event = q.pop_next()) event->payload();
     }
   }
-  while (auto event = q.pop_next()) event->action();
+  while (auto event = q.pop_next()) event->payload();
   ASSERT_EQ(fired.size(), 1000u);
   for (std::size_t i = 0; i < fired.size(); ++i) {
     EXPECT_EQ(fired[i], static_cast<int>(i)) << "at position " << i;
@@ -241,7 +241,7 @@ TEST(EventQueue, MoveTransfersPendingEvents) {
   assigned.push(9.0, [&] { fired += 1000; });
   assigned = std::move(moved);
   EXPECT_EQ(assigned.size(), 2u);
-  while (auto event = assigned.pop_next()) event->action();
+  while (auto event = assigned.pop_next()) event->payload();
   EXPECT_EQ(fired, 3);
 }
 

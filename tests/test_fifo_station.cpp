@@ -2,9 +2,16 @@
 // open Poisson-fed exponential station must reproduce W = 1/(mu-lambda)
 // and L = rho/(1-rho) — the same formulas the analytical model uses
 // (eq. 16), so this test ties the simulation substrate to the theory.
+//
+// The station is passive, so each test drives it the way its owners
+// (TreeSim, SwitchFabricSim) do: draw the service time, begin service,
+// schedule the departure, and on departure start the next queued job
+// before handling the departed one.
 
 #include <gtest/gtest.h>
 
+#include <functional>
+#include <utility>
 #include <vector>
 
 #include "hmcs/analytic/mm1.hpp"
@@ -17,77 +24,97 @@ namespace {
 
 using namespace hmcs::simcore;
 
-TEST(FifoStation, ServesJobsFifoWithDeterministicService) {
+/// One station with its owner's side of the protocol on a Simulator.
+struct DrivenStation {
   Simulator sim;
-  FifoStation station(sim, "S", [](const FifoStation::Job&) { return 5.0; });
+  FifoStation station{"S"};
+  std::function<double(const FifoStation::Job&)> draw;
+  std::function<void(const FifoStation::Departure&)> on_departure =
+      [](const FifoStation::Departure&) {};
+
+  explicit DrivenStation(std::function<double(const FifoStation::Job&)> d)
+      : draw(std::move(d)) {}
+
+  void arrive(std::uint64_t id) {
+    if (station.arrive(id, sim.now())) start();
+  }
+  void start() {
+    const double service = draw(station.next_job());
+    station.begin_service(service, sim.now());
+    sim.schedule_after(service, [this] { depart(); });
+  }
+  void depart() {
+    const FifoStation::Departure d = station.complete_service(sim.now());
+    if (station.has_waiting()) start();
+    on_departure(d);
+  }
+};
+
+TEST(FifoStation, ServesJobsFifoWithDeterministicService) {
+  DrivenStation s([](const FifoStation::Job&) { return 5.0; });
   std::vector<std::uint64_t> completed;
   std::vector<double> waits;
-  station.set_departure_callback([&](const FifoStation::Departure& d) {
+  s.on_departure = [&](const FifoStation::Departure& d) {
     completed.push_back(d.job.id);
     waits.push_back(d.wait_time);
-  });
-  station.arrive(1);
-  station.arrive(2);
-  station.arrive(3);
-  sim.run();
+  };
+  s.arrive(1);
+  s.arrive(2);
+  s.arrive(3);
+  s.sim.run();
   EXPECT_EQ(completed, (std::vector<std::uint64_t>{1, 2, 3}));
   EXPECT_EQ(waits, (std::vector<double>{0.0, 5.0, 10.0}));
-  EXPECT_DOUBLE_EQ(sim.now(), 15.0);
-  EXPECT_EQ(station.departures(), 3u);
-  EXPECT_FALSE(station.busy());
+  EXPECT_DOUBLE_EQ(s.sim.now(), 15.0);
+  EXPECT_EQ(s.station.departures(), 3u);
+  EXPECT_FALSE(s.station.busy());
 }
 
 TEST(FifoStation, TracksQueueLength) {
-  Simulator sim;
-  FifoStation station(sim, "S", [](const FifoStation::Job&) { return 10.0; });
-  station.arrive(1);
-  station.arrive(2);
-  EXPECT_EQ(station.queue_length(), 2u);  // one in service + one waiting
-  EXPECT_TRUE(station.busy());
-  sim.run();
-  EXPECT_EQ(station.queue_length(), 0u);
+  DrivenStation s([](const FifoStation::Job&) { return 10.0; });
+  s.arrive(1);
+  s.arrive(2);
+  EXPECT_EQ(s.station.queue_length(), 2u);  // one in service + one waiting
+  EXPECT_TRUE(s.station.busy());
+  EXPECT_TRUE(s.station.has_waiting());
+  EXPECT_EQ(s.station.next_job().id, 2u);
+  s.sim.run();
+  EXPECT_EQ(s.station.queue_length(), 0u);
+  EXPECT_FALSE(s.station.has_waiting());
 }
 
 TEST(FifoStation, UtilizationIsBusyFraction) {
-  Simulator sim;
-  FifoStation station(sim, "S", [](const FifoStation::Job&) { return 2.0; });
-  station.set_departure_callback([](const FifoStation::Departure&) {});
+  DrivenStation s([](const FifoStation::Job&) { return 2.0; });
   // One job served in [0,2); then idle until we advance the clock to 4.
-  station.arrive(1);
-  sim.run();
-  sim.schedule_after(2.0, [] {});
-  sim.run();
-  EXPECT_DOUBLE_EQ(sim.now(), 4.0);
-  EXPECT_DOUBLE_EQ(station.utilization(), 0.5);
-  EXPECT_DOUBLE_EQ(station.average_number_in_system(), 0.5);
+  s.arrive(1);
+  s.sim.run();
+  s.sim.schedule_after(2.0, [] {});
+  s.sim.run();
+  EXPECT_DOUBLE_EQ(s.sim.now(), 4.0);
+  EXPECT_DOUBLE_EQ(s.station.utilization(s.sim.now()), 0.5);
+  EXPECT_DOUBLE_EQ(s.station.average_number_in_system(s.sim.now()), 0.5);
 }
 
 TEST(FifoStation, RejectsInvalidSetup) {
-  Simulator sim;
-  EXPECT_THROW(
-      FifoStation(sim, "S", FifoStation::ServiceSampler{}),
-      hmcs::ConfigError);
-  FifoStation bad(sim, "S", [](const FifoStation::Job&) { return -1.0; });
-  // Service starts immediately on arrival at an idle station, so the
-  // negative sample is rejected right there.
-  EXPECT_THROW(bad.arrive(1), hmcs::ConfigError);
+  FifoStation station("S");
+  // An arrival at an idle station starts service at once, so the
+  // negative duration is rejected right there.
+  ASSERT_TRUE(station.arrive(1, 0.0));
+  EXPECT_THROW(station.begin_service(-1.0, 0.0), hmcs::ConfigError);
 }
 
 TEST(FifoStation, ResetStatisticsKeepsInFlightWork) {
-  Simulator sim;
-  FifoStation station(sim, "S", [](const FifoStation::Job&) { return 3.0; });
+  DrivenStation s([](const FifoStation::Job&) { return 3.0; });
   int departures_seen = 0;
-  station.set_departure_callback(
-      [&](const FifoStation::Departure&) { ++departures_seen; });
-  station.arrive(1);
-  station.arrive(2);
-  sim.run_until(1.0);
-  station.reset_statistics();
-  sim.run();
+  s.on_departure = [&](const FifoStation::Departure&) { ++departures_seen; };
+  s.arrive(1);
+  s.arrive(2);
+  s.sim.run_until(1.0);
+  s.station.reset_statistics(s.sim.now());
+  s.sim.run();
   EXPECT_EQ(departures_seen, 2);
   // Only the post-reset departures are counted in the statistics.
-  EXPECT_EQ(station.departures(), 2u);
-  EXPECT_EQ(station.arrivals(), 0u);
+  EXPECT_EQ(s.station.departures(), 2u);
+  EXPECT_EQ(s.station.arrivals(), 0u);
 }
 
 // ------------------------------------------------- M/M/1 law validation
@@ -101,30 +128,29 @@ class Mm1Validation : public ::testing::TestWithParam<Mm1Case> {};
 
 TEST_P(Mm1Validation, MatchesTheory) {
   const auto [lambda, mu] = GetParam();
-  Simulator sim;
   Rng arrival_rng(101);
   Rng service_rng(202);
-  FifoStation station(sim, "mm1", [&](const FifoStation::Job&) {
+  DrivenStation s([&](const FifoStation::Job&) {
     return service_rng.exponential(1.0 / mu);
   });
 
   Tally responses;
-  station.set_departure_callback([&](const FifoStation::Departure& d) {
+  s.on_departure = [&](const FifoStation::Departure& d) {
     responses.add(d.response_time);
-  });
+  };
 
   constexpr std::uint64_t kWarmup = 5000;
   constexpr std::uint64_t kTotal = 120000;
   std::uint64_t arrivals = 0;
   std::function<void()> arrive = [&] {
-    if (arrivals == kWarmup) station.reset_statistics();
+    if (arrivals == kWarmup) s.station.reset_statistics(s.sim.now());
     if (arrivals++ < kTotal) {
-      station.arrive(arrivals);
-      sim.schedule_after(arrival_rng.exponential(1.0 / lambda), arrive);
+      s.arrive(arrivals);
+      s.sim.schedule_after(arrival_rng.exponential(1.0 / lambda), arrive);
     }
   };
-  sim.schedule_after(arrival_rng.exponential(1.0 / lambda), arrive);
-  sim.run();
+  s.sim.schedule_after(arrival_rng.exponential(1.0 / lambda), arrive);
+  s.sim.run();
 
   namespace mm1 = hmcs::analytic::mm1;
   const double w_theory = mm1::response_time(lambda, mu);
@@ -134,9 +160,11 @@ TEST_P(Mm1Validation, MatchesTheory) {
   // Post-warm-up station statistics against theory; tolerance loosens
   // with utilization because M/M/1 converges slowly near saturation.
   const double tol = rho < 0.6 ? 0.05 : 0.15;
-  EXPECT_NEAR(station.response_times().mean(), w_theory, tol * w_theory);
-  EXPECT_NEAR(station.utilization(), rho, tol * rho);
-  EXPECT_NEAR(station.average_number_in_system(), l_theory, tol * l_theory);
+  const double now = s.sim.now();
+  EXPECT_NEAR(s.station.response_times().mean(), w_theory, tol * w_theory);
+  EXPECT_NEAR(s.station.utilization(now), rho, tol * rho);
+  EXPECT_NEAR(s.station.average_number_in_system(now), l_theory,
+              tol * l_theory);
 }
 
 INSTANTIATE_TEST_SUITE_P(

@@ -1,6 +1,8 @@
 #include <gtest/gtest.h>
 
+#include <bit>
 #include <cmath>
+#include <cstdint>
 #include <random>
 #include <vector>
 
@@ -9,6 +11,7 @@
 
 namespace {
 
+using hmcs::simcore::ExponentialStream;
 using hmcs::simcore::Rng;
 using hmcs::simcore::SplitMix64;
 
@@ -136,6 +139,30 @@ TEST(Rng, SatisfiesUniformRandomBitGenerator) {
   static_assert(std::uniform_random_bit_generator<Rng>);
   EXPECT_EQ(Rng::min(), 0u);
   EXPECT_EQ(Rng::max(), ~0ULL);
+}
+
+TEST(Rng, ExponentialStreamMatchesExponentialDrawForDraw) {
+  // Read across several 64-draw blocks, a block stream must give the
+  // values Rng::exponential gives on the same stream, bit for bit, at
+  // any mean from 1e-6 to 1e9.
+  Rng params(2718);
+  for (int trial = 0; trial < 16; ++trial) {
+    const std::uint64_t seed = params.next_u64();
+    Rng reference(seed);
+    ExponentialStream stream{Rng(seed)};
+    for (int draw = 0; draw < 5 * 64 + 17; ++draw) {
+      const double mean = draw == 0   ? 1e-6
+                          : draw == 1 ? 1e9
+                                      : std::pow(10.0, params.uniform(-6.0, 9.0));
+      const double expected = reference.exponential(mean);
+      const double got = stream.exponential(mean);
+      ASSERT_EQ(std::bit_cast<std::uint64_t>(got),
+                std::bit_cast<std::uint64_t>(expected))
+          << "seed " << seed << " draw " << draw << " mean " << mean;
+    }
+  }
+  ExponentialStream stream{Rng(1)};
+  EXPECT_THROW(stream.exponential(0.0), hmcs::ConfigError);
 }
 
 }  // namespace

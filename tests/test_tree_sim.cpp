@@ -6,15 +6,19 @@
 #include <gtest/gtest.h>
 
 #include <cmath>
+#include <deque>
 #include <fstream>
+#include <map>
 #include <memory>
 #include <sstream>
 #include <string>
+#include <vector>
 
 #include "hmcs/analytic/model_tree.hpp"
 #include "hmcs/analytic/network_tech.hpp"
 #include "hmcs/analytic/tree_io.hpp"
 #include "hmcs/analytic/tree_model.hpp"
+#include "hmcs/sim/trace.hpp"
 #include "hmcs/sim/tree_sim.hpp"
 #include "hmcs/util/error.hpp"
 #include "hmcs/workload/traffic_pattern.hpp"
@@ -224,6 +228,81 @@ TEST(TreeSim, RoleDeparturesSumTheirCenters) {
   EXPECT_EQ(result.icn2.departures, departures_where(result, false, true));
   EXPECT_GT(result.ecn1.departures, 0u);
   EXPECT_GT(result.icn2.departures, 0u);
+}
+
+TEST(TreeSim, DepartureStartsTheNextJobBeforeRoutingTheDeparted) {
+  // Four clusters of four processors on one technology: ICN1, ECN1 and
+  // ICN2 each join four devices, so with deterministic service every
+  // centre serves for the same time S. When a message leaves a centre
+  // with a line behind it and enters an idle one, both next departures
+  // fall at t + S, and the calendar breaks the tie by push order: the
+  // departure pushed first — the queued job's, when a departure starts
+  // the next job before it routes the departed message — fires first.
+  using analytic::ModelNode;
+  std::vector<ModelNode> clusters;
+  for (int k = 0; k < 4; ++k) {
+    clusters.push_back(ModelNode::internal(analytic::fast_ethernet(),
+                                           analytic::fast_ethernet(),
+                                           {ModelNode::leaf(4, 5e-4)}));
+  }
+  analytic::ModelTree tree;
+  tree.root = ModelNode::internal(analytic::fast_ethernet(), clusters);
+  tree.switch_params = {24, 10.0};
+  tree.message_bytes = 1024.0;
+  tree.scenario.service_cv2 = 0.0;
+
+  sim::TreeSimOptions options;
+  options.measured_messages = 2000;
+  options.warmup_messages = 0;
+  options.seed = 5;
+  options.trace = std::make_shared<sim::TraceRecorder>(1'000'000);
+  sim::TreeSim(tree, options).run();
+  ASSERT_FALSE(options.trace->truncated());
+
+  // Replay the trace with the owner's rule — on a departure, the next
+  // queued job starts before the departed message's next enqueue — and
+  // number the service starts in that order. Each start pushes one
+  // departure, so same-time departures must fire in start order.
+  struct Center {
+    std::deque<std::uint64_t> waiting;
+    bool busy = false;
+    std::uint64_t in_service = 0;
+    std::uint64_t start_rank = 0;
+  };
+  std::map<std::string, Center> centers;
+  std::uint64_t starts = 0;
+  auto start = [&starts](Center& c) {
+    c.in_service = c.waiting.front();
+    c.waiting.pop_front();
+    c.busy = true;
+    c.start_rank = starts++;
+  };
+  double last_departure_time = -1.0;
+  std::uint64_t last_departure_rank = 0;
+  std::uint64_t ties = 0;
+  for (const sim::TraceEvent& event : options.trace->events()) {
+    if (event.kind == sim::TraceEventKind::kEnqueued) {
+      Center& c = centers[event.center];
+      c.waiting.push_back(event.message_id);
+      if (!c.busy) start(c);
+    } else if (event.kind == sim::TraceEventKind::kDeparted) {
+      Center& c = centers[event.center];
+      ASSERT_TRUE(c.busy);
+      ASSERT_EQ(c.in_service, event.message_id);
+      if (event.time_us == last_departure_time) {
+        ++ties;
+        EXPECT_GT(c.start_rank, last_departure_rank)
+            << "same-time departures out of start order at "
+            << event.time_us << " us (" << event.center << ")";
+      }
+      last_departure_time = event.time_us;
+      last_departure_rank = c.start_rank;
+      c.busy = false;
+      if (!c.waiting.empty()) start(c);
+    }
+  }
+  // The check means something only if such ties happened.
+  EXPECT_GT(ties, 100u);
 }
 
 TEST(TreeSim, RejectsTrafficOutsideTheTree) {
