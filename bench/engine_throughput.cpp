@@ -2,18 +2,15 @@
 // machine-readable JSON record (BENCH_engine.json) so CI and the
 // performance docs can track events/sec across engine changes.
 //
-// Two synthetic drivers run on a real Simulator instance:
-//  * steady_churn — `sources` self-rescheduling event chains with
-//    exponential spacing: the classic hold model, the simulator hot path.
-//  * cancel_churn — the same churn, but every firing also arms a
-//    far-future timeout and disarms the one it armed on its previous
-//    firing: the timer-wheel pattern that stresses cancellation.
+// steady_churn runs the hold model on a real Simulator: `sources`
+// self-rescheduling event chains with exponential spacing. Each step
+// takes the next event and schedules its source again, so the
+// population stays at `sources` pending events — the simulator hot path
+// (Simulator::next, then Simulator::schedule) with no model around it.
+// Peak pending events is read from sim.pending_events(), so the number
+// reflects what the engine actually held.
 //
-// Peak pending events is tracked inside the callbacks via
-// sim.pending_events(), so the number reflects what the engine actually
-// held, not what the driver intended.
-//
-// The `tree_sim` block times the simulator layer on its own event loop:
+// The `tree_sim` block times the simulator layer on the same executive:
 // TreeSim runs (construction included, median of a few repeats) at the
 // paper's protocol of 10,000 measured + 2,000 warm-up messages, on the
 // flat Case-1 configs at N = 256, M = 1,024, C in {2, 16, 64}, both
@@ -27,7 +24,6 @@
 #include <cstdint>
 #include <cstdio>
 #include <fstream>
-#include <functional>
 #include <sstream>
 #include <string>
 #include <thread>
@@ -66,52 +62,26 @@ struct RunRecord {
   }
 };
 
-/// `sources` independent self-rescheduling chains; when `cancel_mix` is
-/// set, each firing arms a far-future timeout and disarms its previous
-/// one, so every event carries one cancel on average.
-RunRecord run_driver(const std::string& name, std::uint64_t sources,
-                     std::uint64_t target_events, bool cancel_mix,
-                     std::uint64_t seed) {
+/// The hold model: `sources` chains, each event rescheduling its own
+/// source after an exponential delay, for `target_events` events.
+RunRecord run_steady_churn(std::uint64_t sources, std::uint64_t target_events,
+                           std::uint64_t seed) {
   simcore::Simulator sim;
   simcore::Rng rng(seed);
   RunRecord record;
-  record.name = name;
-
-  constexpr double kTimeoutDelay = 1.0e9;
-  struct Chain {
-    simcore::EventId armed_timeout = 0;
-    bool has_timeout = false;
-  };
-  std::vector<Chain> chains(sources);
-
-  std::uint64_t executed = 0;
-  // One callback per source chain, rescheduling itself until the global
-  // event budget is spent.
-  std::function<void(std::uint64_t)> fire;  // declared for recursion only
-  fire = [&](std::uint64_t source) {
-    record.peak_pending =
-        std::max(record.peak_pending, sim.pending_events() + 1);
-    if (++executed >= target_events) {
-      sim.stop();
-      return;
-    }
-    if (cancel_mix) {
-      Chain& chain = chains[source];
-      if (chain.has_timeout) sim.cancel(chain.armed_timeout);
-      chain.armed_timeout =
-          sim.schedule_after(kTimeoutDelay + rng.uniform(0.0, 1.0), [] {});
-      chain.has_timeout = true;
-    }
-    sim.schedule_after(rng.exponential(1.0), [&fire, source] { fire(source); });
-  };
-
+  record.name = "steady_churn";
   for (std::uint64_t s = 0; s < sources; ++s) {
-    sim.schedule_after(rng.exponential(1.0), [&fire, s] { fire(s); });
+    sim.schedule(rng.exponential(1.0), s);
   }
 
   const auto start = std::chrono::steady_clock::now();
-  record.events_executed = sim.run();
+  for (std::uint64_t i = 0; i < target_events; ++i) {
+    record.peak_pending = std::max(record.peak_pending, sim.pending_events());
+    const std::uint64_t source = sim.next();
+    sim.schedule(rng.exponential(1.0), source);
+  }
   const auto finish = std::chrono::steady_clock::now();
+  record.events_executed = sim.executed_events();
   record.wall_seconds = std::chrono::duration<double>(finish - start).count();
   return record;
 }
@@ -213,9 +183,7 @@ int main(int argc, char** argv) try {
   const auto seed = static_cast<std::uint64_t>(cli.get_int("seed"));
   const std::string out_path = cli.get_string("out");
 
-  std::vector<RunRecord> runs;
-  runs.push_back(run_driver("steady_churn", sources, events, false, seed));
-  runs.push_back(run_driver("cancel_churn", sources, events, true, seed));
+  const std::vector<RunRecord> runs{run_steady_churn(sources, events, seed)};
   const std::vector<TreeRunRecord> tree_runs = run_tree_sims(seed);
 
   JsonWriter json;

@@ -8,7 +8,6 @@
 #include <benchmark/benchmark.h>
 
 #include <cstdint>
-#include <vector>
 
 #include "hmcs/analytic/latency_model.hpp"
 #include "hmcs/analytic/mva.hpp"
@@ -27,56 +26,18 @@ void BM_EventQueuePushPop(benchmark::State& state) {
   const auto horizon = static_cast<std::size_t>(state.range(0));
   simcore::EventQueue queue;
   simcore::Rng rng(1);
-  // Steady-state churn at `horizon` pending events.
+  // Steady-state churn at `horizon` pending 8-byte events.
   for (std::size_t i = 0; i < horizon; ++i) {
-    queue.push(rng.uniform(0.0, 1000.0), [] {});
+    queue.push(rng.uniform(0.0, 1000.0), i);
   }
-  double now = 0.0;
   for (auto _ : state) {
-    auto event = queue.pop_next();
-    now = event->time;
-    queue.push(now + rng.uniform(0.0, 1000.0), [] {});
-    benchmark::DoNotOptimize(event->id);
+    const auto event = queue.pop_next();
+    queue.push(event->time + rng.uniform(0.0, 1000.0), event->payload);
+    benchmark::DoNotOptimize(event->payload);
   }
   state.SetItemsProcessed(state.iterations());
 }
 BENCHMARK(BM_EventQueuePushPop)->Arg(64)->Arg(1024)->Arg(16384)->Arg(262144);
-
-void BM_EventQueueCancelHeavy(benchmark::State& state) {
-  // Churn with a 50% cancellation rate: every iteration pops one event,
-  // reschedules it, arms a far-future "timeout", and disarms the timeout
-  // armed a few iterations earlier — the timer-heavy pattern (timeouts
-  // armed and almost always disarmed) that punishes engines whose cancel
-  // path hashes or reorders. Timeouts sit beyond the churn window so
-  // every cancel hits a pending event and the population stays pinned;
-  // their tombstones are reclaimed by the calendar's rebuild purge.
-  constexpr std::size_t kCancelLag = 64;
-  constexpr double kTimeoutDelay = 1.0e6;
-  const auto horizon = static_cast<std::size_t>(state.range(0));
-  simcore::EventQueue queue;
-  simcore::Rng rng(1);
-  std::vector<simcore::EventId> pending(kCancelLag);
-  for (std::size_t i = 0; i < 2 * horizon; ++i) {
-    queue.push(rng.uniform(0.0, 1000.0), [] {});
-  }
-  for (std::size_t i = 0; i < kCancelLag; ++i) {
-    pending[i] = queue.push(kTimeoutDelay + rng.uniform(0.0, 1000.0), [] {});
-  }
-  double now = 0.0;
-  std::size_t cursor = 0;
-  for (auto _ : state) {
-    auto event = queue.pop_next();
-    now = event->time;
-    queue.push(now + rng.uniform(0.0, 1000.0), [] {});
-    const simcore::EventId fresh =
-        queue.push(now + kTimeoutDelay + rng.uniform(0.0, 1000.0), [] {});
-    benchmark::DoNotOptimize(queue.cancel(pending[cursor]));
-    pending[cursor] = fresh;
-    cursor = (cursor + 1) % kCancelLag;
-  }
-  state.SetItemsProcessed(state.iterations());
-}
-BENCHMARK(BM_EventQueueCancelHeavy)->Arg(1024)->Arg(16384);
 
 void BM_RngExponential(benchmark::State& state) {
   simcore::Rng rng(7);

@@ -2,6 +2,7 @@
 
 #include <algorithm>
 #include <optional>
+#include <utility>
 
 #include "hmcs/simcore/batch_means.hpp"
 #include "hmcs/simcore/fifo_station.hpp"
@@ -25,9 +26,22 @@ struct MessageState {
   bool in_use = false;
 };
 
+/// An event in 8 bytes: its kind in the low bit, above it the endpoint
+/// that injects or the switch whose job departs.
+enum EventKind : std::uint64_t { kInject, kDepart };
+constexpr std::uint64_t kKindMask = 1;
+
+constexpr std::uint64_t make_event(EventKind kind, std::uint64_t index) {
+  return index << 1 | kind;
+}
+
 }  // namespace
 
 struct SwitchFabricSim::Impl {
+  explicit Impl(FabricSimOptions run_options)
+      : options(std::move(run_options)),
+        simulator("SwitchFabricSim", options.max_events, options.cancel) {}
+
   FabricSimOptions options;
   std::vector<NodeId> endpoints;
   /// Dense switch indexing: switch_index[node id] or npos.
@@ -141,9 +155,8 @@ struct SwitchFabricSim::Impl {
   }
 
   void schedule_injection(std::uint64_t endpoint_index) {
-    simulator.schedule_after(
-        think_rng.exponential(1.0 / options.rate_per_us),
-        [this, endpoint_index] { inject(endpoint_index); });
+    simulator.schedule(think_rng.exponential(1.0 / options.rate_per_us),
+                       make_event(kInject, endpoint_index));
   }
 
   void inject(std::uint64_t endpoint_index) {
@@ -193,7 +206,7 @@ struct SwitchFabricSim::Impl {
   void start_service(std::size_t s) {
     const double service = service_for(switches[s].next_job().id);
     switches[s].begin_service(service, simulator.now());
-    simulator.schedule_after(service, [this, s] { depart(s); });
+    simulator.schedule(service, make_event(kDepart, s));
   }
 
   /// Starts the next queued job before the departed message moves on
@@ -251,21 +264,12 @@ struct SwitchFabricSim::Impl {
     for (std::uint64_t e = 0; e < options.active_endpoints; ++e) {
       schedule_injection(e);
     }
-    // Cancellation poll period: keeps the steady_clock read off the
-    // per-event hot path.
-    constexpr std::uint64_t kCancelPollMask = 4095;
     while (!done) {
-      ensure(simulator.step(),
-             "SwitchFabricSim: event queue drained before completion");
-      if (options.max_events != 0 &&
-          simulator.executed_events() > options.max_events) {
-        detail::throw_config_error(
-            "SwitchFabricSim: exceeded max_events safety limit",
-            std::source_location::current());
-      }
-      if (options.cancel != nullptr &&
-          (simulator.executed_events() & kCancelPollMask) == 0) {
-        options.cancel->check("SwitchFabricSim");
+      const std::uint64_t event = simulator.next();
+      if ((event & kKindMask) == kDepart) {
+        depart(static_cast<std::size_t>(event >> 1));
+      } else {
+        inject(event >> 1);
       }
     }
 
@@ -306,8 +310,7 @@ struct SwitchFabricSim::Impl {
 
 SwitchFabricSim::SwitchFabricSim(const topology::Graph& graph,
                                  FabricSimOptions options)
-    : impl_(std::make_unique<Impl>()) {
-  impl_->options = std::move(options);
+    : impl_(std::make_unique<Impl>(std::move(options))) {
   impl_->build(graph);
 }
 

@@ -24,12 +24,13 @@
 /// measures a fixed number of post-warm-up deliveries (the paper
 /// gathers 10,000 messages).
 ///
-/// The run is TreeSim's own event loop on simcore's calendar queue. An
-/// event is a plain 8-byte value — a processor's think completion, a
-/// centre's departure or a sampler tick — dispatched with a branch, not
-/// a type-erased call. The stations are passive: the loop draws each
-/// service time and schedules each departure itself, and a departure
-/// starts the next queued job before the departed message moves on.
+/// The run is a loop over simcore::Simulator, the executive
+/// SwitchFabricSim also runs on. An event is a plain 8-byte value — a
+/// processor's think completion, a centre's departure or a sampler
+/// tick — dispatched with a branch, not a type-erased call. The
+/// stations are passive: the loop draws each service time and schedules
+/// each departure itself, and a departure starts the next queued job
+/// before the departed message moves on.
 /// Streams that make only exponential draws (Poisson think times;
 /// service times at cv^2 = 1 without failures) are drawn 64 ahead
 /// (simcore::ExponentialStream), with the same values in the same order.
@@ -192,7 +193,6 @@ struct SimResult {
     /// Engine diagnostics for this run's event queue.
     std::uint64_t events_pushed = 0;
     std::uint64_t calendar_resizes = 0;
-    std::uint64_t calendar_purges = 0;
     std::uint64_t sweep_fallbacks = 0;
     std::size_t peak_slot_capacity = 0;
   };

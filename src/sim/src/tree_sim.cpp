@@ -1,7 +1,6 @@
 #include "hmcs/sim/tree_sim.hpp"
 
 #include <algorithm>
-#include <cmath>
 #include <cstddef>
 #include <optional>
 #include <utility>
@@ -9,9 +8,9 @@
 #include "hmcs/obs/metrics.hpp"
 #include "hmcs/simcore/batch_means.hpp"
 #include "hmcs/simcore/distributions.hpp"
-#include "hmcs/simcore/event_queue.hpp"
 #include "hmcs/simcore/fifo_station.hpp"
 #include "hmcs/simcore/rng.hpp"
+#include "hmcs/simcore/simulation.hpp"
 #include "hmcs/util/error.hpp"
 
 namespace hmcs::sim {
@@ -59,6 +58,7 @@ constexpr std::size_t kRootNetwork = 0;
 /// An event in 8 bytes: its kind in the low two bits, above them the
 /// processor whose think time ended or the centre whose job departs.
 enum EventKind : std::uint64_t { kThinkDone, kDeparture, kSampleTick };
+constexpr std::uint64_t kKindMask = 3;
 
 constexpr std::uint64_t make_event(EventKind kind, std::uint64_t index) {
   return index << 2 | kind;
@@ -67,6 +67,10 @@ constexpr std::uint64_t make_event(EventKind kind, std::uint64_t index) {
 }  // namespace
 
 struct TreeSim::Impl {
+  explicit Impl(SimOptions run_options)
+      : options(std::move(run_options)),
+        simulator("TreeSim", options.max_events, options.cancel) {}
+
   analytic::ModelTree tree;
   analytic::FlatTreeView view;
   std::vector<analytic::TreeCenter> centers;
@@ -82,12 +86,7 @@ struct TreeSim::Impl {
   std::vector<std::size_t> ecn1_centers;
 
   // --- engine ---------------------------------------------------------------
-  // TreeSim's own loop (run()) over plain 8-byte events: the clock, the
-  // executed-event count and its batched flush, as in simcore::Simulator.
-  simcore::BasicEventQueue<std::uint64_t> queue;
-  simcore::SimTime now = 0.0;
-  std::uint64_t executed = 0;
-  std::uint64_t obs_flushed = 0;
+  simcore::Simulator simulator;
   std::vector<simcore::FifoStation> stations;  ///< one per centre, same order
   std::vector<CenterModel> service_models;    ///< one per centre, same order
   /// Streams that draw only exponentials are read in blocks: the service
@@ -123,8 +122,6 @@ struct TreeSim::Impl {
   std::vector<double> measured_samples;
   /// Built on the first latency_histogram() call.
   std::optional<simcore::Histogram> histogram;
-
-  ~Impl() { flush_events_dispatched(); }
 
   std::uint64_t total_processors() const { return view.total_processors; }
 
@@ -241,24 +238,20 @@ struct TreeSim::Impl {
     return service;
   }
 
-  void schedule(double delay, EventKind kind, std::uint64_t index) {
-    require(std::isfinite(delay) && delay >= 0.0,
-            "TreeSim: delay must be finite and non-negative");
-    queue.push(now + delay, make_event(kind, index));
-  }
+  simcore::SimTime now() const { return simulator.now(); }
 
   /// Puts the head of centre c's line into service: draw, then push.
   void start_service(std::size_t c) {
     simcore::FifoStation& station = stations[c];
     const double service = draw_service(c, station.next_job().id);
-    station.begin_service(service, now);
-    schedule(service, kDeparture, c);
+    station.begin_service(service, now());
+    simulator.schedule(service, make_event(kDeparture, c));
   }
 
   /// A departure starts the next queued job before the departed message
   /// moves on: ties between same-time events depend on this order.
   void depart(std::size_t c) {
-    const std::uint64_t id = stations[c].complete_service(now).job.id;
+    const std::uint64_t id = stations[c].complete_service(now()).job.id;
     if (stations[c].has_waiting()) start_service(c);
     trace(TraceEventKind::kDeparted, id, c);
     advance(id);
@@ -270,7 +263,7 @@ struct TreeSim::Impl {
     if (!options.trace) return;
     const MessageState& msg = messages[static_cast<std::size_t>(id)];
     options.trace->record(
-        TraceEvent{now, kind, id, msg.src, msg.dst,
+        TraceEvent{now(), kind, id, msg.src, msg.dst,
                    center == kNoCenter ? std::string()
                                        : stations[center].name()});
   }
@@ -282,7 +275,7 @@ struct TreeSim::Impl {
       sampler->attach_trace(options.obs.trace.get(), options.obs.trace_pid);
     }
     sampler->add_probe("sim.event_queue.pending", [this] {
-      return static_cast<double>(queue.size());
+      return static_cast<double>(simulator.pending_events());
     });
     sampler->add_probe("sim.icn1.queue_total",
                        [this] { return queue_total(icn1_centers); });
@@ -309,8 +302,11 @@ struct TreeSim::Impl {
   /// time axis is simulated µs — but the probes draw no random numbers,
   /// so the stochastic trajectory is identical to an unsampled run.
   void sample_tick() {
-    sampler->sample(now);
-    if (!done) schedule(options.obs.sample_interval_us, kSampleTick, 0);
+    sampler->sample(now());
+    if (!done) {
+      simulator.schedule(options.obs.sample_interval_us,
+                         make_event(kSampleTick, 0));
+    }
   }
 
   double proc_rate(std::uint64_t proc) const {
@@ -322,7 +318,7 @@ struct TreeSim::Impl {
         modulators.empty()
             ? think_block.exponential(1.0 / proc_rate(proc))
             : modulators[proc].next_interarrival_us(think_rng);
-    schedule(wait, kThinkDone, proc);
+    simulator.schedule(wait, make_event(kThinkDone, proc));
   }
 
   std::uint64_t pick_destination(std::uint64_t src) {
@@ -392,7 +388,7 @@ struct TreeSim::Impl {
     MessageState& msg = messages[slot];
     msg.src = proc;
     msg.dst = pick_destination(proc);
-    msg.generated_at = now;
+    msg.generated_at = now();
     msg.bytes = options.message_size
                     ? options.message_size->sample_bytes(size_rng)
                     : tree.message_bytes;
@@ -404,7 +400,7 @@ struct TreeSim::Impl {
 
   void enter(std::uint64_t id, std::size_t center) {
     trace(TraceEventKind::kEnqueued, id, center);
-    if (stations[center].arrive(id, now)) start_service(center);
+    if (stations[center].arrive(id, now())) start_service(center);
   }
 
   void advance(std::uint64_t id) {
@@ -419,7 +415,7 @@ struct TreeSim::Impl {
   void deliver(std::uint64_t id) {
     trace(TraceEventKind::kDelivered, id, kNoCenter);
     const MessageState& msg = messages[static_cast<std::size_t>(id)];
-    const double elapsed = now - msg.generated_at;
+    const double elapsed = now() - msg.generated_at;
     const bool remote = msg.route.size() > 1;
     const std::uint64_t src = msg.src;
     free_slots.push_back(static_cast<std::uint32_t>(id));
@@ -447,8 +443,8 @@ struct TreeSim::Impl {
 
   void begin_measurement() {
     measuring = true;
-    window_start = now;
-    for (auto& station : stations) station.reset_statistics(now);
+    window_start = now();
+    for (auto& station : stations) station.reset_statistics(now());
     if (options.obs.trace) {
       options.obs.trace->complete("warmup", "sim.phase", 0.0, window_start,
                                   options.obs.trace_pid);
@@ -470,8 +466,8 @@ struct TreeSim::Impl {
       waits.merge(station.wait_times());
       services.merge(station.service_times());
       responses.merge(station.response_times());
-      utilization_sum += station.utilization(now);
-      queue_sum += station.average_number_in_system(now);
+      utilization_sum += station.utilization(now());
+      queue_sum += station.average_number_in_system(now());
       out.departures += station.departures();
     }
     const double count = static_cast<double>(role.size());
@@ -530,7 +526,7 @@ struct TreeSim::Impl {
     result.remote_fraction = static_cast<double>(remote_latency.count()) /
                              static_cast<double>(latency.count());
 
-    result.window_duration_us = now - window_start;
+    result.window_duration_us = now() - window_start;
     if (result.window_duration_us > 0.0) {
       result.effective_rate_per_us =
           static_cast<double>(measured_deliveries) /
@@ -544,14 +540,14 @@ struct TreeSim::Impl {
     // the reproducibility contract fixes.
     for (const std::size_t c : icn1_centers) {
       result.total_avg_queue_length +=
-          stations[c].average_number_in_system(now);
+          stations[c].average_number_in_system(now());
     }
     for (const std::size_t c : ecn1_centers) {
       result.total_avg_queue_length +=
-          stations[c].average_number_in_system(now);
+          stations[c].average_number_in_system(now());
     }
     result.total_avg_queue_length +=
-        stations[kRootNetwork].average_number_in_system(now);
+        stations[kRootNetwork].average_number_in_system(now());
 
     result.centers.reserve(centers.size());
     for (std::size_t c = 0; c < centers.size(); ++c) {
@@ -559,8 +555,8 @@ struct TreeSim::Impl {
       TreeCenterStats stats;
       stats.path = centers[c].path;
       stats.egress = centers[c].egress;
-      stats.utilization = station.utilization(now);
-      stats.avg_queue_length = station.average_number_in_system(now);
+      stats.utilization = station.utilization(now());
+      stats.avg_queue_length = station.average_number_in_system(now());
       if (station.response_times().count() > 0) {
         stats.mean_response_us = station.response_times().mean();
       }
@@ -570,7 +566,7 @@ struct TreeSim::Impl {
       result.centers.push_back(std::move(stats));
     }
 
-    result.events_executed = executed;
+    result.events_executed = simulator.executed_events();
 
     finish_observability(result);
     return result;
@@ -595,15 +591,15 @@ struct TreeSim::Impl {
     result.obs.trace_dropped =
         options.trace ? options.trace->dropped_count() : 0;
     result.obs.samples_taken = sampler ? sampler->samples_taken() : 0;
+    const simcore::EventQueue& queue = simulator.queue();
     result.obs.events_pushed = queue.total_pushed();
     result.obs.calendar_resizes = queue.calendar_resizes();
-    result.obs.calendar_purges = queue.calendar_purges();
     result.obs.sweep_fallbacks = queue.sweep_fallbacks();
     result.obs.peak_slot_capacity = queue.slot_capacity();
 
     if (options.obs.trace) {
       options.obs.trace->complete("measurement", "sim.phase", window_start,
-                                  now - window_start,
+                                  now() - window_start,
                                   options.obs.trace_pid);
     }
 
@@ -634,51 +630,23 @@ struct TreeSim::Impl {
       schedule_think(proc);
     }
     if (sampler) sample_tick();
-    // Cancellation poll period: the steady_clock read behind
-    // CancelToken::check stays off the per-event hot path.
-    constexpr std::uint64_t kCancelPollMask = 4095;
     while (!done) {
-      auto event = queue.pop_next();
-      ensure(event.has_value(),
-             "TreeSim: event queue drained before completion");
-      ensure(event->time >= now, "TreeSim: time went backwards");
-      now = event->time;
-      if (++executed - obs_flushed >= kObsFlushBatch) {
-        flush_events_dispatched();
-      }
-      const std::uint64_t kind = event->payload & 3;
+      const std::uint64_t event = simulator.next();
+      const std::uint64_t kind = event & kKindMask;
       if (kind == kDeparture) {
-        depart(static_cast<std::size_t>(event->payload >> 2));
+        depart(static_cast<std::size_t>(event >> 2));
       } else if (kind == kThinkDone) {
-        generate(event->payload >> 2);
+        generate(event >> 2);
       } else {
         sample_tick();
-      }
-      if (options.max_events != 0 && executed > options.max_events) {
-        detail::throw_config_error(
-            "TreeSim: exceeded max_events safety limit",
-            std::source_location::current());
-      }
-      if (options.cancel != nullptr && (executed & kCancelPollMask) == 0) {
-        options.cancel->check("TreeSim");
       }
     }
     return collect();
   }
-
-  /// Publishes executed events to the global metrics registry in
-  /// batches, one relaxed atomic add per kObsFlushBatch events.
-  static constexpr std::uint64_t kObsFlushBatch = 4096;
-  void flush_events_dispatched() {
-    if (executed == obs_flushed) return;
-    HMCS_OBS_COUNTER_ADD("simcore.engine.events_dispatched",
-                         executed - obs_flushed);
-    obs_flushed = executed;
-  }
 };
 
 TreeSim::TreeSim(analytic::ModelTree tree, SimOptions options)
-    : impl_(std::make_unique<Impl>()) {
+    : impl_(std::make_unique<Impl>(std::move(options))) {
   impl_->tree = std::move(tree);
   impl_->view = analytic::flatten(impl_->tree);  // validates
   require(impl_->view.total_processors >= 2, "TreeSim: needs >= 2 processors");
@@ -688,7 +656,6 @@ TreeSim::TreeSim(analytic::ModelTree tree, SimOptions options)
             "sources never release an idle processor)");
   }
   impl_->centers = analytic::tree_centers(impl_->tree, impl_->view);
-  impl_->options = std::move(options);
   impl_->build();
 }
 

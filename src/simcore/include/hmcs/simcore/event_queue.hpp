@@ -4,14 +4,12 @@
 /// The pending-event set of the discrete-event engine, built for
 /// allocation-free, hash-free, O(1) steady state:
 ///
-///  * Events live in a slot pool recycled through an intrusive free
-///    list. Steady-state push/pop never allocates — the pool and bucket
-///    array only grow when the number of simultaneously pending events
-///    exceeds every previous high-water mark.
-///  * An EventId is a generation-tagged slot reference (generation in the
-///    high 32 bits, slot index in the low 32). cancel(id) is an O(1) array
-///    probe — the generation mismatch of a retired slot rejects stale ids —
-///    so no hash map or hash set is involved anywhere.
+///  * An event is a time plus an 8-byte payload that its owner decodes
+///    (simcore::Simulator's owners keep a kind in the low bits). Events
+///    live in a slot pool recycled through an intrusive free list.
+///    Steady-state push/pop never allocates — the pool and bucket array
+///    only grow when the number of simultaneously pending events exceeds
+///    every previous high-water mark.
 ///  * Ordering comes from a calendar queue (Brown 1988): a power-of-two
 ///    array of buckets, each an intrusive singly-linked list of slots
 ///    sorted by (time, sequence). An event's *virtual bucket* is the
@@ -29,15 +27,6 @@
 ///    boundary drift can never reorder two events: the pop order is the
 ///    exact total order (time, then push sequence), bit-for-bit
 ///    reproducible. Same-time events fire in scheduling order.
-///  * The payload is a template parameter. `EventQueue` carries an
-///    InlineFunction (fn-ptr dispatch, inline capture storage), so
-///    scheduling a lambda never touches the heap; TreeSim's events are
-///    a plain 8-byte value it dispatches with a branch.
-///
-/// Cancellation is lazy in the calendar but eager for resources:
-/// cancel(id) destroys the payload immediately and marks the slot dead; the
-/// dead entry is unlinked when the dequeue scan reaches it, which is when
-/// the slot returns to the free list and its generation advances.
 ///
 /// The bucket width adapts to the observed event-time density: a running
 /// average of positive dequeue gaps re-parameterizes the calendar whenever
@@ -48,115 +37,54 @@
 #include <cstddef>
 #include <cstdint>
 #include <optional>
-#include <type_traits>
-#include <utility>
 #include <vector>
 
-#include "hmcs/simcore/inline_function.hpp"
 #include "hmcs/simcore/time.hpp"
 #include "hmcs/util/error.hpp"
 
 namespace hmcs::simcore {
 
-/// Generation-tagged slot reference: (generation << 32) | slot.
-using EventId = std::uint64_t;
-
-/// The calendar's rare paths (rebuild, width checks, the full sweep) are
-/// compiled in event_queue.cpp for the two payloads the repo uses:
-/// EventAction and TreeSim's std::uint64_t events.
-template <typename Payload>
-class BasicEventQueue {
+class EventQueue {
  public:
-  BasicEventQueue() = default;
+  struct Event {
+    SimTime time;
+    std::uint64_t payload;
+  };
 
-  /// Not copyable (payloads may own resources); movable.
-  BasicEventQueue(const BasicEventQueue&) = delete;
-  BasicEventQueue& operator=(const BasicEventQueue&) = delete;
-  BasicEventQueue(BasicEventQueue&&) = default;
-  BasicEventQueue& operator=(BasicEventQueue&&) = default;
-
-  /// Inserts an event; returns an id usable with cancel().
-  EventId push(SimTime time, Payload payload) {
-    if constexpr (std::is_invocable_v<Payload&>) {
-      require(static_cast<bool>(payload),
-              "EventQueue: action must be callable");
-    }
-    if (buckets_.empty()) {
-      buckets_.assign(kInitialBuckets, kNoSlot);
-      bucket_mask_ = kInitialBuckets - 1;
-    }
-
-    const std::uint32_t slot = acquire_slot();
+  /// Inserts an event.
+  void push(SimTime time, std::uint64_t payload) {
+    if (free_head_ == kNoSlot) grow();
+    const std::uint32_t slot = free_head_;
     SlotKey& s = slots_[slot];
-    payloads_[slot] = std::move(payload);
+    free_head_ = s.next;
+    payloads_[slot] = payload;
     s.time = time;
     s.seq = next_seq_++;
     s.virtual_bucket = virtual_bucket(time);
-    s.gen_live |= 1u;  // mark live, generation unchanged
     link_into_bucket(slot);
 
-    if (chained_count_ == 0 || s.virtual_bucket < cursor_vb_) {
+    if (count_ == 0 || s.virtual_bucket < cursor_vb_) {
       cursor_vb_ = s.virtual_bucket;  // keep the cursor at/before the minimum
     }
-    ++chained_count_;
-    ++live_count_;
+    ++count_;
 
-    if (chained_count_ > 2 * buckets_.size()) {
-      // When tombstones dominate, purge in place instead of growing —
-      // otherwise a cancel-heavy workload would ratchet the bucket array
-      // up forever while the live population stays flat.
-      const std::size_t tombstones = chained_count_ - live_count_;
-      const std::size_t new_buckets =
-          tombstones >= live_count_ / 2 ? buckets_.size() : 2 * buckets_.size();
-      rebuild(new_buckets, has_gap_ema_ ? target_width() : width_);
+    if (count_ > 2 * buckets_.size()) {
+      rebuild(2 * buckets_.size(), has_gap_ema_ ? target_width() : width_);
     }
-    return make_id(generation(s), slot);
   }
 
-  /// Marks an event as cancelled. Returns false if the id was already
-  /// executed, cancelled, or never existed (harmless either way).
-  bool cancel(EventId id) {
-    const std::uint32_t slot = slot_of(id);
-    if (slot >= slots_.size()) return false;
-    SlotKey& s = slots_[slot];
-    if (!is_live(s) || generation(s) != generation_of(id)) return false;
-    // Release resources immediately; the calendar entry is unlinked
-    // lazily when the dequeue scan reaches it (that is when the slot is
-    // recycled).
-    if constexpr (std::is_invocable_v<Payload&>) payloads_[slot].reset();
-    s.gen_live &= ~1u;
-    --live_count_;
-    return true;
-  }
-
-  /// Time of the earliest live event, or nullopt if empty.
-  std::optional<SimTime> peek_time() {
-    if (live_count_ == 0) return std::nullopt;
-    const std::uint32_t slot = find_min();
-    ensure(slot != kNoSlot, "EventQueue: live events missing from calendar");
-    return slots_[slot].time;
-  }
-
-  struct Event {
-    SimTime time;
-    EventId id;
-    Payload payload;
-  };
-
-  /// Removes and returns the earliest live event; nullopt if empty.
+  /// Removes and returns the earliest event; nullopt if empty.
   std::optional<Event> pop_next() {
-    if (live_count_ == 0) return std::nullopt;
+    if (count_ == 0) return std::nullopt;
     const std::uint32_t slot = find_min();
-    ensure(slot != kNoSlot, "EventQueue: live events missing from calendar");
 
     SlotKey& s = slots_[slot];
     const std::size_t bucket =
         static_cast<std::size_t>(s.virtual_bucket) & bucket_mask_;
     buckets_[bucket] = s.next;  // find_min() leaves the minimum at its head
-    --chained_count_;
+    --count_;
 
-    Event event{s.time, make_id(generation(s), slot),
-                std::move(payloads_[slot])};
+    const Event event{s.time, payloads_[slot]};
 
     // Width calibration: the mean gap between consecutive dequeues tracks
     // the head-of-queue event density. Only positive gaps carry a density
@@ -174,15 +102,15 @@ class BasicEventQueue {
     last_pop_time_ = event.time;
     has_pop_gap_ = true;
 
-    retire_slot(slot);
-    --live_count_;
+    s.next = free_head_;
+    free_head_ = slot;
     maybe_check_width();
     return event;
   }
 
-  /// Number of live (non-cancelled) events.
-  std::size_t size() const { return live_count_; }
-  bool empty() const { return live_count_ == 0; }
+  /// Number of pending events.
+  std::size_t size() const { return count_; }
+  bool empty() const { return count_ == 0; }
 
   /// Total events ever pushed (diagnostic).
   std::uint64_t total_pushed() const { return next_seq_; }
@@ -191,16 +119,9 @@ class BasicEventQueue {
   /// simultaneously pending, independent of how many were ever pushed.
   std::size_t slot_capacity() const { return slots_.size(); }
 
-  /// Number of calendar buckets (diagnostic).
-  std::size_t bucket_count() const { return buckets_.size(); }
-
-  /// Calendar re-parameterizations that changed the bucket count or
-  /// width (diagnostic; rare in steady state).
+  /// Calendar re-parameterizations: bucket count or width changed
+  /// (diagnostic; rare in steady state).
   std::uint64_t calendar_resizes() const { return calendar_resizes_; }
-
-  /// Rebuilds triggered purely to purge cancellation tombstones — the
-  /// bucket geometry stayed put (diagnostic).
-  std::uint64_t calendar_purges() const { return calendar_purges_; }
 
   /// Full-calendar sweeps taken when a whole year of buckets was empty
   /// (diagnostic; the O(buckets) fallback of find_min).
@@ -209,44 +130,29 @@ class BasicEventQueue {
  private:
   static constexpr std::uint32_t kNoSlot = 0xffffffffu;
   /// Virtual bucket numbers are clamped here so time/width can never
-  /// overflow the integer conversion (kTimeInfinity included).
+  /// overflow the integer conversion.
   static constexpr std::uint64_t kMaxVirtualBucket = 1ULL << 62;
   static constexpr std::size_t kInitialBuckets = 16;
   static constexpr double kMinWidth = 1e-9;
   /// Dequeues between width-drift checks.
   static constexpr std::uint64_t kWidthCheckInterval = 4096;
 
-  /// Hot per-slot state, exactly 32 bytes: everything chain walks and
-  /// dequeue scans touch. The payloads live in a parallel cold array
-  /// (`payloads_`) that is only accessed once per push and once per
-  /// pop/cancel, so walking a chain streams two keys per cache line
-  /// instead of dragging 48-byte capture buffers through the cache.
+  /// Hot per-slot state, 32 bytes: everything chain walks and dequeue
+  /// scans touch. The payloads live in a parallel cold array
+  /// (`payloads_`) that is only accessed once per push and once per pop,
+  /// so walking a chain streams two keys per cache line.
   struct SlotKey {
     SimTime time = 0.0;
     std::uint64_t seq = 0;
     std::uint64_t virtual_bucket = 0;
     std::uint32_t next = kNoSlot;  // bucket chain when queued, free list after
-    std::uint32_t gen_live = 0;    // generation << 1 | live
   };
   static_assert(sizeof(SlotKey) == 32);
-
-  static bool is_live(const SlotKey& s) { return (s.gen_live & 1u) != 0; }
-  static std::uint32_t generation(const SlotKey& s) { return s.gen_live >> 1; }
 
   /// The exact total order of the queue.
   static bool before(const SlotKey& a, const SlotKey& b) {
     if (a.time != b.time) return a.time < b.time;
     return a.seq < b.seq;  // FIFO among equal times
-  }
-
-  static EventId make_id(std::uint32_t generation, std::uint32_t slot) {
-    return (static_cast<EventId>(generation) << 32) | slot;
-  }
-  static std::uint32_t slot_of(EventId id) {
-    return static_cast<std::uint32_t>(id & 0xffffffffu);
-  }
-  static std::uint32_t generation_of(EventId id) {
-    return static_cast<std::uint32_t>(id >> 32);
   }
 
   /// floor(time * (1/width)), clamped to [0, 2^62]. Multiplying by the
@@ -257,34 +163,9 @@ class BasicEventQueue {
     const double scaled = time * inv_width_;
     if (!(scaled > 0.0)) return 0;  // clamps negatives (and NaN) low
     if (scaled >= static_cast<double>(kMaxVirtualBucket)) {
-      return kMaxVirtualBucket;  // far-future overflow guard (kTimeInfinity)
+      return kMaxVirtualBucket;  // far-future overflow guard
     }
     return static_cast<std::uint64_t>(scaled);
-  }
-
-  std::uint32_t acquire_slot() {
-    if (free_head_ != kNoSlot) {
-      const std::uint32_t slot = free_head_;
-      free_head_ = slots_[slot].next;
-      return slot;
-    }
-    const std::uint32_t slot = static_cast<std::uint32_t>(slots_.size());
-    ensure(slot != kNoSlot, "EventQueue: slot pool exhausted");
-    slots_.emplace_back();
-    payloads_.emplace_back();
-    return slot;
-  }
-
-  /// Returns the slot to the free list and invalidates outstanding ids.
-  void retire_slot(std::uint32_t slot) {
-    // The payload is already empty: moved out by pop_next() or reset by
-    // cancel().
-    SlotKey& s = slots_[slot];
-    // Drop the live bit and advance the generation so stale ids fail the
-    // generation probe.
-    s.gen_live = (generation(s) + 1) << 1;
-    s.next = free_head_;
-    free_head_ = slot;
   }
 
   /// Links `slot` into its bucket's (time, seq)-sorted chain.
@@ -301,20 +182,12 @@ class BasicEventQueue {
   }
 
   /// Advances the cursor to the bucket holding the earliest event and
-  /// unlinks dead heads on the way. Returns that head slot, or kNoSlot.
+  /// returns that head slot. Requires a non-empty queue.
   std::uint32_t find_min() {
     std::size_t steps = 0;
     for (;;) {
-      const std::size_t bucket =
-          static_cast<std::size_t>(cursor_vb_) & bucket_mask_;
-      std::uint32_t head = buckets_[bucket];
-      while (head != kNoSlot && !is_live(slots_[head])) {
-        buckets_[bucket] = slots_[head].next;
-        retire_slot(head);
-        --chained_count_;
-        head = buckets_[bucket];
-      }
-      if (chained_count_ == 0) return kNoSlot;
+      const std::uint32_t head =
+          buckets_[static_cast<std::size_t>(cursor_vb_) & bucket_mask_];
       // A head from this virtual bucket is the global minimum: every
       // earlier virtual bucket has already been scanned empty, and chains
       // are (time, seq)-sorted. Heads from a later lap are skipped.
@@ -331,6 +204,11 @@ class BasicEventQueue {
     inv_width_ = 1.0 / width;
   }
 
+  /// Adds one slot to the empty free list: the pool's high-water mark
+  /// rose. The first call also builds the initial calendar. Kept out of
+  /// line so that push stays small enough for GCC to inline it into the
+  /// owner's run loop (docs/PERFORMANCE.md, "The executive").
+  void grow();
   /// Full sweep over all bucket heads — the rare fallback when a whole
   /// calendar year is empty (events clustered far beyond the cursor).
   std::uint32_t sweep_min();
@@ -341,23 +219,20 @@ class BasicEventQueue {
   void rebuild(std::size_t new_bucket_count, double new_width);
 
   std::vector<SlotKey> slots_;
-  std::vector<Payload> payloads_;  // parallel to slots_
+  std::vector<std::uint64_t> payloads_;  // parallel to slots_
   std::vector<std::uint32_t> buckets_;
   std::size_t bucket_mask_ = 0;
   double width_ = 1.0;
   double inv_width_ = 1.0;
   /// Virtual bucket the dequeue scan is currently parked on; invariant:
-  /// no live event has a smaller virtual bucket (pushes rewind it).
+  /// no queued event has a smaller virtual bucket (pushes rewind it).
   std::uint64_t cursor_vb_ = 0;
 
   std::uint32_t free_head_ = kNoSlot;
   std::uint64_t next_seq_ = 0;
-  std::size_t live_count_ = 0;
-  /// Slots chained in buckets (live + cancelled-but-not-yet-collected).
-  std::size_t chained_count_ = 0;
+  std::size_t count_ = 0;
 
   std::uint64_t calendar_resizes_ = 0;
-  std::uint64_t calendar_purges_ = 0;
   std::uint64_t sweep_fallbacks_ = 0;
 
   /// Running mean of positive consecutive-dequeue time gaps; drives the
@@ -368,9 +243,5 @@ class BasicEventQueue {
   bool has_gap_ema_ = false;
   std::uint64_t pops_since_width_check_ = 0;
 };
-
-/// The Simulator's queue: type-erased callables as payloads.
-using EventAction = InlineFunction<void()>;
-using EventQueue = BasicEventQueue<EventAction>;
 
 }  // namespace hmcs::simcore

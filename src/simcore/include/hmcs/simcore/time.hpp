@@ -9,7 +9,4 @@ namespace hmcs::simcore {
 
 using SimTime = double;
 
-/// Sentinel for "no deadline" in run_until().
-inline constexpr SimTime kTimeInfinity = 1e300;
-
 }  // namespace hmcs::simcore

@@ -1,6 +1,7 @@
 #include "hmcs/simcore/simulation.hpp"
 
-#include <cmath>
+#include <source_location>
+#include <string>
 
 #include "hmcs/obs/metrics.hpp"
 #include "hmcs/util/error.hpp"
@@ -16,47 +17,14 @@ void Simulator::flush_obs_counters() {
   obs_flushed_ = executed_;
 }
 
-EventId Simulator::schedule_after(SimTime delay, EventAction action) {
-  require(std::isfinite(delay) && delay >= 0.0,
-          "Simulator: delay must be finite and non-negative");
-  return queue_.push(now_ + delay, std::move(action));
+void Simulator::fail_config(const char* what) const {
+  detail::throw_config_error(std::string(owner_) + ": " + what,
+                             std::source_location::current());
 }
 
-EventId Simulator::schedule_at(SimTime at, EventAction action) {
-  require(std::isfinite(at) && at >= now_,
-          "Simulator: cannot schedule in the past");
-  return queue_.push(at, std::move(action));
-}
-
-bool Simulator::step() {
-  auto event = queue_.pop_next();
-  if (!event) return false;
-  ensure(event->time >= now_, "Simulator: time went backwards");
-  now_ = event->time;
-  ++executed_;
-  if (executed_ - obs_flushed_ >= kObsFlushBatch) flush_obs_counters();
-  event->payload();
-  return true;
-}
-
-std::uint64_t Simulator::run() {
-  stop_requested_ = false;
-  std::uint64_t count = 0;
-  while (!stop_requested_ && step()) ++count;
-  return count;
-}
-
-std::uint64_t Simulator::run_until(SimTime deadline) {
-  stop_requested_ = false;
-  std::uint64_t count = 0;
-  while (!stop_requested_) {
-    const auto next = queue_.peek_time();
-    if (!next || *next > deadline) break;
-    step();
-    ++count;
-  }
-  if (!stop_requested_ && now_ < deadline) now_ = deadline;
-  return count;
+void Simulator::fail_logic(const char* what) const {
+  detail::throw_logic_error(std::string(owner_) + ": " + what,
+                            std::source_location::current());
 }
 
 }  // namespace hmcs::simcore

@@ -24,6 +24,10 @@ namespace {
 
 using namespace hmcs::simcore;
 
+/// The plain events DrivenStation schedules: a departure, a source's
+/// arrival, or a tick that only advances the clock.
+enum Event : std::uint64_t { kDeparture, kArrival, kTick };
+
 /// One station with its owner's side of the protocol on a Simulator.
 struct DrivenStation {
   Simulator sim;
@@ -31,6 +35,8 @@ struct DrivenStation {
   std::function<double(const FifoStation::Job&)> draw;
   std::function<void(const FifoStation::Departure&)> on_departure =
       [](const FifoStation::Departure&) {};
+  std::function<void()> on_arrival = [] {};
+  std::function<void()> on_tick = [] {};
 
   explicit DrivenStation(std::function<double(const FifoStation::Job&)> d)
       : draw(std::move(d)) {}
@@ -41,12 +47,27 @@ struct DrivenStation {
   void start() {
     const double service = draw(station.next_job());
     station.begin_service(service, sim.now());
-    sim.schedule_after(service, [this] { depart(); });
+    sim.schedule(service, kDeparture);
   }
   void depart() {
     const FifoStation::Departure d = station.complete_service(sim.now());
     if (station.has_waiting()) start();
     on_departure(d);
+  }
+  /// Takes events until none is pending.
+  void run() {
+    while (sim.pending_events() > 0) {
+      switch (sim.next()) {
+        case kDeparture:
+          depart();
+          break;
+        case kArrival:
+          on_arrival();
+          break;
+        default:
+          on_tick();
+      }
+    }
   }
 };
 
@@ -61,7 +82,7 @@ TEST(FifoStation, ServesJobsFifoWithDeterministicService) {
   s.arrive(1);
   s.arrive(2);
   s.arrive(3);
-  s.sim.run();
+  s.run();
   EXPECT_EQ(completed, (std::vector<std::uint64_t>{1, 2, 3}));
   EXPECT_EQ(waits, (std::vector<double>{0.0, 5.0, 10.0}));
   EXPECT_DOUBLE_EQ(s.sim.now(), 15.0);
@@ -77,18 +98,18 @@ TEST(FifoStation, TracksQueueLength) {
   EXPECT_TRUE(s.station.busy());
   EXPECT_TRUE(s.station.has_waiting());
   EXPECT_EQ(s.station.next_job().id, 2u);
-  s.sim.run();
+  s.run();
   EXPECT_EQ(s.station.queue_length(), 0u);
   EXPECT_FALSE(s.station.has_waiting());
 }
 
 TEST(FifoStation, UtilizationIsBusyFraction) {
   DrivenStation s([](const FifoStation::Job&) { return 2.0; });
-  // One job served in [0,2); then idle until we advance the clock to 4.
+  // One job served in [0,2); then idle until a tick advances the clock
+  // to 4.
   s.arrive(1);
-  s.sim.run();
-  s.sim.schedule_after(2.0, [] {});
-  s.sim.run();
+  s.sim.schedule(4.0, kTick);
+  s.run();
   EXPECT_DOUBLE_EQ(s.sim.now(), 4.0);
   EXPECT_DOUBLE_EQ(s.station.utilization(s.sim.now()), 0.5);
   EXPECT_DOUBLE_EQ(s.station.average_number_in_system(s.sim.now()), 0.5);
@@ -106,11 +127,11 @@ TEST(FifoStation, ResetStatisticsKeepsInFlightWork) {
   DrivenStation s([](const FifoStation::Job&) { return 3.0; });
   int departures_seen = 0;
   s.on_departure = [&](const FifoStation::Departure&) { ++departures_seen; };
+  s.on_tick = [&] { s.station.reset_statistics(s.sim.now()); };
   s.arrive(1);
   s.arrive(2);
-  s.sim.run_until(1.0);
-  s.station.reset_statistics(s.sim.now());
-  s.sim.run();
+  s.sim.schedule(1.0, kTick);  // reset at t = 1, mid-way through job 1
+  s.run();
   EXPECT_EQ(departures_seen, 2);
   // Only the post-reset departures are counted in the statistics.
   EXPECT_EQ(s.station.departures(), 2u);
@@ -142,15 +163,15 @@ TEST_P(Mm1Validation, MatchesTheory) {
   constexpr std::uint64_t kWarmup = 5000;
   constexpr std::uint64_t kTotal = 120000;
   std::uint64_t arrivals = 0;
-  std::function<void()> arrive = [&] {
+  s.on_arrival = [&] {
     if (arrivals == kWarmup) s.station.reset_statistics(s.sim.now());
     if (arrivals++ < kTotal) {
       s.arrive(arrivals);
-      s.sim.schedule_after(arrival_rng.exponential(1.0 / lambda), arrive);
+      s.sim.schedule(arrival_rng.exponential(1.0 / lambda), kArrival);
     }
   };
-  s.sim.schedule_after(arrival_rng.exponential(1.0 / lambda), arrive);
-  s.sim.run();
+  s.sim.schedule(arrival_rng.exponential(1.0 / lambda), kArrival);
+  s.run();
 
   namespace mm1 = hmcs::analytic::mm1;
   const double w_theory = mm1::response_time(lambda, mu);

@@ -11,17 +11,21 @@
 #include <atomic>
 #include <chrono>
 #include <condition_variable>
+#include <cstdio>
 #include <cstring>
 #include <deque>
 #include <future>
+#include <initializer_list>
 #include <mutex>
 #include <optional>
+#include <random>
 #include <string>
 #include <thread>
 #include <vector>
 
 #include <gtest/gtest.h>
 
+#include "hmcs/analytic/config_io.hpp"
 #include "hmcs/serve/bounded_queue.hpp"
 #include "hmcs/serve/cache.hpp"
 #include "hmcs/serve/request.hpp"
@@ -208,6 +212,185 @@ TEST(ServeRequestKey, NestedFlatShapeCollidesWithFlatSchema) {
   EXPECT_EQ(nested.tree, nullptr);  // lowered, not kept as a tree
   EXPECT_EQ(nested.canonical_key, flat.canonical_key);
   EXPECT_EQ(nested.key_hash, flat.key_hash);
+}
+
+/// A random flat system spelled twice: as a flat `config` and as a
+/// flat-shaped `tree` (one root network over `clusters` identical
+/// clusters of one leaf group each).
+struct TwoSpellings {
+  std::string flat;
+  std::string tree;
+};
+
+std::string json_number(double value) {
+  char buffer[32];
+  std::snprintf(buffer, sizeof buffer, "%.17g", value);
+  return buffer;
+}
+
+/// The tree schema's object spelling of a technology, built from the
+/// network it names.
+std::string technology_object(const std::string& spec) {
+  const analytic::NetworkTechnology tech = analytic::parse_technology(spec);
+  return R"({"name":")" + tech.name + R"(","latency_us":)" +
+         json_number(tech.latency_us) + R"(,"bandwidth_mb_per_s":)" +
+         json_number(tech.bandwidth_bytes_per_us) + "}";
+}
+
+TwoSpellings random_flat_system(std::mt19937_64& rng) {
+  auto below = [&rng](std::uint64_t n) { return rng() % n; };
+  auto pick = [&below](std::initializer_list<const char*> items) {
+    return std::string(items.begin()[below(items.size())]);
+  };
+  auto random_technology = [&] {
+    if (below(2) == 0) {
+      return pick({"gigabit-ethernet", "fast-ethernet", "myrinet",
+                   "infiniband"});
+    }
+    return "custom:net" + std::to_string(below(4)) + "," +
+           json_number(static_cast<double>(below(200)) * 0.25) + "," +
+           json_number(static_cast<double>(1 + below(40000)) * 0.5);
+  };
+
+  const std::uint64_t clusters = 1 + below(8);
+  std::uint64_t nodes = 1 + below(48);
+  if (clusters * nodes < 2) nodes = 2;
+
+  // Technologies: a case, one network for all three, or one per network
+  // (ICN1, ECN1, ICN2); the tree always names each network.
+  std::string flat_technology;
+  std::string icn1, ecn1, icn2;
+  switch (below(4)) {
+    case 0: {
+      const bool case1 = below(2) == 0;
+      flat_technology = case1 ? R"("case1")" : R"("case2")";
+      icn1 = case1 ? "gigabit-ethernet" : "fast-ethernet";
+      ecn1 = icn2 = case1 ? "fast-ethernet" : "gigabit-ethernet";
+      break;
+    }
+    case 1:
+      icn1 = ecn1 = icn2 = random_technology();
+      flat_technology = "\"" + icn1 + "\"";
+      break;
+    case 2:
+      icn1 = random_technology();
+      ecn1 = random_technology();
+      icn2 = random_technology();
+      flat_technology = R"({"icn1":")" + icn1 + R"(","ecn1":")" + ecn1 +
+                        R"(","icn2":")" + icn2 + R"("})";
+      break;
+    default:  // omitted: case 1
+      icn1 = "gigabit-ethernet";
+      ecn1 = icn2 = "fast-ethernet";
+  }
+  auto tree_technology = [&below](const std::string& spec) {
+    return below(2) == 0 ? "\"" + spec + "\"" : technology_object(spec);
+  };
+
+  // Members both schemas share, each present or omitted (the default).
+  std::string shared;
+  auto add = [&shared](const std::string& key, const std::string& value) {
+    shared += ",\"" + key + "\":" + value;
+  };
+  if (below(4) != 0) {
+    add("architecture", "\"" + pick({"non-blocking", "blocking", "fat-tree",
+                                     "chain"}) + "\"");
+  }
+  if (below(4) != 0) {
+    add("message_bytes",
+        json_number(static_cast<double>(1 + below(16384)) * 0.5));
+  }
+  if (below(4) != 0) add("switch_ports", std::to_string(4 + 2 * below(30)));
+  if (below(4) != 0) {
+    add("switch_latency_us",
+        json_number(static_cast<double>(below(100)) * 0.5));
+  }
+  switch (below(5)) {
+    case 0:
+      add("workload", R"({"service_cv2":)" +
+                          json_number(static_cast<double>(below(9)) * 0.5) +
+                          "}");
+      break;
+    case 1:
+      add("workload", R"({"arrival_ca2":)" +
+                          json_number(static_cast<double>(below(9)) * 0.5) +
+                          R"(,"service_cv2":1})");
+      break;
+    case 2:
+      add("workload",
+          R"({"mmpp":{"burst_ratio":)" +
+              json_number(1.0 + static_cast<double>(below(8))) +
+              R"(,"burst_fraction":)" +
+              json_number(static_cast<double>(1 + below(9)) * 0.1) +
+              R"(,"burst_dwell_us":)" +
+              json_number(static_cast<double>(1 + below(1000)) * 10.0) +
+              "}}");
+      break;
+    case 3:
+      add("workload",
+          R"({"failure":{"mtbf_us":)" +
+              json_number(static_cast<double>(1 + below(1000)) * 100.0) +
+              R"(,"mttr_us":)" +
+              json_number(static_cast<double>(below(100)) * 5.0) + "}}");
+      break;
+    default:
+      break;
+  }
+
+  // λ, per processor: present (zero, the analytic model's no-load
+  // case, one draw in eight) or omitted in both.
+  std::string lambda_member;
+  if (below(4) != 0) {
+    const double lambda =
+        below(8) == 0 ? 0.0 : static_cast<double>(1 + below(4000)) * 0.25;
+    lambda_member = R"(,"lambda_per_s":)" + json_number(lambda);
+  }
+
+  TwoSpellings out;
+  out.flat = R"({"clusters":)" + std::to_string(clusters) +
+             (below(2) == 0
+                  ? R"(,"nodes_per_cluster":)" + std::to_string(nodes)
+                  : R"(,"total_nodes":)" + std::to_string(clusters * nodes)) +
+             (flat_technology.empty() ? ""
+                                      : R"(,"technology":)" + flat_technology) +
+             lambda_member + shared + "}";
+  std::string children;
+  for (std::uint64_t c = 0; c < clusters; ++c) {
+    if (c > 0) children += ",";
+    children += R"({"network":)" + tree_technology(icn1) +
+                R"(,"egress":)" + tree_technology(ecn1) +
+                R"(,"children":[{"processors":)" + std::to_string(nodes) +
+                lambda_member + "}]}";
+  }
+  out.tree = R"({"tree":{"network":)" + tree_technology(icn2) +
+             R"(,"children":[)" + children + "]}" + shared + "}";
+  return out;
+}
+
+TEST(ServeRequestKey, RandomFlatSystemsKeyAlikeNestedOrFlat) {
+  // Differential check of the two config schemas: every random flat
+  // system written as a flat-shaped tree must be lowered at parse time
+  // and share the flat spelling's canonical key and hash, under a
+  // deterministic and a stochastic backend.
+  std::mt19937_64 rng(20261020);
+  const std::string backends[] = {
+      "", R"("backend":{"type":"analytic"},)",
+      R"("backend":{"type":"des","messages":500,"warmup":50},"seed":7,)"};
+  for (int i = 0; i < 400; ++i) {
+    const TwoSpellings system = random_flat_system(rng);
+    for (const std::string& backend : backends) {
+      SCOPED_TRACE("flat: " + system.flat + "\ntree: " + system.tree +
+                   "\nbackend: " + backend);
+      const serve::ServeRequest flat =
+          parse_line("{" + backend + R"("config":)" + system.flat + "}");
+      const serve::ServeRequest nested =
+          parse_line("{" + backend + R"("config":)" + system.tree + "}");
+      ASSERT_EQ(flat.tree, nullptr);
+      ASSERT_EQ(nested.tree, nullptr);  // lowered, not kept as a tree
+      ASSERT_EQ(nested.canonical_key, flat.canonical_key);
+      ASSERT_EQ(nested.key_hash, flat.key_hash);
+    }
+  }
 }
 
 TEST(ServeRequestKey, GenuinelyNestedTreeGetsItsOwnKey) {

@@ -1,111 +1,151 @@
 #include <gtest/gtest.h>
 
+#include <cstdint>
+#include <limits>
+#include <string>
 #include <vector>
 
 #include "hmcs/simcore/simulation.hpp"
+#include "hmcs/util/cancel.hpp"
 #include "hmcs/util/error.hpp"
 
 namespace {
 
 using hmcs::simcore::Simulator;
 
-TEST(Simulator, ClockAdvancesToEventTimes) {
-  Simulator sim;
-  std::vector<double> seen;
-  sim.schedule_after(5.0, [&] { seen.push_back(sim.now()); });
-  sim.schedule_after(2.0, [&] { seen.push_back(sim.now()); });
-  sim.run();
-  EXPECT_EQ(seen, (std::vector<double>{2.0, 5.0}));
-  EXPECT_DOUBLE_EQ(sim.now(), 5.0);
-  EXPECT_EQ(sim.executed_events(), 2u);
+/// Takes every pending event; returns the payloads in the order taken.
+std::vector<std::uint64_t> run_all(Simulator& sim) {
+  std::vector<std::uint64_t> taken;
+  while (sim.pending_events() > 0) taken.push_back(sim.next());
+  return taken;
 }
 
-TEST(Simulator, ScheduleAtUsesAbsoluteTime) {
+/// Schedules and takes `count` unit-spaced events, one at a time.
+void run_events(Simulator& sim, std::uint64_t count) {
+  for (std::uint64_t i = 0; i < count; ++i) {
+    sim.schedule(1.0, i);
+    sim.next();
+  }
+}
+
+TEST(Simulator, ClockAdvancesToEventTimes) {
   Simulator sim;
-  double fired_at = -1.0;
-  sim.schedule_at(7.5, [&] { fired_at = sim.now(); });
-  sim.run();
-  EXPECT_DOUBLE_EQ(fired_at, 7.5);
+  sim.schedule(5.0, 5);
+  sim.schedule(2.0, 2);
+  EXPECT_EQ(sim.next(), 2u);
+  EXPECT_DOUBLE_EQ(sim.now(), 2.0);
+  EXPECT_EQ(sim.next(), 5u);
+  EXPECT_DOUBLE_EQ(sim.now(), 5.0);
+  EXPECT_EQ(sim.executed_events(), 2u);
+  EXPECT_EQ(sim.pending_events(), 0u);
 }
 
 TEST(Simulator, EventsCanScheduleMoreEvents) {
+  // Delays are relative to the clock at the time of scheduling.
   Simulator sim;
-  int chain = 0;
-  sim.schedule_after(1.0, [&] {
-    ++chain;
-    sim.schedule_after(1.0, [&] {
-      ++chain;
-      sim.schedule_after(1.0, [&] { ++chain; });
-    });
-  });
-  sim.run();
-  EXPECT_EQ(chain, 3);
-  EXPECT_DOUBLE_EQ(sim.now(), 3.0);
+  sim.schedule(1.0, 0);
+  std::vector<double> times;
+  while (sim.pending_events() > 0) {
+    const std::uint64_t depth = sim.next();
+    times.push_back(sim.now());
+    if (depth < 2) sim.schedule(1.0, depth + 1);
+  }
+  EXPECT_EQ(times, (std::vector<double>{1.0, 2.0, 3.0}));
+  EXPECT_EQ(sim.queue().total_pushed(), 3u);
 }
 
 TEST(Simulator, RejectsPastAndNegativeScheduling) {
   Simulator sim;
-  sim.schedule_after(10.0, [] {});
-  sim.run();
-  EXPECT_THROW(sim.schedule_at(5.0, [] {}), hmcs::ConfigError);
-  EXPECT_THROW(sim.schedule_after(-1.0, [] {}), hmcs::ConfigError);
-}
-
-TEST(Simulator, StopEndsRunEarly) {
-  Simulator sim;
-  int fired = 0;
-  sim.schedule_after(1.0, [&] {
-    ++fired;
-    sim.stop();
-  });
-  sim.schedule_after(2.0, [&] { ++fired; });
-  sim.run();
-  EXPECT_EQ(fired, 1);
-  EXPECT_EQ(sim.pending_events(), 1u);
-  // A later run resumes with the remaining events.
-  sim.run();
-  EXPECT_EQ(fired, 2);
-}
-
-TEST(Simulator, RunUntilStopsAtDeadline) {
-  Simulator sim;
-  std::vector<double> seen;
-  for (double t : {1.0, 2.0, 3.0, 4.0}) {
-    sim.schedule_after(t, [&, t] { seen.push_back(t); });
+  sim.schedule(10.0, 0);
+  sim.next();
+  for (const double delay :
+       {-1.0, -std::numeric_limits<double>::min(),
+        std::numeric_limits<double>::quiet_NaN(),
+        std::numeric_limits<double>::infinity(),
+        -std::numeric_limits<double>::infinity()}) {
+    EXPECT_THROW(sim.schedule(delay, 0), hmcs::ConfigError) << delay;
   }
-  const auto executed = sim.run_until(2.5);
-  EXPECT_EQ(executed, 2u);
-  EXPECT_EQ(seen, (std::vector<double>{1.0, 2.0}));
-  // Clock lands exactly on the deadline when no event sits there.
-  EXPECT_DOUBLE_EQ(sim.now(), 2.5);
-  sim.run();
-  EXPECT_EQ(seen.size(), 4u);
-}
-
-TEST(Simulator, RunUntilExecutesEventExactlyAtDeadline) {
-  Simulator sim;
-  bool fired = false;
-  sim.schedule_after(2.0, [&] { fired = true; });
-  sim.run_until(2.0);
-  EXPECT_TRUE(fired);
-}
-
-TEST(Simulator, CancelledEventNeverFires) {
-  Simulator sim;
-  bool fired = false;
-  const auto id = sim.schedule_after(1.0, [&] { fired = true; });
-  EXPECT_TRUE(sim.cancel(id));
-  sim.run();
-  EXPECT_FALSE(fired);
+  EXPECT_EQ(sim.pending_events(), 0u);
+  sim.schedule(0.0, 1);  // a zero delay is "now", not the past
+  EXPECT_EQ(sim.next(), 1u);
+  EXPECT_DOUBLE_EQ(sim.now(), 10.0);
 }
 
 TEST(Simulator, ZeroDelayEventsRunInFifoOrder) {
   Simulator sim;
-  std::vector<int> order;
-  sim.schedule_after(0.0, [&] { order.push_back(1); });
-  sim.schedule_after(0.0, [&] { order.push_back(2); });
-  sim.run();
-  EXPECT_EQ(order, (std::vector<int>{1, 2}));
+  sim.schedule(0.0, 1);
+  sim.schedule(0.0, 2);
+  EXPECT_EQ(run_all(sim), (std::vector<std::uint64_t>{1, 2}));
+}
+
+TEST(Simulator, SameTimeEventsFireInPushOrder) {
+  // Equal times reached by different delays from different clocks still
+  // fire in push order.
+  Simulator sim;
+  sim.schedule(1.0, 100);
+  sim.schedule(4.0, 1);
+  sim.schedule(4.0, 2);
+  EXPECT_EQ(sim.next(), 100u);
+  sim.schedule(3.0, 3);
+  sim.schedule(0.5, 50);
+  sim.schedule(3.0, 4);
+  EXPECT_EQ(run_all(sim), (std::vector<std::uint64_t>{50, 1, 2, 3, 4}));
+}
+
+TEST(Simulator, NextOnEmptyCalendarIsALogicError) {
+  Simulator sim("Owner");
+  try {
+    sim.next();
+    FAIL() << "next() on an empty calendar returned";
+  } catch (const hmcs::LogicError& error) {
+    EXPECT_NE(std::string(error.what()).find("Owner: "), std::string::npos)
+        << error.what();
+  }
+}
+
+TEST(Simulator, MaxEventsGuardTripsOnTheEventPastTheLimit) {
+  constexpr std::uint64_t kLimit = 5;
+  Simulator sim("Owner", kLimit);
+  for (std::uint64_t i = 0; i <= kLimit; ++i) sim.schedule(1.0, i);
+  for (std::uint64_t i = 0; i < kLimit; ++i) EXPECT_EQ(sim.next(), i);
+  try {
+    sim.next();
+    FAIL() << "event max_events + 1 was taken";
+  } catch (const hmcs::ConfigError& error) {
+    EXPECT_NE(std::string(error.what()).find("Owner: exceeded max_events"),
+              std::string::npos)
+        << error.what();
+  }
+}
+
+TEST(Simulator, ZeroMaxEventsMeansNoLimit) {
+  Simulator sim("Owner", 0);
+  run_events(sim, 10000);
+  EXPECT_EQ(sim.executed_events(), 10000u);
+}
+
+TEST(Simulator, CancelledTokenEndsInCancelled) {
+  hmcs::util::CancelToken token;
+  token.cancel();
+  Simulator sim("Owner", 0, &token);
+  // The token is polled every few thousand events, never per event.
+  EXPECT_THROW(run_events(sim, 1u << 16), hmcs::Cancelled);
+  EXPECT_LE(sim.executed_events(), 4096u);
+}
+
+TEST(Simulator, ExpiredDeadlineEndsInDeadlineExceeded) {
+  hmcs::util::CancelToken token;
+  token.set_deadline_after_ms(1e-6);  // 1 ns: past by the first poll
+  Simulator sim("Owner", 0, &token);
+  EXPECT_THROW(run_events(sim, 1u << 16), hmcs::DeadlineExceeded);
+  EXPECT_LE(sim.executed_events(), 4096u);
+}
+
+TEST(Simulator, LiveTokenLetsTheRunFinish) {
+  hmcs::util::CancelToken token;
+  Simulator sim("Owner", 0, &token);
+  run_events(sim, 10000);
+  EXPECT_EQ(sim.executed_events(), 10000u);
 }
 
 }  // namespace

@@ -4,11 +4,14 @@
 
 #include <gtest/gtest.h>
 
+#include <string>
+
 #include "hmcs/analytic/network_tech.hpp"
 #include "hmcs/analytic/service_time.hpp"
 #include "hmcs/netsim/switch_fabric_sim.hpp"
 #include "hmcs/topology/fat_tree.hpp"
 #include "hmcs/topology/linear_array.hpp"
+#include "hmcs/util/cancel.hpp"
 #include "hmcs/util/error.hpp"
 #include "hmcs/util/math_util.hpp"
 
@@ -228,6 +231,39 @@ TEST(SwitchFabricSim, Validation) {
   SwitchFabricSim once(tree.build_graph(), light_options());
   once.run();
   EXPECT_THROW(once.run(), hmcs::ConfigError);
+}
+
+TEST(SwitchFabricSim, MaxEventsGuardTrips) {
+  const topology::FatTree tree(16, 8);
+  FabricSimOptions options = light_options();
+  options.max_events = 100;  // far too few to finish
+  SwitchFabricSim sim(tree.build_graph(), options);
+  try {
+    sim.run();
+    FAIL() << "a run of 3,200 messages finished within 100 events";
+  } catch (const hmcs::ConfigError& error) {
+    EXPECT_NE(std::string(error.what())
+                  .find("SwitchFabricSim: exceeded max_events"),
+              std::string::npos)
+        << error.what();
+  }
+}
+
+TEST(SwitchFabricSim, CancelledTokenUnwindsTheRun) {
+  const topology::FatTree tree(16, 8);
+  util::CancelToken token;
+  token.cancel();
+  FabricSimOptions options = light_options();
+  options.cancel = &token;
+  SwitchFabricSim sim(tree.build_graph(), options);
+  try {
+    sim.run();
+    FAIL() << "a cancelled run finished";
+  } catch (const hmcs::Cancelled& error) {
+    EXPECT_NE(std::string(error.what()).find("SwitchFabricSim: cancelled"),
+              std::string::npos)
+        << error.what();
+  }
 }
 
 }  // namespace

@@ -20,6 +20,7 @@
 #include "hmcs/analytic/tree_model.hpp"
 #include "hmcs/sim/trace.hpp"
 #include "hmcs/sim/tree_sim.hpp"
+#include "hmcs/util/cancel.hpp"
 #include "hmcs/util/error.hpp"
 #include "hmcs/workload/traffic_pattern.hpp"
 
@@ -327,6 +328,22 @@ TEST(TreeSim, RejectsDegenerateTrees) {
       {analytic::ModelNode::leaf(4, 0.0), analytic::ModelNode::leaf(4, 1e-4)});
   // A zero-rate leaf never releases its closed-loop sources.
   EXPECT_THROW(sim::TreeSim(tree, {}), hmcs::ConfigError);
+}
+
+TEST(TreeSim, CancelledTokenUnwindsTheRun) {
+  util::CancelToken token;
+  token.cancel();
+  sim::SimOptions options = campus_options(1);
+  options.cancel = &token;
+  sim::TreeSim simulator(campuses_tree(), options);
+  try {
+    simulator.run();
+    FAIL() << "a cancelled run finished";
+  } catch (const hmcs::Cancelled& error) {
+    EXPECT_NE(std::string(error.what()).find("TreeSim: cancelled"),
+              std::string::npos)
+        << error.what();
+  }
 }
 
 }  // namespace
