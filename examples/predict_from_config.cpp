@@ -16,7 +16,6 @@
 #include <optional>
 #include <iostream>
 
-#include "hmcs/analytic/latency_distribution.hpp"
 #include "hmcs/analytic/latency_model.hpp"
 #include "hmcs/analytic/serialize.hpp"
 #include "hmcs/runner/sweep_config.hpp"
@@ -95,22 +94,12 @@ int main(int argc, char** argv) {
     }
     std::cout << table;
 
-    const LatencyDistribution dist = latency_distribution(mva);
-    std::printf("\npercentiles (ms)  p50      p95      p99\n");
-    std::printf("  model           %-8.3f %-8.3f %-8.3f\n",
-                units::us_to_ms(dist.p50_us()), units::us_to_ms(dist.p95_us()),
-                units::us_to_ms(dist.p99_us()));
     if (sim_result) {
+      std::printf("\npercentiles (ms)  p50      p95      p99\n");
       std::printf("  simulation      %-8.3f %-8.3f %-8.3f\n",
                   units::us_to_ms(sim_result->p50_latency_us),
                   units::us_to_ms(sim_result->p95_latency_us),
                   units::us_to_ms(sim_result->p99_latency_us));
-    }
-    if (!dist.reliable) {
-      std::printf(
-          "  (a traversed centre runs above 90%% utilisation: the\n"
-          "   exponential-sojourn percentile model overstates the spread\n"
-          "   there — trust the simulation row)\n");
     }
 
     const std::string json_path = cli.get_string("json");

@@ -151,7 +151,13 @@ struct SwitchFabricSim::Impl {
     for (std::uint64_t i = endpoints.size(); i > 0; --i) {
       free_slots.push_back(static_cast<std::uint32_t>(i - 1));
     }
-    if (options.warmup_messages == 0) measuring = true;
+    // Warm-up statistics would be dropped at the cut, so the switches
+    // hold them until the cut resets them.
+    if (options.warmup_messages == 0) {
+      measuring = true;
+    } else {
+      for (auto& station : switches) station.hold_statistics();
+    }
   }
 
   void schedule_injection(std::uint64_t endpoint_index) {

@@ -391,9 +391,10 @@ ServeService::EvalOutcome ServeService::evaluate(const ServeRequest& request,
     if (chaos_->should_fail_eval()) {
       throw hmcs::Error("chaos: injected evaluate failure");
     }
-    // A deadline that expired while the request sat in the queue must
-    // yield timed_out even when the backend finishes too quickly to
-    // poll the token (analytic solves are microseconds).
+    // The deadline runs from the top of this call, so time queued before
+    // it is never charged. A deadline spent inside it, for example by an
+    // injected delay, must yield timed_out even when the backend finishes
+    // too quickly to poll the token (analytic solves are microseconds).
     token.check("serve");
     const runner::PointResult result =
         request.tree != nullptr

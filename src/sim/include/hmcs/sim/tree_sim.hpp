@@ -39,12 +39,12 @@
 /// every other network ICN1[k] and every egress ECN1[k], with k the
 /// centre's rank among its kind in tree_centers order (the cluster
 /// index at depth 2). Role CenterStats, lifecycle-trace labels and
-/// sampler probes all use it. Traffic patterns and message-size
-/// distributions address processors by leaf group in DFS order — the
-/// flat node numbering at depth 2. The reproducibility contract
-/// (docs/PERFORMANCE.md) fixes the random-stream order, the service-mean
-/// form and the role summation order; tests/test_sim_golden.cpp pins
-/// them.
+/// sampler probes all use it. Traffic patterns address processors by
+/// leaf group in DFS order — the flat node numbering at depth 2. Every
+/// message has the tree's message_bytes (assumption 6). The
+/// reproducibility contract (docs/PERFORMANCE.md) fixes the
+/// random-stream order, the service-mean form and the role summation
+/// order; tests/test_sim_golden.cpp pins them.
 
 #include <cstdint>
 #include <memory>
@@ -58,7 +58,6 @@
 #include "hmcs/simcore/histogram.hpp"
 #include "hmcs/simcore/tally.hpp"
 #include "hmcs/util/cancel.hpp"
-#include "hmcs/workload/message_size.hpp"
 #include "hmcs/workload/traffic_pattern.hpp"
 
 namespace hmcs::sim {
@@ -87,8 +86,6 @@ struct SimOptions {
   /// Destination selection over leaf groups in DFS order; null = the
   /// paper's uniform pattern.
   std::shared_ptr<const workload::TrafficPattern> traffic;
-  /// Message sizes; null = fixed at the tree's message_bytes.
-  std::shared_ptr<const workload::MessageSizeDistribution> message_size;
   /// Safety valve against configuration mistakes (0 = no limit).
   std::uint64_t max_events = 200'000'000;
   /// Cooperative cancellation / wall-clock deadline, polled every few

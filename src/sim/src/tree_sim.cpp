@@ -17,27 +17,18 @@ namespace hmcs::sim {
 
 namespace {
 
-/// Mean service time as an affine function of message size:
-/// T(M) = fixed + M * per_byte. For blocking networks per_byte folds in
-/// the eq. (20) bisection penalty, so T(M) matches eq. (21) at every M.
-/// The reproducibility contract fixes this form, also at the reference
-/// size (it rounds differently from ServiceTimeBreakdown::total_us).
-struct CenterModel {
-  double fixed_us = 0.0;
-  double per_byte_us = 0.0;
-
-  double mean_service_us(double bytes) const {
-    return fixed_us + bytes * per_byte_us;
-  }
-
-  static CenterModel from_breakdown(const analytic::ServiceTimeBreakdown& b,
-                                    double reference_bytes) {
-    CenterModel m;
-    m.fixed_us = b.link_latency_us + b.switch_latency_us;
-    m.per_byte_us = (b.transmission_us + b.blocking_us) / reference_bytes;
-    return m;
-  }
-};
+/// Mean service time of a centre at message size M, in the affine form
+/// fixed + M * per_byte. For blocking networks per_byte folds in the
+/// eq. (20) bisection penalty, so the mean matches eq. (21). The
+/// reproducibility contract fixes this form: it rounds differently from
+/// ServiceTimeBreakdown::total_us.
+double mean_service_us(const analytic::ServiceTimeBreakdown& b,
+                       double message_bytes) {
+  const double fixed_us = b.link_latency_us + b.switch_latency_us;
+  const double per_byte_us =
+      (b.transmission_us + b.blocking_us) / message_bytes;
+  return fixed_us + message_bytes * per_byte_us;
+}
 
 /// One message. Slots are pooled and reused, so a slot id is unique
 /// among in-flight messages; closed loop bounds the pool at one slot per
@@ -46,7 +37,6 @@ struct MessageState {
   std::uint64_t src = 0;
   std::uint64_t dst = 0;
   double generated_at = 0.0;
-  double bytes = 0.0;
   std::vector<std::size_t> route;  ///< centre indices, in traversal order
   std::size_t hop = 0;
 };
@@ -88,7 +78,7 @@ struct TreeSim::Impl {
   // --- engine ---------------------------------------------------------------
   simcore::Simulator simulator;
   std::vector<simcore::FifoStation> stations;  ///< one per centre, same order
-  std::vector<CenterModel> service_models;    ///< one per centre, same order
+  std::vector<double> service_means_us;       ///< one per centre, same order
   /// Streams that draw only exponentials are read in blocks: the service
   /// streams under cv^2 = 1 without failures, the think stream of
   /// Poisson sources. Otherwise service_blocks is empty.
@@ -97,7 +87,6 @@ struct TreeSim::Impl {
   simcore::Rng think_rng{0};
   simcore::ExponentialStream think_block{simcore::Rng{0}};
   simcore::Rng traffic_rng{0};
-  simcore::Rng size_rng{0};
   /// Per-processor MMPP modulators; empty when sources are Poisson.
   std::vector<simcore::Mmpp2> modulators;
 
@@ -158,10 +147,12 @@ struct TreeSim::Impl {
     // Draw order (docs/PERFORMANCE.md): the think, traffic and size
     // streams, then one service stream per centre in node post-order,
     // network before egress — ICN1_0, ECN1_0, ..., ICN2 at depth 2.
+    // Messages have the tree's fixed size, so the size stream draws
+    // nothing; it is still split so every service stream keeps its seed.
     simcore::Rng master(options.seed);
     think_rng = master.split();
     traffic_rng = master.split();
-    size_rng = master.split();
+    master.split();
     service_rngs.assign(centers.size(), simcore::Rng{0});
     auto split_post_order = [&](auto&& self, std::size_t u) -> void {
       for (const std::size_t child : view.nodes[u].internal_children) {
@@ -175,8 +166,8 @@ struct TreeSim::Impl {
     stations.reserve(centers.size());
     for (std::size_t c = 0; c < centers.size(); ++c) {
       stations.emplace_back(role_label(c));
-      service_models.push_back(CenterModel::from_breakdown(
-          centers[c].service, tree.message_bytes));
+      service_means_us.push_back(
+          mean_service_us(centers[c].service, tree.message_bytes));
     }
     if (tree.scenario.service_cv2 == 1.0 &&
         !tree.scenario.failure.has_value()) {
@@ -207,17 +198,22 @@ struct TreeSim::Impl {
     }
     think_block = simcore::ExponentialStream(think_rng);
 
-    if (options.warmup_messages == 0) measuring = true;
+    // Warm-up statistics would be dropped at the cut, so the stations
+    // hold them until begin_measurement resets them.
+    if (options.warmup_messages == 0) {
+      measuring = true;
+    } else {
+      for (auto& station : stations) station.hold_statistics();
+    }
 
     init_observability();
   }
 
-  /// Service time of message `id` at centre `c`. The default scenario
+  /// Service time of the next job at centre `c`. The default scenario
   /// (cv^2 = 1, no failures) makes exactly one exponential draw per
   /// service; cv^2 = 0 draws nothing.
-  double draw_service(std::size_t c, std::uint64_t id) {
-    const MessageState& msg = messages[static_cast<std::size_t>(id)];
-    const double mean = service_models[c].mean_service_us(msg.bytes);
+  double draw_service(std::size_t c) {
+    const double mean = service_means_us[c];
     if (mean <= 0.0) return 0.0;
     if (!service_blocks.empty()) return service_blocks[c].exponential(mean);
     simcore::Rng& rng = service_rngs[c];
@@ -243,7 +239,7 @@ struct TreeSim::Impl {
   /// Puts the head of centre c's line into service: draw, then push.
   void start_service(std::size_t c) {
     simcore::FifoStation& station = stations[c];
-    const double service = draw_service(c, station.next_job().id);
+    const double service = draw_service(c);
     station.begin_service(service, now());
     simulator.schedule(service, make_event(kDeparture, c));
   }
@@ -389,9 +385,6 @@ struct TreeSim::Impl {
     msg.src = proc;
     msg.dst = pick_destination(proc);
     msg.generated_at = now();
-    msg.bytes = options.message_size
-                    ? options.message_size->sample_bytes(size_rng)
-                    : tree.message_bytes;
     build_route(msg.route, proc, msg.dst);
     msg.hop = 0;
     trace(TraceEventKind::kGenerated, slot, kNoCenter);

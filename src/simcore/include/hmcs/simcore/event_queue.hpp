@@ -51,6 +51,14 @@ class EventQueue {
     std::uint64_t payload;
   };
 
+  EventQueue() = default;
+  /// Not copyable or movable: no owner needs it, and a moved-from queue
+  /// would keep its free list and count over emptied vectors.
+  EventQueue(const EventQueue&) = delete;
+  EventQueue& operator=(const EventQueue&) = delete;
+  EventQueue(EventQueue&&) = delete;
+  EventQueue& operator=(EventQueue&&) = delete;
+
   /// Inserts an event.
   void push(SimTime time, std::uint64_t payload) {
     if (free_head_ == kNoSlot) grow();
@@ -104,7 +112,13 @@ class EventQueue {
 
     s.next = free_head_;
     free_head_ = slot;
-    maybe_check_width();
+    // Shrink first, then the periodic width check: the calendar_resizes
+    // counts of the golden runs fix this order.
+    if (buckets_.size() > kInitialBuckets && count_ * 4 < buckets_.size()) {
+      shrink();
+    } else if (++pops_since_width_check_ == kWidthCheckInterval) {
+      check_width();
+    }
     return event;
   }
 
@@ -213,7 +227,10 @@ class EventQueue {
   /// calendar year is empty (events clustered far beyond the cursor).
   std::uint32_t sweep_min();
   double target_width() const;
-  void maybe_check_width();
+  /// The population collapsed well below the bucket count.
+  void shrink();
+  /// Every kWidthCheckInterval pops: re-fits the width to the density.
+  void check_width();
   /// Re-parameterizes the calendar (bucket count and/or width) and
   /// relinks every queued slot.
   void rebuild(std::size_t new_bucket_count, double new_width);

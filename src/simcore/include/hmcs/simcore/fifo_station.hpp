@@ -11,8 +11,7 @@
 /// calls begin_service and schedules the departure; on that departure it
 /// calls complete_service and, if a job waits, starts it (draw, then
 /// push) before it moves the departed job on. Ties between same-time
-/// events depend on that order. Job ids are the owner's (message slots),
-/// so it can look up per-message attributes such as the size.
+/// events depend on that order. Job ids are the owner's (message slots).
 
 #include <cstdint>
 #include <string>
@@ -76,8 +75,14 @@ class FifoStation {
   }
   double utilization(SimTime now) const { return busy_signal_.average(now); }
 
-  /// Drops all accumulated statistics at `now` (warm-up handling); jobs
-  /// in flight are unaffected.
+  /// Stops collecting statistics until the next reset_statistics: an
+  /// owner holds its stations through warm-up, whose statistics the cut
+  /// would drop anyway.
+  void hold_statistics() { collecting_ = false; }
+
+  /// Drops all accumulated statistics at `now` (warm-up handling) and
+  /// collects from there: the time averages restart from the jobs
+  /// present and the busy flag. Jobs in flight are unaffected.
   void reset_statistics(SimTime now);
 
  private:
@@ -89,6 +94,7 @@ class FifoStation {
   SimTime in_service_wait_ = 0.0;
   SimTime in_service_time_ = 0.0;
 
+  bool collecting_ = true;
   Tally wait_times_;
   Tally service_times_;
   Tally response_times_;

@@ -14,6 +14,7 @@
 /// plugged into <random> utilities when bit-exactness is not needed.
 
 #include <array>
+#include <bit>
 #include <cstddef>
 #include <cstdint>
 #include <limits>
@@ -53,17 +54,48 @@ class Rng {
   }
 
   result_type operator()() { return next_u64(); }
-  std::uint64_t next_u64();
+  std::uint64_t next_u64() {
+    const std::uint64_t result = std::rotl(s_[1] * 5, 7) * 9;
+    const std::uint64_t t = s_[1] << 17;
+    s_[2] ^= s_[0];
+    s_[3] ^= s_[1];
+    s_[1] ^= s_[2];
+    s_[0] ^= s_[3];
+    s_[2] ^= t;
+    s_[3] = std::rotl(s_[3], 45);
+    return result;
+  }
 
   /// Uniform double in [0, 1) with 53 bits of precision.
-  double uniform();
+  double uniform() {
+    // Top 53 bits -> [0, 1) double grid.
+    return static_cast<double>(next_u64() >> 11) * 0x1.0p-53;
+  }
 
   /// Uniform double in [lo, hi).
-  double uniform(double lo, double hi);
+  double uniform(double lo, double hi) {
+    require(lo <= hi, "Rng::uniform: lo must be <= hi");
+    return lo + (hi - lo) * uniform();
+  }
 
   /// Uniform integer in [0, bound) using Lemire's multiply-shift
   /// rejection method (unbiased). bound must be > 0.
-  std::uint64_t uniform_below(std::uint64_t bound);
+  std::uint64_t uniform_below(std::uint64_t bound) {
+    require(bound > 0, "Rng::uniform_below: bound must be > 0");
+    // Lemire's method: multiply-shift with rejection of the biased zone.
+    std::uint64_t x = next_u64();
+    __uint128_t m = static_cast<__uint128_t>(x) * bound;
+    auto low = static_cast<std::uint64_t>(m);
+    if (low < bound) {
+      const std::uint64_t threshold = (0 - bound) % bound;
+      while (low < threshold) {
+        x = next_u64();
+        m = static_cast<__uint128_t>(x) * bound;
+        low = static_cast<std::uint64_t>(m);
+      }
+    }
+    return static_cast<std::uint64_t>(m >> 64);
+  }
 
   /// Uniform integer in [lo, hi] inclusive.
   std::int64_t uniform_int(std::int64_t lo, std::int64_t hi);

@@ -5,6 +5,7 @@
 /// This is the "sink module" statistic of the paper's simulators — every
 /// completed message deposits its latency here.
 
+#include <algorithm>
 #include <cstdint>
 #include <limits>
 
@@ -26,7 +27,12 @@ double student_t_quantile(double confidence, std::uint64_t degrees_of_freedom);
 
 class Tally {
  public:
-  void add(double x);
+  void add(double x) {
+    moments_.add(x);
+    min_ = std::min(min_, x);
+    max_ = std::max(max_, x);
+    total_ += x;
+  }
   void merge(const Tally& other);
 
   std::uint64_t count() const { return moments_.count(); }

@@ -38,12 +38,13 @@ class TimeWeighted {
     return (area_ + value_ * (now - last_time_)) / span;
   }
 
-  /// Discards history and restarts the average window at `now` (used to
-  /// drop warm-up transients).
-  void reset_window(SimTime now) {
+  /// Discards history and restarts the average window at `now` with the
+  /// signal at `value` (used to drop warm-up transients).
+  void reset_window(SimTime now, double value) {
     require(now >= last_time_, "TimeWeighted: time went backwards");
     start_time_ = now;
     last_time_ = now;
+    value_ = value;
     area_ = 0.0;
   }
 

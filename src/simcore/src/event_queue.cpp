@@ -39,19 +39,15 @@ double EventQueue::target_width() const {
   return std::max(2.0 * gap_ema_, kMinWidth);
 }
 
-void EventQueue::maybe_check_width() {
-  // Population collapsed well below the bucket count: shrink.
-  if (buckets_.size() > kInitialBuckets && count_ * 4 < buckets_.size()) {
-    const std::size_t shrunk =
-        std::bit_ceil(std::max(kInitialBuckets, count_));
-    rebuild(shrunk, has_gap_ema_ ? target_width() : width_);
-    return;
-  }
-  // Periodically re-check the width against the observed density: a
-  // stationary population never crosses a resize threshold, but its
+void EventQueue::shrink() {
+  rebuild(std::bit_ceil(std::max(kInitialBuckets, count_)),
+          has_gap_ema_ ? target_width() : width_);
+}
+
+void EventQueue::check_width() {
+  // A stationary population never crosses a resize threshold, but its
   // event-time spacing can still drift from what the width was last
   // calibrated for.
-  if (++pops_since_width_check_ < kWidthCheckInterval) return;
   pops_since_width_check_ = 0;
   if (!has_gap_ema_) return;
   const double target = target_width();

@@ -9,8 +9,10 @@ namespace hmcs::simcore {
 FifoStation::FifoStation(std::string name) : name_(std::move(name)) {}
 
 bool FifoStation::arrive(std::uint64_t job_id, SimTime now) {
-  ++arrivals_;
-  number_in_system_.add(now, 1.0);
+  if (collecting_) {
+    ++arrivals_;
+    number_in_system_.add(now, 1.0);
+  }
   queue_.push_back(Job{job_id, now});
   return !busy_;
 }
@@ -22,7 +24,7 @@ void FifoStation::begin_service(SimTime service, SimTime now) {
   in_service_ = queue_.front();
   queue_.pop_front();
   busy_ = true;
-  busy_signal_.update(now, 1.0);
+  if (collecting_) busy_signal_.update(now, 1.0);
   in_service_wait_ = now - in_service_.arrival_time;
   in_service_time_ = service;
 }
@@ -30,14 +32,16 @@ void FifoStation::begin_service(SimTime service, SimTime now) {
 FifoStation::Departure FifoStation::complete_service(SimTime now) {
   ensure(busy_, "FifoStation: complete_service while idle");
   busy_ = false;
-  busy_signal_.update(now, 0.0);
-  number_in_system_.add(now, -1.0);
-  ++departures_;
   const SimTime wait = in_service_wait_;
   const SimTime service = in_service_time_;
-  wait_times_.add(wait);
-  service_times_.add(service);
-  response_times_.add(wait + service);
+  if (collecting_) {
+    busy_signal_.update(now, 0.0);
+    number_in_system_.add(now, -1.0);
+    ++departures_;
+    wait_times_.add(wait);
+    service_times_.add(service);
+    response_times_.add(wait + service);
+  }
   return Departure{in_service_, wait, service, wait + service};
 }
 
@@ -47,8 +51,9 @@ void FifoStation::reset_statistics(SimTime now) {
   response_times_ = Tally{};
   arrivals_ = 0;
   departures_ = 0;
-  number_in_system_.reset_window(now);
-  busy_signal_.reset_window(now);
+  number_in_system_.reset_window(now, static_cast<double>(queue_length()));
+  busy_signal_.reset_window(now, busy_ ? 1.0 : 0.0);
+  collecting_ = true;
 }
 
 }  // namespace hmcs::simcore

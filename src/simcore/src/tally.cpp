@@ -45,13 +45,6 @@ double student_t_quantile(double confidence, std::uint64_t degrees_of_freedom) {
   return pick(TRow{1.645, 1.960, 2.576}, confidence);
 }
 
-void Tally::add(double x) {
-  moments_.add(x);
-  min_ = std::min(min_, x);
-  max_ = std::max(max_, x);
-  total_ += x;
-}
-
 void Tally::merge(const Tally& other) {
   if (other.count() == 0) return;
   moments_.merge(other.moments_);

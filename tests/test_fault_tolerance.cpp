@@ -13,7 +13,7 @@
 #include <sstream>
 #include <thread>
 
-#include "hmcs/runner/fault_injection.hpp"
+#include "fault_injection.hpp"
 #include "hmcs/runner/journal.hpp"
 #include "hmcs/runner/sweep_report.hpp"
 #include "hmcs/runner/sweep_runner.hpp"
@@ -27,12 +27,12 @@ using namespace hmcs;
 using runner::Backend;
 using runner::CellStatus;
 using runner::FailurePolicy;
-using runner::FaultInjectionBackend;
 using runner::PointContext;
 using runner::PointResult;
 using runner::RunnerOptions;
 using runner::SweepResult;
 using runner::SweepSpec;
+using test::FaultInjectionBackend;
 
 SweepSpec small_spec() {
   SweepSpec spec;

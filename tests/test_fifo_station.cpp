@@ -10,6 +10,8 @@
 
 #include <gtest/gtest.h>
 
+#include <bit>
+#include <cstdint>
 #include <functional>
 #include <utility>
 #include <vector>
@@ -136,6 +138,66 @@ TEST(FifoStation, ResetStatisticsKeepsInFlightWork) {
   // Only the post-reset departures are counted in the statistics.
   EXPECT_EQ(s.station.departures(), 2u);
   EXPECT_EQ(s.station.arrivals(), 0u);
+}
+
+TEST(FifoStation, HeldWarmupMatchesResetWarmup) {
+  // One seeded M/M/1 job stream through two stations: `reset` collects
+  // through the warm-up and drops it at the cut, `held` collects nothing
+  // until the same cut. Both must then report the same statistics, bit
+  // for bit.
+  Simulator sim;
+  FifoStation reset("reset");
+  FifoStation held("held");
+  held.hold_statistics();
+  Rng arrival_rng(303);
+  Rng service_rng(404);
+  const auto start = [&] {
+    const double service = service_rng.exponential(1.0);
+    reset.begin_service(service, sim.now());
+    held.begin_service(service, sim.now());
+    sim.schedule(service, kDeparture);
+  };
+
+  constexpr std::uint64_t kWarmup = 2000;
+  constexpr std::uint64_t kTotal = 20000;
+  std::uint64_t arrivals = 0;
+  std::size_t jobs_at_cut = 0;
+  sim.schedule(arrival_rng.exponential(1.25), kArrival);
+  while (sim.pending_events() > 0) {
+    if (sim.next() == kDeparture) {
+      reset.complete_service(sim.now());
+      held.complete_service(sim.now());
+      if (reset.has_waiting()) start();
+      continue;
+    }
+    ++arrivals;
+    const bool idle = reset.arrive(arrivals, sim.now());
+    held.arrive(arrivals, sim.now());
+    if (idle) start();
+    if (arrivals == kWarmup) {  // the cut, with the new job present
+      jobs_at_cut = reset.queue_length();
+      reset.reset_statistics(sim.now());
+      held.reset_statistics(sim.now());
+    }
+    if (arrivals < kTotal) {
+      sim.schedule(arrival_rng.exponential(1.25), kArrival);
+    }
+  }
+  ASSERT_GE(jobs_at_cut, 1u);
+
+  const auto bits = [](double x) { return std::bit_cast<std::uint64_t>(x); };
+  const double now = sim.now();
+  EXPECT_EQ(bits(held.wait_times().mean()), bits(reset.wait_times().mean()));
+  EXPECT_EQ(bits(held.service_times().mean()),
+            bits(reset.service_times().mean()));
+  EXPECT_EQ(bits(held.response_times().mean()),
+            bits(reset.response_times().mean()));
+  EXPECT_EQ(bits(held.utilization(now)), bits(reset.utilization(now)));
+  EXPECT_EQ(bits(held.average_number_in_system(now)),
+            bits(reset.average_number_in_system(now)));
+  EXPECT_EQ(held.arrivals(), reset.arrivals());
+  EXPECT_EQ(held.departures(), reset.departures());
+  EXPECT_EQ(held.arrivals(), kTotal - kWarmup);
 }
 
 // ------------------------------------------------- M/M/1 law validation

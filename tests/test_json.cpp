@@ -10,7 +10,6 @@
 #include "hmcs/analytic/latency_model.hpp"
 #include "hmcs/analytic/scenario.hpp"
 #include "hmcs/analytic/serialize.hpp"
-#include "hmcs/sim/serialize.hpp"
 #include "hmcs/util/error.hpp"
 #include "hmcs/util/json.hpp"
 
@@ -186,22 +185,6 @@ TEST(Serialize, PredictionDocumentCarriesCenters) {
   EXPECT_NE(json.find("\"icn1\""), std::string::npos);
   EXPECT_NE(json.find("\"icn2\""), std::string::npos);
   EXPECT_NE(json.find("\"utilization\""), std::string::npos);
-}
-
-TEST(Serialize, SimResultDocument) {
-  const analytic::SystemConfig config = analytic::paper_scenario(
-      analytic::HeterogeneityCase::kCase1, 4,
-      analytic::NetworkArchitecture::kNonBlocking, 1024.0, 32, 1e-4);
-  hmcs::sim::SimOptions options;
-  options.measured_messages = 1000;
-  options.warmup_messages = 100;
-  hmcs::sim::MultiClusterSim simulator(config, options);
-  const std::string json = hmcs::sim::to_json(simulator.run());
-  EXPECT_NE(json.find("\"messages_measured\":1000"), std::string::npos);
-  EXPECT_NE(json.find("\"p95_latency_us\""), std::string::npos);
-  EXPECT_NE(json.find("\"icn2\""), std::string::npos);
-  EXPECT_EQ(json.front(), '{');
-  EXPECT_EQ(json.back(), '}');
 }
 
 TEST(Serialize, HeteroDocuments) {

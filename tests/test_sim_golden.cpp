@@ -3,10 +3,10 @@
 // cases pin every SimResult field, every measured latency, the latency
 // histogram and (where attached) the sampler series and the lifecycle
 // trace, for each feature of the simulator: open loop, traffic
-// patterns, message-size distributions, deterministic service,
-// precision stopping, heterogeneous clusters, heavy-traffic scenarios,
-// observability hooks and independent replications — plus one nested
-// tree, which pins the engine's random-draw order beyond depth 2.
+// patterns, deterministic service, precision stopping, heterogeneous
+// clusters, heavy-traffic scenarios, observability hooks and
+// independent replications — plus one nested tree, which pins the
+// engine's random-draw order beyond depth 2.
 //
 // Each case stores a 64-bit FNV-1a digest over the bit patterns of its
 // outputs plus the mean latency as a readable value. The contract is the
@@ -34,7 +34,6 @@
 #include "hmcs/sim/multicluster_sim.hpp"
 #include "hmcs/sim/trace.hpp"
 #include "hmcs/sim/tree_sim.hpp"
-#include "hmcs/workload/message_size.hpp"
 #include "hmcs/workload/traffic_pattern.hpp"
 
 namespace {
@@ -257,21 +256,6 @@ TEST(SimGolden, HotspotTraffic) {
       workload::NodeSpace::uniform(4, 8), 5, 0.2);
   expect_pin(run_pinned(light_config(), options),
              {0x76d9b274e35108e1ull, 511.66265824782761});
-}
-
-TEST(SimGolden, BimodalMessageSizes) {
-  sim::SimOptions options = short_run(205);
-  options.message_size =
-      std::make_shared<workload::BimodalSize>(64.0, 4096.0, 0.25);
-  expect_pin(run_pinned(light_config(), options),
-             {0xcea64bbfcc3e5cc8ull, 724.77121598300789});
-}
-
-TEST(SimGolden, ExponentialMessageSizes) {
-  sim::SimOptions options = short_run(206);
-  options.message_size = std::make_shared<workload::ExponentialSize>(1024.0);
-  expect_pin(run_pinned(light_config(), options),
-             {0x9f245057a4ecc19cull, 542.20013142501296});
 }
 
 /// Deterministic service: cv^2 = 0 draws no service variates at all.

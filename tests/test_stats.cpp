@@ -253,7 +253,7 @@ TEST(TimeWeighted, AddAdjustsRelative) {
 TEST(TimeWeighted, ResetWindowDropsHistory) {
   TimeWeighted tw(0.0, 10.0);
   tw.update(5.0, 0.0);
-  tw.reset_window(5.0);
+  tw.reset_window(5.0, 0.0);
   tw.update(10.0, 2.0);
   // After reset: value 0 for [5,10), 2 for [10,15): average 1.
   EXPECT_DOUBLE_EQ(tw.average(15.0), 1.0);
