@@ -28,8 +28,10 @@
 ///
 /// FixedPointOptions::residual_trace is honoured by one-cell calls and
 /// ignored by larger batches (one buffer cannot hold interleaved
-/// traces); everything else — method, queue rule, tolerance, damping,
-/// cv², cancel token — behaves the same at every batch size.
+/// traces); everything else — method, queue rule, tolerance, iteration
+/// cap, damping, cancel token — behaves the same at every batch size.
+/// The workload each cell is priced with is its config's
+/// WorkloadScenario, an MMPP's ca² resolved at the cell's own rate.
 
 #include <cstdint>
 #include <vector>

@@ -30,7 +30,6 @@
 
 #include "hmcs/analytic/service_time.hpp"
 #include "hmcs/analytic/system_config.hpp"
-#include "hmcs/analytic/workload.hpp"
 
 namespace hmcs::util {
 class CancelToken;  // util/cancel.hpp
@@ -54,28 +53,13 @@ enum class QueueLengthRule {
   kConsistent,  ///< L_E1 already covers both visits: C (L_E1 + L_I1) + L_I2
 };
 
+/// The solver's knobs. The workload it prices (service cs^2, arrival
+/// ca^2 or MMPP, failure/repair) is the model's, not the solver's: it
+/// comes from the config's or tree's WorkloadScenario (workload.hpp),
+/// the one place the simulators read it too.
 struct FixedPointOptions {
   SourceThrottling method = SourceThrottling::kBisection;
   QueueLengthRule queue_rule = QueueLengthRule::kPaperEq6;
-  /// Squared coefficient of variation of the centres' service times
-  /// (Pollaczek-Khinchine): 1 = exponential (the paper's assumption),
-  /// 0 = deterministic. Honoured by the open-network solvers; the MVA
-  /// solver requires exponential service (product form) and rejects
-  /// other values.
-  double service_cv2 = 1.0;
-  /// Squared coefficient of variation of the interarrival times
-  /// (Allen–Cunneen, gg1 in mm1.hpp): 1 = Poisson (the paper's
-  /// assumption). Like service_cv2, the MVA solver rejects non-default
-  /// values. Usually derived from a WorkloadScenario via with_scenario.
-  double arrival_ca2 = 1.0;
-  /// Failure/repair performability (workload.hpp): when failure_mtbf_us
-  /// > 0, every centre suffers Poisson breakdowns at rate 1/mtbf during
-  /// service, each costing an exponential repair with mean mttr, with
-  /// preemptive resume. The open-network solvers fold this into an
-  /// effective completion-time distribution (effective_service below);
-  /// the MVA solver rejects it. 0 = disabled.
-  double failure_mtbf_us = 0.0;
-  double failure_mttr_us = 0.0;
   /// Convergence tolerance on lambda_eff, relative to lambda.
   double tolerance = 1e-12;
   std::uint32_t max_iterations = 200;
@@ -110,17 +94,12 @@ struct FixedPointResult {
   bool converged;
 };
 
-/// Total waiting-processor count L(lambda_eff) per the chosen rule,
-/// capped at N; N when any centre is saturated at that rate.
-/// `service_cv2` selects the Pollaczek-Khinchine queue length (1 =
-/// exponential = the paper's eq. 16 behaviour).
-double total_queue_length(const SystemConfig& config,
-                          const CenterServiceTimes& service,
-                          double lambda_effective, QueueLengthRule rule,
-                          double service_cv2 = 1.0);
-
-/// Same, driven by the full distribution parameters in `options`
-/// (queue rule, service cs^2, arrival ca^2, failure/repair).
+/// Total waiting-processor count L(lambda_eff) per options.queue_rule,
+/// capped at N; N when any centre is saturated at that rate. Every
+/// centre is priced with config.scenario: its service cs^2 and
+/// failure/repair fold (effective_service) and its arrival ca^2, an
+/// MMPP's resolved at the config's offered rate (arrival_scv), as the
+/// engine does.
 double total_queue_length(const SystemConfig& config,
                           const CenterServiceTimes& service,
                           double lambda_effective,
@@ -140,39 +119,5 @@ FixedPointResult mva_fixed_point(const HmcsMvaClassLayout& layout,
                                  std::uint64_t total_nodes);
 
 }  // namespace detail
-
-/// A centre's effective completion-time distribution once breakdowns
-/// are folded in (workload.hpp FailureRepair, preemptive resume):
-/// completion rate mu*A (A = mtbf/(mtbf+mttr)) and inflated cs^2. The
-/// exact two-moment composition — DES cross-validation inflates each
-/// service draw by its Poisson repair cost, realising this very
-/// distribution. Identity when failures are disabled.
-struct EffectiveService {
-  double mu;
-  double cs2;
-};
-
-inline EffectiveService effective_service(double mu, double cs2,
-                                          const FixedPointOptions& options) {
-  if (options.failure_mtbf_us <= 0.0 || options.failure_mttr_us <= 0.0) {
-    return {mu, cs2};
-  }
-  const double availability =
-      options.failure_mtbf_us /
-      (options.failure_mtbf_us + options.failure_mttr_us);
-  return {mu * availability,
-          cs2 + 2.0 * availability * availability * options.failure_mttr_us *
-                    options.failure_mttr_us * mu / options.failure_mtbf_us};
-}
-
-/// Folds a WorkloadScenario (workload.hpp) into solver options. Each
-/// scenario field overrides the corresponding options field only when
-/// the scenario's is non-default, so callers that set service_cv2 etc.
-/// directly on the options keep working under a default scenario. An
-/// engaged MMPP resolves to an effective arrival ca^2 at the given
-/// per-source mean rate (held fixed through the fixed point).
-FixedPointOptions with_scenario(const FixedPointOptions& options,
-                                const WorkloadScenario& scenario,
-                                double mean_rate_per_us);
 
 }  // namespace hmcs::analytic

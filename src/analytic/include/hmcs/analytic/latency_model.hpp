@@ -69,13 +69,14 @@ namespace detail {
 /// The open-network epilogue of predict_latency_batch
 /// (batch_solver.hpp): assembles the full prediction from an
 /// already-solved fixed point. Exposed so that tests can assemble
-/// predictions from a reference solve with the same arithmetic.
-/// `options` carries the distribution parameters (service cs^2, arrival
-/// ca^2, failure/repair) applied to every centre.
+/// predictions from a reference solve with the same arithmetic. Every
+/// centre is priced with config.scenario's service cs^2 and
+/// failure/repair fold and with `arrival_ca2`, the scenario's arrival
+/// ca^2 at the config's offered rate (arrival_scv, workload.hpp).
 LatencyPrediction finish_open_prediction(const SystemConfig& config, double p,
                                          const CenterServiceTimes& service,
                                          const FixedPointResult& fixed_point,
-                                         const FixedPointOptions& options);
+                                         double arrival_ca2);
 
 /// Same, for the kExactMva path: assembles the prediction from the
 /// solved station-class MVA recursion.

@@ -74,9 +74,13 @@ struct TreeLatencyPrediction {
 };
 
 /// Solves the model for one tree. Throws hmcs::ConfigError for invalid
-/// trees; saturation is not an error (the fixed point throttles below
-/// it). The MVA paths additionally require every leaf generation rate
-/// to be > 0 (all-zero trees fall back to the no-load open solution).
+/// trees, and for out-of-domain solver options or a non-product-form
+/// scenario under kExactMva exactly where predict_latency does (the
+/// same check; an MMPP's ca^2 is resolved at the processor-weighted
+/// mean source rate). Saturation is not an error (the fixed point
+/// throttles below it). The MVA paths additionally require every leaf
+/// generation rate to be > 0 (all-zero trees fall back to the no-load
+/// open solution).
 TreeLatencyPrediction predict_model_tree(const ModelTree& tree,
                                          const TreeModelOptions& options = {});
 

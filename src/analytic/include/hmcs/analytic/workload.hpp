@@ -85,6 +85,44 @@ struct WorkloadScenario {
   void validate() const;
 };
 
+/// The interarrival ca^2 the analytic solvers price for `scenario` at
+/// per-source mean rate `mean_rate_per_us`: an engaged MMPP's effective
+/// SCV at that rate (mmpp_arrival_scv), else the fixed arrival_ca2. The
+/// one resolution every solve uses; the rate is the offered one, held
+/// fixed through the blocked-source fixed point (the modulation is a
+/// property of the sources, not of the throttled throughput).
+inline double arrival_scv(const WorkloadScenario& scenario,
+                          double mean_rate_per_us) {
+  return scenario.mmpp.has_value()
+             ? mmpp_arrival_scv(*scenario.mmpp, mean_rate_per_us)
+             : scenario.arrival_ca2;
+}
+
+/// A centre's effective completion-time distribution under `scenario`:
+/// the scenario's service cs^2 with breakdowns folded in (FailureRepair,
+/// preemptive resume) as completion rate mu*A (A = mtbf/(mtbf+mttr)) and
+/// inflated cs^2. The exact two-moment composition — the DES inflates
+/// each service draw by its Poisson repair cost, realising this very
+/// distribution. Identity on (mu, service_cv2) when failures are
+/// disabled or repairs take no time.
+struct EffectiveService {
+  double mu;
+  double cs2;
+};
+
+inline EffectiveService effective_service(double mu,
+                                          const WorkloadScenario& scenario) {
+  const double cs2 = scenario.service_cv2;
+  if (!scenario.failure.has_value() || scenario.failure->mttr_us <= 0.0) {
+    return {mu, cs2};
+  }
+  const double mtbf = scenario.failure->mtbf_us;
+  const double mttr = scenario.failure->mttr_us;
+  const double availability = mtbf / (mtbf + mttr);
+  return {mu * availability,
+          cs2 + 2.0 * availability * availability * mttr * mttr * mu / mtbf};
+}
+
 bool operator==(const MmppArrivals& a, const MmppArrivals& b);
 bool operator==(const FailureRepair& a, const FailureRepair& b);
 bool operator==(const WorkloadScenario& a, const WorkloadScenario& b);

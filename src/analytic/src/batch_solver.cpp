@@ -38,7 +38,7 @@ struct GroupConstants {
 
 GroupConstants make_constants(const SystemConfig& base,
                               const CenterServiceTimes& service,
-                              const FixedPointOptions& options) {
+                              QueueLengthRule rule) {
   GroupConstants g;
   g.n = static_cast<double>(base.total_nodes());
   g.c = static_cast<double>(base.clusters);
@@ -50,39 +50,20 @@ GroupConstants make_constants(const SystemConfig& base,
   // The failure/repair fold is the same effective_service call
   // total_queue_length makes per evaluation, hoisted once per group —
   // pure in its inputs, so the hoist is bit-identical.
-  const EffectiveService icn1 = effective_service(
-      service.icn1.service_rate(), options.service_cv2, options);
-  const EffectiveService ecn1 = effective_service(
-      service.ecn1.service_rate(), options.service_cv2, options);
-  const EffectiveService icn2 = effective_service(
-      service.icn2.service_rate(), options.service_cv2, options);
+  const EffectiveService icn1 =
+      effective_service(service.icn1.service_rate(), base.scenario);
+  const EffectiveService ecn1 =
+      effective_service(service.ecn1.service_rate(), base.scenario);
+  const EffectiveService icn2 =
+      effective_service(service.icn2.service_rate(), base.scenario);
   g.mu_icn1 = icn1.mu;
   g.mu_ecn1 = ecn1.mu;
   g.mu_icn2 = icn2.mu;
   g.cs2_icn1 = icn1.cs2;
   g.cs2_ecn1 = ecn1.cs2;
   g.cs2_icn2 = icn2.cs2;
-  g.ecn1_weight =
-      (options.queue_rule == QueueLengthRule::kPaperEq6) ? 2.0 : 1.0;
+  g.ecn1_weight = (rule == QueueLengthRule::kPaperEq6) ? 2.0 : 1.0;
   return g;
-}
-
-/// Group-level scenario fold: service cv^2, failure/repair and a fixed
-/// arrival ca^2 are rate-independent; an engaged MMPP's effective ca^2
-/// depends on the cell's rate and is resolved per cell below.
-FixedPointOptions fold_scenario(const FixedPointOptions& options,
-                                const WorkloadScenario& scenario) {
-  WorkloadScenario fixed = scenario;
-  fixed.mmpp.reset();
-  return with_scenario(options, fixed, 0.0);
-}
-
-/// The cell's effective arrival ca^2 — the same mmpp_arrival_scv call
-/// with_scenario makes at this rate.
-double cell_arrival_ca2(const FixedPointOptions& folded,
-                        const WorkloadScenario& scenario, double rate) {
-  return scenario.mmpp.has_value() ? mmpp_arrival_scv(*scenario.mmpp, rate)
-                                   : folded.arrival_ca2;
 }
 
 /// eq. (6) at iterate x — bit-identical to total_queue_length(base with
@@ -109,16 +90,6 @@ double queue_at(const GroupConstants& g, double ca2, double x) {
 void require_cell_rate(double rate) {
   require(std::isfinite(rate) && rate >= 0.0,
           "SystemConfig: generation rate must be >= 0");
-}
-
-/// A group's option checks: the solver knobs and, for exact MVA, the
-/// product form of every cell.
-void validate_group(const FixedPointOptions& options,
-                    std::span<const double> ca2s) {
-  detail::validate_fixed_point_options(options);
-  if (options.method == SourceThrottling::kExactMva) {
-    for (const double ca2 : ca2s) detail::require_product_form(options, ca2);
-  }
 }
 
 /// True when the two configs may share one group: equal in every model
@@ -154,6 +125,44 @@ struct MvaCell {
   std::uint64_t population = 0;
 };
 
+/// Solves eqs. (6)-(7) for every cell of a group sharing `base`'s
+/// topology and scenario: cell i runs at rates[i] with arrival ca²
+/// ca2s[i] (base's own rate is ignored), and records the call
+/// (record_solves). kNone, kPicard and kBisection only: exact-MVA cells
+/// take predict_latency_batch's population buckets.
+void solve_group(const SystemConfig& base, const CenterServiceTimes& service,
+                 const FixedPointOptions& options,
+                 std::span<const double> rates, std::span<const double> ca2s,
+                 FixedPointResult* out) {
+  // predict_latency_batch passes a residual trace to one-cell calls only.
+  if (options.residual_trace != nullptr) options.residual_trace->clear();
+
+  const GroupConstants g = make_constants(base, service, options.queue_rule);
+  const auto queue = [&g, ca2s](std::size_t cell, double x) {
+    return queue_at(g, ca2s[cell], x);
+  };
+  switch (options.method) {
+    case SourceThrottling::kNone:
+      for (std::size_t i = 0; i < rates.size(); ++i) {
+        out[i] = FixedPointResult{rates[i], queue(i, rates[i]), 0, true};
+      }
+      break;
+    case SourceThrottling::kPicard:
+      detail::solve_picard(queue, g.n, options, "fixed_point", rates, out);
+      break;
+    case SourceThrottling::kBisection:
+      detail::solve_bisection(queue, g.n, options, "fixed_point", rates, out);
+      break;
+    case SourceThrottling::kExactMva:
+      // predict_latency_batch solves exact-MVA cells by population
+      // bucket and never sends them here.
+      hmcs::detail::throw_logic_error(
+          "solve_group: kExactMva cells take the population-bucketed path",
+          std::source_location::current());
+  }
+  detail::record_solves(out, rates.size(), options);
+}
+
 }  // namespace
 
 namespace detail {
@@ -179,46 +188,6 @@ void record_solves(const FixedPointResult* results, std::size_t count,
     HMCS_OBS_GAUGE_SET("analytic.fixed_point.last_residual",
                        options.residual_trace->back());
   }
-}
-
-void solve_group(const SystemConfig& base, const CenterServiceTimes& service,
-                 FixedPointOptions options, std::span<const double> rates,
-                 std::span<const double> ca2s, FixedPointResult* out) {
-  validate_group(options, ca2s);
-  // One buffer cannot hold interleaved traces.
-  if (options.residual_trace != nullptr) {
-    if (rates.size() == 1) {
-      options.residual_trace->clear();
-    } else {
-      options.residual_trace = nullptr;
-    }
-  }
-  if (rates.empty()) return;
-
-  const GroupConstants g = make_constants(base, service, options);
-  const auto queue = [&g, ca2s](std::size_t cell, double x) {
-    return queue_at(g, ca2s[cell], x);
-  };
-  switch (options.method) {
-    case SourceThrottling::kNone:
-      for (std::size_t i = 0; i < rates.size(); ++i) {
-        out[i] = FixedPointResult{rates[i], queue(i, rates[i]), 0, true};
-      }
-      break;
-    case SourceThrottling::kPicard:
-      solve_picard(queue, g.n, options, "fixed_point", rates, out);
-      break;
-    case SourceThrottling::kBisection:
-      solve_bisection(queue, g.n, options, "fixed_point", rates, out);
-      break;
-    case SourceThrottling::kExactMva:
-      // predict_latency_batch solves exact-MVA cells by population
-      // bucket and never sends them here.
-      hmcs::detail::throw_logic_error(
-          "solve_group: kExactMva cells take the population-bucketed path",
-          std::source_location::current());
-  }
-  record_solves(out, rates.size(), options);
 }
 
 }  // namespace detail
@@ -248,38 +217,30 @@ std::vector<LatencyPrediction> predict_latency_batch(
 
     const SystemConfig& base = *configs[i];
     base.validate();
-    const FixedPointOptions group_fp =
-        fold_scenario(fixed_point, base.scenario);
     rates.clear();
     ca2s.clear();
     for (std::size_t cell = i; cell < end; ++cell) {
       const double rate = configs[cell]->generation_rate_per_us;
       require_cell_rate(rate);
       rates.push_back(rate);
-      ca2s.push_back(cell_arrival_ca2(group_fp, base.scenario, rate));
+      ca2s.push_back(arrival_scv(base.scenario, rate));
     }
+    detail::validate_solve_inputs(fixed_point, base.scenario, ca2s);
     const double p =
         inter_cluster_probability(base.clusters, base.nodes_per_cluster);
     const CenterServiceTimes service = center_service_times(base);
-    // Per-cell epilogue options: only the MMPP-derived ca^2 varies.
-    const auto cell_fp = [&](std::size_t k) {
-      FixedPointOptions fp = group_fp;
-      fp.arrival_ca2 = ca2s[k];
-      return fp;
-    };
 
-    if (group_fp.method == SourceThrottling::kExactMva) {
+    if (fixed_point.method == SourceThrottling::kExactMva) {
       // Positive-rate cells take the closed-network MVA solution;
       // zero-rate cells route through the open-network epilogue with the
       // converged-at-zero fixed point.
-      validate_group(group_fp, ca2s);
       mva_groups.push_back(
           MvaGroup{build_hmcs_mva_class_layout(base, service), p, service});
       for (std::size_t k = 0; k < rates.size(); ++k) {
         if (rates[k] == 0.0) {
           out[i + k] = detail::finish_open_prediction(
               *configs[i + k], p, service, detail::zero_rate_result(),
-              cell_fp(k));
+              ca2s[k]);
         } else {
           mva_cells.push_back(MvaCell{i + k, mva_groups.size() - 1,
                                       base.total_nodes()});
@@ -287,12 +248,11 @@ std::vector<LatencyPrediction> predict_latency_batch(
       }
     } else {
       fixed_points.resize(rates.size());
-      detail::solve_group(base, service, group_fp, rates, ca2s,
-                          fixed_points.data());
+      solve_group(base, service, fixed_point, rates, ca2s,
+                  fixed_points.data());
       for (std::size_t k = 0; k < rates.size(); ++k) {
-        out[i + k] = detail::finish_open_prediction(*configs[i + k], p,
-                                                    service, fixed_points[k],
-                                                    cell_fp(k));
+        out[i + k] = detail::finish_open_prediction(
+            *configs[i + k], p, service, fixed_points[k], ca2s[k]);
       }
     }
     i = end;

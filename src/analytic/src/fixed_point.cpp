@@ -2,6 +2,7 @@
 
 #include <algorithm>
 #include <cmath>
+#include <span>
 
 #include "fixed_point_engine.hpp"
 #include "hmcs/analytic/arrival_rates.hpp"
@@ -14,16 +15,6 @@ namespace hmcs::analytic {
 
 double total_queue_length(const SystemConfig& config,
                           const CenterServiceTimes& service,
-                          double lambda_effective, QueueLengthRule rule,
-                          double service_cv2) {
-  FixedPointOptions options;
-  options.queue_rule = rule;
-  options.service_cv2 = service_cv2;
-  return total_queue_length(config, service, lambda_effective, options);
-}
-
-double total_queue_length(const SystemConfig& config,
-                          const CenterServiceTimes& service,
                           double lambda_effective,
                           const FixedPointOptions& options) {
   require(lambda_effective >= 0.0, "total_queue_length: rate must be >= 0");
@@ -33,15 +24,14 @@ double total_queue_length(const SystemConfig& config,
   const ArrivalRates rates = compute_arrival_rates(
       config.clusters, config.nodes_per_cluster, p, lambda_effective);
 
-  // Breakdowns inflate every centre's completion time (same cv^2 knob
-  // the samplers realise); identity when failures are disabled.
-  const EffectiveService icn1 = effective_service(
-      service.icn1.service_rate(), options.service_cv2, options);
-  const EffectiveService ecn1 = effective_service(
-      service.ecn1.service_rate(), options.service_cv2, options);
-  const EffectiveService icn2 = effective_service(
-      service.icn2.service_rate(), options.service_cv2, options);
-  const double ca2 = options.arrival_ca2;
+  const WorkloadScenario& scenario = config.scenario;
+  const EffectiveService icn1 =
+      effective_service(service.icn1.service_rate(), scenario);
+  const EffectiveService ecn1 =
+      effective_service(service.ecn1.service_rate(), scenario);
+  const EffectiveService icn2 =
+      effective_service(service.icn2.service_rate(), scenario);
+  const double ca2 = arrival_scv(scenario, config.generation_rate_per_us);
   const double l_icn1 =
       gg1::number_in_system(rates.icn1, icn1.mu, ca2, icn1.cs2);
   const double l_ecn1 =
@@ -57,26 +47,6 @@ double total_queue_length(const SystemConfig& config,
       (options.queue_rule == QueueLengthRule::kPaperEq6) ? 2.0 : 1.0;
   const double total = c * (ecn1_weight * l_ecn1 + l_icn1) + l_icn2;
   return std::min(total, n);
-}
-
-FixedPointOptions with_scenario(const FixedPointOptions& options,
-                                const WorkloadScenario& scenario,
-                                double mean_rate_per_us) {
-  FixedPointOptions out = options;
-  if (scenario.service_cv2 != 1.0) out.service_cv2 = scenario.service_cv2;
-  if (scenario.mmpp.has_value()) {
-    // Evaluated once at the offered per-source rate and held fixed
-    // through the fixed point: the modulation is a property of the
-    // sources, not of the throttled throughput.
-    out.arrival_ca2 = mmpp_arrival_scv(*scenario.mmpp, mean_rate_per_us);
-  } else if (scenario.arrival_ca2 != 1.0) {
-    out.arrival_ca2 = scenario.arrival_ca2;
-  }
-  if (scenario.failure.has_value()) {
-    out.failure_mtbf_us = scenario.failure->mtbf_us;
-    out.failure_mttr_us = scenario.failure->mttr_us;
-  }
-  return out;
 }
 
 namespace detail {
@@ -95,22 +65,21 @@ FixedPointResult mva_fixed_point(const HmcsMvaClassLayout& layout,
                           total_queue, total_nodes, true};
 }
 
-void validate_fixed_point_options(const FixedPointOptions& options) {
+void validate_solve_inputs(const FixedPointOptions& options,
+                           const WorkloadScenario& scenario,
+                           std::span<const double> arrival_ca2s) {
   require(options.tolerance > 0.0, "fixed_point: tolerance must be > 0");
   require(options.max_iterations >= 1, "fixed_point: needs >= 1 iteration");
   require(options.picard_damping > 0.0 && options.picard_damping <= 1.0,
           "fixed_point: damping must be in (0, 1]");
-  require(options.service_cv2 >= 0.0, "fixed_point: cv^2 must be >= 0");
-  require(options.arrival_ca2 >= 0.0, "fixed_point: ca^2 must be >= 0");
-  require(options.failure_mtbf_us >= 0.0 && options.failure_mttr_us >= 0.0,
-          "fixed_point: failure mtbf/mttr must be >= 0");
-}
-
-void require_product_form(const FixedPointOptions& options,
-                          double arrival_ca2) {
-  require(options.service_cv2 == 1.0 && arrival_ca2 == 1.0 &&
-              (options.failure_mtbf_us <= 0.0 ||
-               options.failure_mttr_us <= 0.0),
+  if (options.method != SourceThrottling::kExactMva) return;
+  // Checked at every load, zero included: MVA cannot represent a
+  // non-product-form workload at all.
+  const bool poisson = std::all_of(arrival_ca2s.begin(), arrival_ca2s.end(),
+                                   [](double ca2) { return ca2 == 1.0; });
+  require(scenario.service_cv2 == 1.0 && poisson &&
+              (!scenario.failure.has_value() ||
+               scenario.failure->mttr_us <= 0.0),
           "exact MVA requires exponential service, Poisson arrivals and no "
           "failure/repair (product form)");
 }

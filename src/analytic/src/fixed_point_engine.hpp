@@ -33,28 +33,15 @@
 
 namespace hmcs::analytic::detail {
 
-/// Throws hmcs::ConfigError unless the solver knobs and distribution
-/// parameters are in domain (tolerance, iterations, damping, cv², ca²,
-/// failure/repair).
-void validate_fixed_point_options(const FixedPointOptions& options);
-
-/// Throws hmcs::ConfigError unless the network is product form at
-/// arrival ca² `arrival_ca2`: exponential service, Poisson arrivals and
-/// no failure/repair — the precondition of every exact-MVA path.
-void require_product_form(const FixedPointOptions& options,
-                          double arrival_ca2);
-
-/// Solves eqs. (6)-(7) for every cell of a group sharing `base`'s
-/// topology: cell i runs at rates[i] with arrival ca² ca2s[i] (base's
-/// own rate is ignored). `service` and `options` are used as given, any
-/// workload scenario already folded in. Validates the options, records
-/// the call (record_solves), and honours options.residual_trace only
-/// when the group has one cell. kNone, kPicard and kBisection only:
-/// exact-MVA cells take predict_latency_batch's population buckets.
-/// Defined in batch_solver.cpp.
-void solve_group(const SystemConfig& base, const CenterServiceTimes& service,
-                 FixedPointOptions options, std::span<const double> rates,
-                 std::span<const double> ca2s, FixedPointResult* out);
+/// The input check both analytic entry points, predict_latency_batch
+/// and predict_model_tree, run before solving. Throws
+/// hmcs::ConfigError unless the solver knobs are in domain (tolerance,
+/// iterations, damping) and, under kExactMva, the workload is product
+/// form: exponential service and no failure/repair in `scenario`, and
+/// every resolved arrival ca² in `arrival_ca2s` equal to 1.
+void validate_solve_inputs(const FixedPointOptions& options,
+                           const WorkloadScenario& scenario,
+                           std::span<const double> arrival_ca2s);
 
 /// Records one engine call of `count` cells: analytic.batch.groups and
 /// .cells, and analytic.fixed_point.solves, .iterations, .nonconverged,

@@ -9,20 +9,20 @@ namespace hmcs::analytic {
 namespace {
 
 CenterPrediction solve_center(double arrival_rate, double service_rate,
-                              const FixedPointOptions& options) {
+                              const WorkloadScenario& scenario,
+                              double arrival_ca2) {
   // Failure/repair inflates the completion-time distribution; the
   // reported service rate and utilization are the effective ones (the
   // same rates a breakdown-suffering DES measures).
-  const EffectiveService effective =
-      effective_service(service_rate, options.service_cv2, options);
+  const EffectiveService effective = effective_service(service_rate, scenario);
   CenterPrediction out{};
   out.arrival_rate = arrival_rate;
   out.service_rate = effective.mu;
   out.utilization = mm1::utilization(arrival_rate, effective.mu);
-  out.response_time_us = gg1::response_time(
-      arrival_rate, effective.mu, options.arrival_ca2, effective.cs2);
-  out.queue_length = gg1::number_in_system(
-      arrival_rate, effective.mu, options.arrival_ca2, effective.cs2);
+  out.response_time_us = gg1::response_time(arrival_rate, effective.mu,
+                                            arrival_ca2, effective.cs2);
+  out.queue_length = gg1::number_in_system(arrival_rate, effective.mu,
+                                           arrival_ca2, effective.cs2);
   return out;
 }
 
@@ -33,7 +33,7 @@ namespace detail {
 LatencyPrediction finish_open_prediction(const SystemConfig& config, double p,
                                          const CenterServiceTimes& service,
                                          const FixedPointResult& fixed_point,
-                                         const FixedPointOptions& options) {
+                                         double arrival_ca2) {
   LatencyPrediction out{};
   out.lambda_offered = config.generation_rate_per_us;
   out.inter_cluster_probability = p;
@@ -46,9 +46,12 @@ LatencyPrediction finish_open_prediction(const SystemConfig& config, double p,
   const ArrivalRates rates =
       compute_arrival_rates(config.clusters, config.nodes_per_cluster, p,
                             fixed_point.lambda_effective);
-  out.icn1 = solve_center(rates.icn1, service.icn1.service_rate(), options);
-  out.ecn1 = solve_center(rates.ecn1, service.ecn1.service_rate(), options);
-  out.icn2 = solve_center(rates.icn2, service.icn2.service_rate(), options);
+  out.icn1 = solve_center(rates.icn1, service.icn1.service_rate(),
+                          config.scenario, arrival_ca2);
+  out.ecn1 = solve_center(rates.ecn1, service.ecn1.service_rate(),
+                          config.scenario, arrival_ca2);
+  out.icn2 = solve_center(rates.icn2, service.icn2.service_rate(),
+                          config.scenario, arrival_ca2);
 
   // eq. (15). When P == 0 (single cluster) the remote centres never see
   // traffic; when N0 == 1 (fully dispersed) no traffic is local. Guard

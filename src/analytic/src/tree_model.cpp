@@ -71,25 +71,26 @@ void center_arrival_rates(const FlatTreeView& view,
   }
 }
 
-/// What every L(phi) evaluation of one open-tree solve shares: each
-/// centre's effective service, computed once, and the arrival-rate
-/// buffer each evaluation refills, so a phi evaluation allocates
-/// nothing.
+/// What every L(phi) evaluation of one open-tree solve shares: the
+/// scenario's arrival ca^2, each centre's effective service, computed
+/// once, and the arrival-rate buffer each evaluation refills, so a phi
+/// evaluation allocates nothing.
 struct ThrottleCenters {
   ThrottleCenters(const FlatTreeView& tree_view,
                   const std::vector<TreeCenter>& tree_centers,
-                  const FixedPointOptions& fp)
-      : view(tree_view), centers(tree_centers) {
+                  const WorkloadScenario& scenario, double ca2)
+      : view(tree_view), centers(tree_centers), arrival_ca2(ca2) {
     service.reserve(centers.size());
     for (const TreeCenter& center : centers) {
-      service.push_back(effective_service(center.service.service_rate(),
-                                          fp.service_cv2, fp));
+      service.push_back(
+          effective_service(center.service.service_rate(), scenario));
     }
     rates.reserve(centers.size());
   }
 
   const FlatTreeView& view;
   const std::vector<TreeCenter>& centers;
+  double arrival_ca2;
   std::vector<EffectiveService> service;
   std::vector<double> rates;  ///< at the phi of the last evaluation
 };
@@ -106,7 +107,7 @@ double queue_length_at(ThrottleCenters& state, const FixedPointOptions& fp,
   for (std::size_t c = 0; c < centers.size(); ++c) {
     const EffectiveService& eff = state.service[c];
     const double l = gg1::number_in_system(state.rates[c], eff.mu,
-                                           fp.arrival_ca2, eff.cs2);
+                                           state.arrival_ca2, eff.cs2);
     if (std::isinf(l)) {
       saturated = true;
     } else {
@@ -227,8 +228,10 @@ double weighted_mean_latency(const FlatTreeView& view,
 TreeLatencyPrediction predict_open(const FlatTreeView& view,
                                    const std::vector<TreeCenter>& centers,
                                    const CenterIndex& index,
+                                   const WorkloadScenario& scenario,
+                                   double arrival_ca2,
                                    const FixedPointOptions& fp) {
-  ThrottleCenters state(view, centers, fp);
+  ThrottleCenters state(view, centers, scenario, arrival_ca2);
   const FixedPointResult solved = solve_throttle(state, fp);
   const double phi = solved.lambda_effective;
 
@@ -253,9 +256,9 @@ TreeLatencyPrediction predict_open(const FlatTreeView& view,
     center.service_rate = eff.mu;
     center.utilization = mm1::utilization(rates[c], eff.mu);
     center.response_time_us =
-        gg1::response_time(rates[c], eff.mu, fp.arrival_ca2, eff.cs2);
+        gg1::response_time(rates[c], eff.mu, arrival_ca2, eff.cs2);
     center.queue_length =
-        gg1::number_in_system(rates[c], eff.mu, fp.arrival_ca2, eff.cs2);
+        gg1::number_in_system(rates[c], eff.mu, arrival_ca2, eff.cs2);
     response[c] = center.response_time_us;
     out.centers.push_back(std::move(center));
   }
@@ -448,25 +451,26 @@ TreeLatencyPrediction predict_model_tree(const ModelTree& tree,
   const FlatTreeView view = flatten(tree);  // validates
   const std::vector<TreeCenter> centers = tree_centers(tree, view);
   const CenterIndex index = index_centers(view, centers);
-  // Fold the tree-wide workload scenario into the solver options; the
-  // MMPP ca^2 is resolved at the processor-weighted mean source rate.
+  // The tree-wide scenario's arrival ca^2 at the processor-weighted mean
+  // source rate, checked as predict_latency_batch checks a flat cell's:
+  // under kExactMva at every load, an idle tree included.
   const double mean_rate =
       view.total_processors > 0
           ? view.total_generation_rate /
                 static_cast<double>(view.total_processors)
           : 0.0;
-  const FixedPointOptions fp =
-      with_scenario(options.fixed_point, tree.scenario, mean_rate);
+  const double arrival_ca2 = arrival_scv(tree.scenario, mean_rate);
+  const FixedPointOptions& fp = options.fixed_point;
+  detail::validate_solve_inputs(fp, tree.scenario, {&arrival_ca2, 1});
 
   if (fp.method == SourceThrottling::kExactMva &&
       view.total_generation_rate > 0.0) {
-    detail::require_product_form(fp, fp.arrival_ca2);
     if (is_uniform_tree(tree)) {
       return predict_uniform_mva(view, centers, index, fp);
     }
     return predict_tree_amva(view, centers, index, fp);
   }
-  return predict_open(view, centers, index, fp);
+  return predict_open(view, centers, index, tree.scenario, arrival_ca2, fp);
 }
 
 }  // namespace hmcs::analytic

@@ -18,6 +18,7 @@
 #include "hmcs/analytic/routing_probability.hpp"
 #include "hmcs/analytic/service_time.hpp"
 #include "hmcs/analytic/system_config.hpp"
+#include "hmcs/analytic/workload.hpp"
 
 namespace hmcs::analytic::reference {
 
@@ -78,7 +79,8 @@ inline FixedPointResult solve_bisection(const SystemConfig& config,
 }
 
 /// The fixed point of one configuration at its own rate, with `service`
-/// and `options` used as given (no workload scenario folded in).
+/// used as given and the workload read from config.scenario, as
+/// total_queue_length does.
 inline FixedPointResult solve_effective_rate(
     const SystemConfig& config, const CenterServiceTimes& service,
     const FixedPointOptions& options = {}) {
@@ -106,16 +108,16 @@ inline FixedPointResult solve_effective_rate(
   return {};
 }
 
-/// predict_latency's contract: the config's workload scenario folded in
-/// at its own rate; positive-rate kExactMva cells take the closed-network
-/// epilogue, every other cell the open-network one.
+/// predict_latency's contract: the config's workload scenario, an
+/// MMPP's ca^2 resolved at its own rate; positive-rate kExactMva cells
+/// take the closed-network epilogue, every other cell the open-network
+/// one.
 inline LatencyPrediction predict_latency(const SystemConfig& config,
                                          const ModelOptions& options = {}) {
   const double p =
       inter_cluster_probability(config.clusters, config.nodes_per_cluster);
   const CenterServiceTimes service = center_service_times(config);
-  const FixedPointOptions fp = with_scenario(
-      options.fixed_point, config.scenario, config.generation_rate_per_us);
+  const FixedPointOptions& fp = options.fixed_point;
   if (fp.method == SourceThrottling::kExactMva &&
       config.generation_rate_per_us > 0.0) {
     const HmcsMvaClassLayout layout =
@@ -128,7 +130,7 @@ inline LatencyPrediction predict_latency(const SystemConfig& config,
   }
   return detail::finish_open_prediction(
       config, p, service, reference::solve_effective_rate(config, service, fp),
-      fp);
+      arrival_scv(config.scenario, config.generation_rate_per_us));
 }
 
 }  // namespace hmcs::analytic::reference

@@ -16,10 +16,12 @@
 #include "hmcs/analytic/batch_solver.hpp"
 #include "hmcs/analytic/fixed_point.hpp"
 #include "hmcs/analytic/latency_model.hpp"
+#include "hmcs/analytic/model_tree.hpp"
 #include "hmcs/analytic/mva.hpp"  // mva_lane_width
 #include "hmcs/analytic/network_tech.hpp"
 #include "hmcs/analytic/scenario.hpp"
 #include "hmcs/analytic/service_time.hpp"
+#include "hmcs/analytic/tree_model.hpp"
 #include "hmcs/util/cancel.hpp"
 #include "hmcs/util/error.hpp"
 #include "reference_fixed_point.hpp"
@@ -115,7 +117,8 @@ TEST(BatchSolver, ColdPathIsBitIdenticalForEveryMethod) {
 }
 
 TEST(BatchSolver, ColdPathHonoursNonDefaultSolverKnobs) {
-  const SystemConfig base = make_config(8, 4);
+  SystemConfig base = make_config(8, 4);
+  base.scenario.service_cv2 = 0.0;  // deterministic service
   const std::vector<SystemConfig> grid = rate_grid(base, dense_rates());
   const CenterServiceTimes service = center_service_times(base);
 
@@ -123,7 +126,6 @@ TEST(BatchSolver, ColdPathHonoursNonDefaultSolverKnobs) {
   options.method = SourceThrottling::kPicard;
   options.picard_damping = 1.0;  // the paper's undamped recurrence
   options.queue_rule = QueueLengthRule::kConsistent;
-  options.service_cv2 = 0.0;  // deterministic service
   options.tolerance = 1e-9;
   options.max_iterations = 50;
 
@@ -324,19 +326,35 @@ TEST(BatchSolver, MmppCellsResolvePerCellArrivalScv) {
 
 TEST(BatchSolver, MvaRejectsNonProductFormScenarios) {
   // Exact MVA is product-form only: the batch path refuses the same
-  // scenarios the scalar path refuses, rather than mispricing them.
+  // scenarios the scalar path refuses, rather than mispricing them, and
+  // the tree path refuses them too — non-exponential service at any
+  // load, an idle cell included.
   SystemConfig base = make_config(4, 4);
   base.scenario.service_cv2 = 2.0;
   base.generation_rate_per_us = 1e-4;
   ModelOptions mva;
   mva.fixed_point.method = SourceThrottling::kExactMva;
+  TreeModelOptions tree_mva;
+  tree_mva.fixed_point = mva.fixed_point;
   std::vector<SystemConfig> configs{base};
   EXPECT_THROW(predict_latency_batch(configs, mva), hmcs::ConfigError);
+  EXPECT_THROW(predict_model_tree(ModelTree::from_system(base), tree_mva),
+               hmcs::ConfigError);
+
+  SystemConfig idle = base;
+  idle.scenario.service_cv2 = 4.0;
+  idle.generation_rate_per_us = 0.0;
+  configs = {idle};
+  EXPECT_THROW(predict_latency_batch(configs, mva), hmcs::ConfigError);
+  EXPECT_THROW(predict_model_tree(ModelTree::from_system(idle), tree_mva),
+               hmcs::ConfigError);
 
   base.scenario = WorkloadScenario{};
   base.scenario.mmpp = MmppArrivals{};
   configs = {base};
   EXPECT_THROW(predict_latency_batch(configs, mva), hmcs::ConfigError);
+  EXPECT_THROW(predict_model_tree(ModelTree::from_system(base), tree_mva),
+               hmcs::ConfigError);
 }
 
 TEST(BatchSolver, PredictBatchValidatesEveryCell) {

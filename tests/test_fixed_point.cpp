@@ -4,10 +4,13 @@
 #include <gtest/gtest.h>
 
 #include <cmath>
+#include <string>
 
 #include "hmcs/analytic/fixed_point.hpp"
 #include "hmcs/analytic/latency_model.hpp"
+#include "hmcs/analytic/model_tree.hpp"
 #include "hmcs/analytic/scenario.hpp"
+#include "hmcs/analytic/tree_model.hpp"
 #include "hmcs/util/error.hpp"
 
 namespace {
@@ -128,10 +131,13 @@ TEST(FixedPoint, QueueRuleEq6CountsEcn1Twice) {
   const SystemConfig config = heavy_config();
   const CenterServiceTimes service = center_service_times(config);
   const double rate = 0.3e-4;  // below saturation so L is finite
-  const double paper =
-      total_queue_length(config, service, rate, QueueLengthRule::kPaperEq6);
+  FixedPointOptions paper_rule;
+  paper_rule.queue_rule = QueueLengthRule::kPaperEq6;
+  FixedPointOptions consistent_rule;
+  consistent_rule.queue_rule = QueueLengthRule::kConsistent;
+  const double paper = total_queue_length(config, service, rate, paper_rule);
   const double consistent =
-      total_queue_length(config, service, rate, QueueLengthRule::kConsistent);
+      total_queue_length(config, service, rate, consistent_rule);
   EXPECT_GT(paper, consistent);
 }
 
@@ -172,20 +178,45 @@ TEST(FixedPoint, ZeroGenerationRateConvergesAtZero) {
   }
 }
 
+/// The ConfigError message `solve` throws, or "" when it returns.
+template <class Solve>
+std::string config_error(Solve solve) {
+  try {
+    solve();
+  } catch (const hmcs::ConfigError& error) {
+    return error.what();
+  }
+  return "";
+}
+
 TEST(FixedPoint, Validation) {
-  const SystemConfig config = light_config();
+  // Both analytic entry points run one check of the solver options: the
+  // tree, given the flat-shaped tree of the same config, refuses every
+  // bad option with the same error as predict_latency.
+  const SystemConfig config = paper_scenario(
+      HeterogeneityCase::kCase1, 8, NetworkArchitecture::kNonBlocking, 1024.0);
+  const ModelTree tree = ModelTree::from_system(config);
+  FixedPointOptions tolerance;  // bisection
+  tolerance.tolerance = 0.0;
+  FixedPointOptions iterations;
+  iterations.method = SourceThrottling::kPicard;
+  iterations.max_iterations = 0;
+  FixedPointOptions no_damping;
+  no_damping.method = SourceThrottling::kPicard;
+  no_damping.picard_damping = 0.0;
+  FixedPointOptions overdamped;
+  overdamped.method = SourceThrottling::kPicard;
+  overdamped.picard_damping = 1.5;
+  for (const FixedPointOptions& bad :
+       {tolerance, iterations, no_damping, overdamped}) {
+    const std::string flat = config_error([&] { solve(config, bad); });
+    EXPECT_NE(flat, "");
+    TreeModelOptions options;
+    options.fixed_point = bad;
+    EXPECT_EQ(config_error([&] { predict_model_tree(tree, options); }), flat);
+  }
   const CenterServiceTimes service = center_service_times(config);
-  FixedPointOptions bad;
-  bad.tolerance = 0.0;
-  EXPECT_THROW(solve(config, bad), hmcs::ConfigError);
-  bad = {};
-  bad.max_iterations = 0;
-  EXPECT_THROW(solve(config, bad), hmcs::ConfigError);
-  bad = {};
-  bad.picard_damping = 1.5;
-  EXPECT_THROW(solve(config, bad), hmcs::ConfigError);
-  EXPECT_THROW(total_queue_length(config, service, -1.0,
-                                  QueueLengthRule::kPaperEq6),
+  EXPECT_THROW(total_queue_length(config, service, -1.0, FixedPointOptions{}),
                hmcs::ConfigError);
 }
 

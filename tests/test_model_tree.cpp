@@ -20,6 +20,7 @@
 #include "hmcs/analytic/serialize.hpp"
 #include "hmcs/analytic/tree_io.hpp"
 #include "hmcs/analytic/tree_model.hpp"
+#include "hmcs/analytic/workload.hpp"
 #include "hmcs/runner/sweep_runner.hpp"
 #include "hmcs/util/cancel.hpp"
 #include "hmcs/util/error.hpp"
@@ -238,12 +239,13 @@ TEST(ModelTree, GenericRecursionMatchesScalarToRounding) {
 
 TEST(ModelTree, FlatShapedTreesMatchPredictLatencyOnRandomConfigs) {
   // The differential pair behind the generic recursion: seeded random
-  // flat-shaped trees (C, N0, the three technologies, architecture, M
-  // and a rate from idle through deep saturation) through
-  // predict_model_tree and predict_latency, under every method the two
-  // share and the queue rule under which they agree. Both solve one
-  // fixed point to the same tolerance, on phi and on lambda, so the
-  // answers agree to rounding, not bit for bit.
+  // flat-shaped trees (C, N0, the three technologies, architecture, M,
+  // a rate from idle through deep saturation and a workload scenario)
+  // through predict_model_tree and predict_latency, under every method
+  // the two share and the queue rule under which they agree. Both solve
+  // one fixed point to the same tolerance, on phi and on lambda, so the
+  // answers agree to rounding, not bit for bit; under exact MVA both
+  // refuse every non-product-form scenario.
   constexpr double kRelTolerance = 1e-9;
   const NetworkTechnology technologies[] = {gigabit_ethernet(),
                                             fast_ethernet(), myrinet(),
@@ -261,8 +263,15 @@ TEST(ModelTree, FlatShapedTreesMatchPredictLatencyOnRandomConfigs) {
   const auto pick = [&rng](std::size_t n) {
     return static_cast<std::size_t>(rng() % n);
   };
+  // The scenarios come from a second stream, so the configs drawn from
+  // the first are the same with and without them.
+  std::mt19937_64 workload_rng(34);
+  const auto draw = [&workload_rng] {
+    return static_cast<double>(workload_rng() >> 11) * 0x1.0p-53;
+  };
   int saturated = 0;
   int lone = 0;
+  int refused = 0;
   for (int trial = 0; trial < 150; ++trial) {
     const std::uint32_t clusters = cluster_counts[pick(9)];
     const auto per_cluster = static_cast<std::uint32_t>(1 + pick(64));
@@ -279,6 +288,23 @@ TEST(ModelTree, FlatShapedTreesMatchPredictLatencyOnRandomConfigs) {
     config.ecn1 = technologies[pick(4)];
     config.icn2 = technologies[pick(4)];
     const SourceThrottling method = methods[pick(4)];
+    // Each config runs under the paper's exponential model and under a
+    // workload drawn from a second stream, so the configs drawn from the
+    // first stay as they are: service cv^2 in [0, 4] (never exactly 1),
+    // a fixed arrival ca^2 or an MMPP, and on about a third of the
+    // trials failure/repair.
+    WorkloadScenario drawn;
+    drawn.service_cv2 = 4.0 * draw();
+    if (draw() < 0.5) {
+      drawn.arrival_ca2 = 4.0 * draw();
+    } else {
+      drawn.mmpp = MmppArrivals{1.0 + 7.0 * draw(), 0.05 + 0.4 * draw(),
+                                std::exp2(6.0 + 10.0 * draw())};
+    }
+    if (draw() < 1.0 / 3.0) {
+      drawn.failure = FailureRepair{std::exp2(14.0 + 8.0 * draw()),
+                                    std::exp2(4.0 + 8.0 * draw())};
+    }
     const std::string what = "trial " + std::to_string(trial) + " C=" +
                              std::to_string(clusters) + " N0=" +
                              std::to_string(per_cluster) + " M=" +
@@ -308,30 +334,55 @@ TEST(ModelTree, FlatShapedTreesMatchPredictLatencyOnRandomConfigs) {
       continue;
     }
 
-    const LatencyPrediction expected = predict_latency(config, scalar);
-    const TreeLatencyPrediction actual =
-        predict_model_tree(ModelTree::from_system(config), options);
+    for (const WorkloadScenario& scenario : {WorkloadScenario{}, drawn}) {
+      config.scenario = scenario;
+      const bool paper_model = scenario.is_default();
+      const std::string where = what + (paper_model ? "" : " drawn workload");
+      if (method == SourceThrottling::kExactMva && !paper_model) {
+        ++refused;
+        EXPECT_THROW(predict_latency(config, scalar), hmcs::ConfigError)
+            << where;
+        EXPECT_THROW(
+            predict_model_tree(ModelTree::from_system(config), options),
+            hmcs::ConfigError)
+            << where;
+        continue;
+      }
 
-    EXPECT_EQ(actual.fixed_point_converged, expected.fixed_point_converged)
-        << what;
-    if (!std::isfinite(expected.mean_latency_us)) {
-      ++saturated;
-      EXPECT_EQ(actual.mean_latency_us, expected.mean_latency_us) << what;
-      continue;
-    }
-    EXPECT_NEAR(actual.mean_latency_us, expected.mean_latency_us,
-                kRelTolerance * expected.mean_latency_us)
-        << what;
-    if (expected.lambda_offered > 0.0) {
-      EXPECT_NEAR(actual.effective_rate_scale,
-                  expected.lambda_effective / expected.lambda_offered,
-                  kRelTolerance)
-          << what;
+      const LatencyPrediction expected = predict_latency(config, scalar);
+      const TreeLatencyPrediction actual =
+          predict_model_tree(ModelTree::from_system(config), options);
+
+      EXPECT_EQ(actual.fixed_point_converged, expected.fixed_point_converged)
+          << where;
+      // An exhausted Picard cell reports the last state of an oscillating
+      // recurrence, not a fixed point. Under the paper's model this grid's
+      // oscillations are stable two-cycles and agree to rounding; a
+      // non-exponential workload can make the recurrence chaotic (at
+      // C = 8, cs^2 = 2.7, ca^2 = 3.9 a one-ulp difference between the
+      // two paths grew to O(1) within the 200 iterations), so there the
+      // paths need only agree that it did not converge.
+      if (!expected.fixed_point_converged && !paper_model) continue;
+      if (!std::isfinite(expected.mean_latency_us)) {
+        ++saturated;
+        EXPECT_EQ(actual.mean_latency_us, expected.mean_latency_us) << where;
+        continue;
+      }
+      EXPECT_NEAR(actual.mean_latency_us, expected.mean_latency_us,
+                  kRelTolerance * expected.mean_latency_us)
+          << where;
+      if (expected.lambda_offered > 0.0) {
+        EXPECT_NEAR(actual.effective_rate_scale,
+                    expected.lambda_effective / expected.lambda_offered,
+                    kRelTolerance)
+            << where;
+      }
     }
   }
   // Without throttling, the grid's fast rates saturate a centre.
   EXPECT_GT(saturated, 0);
   EXPECT_GT(lone, 0);
+  EXPECT_GT(refused, 0);
 }
 
 TEST(ModelTree, UniformMvaMatchesScalarExactMva) {

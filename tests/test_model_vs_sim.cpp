@@ -139,17 +139,15 @@ TEST(ModelVsSim, DeterministicServiceMatchesMD1Model) {
   const analytic::SystemConfig config = analytic::paper_scenario(
       HeterogeneityCase::kCase1, 8, NetworkArchitecture::kNonBlocking, 1024.0,
       256, 25e-6);  // 25 msg/s
-  analytic::ModelOptions md1;
-  md1.fixed_point.service_cv2 = 0.0;
-  const auto deterministic_model = analytic::predict_latency(config, md1);
+  analytic::SystemConfig deterministic = config;
+  deterministic.scenario.service_cv2 = 0.0;
+  const auto deterministic_model = analytic::predict_latency(deterministic);
   const auto exponential_model = analytic::predict_latency(config);
 
   sim::SimOptions options;
   options.measured_messages = 20000;
   options.warmup_messages = 4000;
   options.seed = 314;
-  analytic::SystemConfig deterministic = config;
-  deterministic.scenario.service_cv2 = 0.0;
   sim::MultiClusterSim simulator(deterministic, options);
   const auto result = simulator.run();
 

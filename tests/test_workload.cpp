@@ -1,6 +1,6 @@
 // WorkloadScenario (docs/WORKLOADS.md): MMPP rate resolution and exact
-// interarrival SCV, the failure/repair two-moment fold, scenario ->
-// solver-option mapping, JSON round-trips, and the simcore samplers
+// interarrival SCV, the failure/repair two-moment fold, the scenario's
+// arrival ca^2 at a rate, JSON round-trips, and the simcore samplers
 // (variate_cv2, poisson, Mmpp2) pinned against their analytic moments.
 
 #include <gtest/gtest.h>
@@ -8,7 +8,6 @@
 #include <cmath>
 #include <vector>
 
-#include "hmcs/analytic/fixed_point.hpp"
 #include "hmcs/analytic/workload.hpp"
 #include "hmcs/simcore/distributions.hpp"
 #include "hmcs/simcore/rng.hpp"
@@ -101,23 +100,22 @@ TEST(Mmpp, Validation) {
 // ------------------------------------------- failure/repair fold
 
 TEST(Failure, EffectiveServiceIdentityWhenDisabled) {
-  FixedPointOptions options;  // mtbf = mttr = 0: disabled
-  const EffectiveService same = effective_service(2.0, 0.5, options);
+  WorkloadScenario scenario;  // no failure object: disabled
+  scenario.service_cv2 = 0.5;
+  const EffectiveService same = effective_service(2.0, scenario);
   EXPECT_EQ(same.mu, 2.0);
   EXPECT_EQ(same.cs2, 0.5);
-  options.failure_mtbf_us = 1e6;
-  options.failure_mttr_us = 0.0;  // instantaneous repair: still identity
-  const EffectiveService still = effective_service(2.0, 0.5, options);
+  scenario.failure = FailureRepair{1e6, 0.0};  // instantaneous repair
+  const EffectiveService still = effective_service(2.0, scenario);
   EXPECT_EQ(still.mu, 2.0);
   EXPECT_EQ(still.cs2, 0.5);
 }
 
 TEST(Failure, EffectiveServiceStretchesByAvailability) {
-  FixedPointOptions options;
-  options.failure_mtbf_us = 9000.0;
-  options.failure_mttr_us = 1000.0;  // A = 0.9
+  WorkloadScenario scenario;
+  scenario.failure = FailureRepair{9000.0, 1000.0};  // A = 0.9
   const double mu = 0.01;
-  const EffectiveService eff = effective_service(mu, 1.0, options);
+  const EffectiveService eff = effective_service(mu, scenario);
   EXPECT_NEAR(eff.mu, mu * 0.9, 1e-15);
   // Completion-time SCV inflates: cs2 + 2 A^2 mttr^2 mu / mtbf.
   const double extra = 2.0 * 0.81 * 1000.0 * 1000.0 * mu / 9000.0;
@@ -160,34 +158,22 @@ TEST(Scenario, ArrivalCa2AndMmppAreMutuallyExclusive) {
   EXPECT_THROW(scenario.validate(), hmcs::ConfigError);
 }
 
-TEST(Scenario, WithScenarioOverridesOnlyNonDefaults) {
-  FixedPointOptions options;
-  options.service_cv2 = 0.25;  // caller-tuned; default scenario keeps it
-  const FixedPointOptions unchanged =
-      with_scenario(options, WorkloadScenario{}, 0.002);
-  EXPECT_EQ(unchanged.service_cv2, 0.25);
-  EXPECT_EQ(unchanged.arrival_ca2, 1.0);
-  EXPECT_EQ(unchanged.failure_mtbf_us, 0.0);
-
+TEST(Scenario, ArrivalScvIsTheFixedCa2WithoutMmpp) {
   WorkloadScenario scenario;
-  scenario.service_cv2 = 4.0;
+  EXPECT_EQ(arrival_scv(scenario, 0.002), 1.0);  // Poisson
   scenario.arrival_ca2 = 2.0;
-  scenario.failure = FailureRepair{5e5, 2e3};
-  const FixedPointOptions mapped = with_scenario(options, scenario, 0.002);
-  EXPECT_EQ(mapped.service_cv2, 4.0);
-  EXPECT_EQ(mapped.arrival_ca2, 2.0);
-  EXPECT_EQ(mapped.failure_mtbf_us, 5e5);
-  EXPECT_EQ(mapped.failure_mttr_us, 2e3);
+  EXPECT_EQ(arrival_scv(scenario, 0.0), 2.0);
+  EXPECT_EQ(arrival_scv(scenario, 0.002), 2.0);
 }
 
-TEST(Scenario, WithScenarioResolvesMmppAtTheOfferedRate) {
-  FixedPointOptions options;
+TEST(Scenario, ArrivalScvResolvesMmppAtTheOfferedRate) {
   WorkloadScenario scenario;
   scenario.mmpp = MmppArrivals{};
   const double rate = 0.01;
-  const FixedPointOptions mapped = with_scenario(options, scenario, rate);
-  EXPECT_DOUBLE_EQ(mapped.arrival_ca2, mmpp_arrival_scv(*scenario.mmpp, rate));
-  EXPECT_GT(mapped.arrival_ca2, 1.0);
+  EXPECT_EQ(arrival_scv(scenario, rate),
+            mmpp_arrival_scv(*scenario.mmpp, rate));
+  EXPECT_GT(arrival_scv(scenario, rate), 1.0);
+  EXPECT_EQ(arrival_scv(scenario, 0.0), 1.0);  // no arrivals: Poisson
 }
 
 // --------------------------------------------------- JSON surface
